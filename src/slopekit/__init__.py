@@ -14,11 +14,12 @@ from .metric_space import (MetricSpace, NeighborhoodSystem,
                            all_pairs_neighborhoods, ball_neighborhoods,
                            explicit_neighborhoods, grid_space,
                            shortest_path_space, validate_metric)
-from .slope_core import (ScalarField, SlopeProfile, add_fields, eps_argmin,
-                         eps_crit, eps_Crit, global_slope, local_slope,
-                         log_distance_field, pasch_hausdorff, pos_part,
-                         restrict, scale_field, slope_profile, sub_fields,
-                         sublevel_diff, truncate)
+from .slope_core import (ScalarField, SlopeProfile, add_fields,
+                         domination_witnesses, eps_argmin, eps_crit, eps_Crit,
+                         global_slope, local_slope, log_distance_field,
+                         pasch_hausdorff, pos_part, restrict, scale_field,
+                         slope_profile, slopes, strict_comparison_witnesses,
+                         sub_fields, sublevel_diff, truncate)
 from .suite import run_suite, summary_csv
 from .variational import (CheckReport, DescentTrace, check_compact,
                           check_lips, check_lsc, check_tz, descent_step,

@@ -19,7 +19,8 @@ from .metric_space import (MetricSpace, NeighborhoodSystem,
                            all_pairs_neighborhoods, ball_neighborhoods,
                            explicit_neighborhoods, grid_space, metric_closure,
                            shortest_path_space)
-from .slope_core import INF, ScalarField, global_slope, scale_field, truncate
+from .slope_core import (INF, ScalarField, domination_witnesses, scale_field,
+                         truncate)
 
 PRNG_ALGORITHM = "numpy PCG64"
 
@@ -268,11 +269,11 @@ def gen_dominated_pair(seed, f: ScalarField, mode="truncate", tol=None):
         params = {"mode": mode, "lam": lam, "r": r}
     else:
         raise ParameterError(f"unknown domination mode {mode!r}")
-    for x in f.dom():
-        if global_slope(g, x) > global_slope(f, x) + tol:
-            raise FatalFinding(
-                "domination constructor emitted a non-dominated pair",
-                witness={"mode": mode, "params": params, "point": x})
+    bad = domination_witnesses(f, g, tol)
+    if bad:
+        raise FatalFinding(
+            "domination constructor emitted a non-dominated pair",
+            witness={"mode": mode, "params": params, "point": bad[0]})
     return g, params
 
 

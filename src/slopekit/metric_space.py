@@ -8,7 +8,8 @@ topologically isolated).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -150,14 +151,22 @@ class MetricSpace:
                 and self.coords == other.coords)
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class NeighborhoodSystem:
+    """Neighbours of each point.  Immutable, so that the masks cached by
+    ``adjacency`` stay valid."""
     points: tuple
-    neighbors: dict   # point -> frozenset of points
+    neighbors: dict   # point -> frozenset of points, read-only
 
     def __post_init__(self):
-        self.points = tuple(self.points)
-        self.neighbors = {p: frozenset(self.neighbors.get(p, ())) for p in self.points}
+        points = tuple(self.points)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "neighbors", MappingProxyType(
+            {p: frozenset(self.neighbors.get(p, ())) for p in points}))
+        object.__setattr__(self, "_masks", {})   # point list -> adjacency
+
+    def __reduce__(self):
+        return NeighborhoodSystem, (self.points, dict(self.neighbors))
 
     def validate(self):
         pset = set(self.points)
@@ -177,6 +186,18 @@ class NeighborhoodSystem:
         if x not in self.neighbors:
             raise DomainError(f"point {x!r} is not in the neighborhood system")
         return self.neighbors[x]
+
+    def adjacency(self, space: MetricSpace) -> np.ndarray:
+        """Read-only boolean matrix whose entry [i, j] says that point j of
+        ``space`` neighbours its point i; computed once per point list."""
+        mask = self._masks.get(space.points)
+        if mask is None:
+            mask = np.zeros((space.n, space.n), dtype=bool)
+            for i, p in enumerate(space.points):
+                mask[i, [space.index(q) for q in self.of(p)]] = True
+            mask.flags.writeable = False
+            self._masks[space.points] = mask
+        return mask
 
     def restrict(self, subset) -> "NeighborhoodSystem":
         """Induced system: neighbors intersected with the subset."""

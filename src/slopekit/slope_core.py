@@ -9,6 +9,8 @@ global slope is a max over all other points.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import resolve_tol
 from .errors import (DomainError, FatalFinding, ImproperFieldError,
                      ParameterError, UndefinedArithmeticError)
@@ -22,8 +24,10 @@ def pos_part(t: float) -> float:
     return t if t > 0 else 0.0
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
+    """A field on a metric space.  Immutable, so that the slope arrays
+    cached on it by ``slopes`` stay valid."""
     space: MetricSpace
     values: tuple   # one float per point; +inf allowed, -inf and nan are not
 
@@ -35,7 +39,15 @@ class ScalarField:
         for v in vals:
             if math.isnan(v) or v == -INF:
                 raise ParameterError(f"field value {v} is not in R ∪ {{+inf}}")
-        self.values = vals
+        array = np.array(vals, dtype=float)
+        array.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "array", array)   # values as a float array
+        object.__setattr__(self, "_slopes", {})    # see slopes()
+
+    def __reduce__(self):
+        # copies start with an empty cache: its keys are object ids
+        return ScalarField, (self.space, self.values)
 
     def value(self, x) -> float:
         return self.values[self.space.index(x)]
@@ -95,15 +107,44 @@ def sub_fields(f: ScalarField, g: ScalarField) -> ScalarField:
     return ScalarField(f.space, tuple(out))
 
 
-def shift_field(f: ScalarField, c: float) -> ScalarField:
-    return ScalarField(f.space, tuple(v + c for v in f.values))
-
-
 def _require_in_dom(f: ScalarField, x) -> int:
     i = f.space.index(x)
     if not math.isfinite(f.values[i]):
         raise DomainError(f"point {x!r} is outside dom f")
     return i
+
+
+def slopes(f: ScalarField, nbhd: NeighborhoodSystem = None) -> np.ndarray:
+    """The slope of f at every point, as a read-only array.
+
+    Entry i is the max of [f(x_i) - f(y)]+ / dist(x_i, y) over the y with
+    f(y) finite that are neighbours of x_i in ``nbhd`` (local slope), or
+    all y != x_i when ``nbhd`` is None (global slope); it is 0 when no y
+    qualifies and +inf off dom f.  Every pair goes through the same IEEE
+    operations as the pointwise definition, so the entries are exact.
+
+    The array is computed once per field for the global slope and once
+    per field and system for the local slope.  Every point of the space
+    must be a point of ``nbhd`` with neighbours in the space.
+    """
+    key = None if nbhd is None else id(nbhd)
+    cached = f._slopes.get(key)
+    if cached is not None:
+        return cached[1]
+    v = f.array
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = v[:, None] - v[None, :]
+        quot = diff / f.space.dist
+    # diff > 0 drops y = x, f(y) = +inf (diff is -inf or nan) and ascents
+    admit = diff > 0
+    if nbhd is not None:
+        admit &= nbhd.adjacency(f.space)
+    out = np.where(admit, quot, 0.0).max(axis=1, initial=0.0)
+    out[~np.isfinite(v)] = INF
+    out.flags.writeable = False
+    # the entry holds nbhd, so its id cannot be reused while cached
+    f._slopes[key] = (nbhd, out)
+    return out
 
 
 def local_slope(f: ScalarField, nbhd: NeighborhoodSystem, x) -> float:
@@ -113,34 +154,53 @@ def local_slope(f: ScalarField, nbhd: NeighborhoodSystem, x) -> float:
     (isolated-point convention).
     """
     i = _require_in_dom(f, x)
-    fx = f.values[i]
-    best = 0.0
-    for y in nbhd.of(x):
-        j = f.space.index(y)
-        fy = f.values[j]
-        if fy == INF:
-            continue
-        q = pos_part(fx - fy) / f.space.dist[i, j]
-        if q > best:
-            best = q
-    return best
+    return float(slopes(f, nbhd)[i])
 
 
 def global_slope(f: ScalarField, x) -> float:
     """Max over all y != x of [f(x)-f(y)]+ / dist(x,y); finite on finite spaces."""
     i = _require_in_dom(f, x)
-    fx = f.values[i]
-    best = 0.0
-    for j in range(f.space.n):
-        if j == i:
-            continue
-        fy = f.values[j]
-        if fy == INF:
-            continue
-        q = pos_part(fx - fy) / f.space.dist[i, j]
-        if q > best:
-            best = q
-    return best
+    return float(slopes(f)[i])
+
+
+def _points_where(f: ScalarField, mask) -> tuple:
+    """The points of dom f at which the boolean array ``mask`` holds."""
+    pts = f.space.points
+    return tuple(pts[i] for i in np.flatnonzero(mask & np.isfinite(f.array)))
+
+
+def _require_same_points(f: ScalarField, g: ScalarField):
+    if g.space is not f.space and g.space.points != f.space.points:
+        raise ParameterError("fields live on different spaces")
+
+
+def domination_witnesses(f: ScalarField, g: ScalarField, tol=None) -> list:
+    """Points of dom f where the global slope of g exceeds that of f by
+    more than tol.
+
+    A point of dom f outside dom g always counts: the slope of g there is
+    +inf.
+    """
+    tol = resolve_tol(tol)
+    _require_same_points(f, g)
+    return list(_points_where(f, slopes(g) > slopes(f) + tol))
+
+
+def strict_comparison_witnesses(f: ScalarField, g: ScalarField,
+                                nbhd: NeighborhoodSystem = None,
+                                tol=None) -> list:
+    """Points of dom f off the tol-critical set of f where the slope of f
+    does not strictly exceed that of g: local slopes over ``nbhd``, global
+    slopes when it is None.
+
+    A point of dom f outside dom g always counts: the slope of g there is
+    +inf.
+    """
+    tol = resolve_tol(tol)
+    _require_same_points(f, g)
+    fs, gs = slopes(f, nbhd), slopes(g, nbhd)
+    return list(_points_where(
+        f, ((fs > tol) & ~(fs > gs)) | ~np.isfinite(g.array)))
 
 
 @dataclass
@@ -151,9 +211,10 @@ class SlopeProfile:
 
 def slope_profile(f: ScalarField, nbhd: NeighborhoodSystem) -> SlopeProfile:
     dom = f.dom()
+    i = np.flatnonzero(np.isfinite(f.array))
     return SlopeProfile(
-        local={x: local_slope(f, nbhd, x) for x in dom},
-        global_={x: global_slope(f, x) for x in dom})
+        local=dict(zip(dom, slopes(f, nbhd)[i].tolist())),
+        global_=dict(zip(dom, slopes(f)[i].tolist())))
 
 
 def eps_argmin(f: ScalarField, eps: float, tol=None) -> tuple:
@@ -171,7 +232,7 @@ def eps_crit(f: ScalarField, nbhd: NeighborhoodSystem, eps: float, tol=None) -> 
     tol = resolve_tol(tol)
     if eps < 0:
         raise ParameterError(f"eps must be nonnegative, got {eps}")
-    return tuple(x for x in f.dom() if local_slope(f, nbhd, x) <= eps + tol)
+    return _points_where(f, slopes(f, nbhd) <= eps + tol)
 
 
 def eps_Crit(f: ScalarField, eps: float, tol=None) -> tuple:
@@ -183,16 +244,16 @@ def eps_Crit(f: ScalarField, eps: float, tol=None) -> tuple:
     tol = resolve_tol(tol)
     if eps < 0:
         raise ParameterError(f"eps must be nonnegative, got {eps}")
-    out = tuple(x for x in f.dom() if global_slope(f, x) <= eps + tol)
-    for x in out:
-        i = f.space.index(x)
-        fx = f.values[i]
-        for j, fy in enumerate(f.values):
-            if fy < fx - eps * f.space.dist[i, j] - tol * (1 + f.space.dist[i, j]):
-                raise FatalFinding(
-                    "eps_Crit member fails the pointwise inequality",
-                    witness={"x": x, "y": f.space.points[j], "eps": eps})
-    return out
+    v, pts = f.array, f.space.points
+    rows = np.flatnonzero((slopes(f) <= eps + tol) & np.isfinite(v))
+    d = f.space.dist[rows]
+    bad = np.argwhere(v[None, :] < v[rows, None] - eps * d - tol * (1 + d))
+    if len(bad):
+        i, j = bad[0]
+        raise FatalFinding(
+            "eps_Crit member fails the pointwise inequality",
+            witness={"x": pts[rows[i]], "y": pts[j], "eps": eps})
+    return tuple(pts[i] for i in rows)
 
 
 def pasch_hausdorff(f: ScalarField, eps: float, tol=None) -> ScalarField:
@@ -205,11 +266,9 @@ def pasch_hausdorff(f: ScalarField, eps: float, tol=None) -> ScalarField:
         raise ParameterError(f"eps must be positive, got {eps}")
     if not f.is_proper():
         raise ImproperFieldError("cannot regularize an improper field")
-    out = []
-    for i in range(f.space.n):
-        out.append(min(fy + eps * f.space.dist[j, i]
-                       for j, fy in enumerate(f.values) if fy != INF))
-    return ScalarField(f.space, tuple(out))
+    fin = np.isfinite(f.array)
+    out = (f.array[fin, None] + eps * f.space.dist[fin]).min(axis=0)
+    return ScalarField(f.space, tuple(out.tolist()))
 
 
 def truncate(g: ScalarField, lam: float) -> ScalarField:

@@ -15,10 +15,10 @@ from .config import resolve_tol
 from .errors import FatalFinding, HypothesisViolation, ParameterError
 from .instances import gen_dominated_pair, gen_random_instance
 from .metric_space import NeighborhoodSystem, validate_metric
-from .slope_core import (INF, ScalarField, add_fields, eps_Crit,
-                         global_slope, local_slope, log_distance_field,
-                         pasch_hausdorff, restrict, scale_field, sub_fields,
-                         sublevel_diff, truncate)
+from .slope_core import (INF, ScalarField, add_fields, domination_witnesses,
+                         eps_Crit, global_slope, log_distance_field,
+                         pasch_hausdorff, restrict, scale_field, slopes,
+                         sub_fields, sublevel_diff, truncate)
 from .variational import (check_compact, check_lips, check_lsc,
                           check_tz, descent_to_critical, ekeland_point,
                           verify_trace)
@@ -87,87 +87,101 @@ def check_neighborhood_symmetry(inst, rng, ops, tol):
     return []
 
 
+def _dom_index(h: ScalarField) -> np.ndarray:
+    return np.flatnonzero(np.isfinite(h.array))
+
+
+def _slopes_at(inst, h, idx) -> dict:
+    """Local and global slopes of h at the points with indices idx."""
+    return {"local": slopes(h, inst.nbhd)[idx], "global": slopes(h)[idx]}
+
+
+def _flagged(inst, idx, bad):
+    """(k, point, kind) for each k where a mask in ``bad`` holds, ordered by
+    point and then local before global."""
+    for k in np.flatnonzero(bad["local"] | bad["global"]):
+        for kind in ("local", "global"):
+            if bad[kind][k]:
+                yield k, inst.space.points[idx[k]], kind
+
+
 def check_slope_scaling(inst, rng, ops, tol):
     f = inst.field("f")
+    idx = _dom_index(f)
+    base = _slopes_at(inst, f, idx)
     failures = []
     for r in (0.0, 0.5, float(rng.uniform(0.0, 3.0))):
-        rf = scale_field(f, r)
-        for x in f.dom():
-            for kind, slope in (("local", lambda h, y: local_slope(h, inst.nbhd, y)),
-                                ("global", global_slope)):
-                got = slope(rf, x)
-                want = r * slope(f, x)
-                if abs(got - want) > SCALING_RTOL * max(1.0, abs(want)):
-                    failures.append(_fail(
-                        f"{kind} slope of {r}*f at {x} is {got}, expected {want}",
-                        r=r, x=x))
+        got = _slopes_at(inst, scale_field(f, r), idx)
+        want = {kind: r * s for kind, s in base.items()}
+        bad = {kind: np.abs(got[kind] - want[kind])
+               > SCALING_RTOL * np.maximum(1.0, np.abs(want[kind]))
+               for kind in got}
+        for k, x, kind in _flagged(inst, idx, bad):
+            failures.append(_fail(
+                f"{kind} slope of {r}*f at {x} is {got[kind][k].item()}, "
+                f"expected {want[kind][k].item()}", r=r, x=x))
     return failures
 
 
 def check_subadditivity(inst, rng, ops, tol):
     f, g = inst.field("f"), inst.field("g")
     h = add_fields(f, g)
-    failures = []
-    for x in set(f.dom()) & set(g.dom()):
-        for kind, slope in (("local", lambda q, y: local_slope(q, inst.nbhd, y)),
-                            ("global", global_slope)):
-            if slope(h, x) > slope(f, x) + slope(g, x) + tol:
-                failures.append(_fail(
-                    f"{kind} slope of f+g at {x} exceeds the sum of slopes", x=x))
-    return failures
+    idx = _dom_index(h)   # dom f ∩ dom g
+    sf, sg, sh = (_slopes_at(inst, q, idx) for q in (f, g, h))
+    bad = {kind: sh[kind] > sf[kind] + sg[kind] + tol for kind in sh}
+    return [_fail(f"{kind} slope of f+g at {x} exceeds the sum of slopes", x=x)
+            for _, x, kind in _flagged(inst, idx, bad)]
 
 
 def check_difference_bound(inst, rng, ops, tol):
     f, g = inst.field("f"), inst.field("g")
     g_fin = truncate(g, g.max_finite())   # finite-valued version of g
-    d = sub_fields(f, g_fin)
-    failures = []
-    for x in f.dom():
-        for kind, slope in (("local", lambda q, y: local_slope(q, inst.nbhd, y)),
-                            ("global", global_slope)):
-            if slope(d, x) < slope(f, x) - slope(g_fin, x) - tol:
-                failures.append(_fail(
-                    f"{kind} slope of f-g at {x} below |slope f| - |slope g|", x=x))
-    return failures
+    idx = _dom_index(f)
+    sf, sg, sd = (_slopes_at(inst, q, idx)
+                  for q in (f, g_fin, sub_fields(f, g_fin)))
+    bad = {kind: sd[kind] < sf[kind] - sg[kind] - tol for kind in sd}
+    return [_fail(f"{kind} slope of f-g at {x} below |slope f| - |slope g|", x=x)
+            for _, x, kind in _flagged(inst, idx, bad)]
 
 
 def check_global_ge_local(inst, rng, ops, tol):
     f = inst.field("f")
-    return [
-        _fail(f"global slope below local slope at {x}", x=x)
-        for x in f.dom()
-        if global_slope(f, x) < local_slope(f, inst.nbhd, x) - tol
-    ]
+    idx = _dom_index(f)
+    s = _slopes_at(inst, f, idx)
+    return [_fail(f"global slope below local slope at {inst.space.points[i]}",
+                  x=inst.space.points[i])
+            for i in idx[s["global"] < s["local"] - tol]]
 
 
 def check_log_bound(inst, rng, ops, tol):
     if inst.space.n < 2:
         return []
     failures = []
-    for a in inst.space.points:
+    for a_index, a in enumerate(inst.space.points):
         phi = log_distance_field(inst.space, a)
-        for x in phi.dom():
-            bound = 1.0 / inst.space.distance(x, a)
-            if global_slope(phi, x) > bound + tol:
-                failures.append(_fail(
-                    f"log-distance slope bound fails at {x} (center {a})",
-                    a=a, x=x))
+        idx = _dom_index(phi)   # every point but a
+        bound = 1.0 / inst.space.dist[idx, a_index]
+        for i in idx[slopes(phi)[idx] > bound + tol]:
+            x = inst.space.points[i]
+            failures.append(_fail(
+                f"log-distance slope bound fails at {x} (center {a})",
+                a=a, x=x))
     return failures
 
 
 def check_truncation(inst, rng, ops, tol):
     g = inst.field("g")
     lo, hi = g.min_finite(), g.max_finite()
+    idx = _dom_index(g)
+    base = _slopes_at(inst, g, idx)
     failures = []
     for lam in (lo, (lo + hi) / 2.0, float(rng.uniform(lo - 1.0, hi + 1.0))):
-        g1 = ops["truncate"](g, lam)
-        for x in g.dom():
-            for kind, slope in (("local", lambda q, y: local_slope(q, inst.nbhd, y)),
-                                ("global", global_slope)):
-                if slope(g1, x) > slope(g, x) + tol:
-                    failures.append(_fail(
-                        f"truncation increased the {kind} slope at {x}",
-                        lam=lam, x=x))
+        got = _slopes_at(inst, ops["truncate"](g, lam), idx)
+        bad = {kind: got[kind] > base[kind] + tol for kind in got}
+        for _, x, kind in _flagged(inst, idx, bad):
+            failures.append(_fail(
+                f"truncation increased the {kind} slope at {x}",
+                lam=lam, x=x))
     return failures
 
 
@@ -176,13 +190,15 @@ def check_crit_lipschitz(inst, rng, ops, tol, eps_values=(0.25, 1.0, 3.0)):
     failures = []
     for eps in eps_values:
         crit = eps_Crit(f, eps, tol)
-        for x in crit:
-            for y in crit:
-                gap = abs(f.value(x) - f.value(y))
-                if gap > eps * inst.space.distance(x, y) + tol:
-                    failures.append(_fail(
-                        f"f is not {eps}-Lipschitz on {eps}-Crit at ({x}, {y})",
-                        eps=eps, x=x, y=y))
+        idx = [inst.space.index(x) for x in crit]
+        v = f.array[idx]
+        bad = (np.abs(v[:, None] - v[None, :])
+               > eps * inst.space.dist[np.ix_(idx, idx)] + tol)
+        for a, b in np.argwhere(bad):
+            x, y = crit[a], crit[b]
+            failures.append(_fail(
+                f"f is not {eps}-Lipschitz on {eps}-Crit at ({x}, {y})",
+                eps=eps, x=x, y=y))
     return failures
 
 
@@ -200,13 +216,12 @@ def check_ph_coincidence(inst, rng, ops, tol, eps_values=(0.25, 1.0, 3.0)):
                 f"coincidence set != {eps}-Crit",
                 eps=eps, coincide=sorted(coincide), crit=sorted(crit)))
         # the regularization itself must be eps-Lipschitz
-        for i, x in enumerate(inst.space.points):
-            for j in range(i):
-                gap = abs(reg.values[i] - reg.values[j])
-                if gap > eps * inst.space.dist[i, j] + tol:
-                    failures.append(_fail(
-                        "regularization is not eps-Lipschitz",
-                        eps=eps, x=x, y=inst.space.points[j]))
+        v = reg.array
+        bad = np.abs(v[:, None] - v[None, :]) > eps * inst.space.dist + tol
+        for i, j in np.argwhere(np.tril(bad, -1)):
+            failures.append(_fail(
+                "regularization is not eps-Lipschitz",
+                eps=eps, x=inst.space.points[i], y=inst.space.points[j]))
     return failures
 
 
@@ -218,49 +233,32 @@ def check_restriction_invariance(inst, rng, ops, tol):
     x0 = dom_fg[int(rng.integers(0, len(dom_fg)))]
     lam = f.value(x0) - g.value(x0)
     m1 = sublevel_diff(f, g, lam, tol)
-    f1 = restrict(f, m1)
-    nbhd1 = inst.nbhd.restrict(m1)
-    failures = []
-    for x in m1:
-        gv = g.value(x)
-        # local-slope invariance on the sub-level set
-        ls_f = local_slope(f, inst.nbhd, x)
-        ls_g = local_slope(g, inst.nbhd, x) if gv != INF else INF
-        if ls_f > ls_g:
-            if abs(local_slope(f1, nbhd1, x) - ls_f) > tol:
-                failures.append(_fail(
-                    f"local slope changed under restriction at {x}", x=x,
-                    lam=lam))
-        # global-slope invariance on the sub-level set
-        gs_f = global_slope(f, x)
-        gs_g = global_slope(g, x) if gv != INF else INF
-        if gs_f > gs_g:
-            if abs(global_slope(f1, x) - gs_f) > tol:
-                failures.append(_fail(
-                    f"global slope changed under restriction at {x}", x=x,
-                    lam=lam))
+    f1 = restrict(f, m1)   # point k of f1 is m1[k]
+    idx = np.array([inst.space.index(x) for x in m1])
+    # slopes of g are +inf off dom g, so a point there never qualifies
+    sf, sg = _slopes_at(inst, f, idx), _slopes_at(inst, g, idx)
+    s1 = {"local": slopes(f1, inst.nbhd.restrict(m1)), "global": slopes(f1)}
+    bad = {kind: (sf[kind] > sg[kind]) & (np.abs(s1[kind] - sf[kind]) > tol)
+           for kind in sf}
+    failures = [_fail(f"{kind} slope changed under restriction at {x}", x=x,
+                      lam=lam)
+                for _, x, kind in _flagged(inst, idx, bad)]
     # restriction to the sub-level set intersected with an s-critical set
     s = global_slope(f, x0)
-    m2 = [x for x in m1 if global_slope(f, x) <= s + tol]
-    if m2:
-        f2 = restrict(f, m2)
-        for x in m2:
-            gv = g.value(x)
-            gs_f = global_slope(f, x)
-            gs_g = global_slope(g, x) if gv != INF else INF
-            if gs_f > gs_g:
-                if abs(global_slope(f2, x) - gs_f) > tol:
-                    failures.append(_fail(
-                        f"global slope changed under critical restriction at {x}",
-                        x=x, lam=lam, s=s))
+    keep = sf["global"] <= s + tol
+    if keep.any():
+        m2 = [x for x, k in zip(m1, keep) if k]
+        gf, gg = sf["global"][keep], sg["global"][keep]
+        bad2 = (gf > gg) & (np.abs(slopes(restrict(f, m2)) - gf) > tol)
+        failures += [_fail(
+            f"global slope changed under critical restriction at {x}",
+            x=x, lam=lam, s=s) for x, b in zip(m2, bad2) if b]
     return failures
 
 
 def check_trivial_inf_dom(inst, rng, ops, tol):
-    f, g = inst.field("f"), inst.field("g")
-    dom = f.dom()
-    finite_slope_dom = [x for x in dom if math.isfinite(global_slope(f, x))]
-    if list(dom) != finite_slope_dom:
+    f = inst.field("f")
+    if not np.isfinite(slopes(f)[_dom_index(f)]).all():
         return [_fail("global slope not finite on all of dom f")]
     return []
 
@@ -336,12 +334,9 @@ def check_domination_constructors(inst, rng, ops, tol):
     for mode in ("truncate", "scale", "compose"):
         pair_seed = int(rng.integers(0, 2 ** 62))
         g, params = gen_dominated_pair(pair_seed, f, mode, tol)
-        # independent re-check, not trusting the constructor's own verification
-        for x in f.dom():
-            if global_slope(g, x) > global_slope(f, x) + tol:
-                failures.append(_fail(
-                    f"emitted pair not dominated at {x}", mode=mode,
-                    params=params, x=x))
+        failures += [_fail(f"emitted pair not dominated at {x}", mode=mode,
+                           params=params, x=x)
+                     for x in domination_witnesses(f, g, tol)]
     return failures
 
 

@@ -14,8 +14,9 @@ from .config import resolve_tol
 from .errors import (DomainError, FatalFinding, HypothesisViolation,
                      ImproperFieldError, ParameterError)
 from .metric_space import NeighborhoodSystem
-from .slope_core import (INF, ScalarField, eps_crit, eps_Crit, global_slope,
-                         local_slope, restrict, scale_field, sublevel_diff)
+from .slope_core import (INF, ScalarField, domination_witnesses, eps_crit,
+                         eps_Crit, local_slope, restrict, sublevel_diff,
+                         strict_comparison_witnesses)
 
 
 def ekeland_point(f: ScalarField, x0, lam: float):
@@ -44,29 +45,6 @@ def ekeland_point(f: ScalarField, x0, lam: float):
         i = best
 
 
-def _check_strict_comparison(f, g, nbhd, mode, tol):
-    """Strict slope comparison of f over g off the critical set of f.
-
-    Returns the list of violating points (empty means satisfied).  A point
-    of dom f outside dom g counts as violating (the slope of g there is
-    taken as +inf).
-    """
-    witnesses = []
-    for x in f.dom():
-        if g.value(x) == INF:
-            witnesses.append(x)
-            continue
-        if mode == "local":
-            fs = local_slope(f, nbhd, x)
-            gs = local_slope(g, nbhd, x)
-        else:
-            fs = global_slope(f, x)
-            gs = global_slope(g, x)
-        if fs > tol and not fs > gs:
-            witnesses.append(x)
-    return witnesses
-
-
 def descent_step(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
                  x0, eps: float, mode: str = "local", tol=None):
     """One constrained Ekeland step.
@@ -85,13 +63,18 @@ def descent_step(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
     i = f.space.index(x0)
     if not math.isfinite(f.values[i]):
         raise DomainError(f"start point {x0!r} is outside dom f")
-    bad = _check_strict_comparison(f, g, nbhd, mode, tol)
+    bad = strict_comparison_witnesses(
+        f, g, nbhd if mode == "local" else None, tol)
     if bad:
         raise HypothesisViolation(
             f"strict slope comparison fails at {bad[0]!r}", witnesses=bad)
+    return _sublevel_ekeland(f, g, x0, eps, tol)
+
+
+def _sublevel_ekeland(f, g, x0, eps, tol):
+    """The Ekeland point from x0 of f restricted to {f - g <= (f-g)(x0)}."""
     m1 = sublevel_diff(f, g, f.value(x0) - g.value(x0), tol)
-    f1 = restrict(f, m1)
-    return ekeland_point(f1, x0, eps)
+    return ekeland_point(restrict(f, m1), x0, eps)
 
 
 @dataclass
@@ -146,11 +129,17 @@ def descent_to_critical(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem
         points=[x0], eps_schedule=[], step_distances=[],
         f_values=[f.value(x0)], diff_values=[f.value(x0) - g.value(x0)],
         terminal_flag="budget-exhausted")
+    checked = False
     for eps in eps_schedule:
         if local_slope(f, nbhd, x) <= tol:
             trace.terminal_flag = "reached-0crit"
             break
-        y = descent_step(f, g, nbhd, x, eps, mode="local", tol=tol)
+        if checked:
+            # f and g are fixed, so the first step's hypothesis check holds
+            y = _sublevel_ekeland(f, g, x, eps, tol)
+        else:
+            y = descent_step(f, g, nbhd, x, eps, mode="local", tol=tol)
+            checked = True
         if y != x:
             trace.points.append(y)
             trace.eps_schedule.append(eps)
@@ -220,20 +209,6 @@ class CheckReport:
         }
 
 
-def _tilde_domination_witnesses(f: ScalarField, g: ScalarField, tol) -> list:
-    """Points of dom f where the global slope of g exceeds that of f.
-
-    A point of dom f outside dom g has global slope of g taken as +inf
-    and always violates."""
-    out = []
-    for x in f.dom():
-        if g.value(x) == INF:
-            out.append(x)
-        elif global_slope(g, x) > global_slope(f, x) + tol:
-            out.append(x)
-    return out
-
-
 def _require_finite_everywhere(h: ScalarField, name: str):
     if any(v == INF for v in h.values):
         raise ParameterError(f"{name} must be finite-valued for this check")
@@ -244,7 +219,7 @@ def check_tz(f: ScalarField, g: ScalarField, tol=None) -> CheckReport:
     tol = resolve_tol(tol)
     if not f.is_proper():
         raise ImproperFieldError("f is identically +inf")
-    bad = _tilde_domination_witnesses(f, g, tol)
+    bad = domination_witnesses(f, g, tol)
     if bad:
         return CheckReport("tz", hypothesis_ok=False, hypothesis_witnesses=bad)
     inf_f = f.min_finite()
@@ -269,7 +244,7 @@ def check_lips(f: ScalarField, g: ScalarField, eps: float, tol=None) -> CheckRep
         raise ParameterError(f"eps must be positive, got {eps}")
     _require_finite_everywhere(f, "f")
     _require_finite_everywhere(g, "g")
-    bad = _tilde_domination_witnesses(f, g, tol)
+    bad = domination_witnesses(f, g, tol)
     if bad:
         return CheckReport("lips", hypothesis_ok=False, hypothesis_witnesses=bad)
     diff = {p: f.value(p) - g.value(p) for p in f.space.points}
@@ -295,7 +270,7 @@ def check_lsc(f: ScalarField, g: ScalarField, r: float, eps: float,
         raise ParameterError(f"eps must be positive, got {eps}")
     if not f.is_proper():
         raise ImproperFieldError("f is identically +inf")
-    bad = _tilde_domination_witnesses(f, g, tol)
+    bad = domination_witnesses(f, g, tol)
     if bad:
         return CheckReport("lsc", hypothesis_ok=False, hypothesis_witnesses=bad)
 
@@ -327,11 +302,7 @@ def check_compact(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
     tol = resolve_tol(tol)
     _require_finite_everywhere(f, "f")
     _require_finite_everywhere(g, "g")
-    bad = []
-    for x in f.space.points:
-        fs = local_slope(f, nbhd, x)
-        if fs > tol and not fs > local_slope(g, nbhd, x):
-            bad.append(x)
+    bad = strict_comparison_witnesses(f, g, nbhd, tol)
     if bad:
         return CheckReport("compact", hypothesis_ok=False,
                            hypothesis_witnesses=bad)

@@ -1,15 +1,23 @@
+import copy
+import dataclasses
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopekit import (DomainError, ImproperFieldError, ParameterError,
+from slopekit import (DomainError, FatalFinding, ImproperFieldError,
+                      MetricSpace, NeighborhoodSystem, ParameterError,
                       ScalarField, UndefinedArithmeticError, add_fields,
-                      eps_argmin, eps_crit, eps_Crit,
+                      domination_witnesses, eps_argmin, eps_crit, eps_Crit,
                       gen_random_instance, global_slope, local_slope,
                       log_distance_field, pasch_hausdorff, pos_part, restrict,
-                      scale_field, sub_fields, sublevel_diff, truncate)
+                      scale_field, slope_profile, slopes,
+                      strict_comparison_witnesses, sub_fields, sublevel_diff,
+                      truncate)
+from slopekit import slope_core
 
 INF = math.inf
 TOL = 1e-9
@@ -41,6 +49,119 @@ class TestScalarField:
         assert pos_part(-2.0) == 0.0
         assert pos_part(3.0) == 3.0
         assert pos_part(INF) == INF
+
+
+def loop_slope(f, x, others):
+    """Reference: the pointwise definition, one pair at a time."""
+    i = f.space.index(x)
+    best = 0.0
+    for y in others:
+        j = f.space.index(y)
+        if f.values[j] == INF:
+            continue
+        q = pos_part(f.values[i] - f.values[j]) / f.space.dist[i, j]
+        if q > best:
+            best = q
+    return best
+
+
+def loop_pasch_hausdorff(f, eps):
+    n = f.space.n
+    return tuple(min(f.values[j] + eps * f.space.dist[j, i]
+                     for j in range(n) if f.values[j] != INF)
+                 for i in range(n))
+
+
+class TestSlopeKernel:
+    @given(seed=st.integers(0, 10**6),
+           kind=st.sampled_from(["graph", "matrix", "grid"]),
+           n=st.integers(2, 25), p_inf=st.sampled_from([0.0, 0.3]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_pointwise_loops_exactly(self, seed, kind, n, p_inf):
+        inst = gen_random_instance([seed], n, metric_kind=kind,
+                                   field_spec={"f": {"p_inf": p_inf}})
+        f = inst.field("f")
+        pts = f.space.points
+        for x, v, ls, gs in zip(pts, f.values, slopes(f, inst.nbhd), slopes(f)):
+            if v == INF:
+                assert ls == gs == INF
+                continue
+            assert ls == loop_slope(f, x, inst.nbhd.of(x))
+            assert gs == loop_slope(f, x, [y for y in pts if y != x])
+        for eps in (0.25, 1.0, 3.0):
+            assert pasch_hausdorff(f, eps).values == loop_pasch_hausdorff(f, eps)
+
+    def test_computed_once_per_field_and_system(self, f013, e3_path_nbhd):
+        g = slopes(f013)
+        loc = slopes(f013, e3_path_nbhd)
+        assert slopes(f013) is g
+        assert slopes(f013, e3_path_nbhd) is loc
+        assert not g.flags.writeable and not loc.flags.writeable
+        other = NeighborhoodSystem(e3_path_nbhd.points,
+                                   dict(e3_path_nbhd.neighbors))
+        assert other == e3_path_nbhd
+        assert slopes(f013, other) is not loc
+        assert list(slopes(f013, other)) == list(loc) == [0.0, 1.0, 2.0]
+
+    def test_fields_and_systems_are_frozen(self, f013, e3_path_nbhd):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f013.values = (1.0, 1.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e3_path_nbhd.neighbors = {}
+        with pytest.raises(TypeError):
+            e3_path_nbhd.neighbors["a"] = frozenset()
+        with pytest.raises(ValueError):
+            f013.array[0] = 5.0
+
+    def test_copies_get_their_own_cache(self):
+        inst = gen_random_instance(1, 6)
+        want = list(slopes(inst.field("f"), inst.nbhd))
+        for dup in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+            assert dup == inst
+            assert dup.field("f")._slopes == {}
+            assert list(slopes(dup.field("f"), dup.nbhd)) == want
+
+    def test_system_must_cover_the_space(self, f013):
+        partial = NeighborhoodSystem(("a", "b"), {"a": {"b"}, "b": {"a"}})
+        with pytest.raises(DomainError):
+            local_slope(f013, partial, "a")
+
+    def test_profile_skips_points_off_dom(self, e3, e3_path_nbhd):
+        f = ScalarField(e3, (0.0, INF, 3.0))
+        prof = slope_profile(f, e3_path_nbhd)
+        assert prof.local == {"a": 0.0, "c": 0.0}
+        assert prof.global_ == {"a": 0.0, "c": 1.5}
+
+    def test_eps_Crit_recheck_catches_a_wrong_kernel(self, e3, monkeypatch):
+        f = ScalarField(e3, (0.0, 2.0, 3.0))
+        monkeypatch.setattr(slope_core, "slopes", lambda h, nbhd=None: np.zeros(3))
+        with pytest.raises(FatalFinding) as err:
+            eps_Crit(f, 0.5)
+        # first member in point order, then first y: b fails against a
+        assert err.value.witness == {"x": "b", "y": "a", "eps": 0.5}
+
+
+class TestSlopeComparisons:
+    def test_domination(self, f013):
+        assert domination_witnesses(f013, scale_field(f013, 0.5)) == []
+        assert domination_witnesses(f013, scale_field(f013, 2.0)) == ["b", "c"]
+
+    def test_outside_dom_g_always_counts(self, e3, f013, e3_path_nbhd):
+        g = ScalarField(e3, (INF, 0.0, 0.0))
+        assert domination_witnesses(f013, g) == ["a"]
+        # a is 0-critical for f, yet counts because g(a) = +inf
+        assert strict_comparison_witnesses(f013, g, e3_path_nbhd) == ["a"]
+
+    def test_strict_comparison(self, f013, e3_path_nbhd):
+        half = scale_field(f013, 0.5)
+        assert strict_comparison_witnesses(f013, half, e3_path_nbhd) == []
+        assert strict_comparison_witnesses(f013, f013) == ["b", "c"]
+
+    def test_fields_on_different_spaces(self, f013):
+        other = MetricSpace(("x", "y", "z"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        g = ScalarField(other, f013.values)
+        with pytest.raises(ParameterError):
+            domination_witnesses(f013, g)
 
 
 class TestLocalSlope:

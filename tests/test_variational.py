@@ -11,6 +11,7 @@ from slopekit import (DomainError, HypothesisViolation,
                       ekeland_point, gen_random_instance,
                       global_slope, local_slope, scale_field, truncate,
                       verify_trace)
+from slopekit import variational
 
 INF = math.inf
 TOL = 1e-9
@@ -122,6 +123,19 @@ class TestDescentToCritical:
         trace = descent_to_critical(f013, g, e3_path_nbhd, "a")
         assert trace.points == ["a"]
         assert trace.terminal_flag == "reached-0crit"
+
+    def test_hypothesis_checked_once_per_trace(self, monkeypatch):
+        inst = gen_random_instance([14], 12, field_spec={"f": {}})
+        f = inst.field("f")
+        calls = []
+        check = variational.strict_comparison_witnesses
+        monkeypatch.setattr(variational, "strict_comparison_witnesses",
+                            lambda *args: calls.append(args) or check(*args))
+        trace = descent_to_critical(f, scale_field(f, 0.5), inst.nbhd, "p10")
+        assert len(trace.points) == 4
+        assert len(calls) == 1
+        with pytest.raises(HypothesisViolation):
+            descent_to_critical(f, scale_field(f, 2.0), inst.nbhd, "p10")
 
     def test_nondecreasing_schedule_rejected(self, f013, e3_path_nbhd):
         g = scale_field(f013, 0.5)
