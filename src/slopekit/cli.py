@@ -6,18 +6,20 @@ Exit codes: 0 verified / success, 1 hypothesis violated, 2 fatal finding
 
 import argparse
 import json
+import os
 import sys
 
 from .convex1d import mr_check, pl_from_dict
 from .errors import FatalFinding, HypothesisViolation, SlopekitError
 from .instances import (gen_random_instance, instance_from_dict,
                         load_instance, save_instance)
-from .metric_space import validate_metric
+from .metric_space import ValidationReport, validate_metric
 from .slope_core import (INF, eps_argmin, eps_crit, eps_Crit, global_slope,
                          local_slope)
 from .suite import run_suite, summary_csv
 from .variational import (check_compact, check_lips, check_lsc, check_tz,
-                          descent_to_critical, ekeland_point, verify_trace)
+                          descent_step, descent_to_critical, ekeland_point,
+                          verify_trace)
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
@@ -38,10 +40,11 @@ def cmd_validate(args):
     with open(args.instance) as fh:
         obj = json.load(fh)
     if "metric" in obj and obj["metric"].get("kind") == "matrix":
+        # reported as given: an invalid matrix cannot become a MetricSpace
         report = validate_metric(obj["metric"]["dist"])
     else:
-        inst = instance_from_dict(obj)
-        report = validate_metric(inst.space.dist)
+        instance_from_dict(obj)   # its space is validated as it is built
+        report = ValidationReport([])
     _emit(report.to_dict(), args.output)
     return EXIT_OK if report.ok else EXIT_INPUT
 
@@ -100,7 +103,6 @@ def cmd_descent(args):
             raise FatalFinding("; ".join(problems), witness=trace.to_dict())
         _emit(trace.to_dict(), args.output)
     else:
-        from .variational import descent_step
         x = descent_step(f, g, inst.nbhd, getattr(args, "from"), args.eps0,
                          mode="global")
         _emit({"x": x, "f_value": f.value(x)}, args.output)
@@ -142,7 +144,7 @@ def cmd_suite(args):
             config = json.load(fh)
     report = run_suite(config)
     _emit(report, args.output)
-    csv_path = (args.output or "suite_report.json").rsplit(".", 1)[0] + ".csv"
+    csv_path = os.path.splitext(args.output or "suite_report.json")[0] + ".csv"
     with open(csv_path, "w") as fh:
         fh.write(summary_csv(report))
     return EXIT_OK if report["ok"] else EXIT_FATAL

@@ -40,11 +40,8 @@ class Instance:
             self.metric_spec = {
                 "kind": "matrix", "dist": [list(row) for row in self.space.dist]}
         if self.nbhd_spec is None:
-            idx = self.space.index
-            adj = sorted(
-                (idx(p), idx(q))
-                for p in self.space.points for q in self.nbhd.of(p) if idx(p) < idx(q))
-            self.nbhd_spec = {"kind": "explicit", "adj": [list(e) for e in adj]}
+            adj = np.argwhere(np.triu(self.nbhd.adjacency(self.space), 1))
+            self.nbhd_spec = {"kind": "explicit", "adj": adj.tolist()}
 
     def field(self, name: str) -> ScalarField:
         try:
@@ -79,24 +76,26 @@ class Instance:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _space_from_spec(points, spec) -> MetricSpace:
+def _space_from_spec(points, spec):
+    """The space of a metric entry and, for a grid, its neighborhoods."""
     kind = spec.get("kind")
     if kind == "matrix":
-        return MetricSpace(tuple(points), np.asarray(spec["dist"], dtype=float))
+        dist = np.asarray(spec["dist"], dtype=float)
+        return MetricSpace(tuple(points), dist), None
     if kind == "graph":
         edges = [(int(i), int(j), float(w)) for i, j, w in spec["edges"]]
-        return shortest_path_space(points, edges)
+        return shortest_path_space(points, edges), None
     if kind == "grid":
         p = spec.get("p", 2)
         p = math.inf if p == "inf" else float(p)
-        space, _ = grid_space(spec["bounds"], spec["resolution"], p)
+        space, nbhd = grid_space(spec["bounds"], spec["resolution"], p)
         if list(space.points) != list(points):
             raise ParameterError("grid points do not match the points list")
-        return space
+        return space, nbhd
     raise ParameterError(f"unknown metric kind {kind!r}")
 
 
-def _nbhd_from_spec(space: MetricSpace, spec, metric_spec) -> NeighborhoodSystem:
+def _nbhd_from_spec(space: MetricSpace, spec, grid_nbhd) -> NeighborhoodSystem:
     kind = spec.get("kind")
     if kind == "ball":
         return ball_neighborhoods(space, float(spec["r"]))
@@ -107,17 +106,16 @@ def _nbhd_from_spec(space: MetricSpace, spec, metric_spec) -> NeighborhoodSystem
     if kind == "all":
         return all_pairs_neighborhoods(space)
     if kind == "grid":
-        p = metric_spec.get("p", 2)
-        p = math.inf if p == "inf" else float(p)
-        _, nbhd = grid_space(metric_spec["bounds"], metric_spec["resolution"], p)
-        return nbhd
+        if grid_nbhd is None:
+            raise ParameterError("grid neighborhoods need a grid metric")
+        return grid_nbhd
     raise ParameterError(f"unknown neighborhood kind {kind!r}")
 
 
 def instance_from_dict(obj: dict) -> Instance:
     points = [str(p) for p in obj["points"]]
-    space = _space_from_spec(points, obj["metric"])
-    nbhd = _nbhd_from_spec(space, obj["neighborhoods"], obj["metric"])
+    space, grid_nbhd = _space_from_spec(points, obj["metric"])
+    nbhd = _nbhd_from_spec(space, obj["neighborhoods"], grid_nbhd)
     fields = {
         name: ScalarField(space, tuple(INF if v == "inf" else float(v)
                                        for v in vals))
@@ -170,9 +168,8 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
     if field_spec is None:
         field_spec = {"f": {}, "g": {}}
     rng = np.random.default_rng(seed)
-
+    points = [f"p{i}" for i in range(n_points)]
     if metric_kind == "graph":
-        points = [f"p{i}" for i in range(n_points)]
         edges = []
         for v in range(1, n_points):
             u = int(rng.integers(0, v))
@@ -182,48 +179,39 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
             i, j = rng.integers(0, n_points, size=2)
             if i != j:
                 edges.append([int(i), int(j), float(rng.uniform(0.2, 2.0))])
-        if n_points == 1:
-            metric_spec = {"kind": "matrix", "dist": [[0.0]]}
-            space = MetricSpace(tuple(points), [[0.0]])
-        else:
-            metric_spec = {"kind": "graph", "edges": edges}
-            space = shortest_path_space(points, edges)
+        metric_spec = ({"kind": "graph", "edges": edges} if n_points > 1
+                       else {"kind": "matrix", "dist": [[0.0]]})
     elif metric_kind == "matrix":
-        points = [f"p{i}" for i in range(n_points)]
         w = rng.uniform(0.3, 2.0, size=(n_points, n_points))
         d = metric_closure(w) if n_points > 1 else np.zeros((1, 1))
-        metric_spec = {"kind": "matrix", "dist": [list(map(float, row)) for row in d]}
-        space = MetricSpace(tuple(points), d)
+        metric_spec = {"kind": "matrix", "dist": d.tolist()}
     elif metric_kind == "grid":
         if n_points < 2:
             raise ParameterError("grid instances need at least two points")
         if n_points >= 4 and rng.random() < 0.5:
-            r0 = 2
-            r1 = max(2, n_points // 2)
-            resolution = [r0, r1]
+            resolution = [2, max(2, n_points // 2)]
             bounds = [[0.0, 1.0], [0.0, 1.0]]
         else:
             resolution = [n_points]
             bounds = [[0.0, 1.0]]
         p = [1.0, 2.0, math.inf][int(rng.integers(0, 3))]
-        space, grid_nbhd = grid_space(bounds, resolution, p)
         metric_spec = {"kind": "grid", "bounds": bounds,
                        "resolution": resolution,
                        "p": "inf" if p == math.inf else p}
+        points = [f"n{i}" for i in range(math.prod(resolution))]
     else:
         raise ParameterError(f"unknown metric kind {metric_kind!r}")
+    space, grid_nbhd = _space_from_spec(points, metric_spec)
 
-    if metric_kind == "grid":
-        nbhd = grid_nbhd
+    if grid_nbhd is not None:
         nbhd_spec = {"kind": "grid"}
     elif space.n == 1 or rng.random() < 0.25:
-        nbhd = all_pairs_neighborhoods(space)
         nbhd_spec = {"kind": "all"}
     else:
         pos = space.dist[space.dist > 0]
-        r = float(np.quantile(pos, rng.uniform(0.3, 0.9)))
-        nbhd = ball_neighborhoods(space, r)
-        nbhd_spec = {"kind": "ball", "r": r}
+        nbhd_spec = {"kind": "ball",
+                     "r": float(np.quantile(pos, rng.uniform(0.3, 0.9)))}
+    nbhd = _nbhd_from_spec(space, nbhd_spec, grid_nbhd)
 
     fields = {}
     for name, fs in field_spec.items():
@@ -241,6 +229,22 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
     return Instance(space, nbhd, fields, seed=_seed_repr(seed),
                     provenance=provenance,
                     metric_spec=metric_spec, nbhd_spec=nbhd_spec)
+
+
+def instance_stream(count, seed, max_points=12,
+                    kinds=("graph", "matrix", "grid"), p_inf=(0.0, 0.2)):
+    """(instance, rng) for the seeds [seed, i], i < count, of the suite and
+    the acceptance batches; n is drawn from rng, as are the checks' inputs."""
+    for i in range(count):
+        inst_seed = [seed, i]
+        rng = np.random.default_rng(inst_seed)
+        kind = kinds[i % len(kinds)]
+        p = p_inf[(i // len(kinds)) % len(p_inf)]
+        n = int(rng.integers(2 if kind == "grid" else 1, max_points + 1))
+        inst = gen_random_instance(
+            inst_seed, n, metric_kind=kind,
+            field_spec={"f": {"p_inf": p}, "g": {"p_inf": p}})
+        yield inst, rng
 
 
 def gen_dominated_pair(seed, f: ScalarField, mode="truncate", tol=None):

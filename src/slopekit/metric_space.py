@@ -61,30 +61,33 @@ def validate_metric(dist, tol=None) -> ValidationReport:
     tol = resolve_tol(tol)
     arr = _as_square_matrix(dist)
     n = arr.shape[0]
-    violations = []
-    for i in range(n):
-        if abs(arr[i, i]) > tol:
+    off = ~np.eye(n, dtype=bool)
+    violations = [
+        Violation("diagonal", (i,), f"dist[{i}][{i}] = {arr[i, i]} != 0")
+        for i in np.flatnonzero(np.abs(arr.diagonal()) > tol).tolist()]
+    negative = (arr <= tol) & off
+    asymmetric = (arr - arr.T > tol) & off
+    for i, j in np.argwhere(negative | asymmetric).tolist():
+        if negative[i, j]:
             violations.append(Violation(
-                "diagonal", (i,), f"dist[{i}][{i}] = {arr[i, i]} != 0"))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if arr[i, j] <= tol:
-                violations.append(Violation(
-                    "negative", (i, j),
-                    f"dist[{i}][{j}] = {arr[i, j]} is not positive"))
-            if arr[i, j] - arr[j, i] > tol:
-                violations.append(Violation(
-                    "asymmetry", (i, j),
-                    f"dist[{i}][{j}] = {arr[i, j]} != dist[{j}][{i}] = {arr[j, i]}"))
-    # triangle inequality, every ordered triple through an intermediate k
+                "negative", (i, j),
+                f"dist[{i}][{j}] = {arr[i, j]} is not positive"))
+        if asymmetric[i, j]:
+            violations.append(Violation(
+                "asymmetry", (i, j),
+                f"dist[{i}][{j}] = {arr[i, j]} != dist[{j}][{i}] = {arr[j, i]}"))
+    # triangle inequality, every ordered triple through an intermediate k,
+    # in one reused buffer: a fresh n x n array per k costs more than the sums
+    excess = np.empty_like(arr)
     for k in range(n):
-        excess = arr - (arr[:, k:k + 1] + arr[k:k + 1, :])
-        for i, j in np.argwhere(excess > tol):
+        np.add(arr[:, k:k + 1], arr[k:k + 1, :], out=excess)
+        np.subtract(arr, excess, out=excess)
+        if excess.max() <= tol:
+            continue
+        for i, j in np.argwhere(excess > tol).tolist():
             if i != k and j != k and i != j:
                 violations.append(Violation(
-                    "triangle", (int(i), int(j), int(k)),
+                    "triangle", (i, j, k),
                     f"dist[{i}][{j}] = {arr[i, j]} > "
                     f"dist[{i}][{k}] + dist[{k}][{j}] = {arr[i, k] + arr[k, j]}"))
     return ValidationReport(violations)
@@ -201,8 +204,8 @@ class NeighborhoodSystem:
 
     def restrict(self, subset) -> "NeighborhoodSystem":
         """Induced system: neighbors intersected with the subset."""
-        keep = [p for p in self.points if p in set(subset)]
-        kset = set(keep)
+        kset = set(subset).intersection(self.points)
+        keep = [p for p in self.points if p in kset]
         return NeighborhoodSystem(
             tuple(keep), {p: self.neighbors[p] & kset for p in keep})
 
@@ -212,12 +215,11 @@ def ball_neighborhoods(space: MetricSpace, r: float, tol=None) -> NeighborhoodSy
     tol = resolve_tol(tol)
     if r <= 0:
         raise ParameterError(f"ball radius must be positive, got {r}")
-    nbrs = {}
-    for i, p in enumerate(space.points):
-        nbrs[p] = frozenset(
-            q for j, q in enumerate(space.points)
-            if j != i and space.dist[i, j] <= r + tol)
-    return NeighborhoodSystem(space.points, nbrs).validate()
+    pts = space.points
+    within = (space.dist <= r + tol) & ~np.eye(space.n, dtype=bool)
+    return NeighborhoodSystem(pts, {
+        p: frozenset(pts[j] for j in np.flatnonzero(row))
+        for p, row in zip(pts, within)}).validate()
 
 
 def all_pairs_neighborhoods(space: MetricSpace) -> NeighborhoodSystem:
@@ -335,8 +337,7 @@ def grid_space(bounds, resolution, p=2.0):
     pairs = []
     for ax in range(len(shape)):
         a = np.moveaxis(idx, ax, 0)
-        for row in range(a.shape[0] - 1):
-            pairs.extend(zip(a[row].ravel(), a[row + 1].ravel()))
+        pairs.extend(zip(a[:-1].ravel(), a[1:].ravel()))
     nbhd = explicit_neighborhoods(
         space, [(points[i], points[j]) for i, j in pairs])
     return space, nbhd

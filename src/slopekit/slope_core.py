@@ -302,13 +302,9 @@ def sublevel_diff(f: ScalarField, g: ScalarField, lam: float, tol=None) -> tuple
     if not f.is_proper():
         raise ImproperFieldError("f is identically +inf")
     lam = float(lam)
-    out = []
-    for p, fv, gv in zip(f.space.points, f.values, g.values):
-        if fv == INF:
-            continue
-        if gv == INF or fv - gv <= lam + tol:
-            out.append(p)
-    return tuple(out)
+    with np.errstate(invalid="ignore"):   # inf - inf, off dom f
+        diff_ok = f.array - g.array <= lam + tol
+    return _points_where(f, (g.array == INF) | diff_ok)
 
 
 def restrict(f: ScalarField, subset) -> ScalarField:

@@ -8,12 +8,11 @@ operations can be injected through the config to confirm the suite
 actually detects breakage.
 """
 
-import math
 import numpy as np
 
 from .config import resolve_tol
 from .errors import FatalFinding, HypothesisViolation, ParameterError
-from .instances import gen_dominated_pair, gen_random_instance
+from .instances import gen_dominated_pair, instance_stream
 from .metric_space import NeighborhoodSystem, validate_metric
 from .slope_core import (INF, ScalarField, add_fields, domination_witnesses,
                          eps_Crit, global_slope, log_distance_field,
@@ -81,7 +80,7 @@ def check_metric_axioms(inst, rng, ops, tol):
 
 def check_neighborhood_symmetry(inst, rng, ops, tol):
     try:
-        ops["nbhd_transform"](inst.nbhd).validate()
+        inst.nbhd.validate()
     except ParameterError as exc:
         return [_fail(f"neighborhood system invalid: {exc}")]
     return []
@@ -391,16 +390,9 @@ def run_suite(config=None, tol=None) -> dict:
 
     summary = {name: {"pass": 0, "fail": 0} for name in cfg["checks"]}
     counterexamples = []
-    for i in range(int(cfg["instances"])):
-        inst_seed = [int(cfg["seed"]), i]
-        rng = np.random.default_rng(inst_seed)
-        kind = cfg["kinds"][i % len(cfg["kinds"])]
-        p_inf = cfg["p_inf"][(i // len(cfg["kinds"])) % len(cfg["p_inf"])]
-        n_lo = 2 if kind == "grid" else 1
-        n = int(rng.integers(n_lo, int(cfg["max_points"]) + 1))
-        inst = gen_random_instance(
-            inst_seed, n, metric_kind=kind,
-            field_spec={"f": {"p_inf": p_inf}, "g": {"p_inf": p_inf}})
+    stream = instance_stream(int(cfg["instances"]), int(cfg["seed"]),
+                             int(cfg["max_points"]), cfg["kinds"], cfg["p_inf"])
+    for inst, rng in stream:
         # mutated neighborhoods flow into every check of this instance
         inst.nbhd = ops["nbhd_transform"](inst.nbhd)
         for name in cfg["checks"]:
@@ -415,7 +407,7 @@ def run_suite(config=None, tol=None) -> dict:
                 summary[name]["fail"] += 1
                 for failure in failures:
                     counterexamples.append({
-                        "seed": list(inst_seed),
+                        "seed": list(inst.seed),
                         "check": name,
                         "detail": failure["detail"],
                         "witness": failure.get("witness", {}),

@@ -15,7 +15,7 @@ from .errors import (DomainError, FatalFinding, HypothesisViolation,
                      ImproperFieldError, ParameterError)
 from .metric_space import NeighborhoodSystem
 from .slope_core import (INF, ScalarField, domination_witnesses, eps_crit,
-                         eps_Crit, local_slope, restrict, sublevel_diff,
+                         eps_Crit, local_slope, sublevel_diff,
                          strict_comparison_witnesses)
 
 
@@ -51,9 +51,9 @@ def descent_step(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
 
     Returns x in eps-crit(f) (local mode) or eps-Crit(f) (global mode)
     with f(x) <= f(x0) - eps*dist(x, x0) and (f-g)(x) <= (f-g)(x0).
-    The step restricts f to the sub-level set of f - g at (f-g)(x0) and
-    runs the Ekeland iteration there; restriction invariance transfers
-    criticality back to the full space.
+    The step runs the Ekeland iteration on f + i_M, with M the sub-level
+    set of f - g at (f-g)(x0) and i_M = 0 on M, +inf off it; restriction
+    invariance transfers criticality back to f.
     """
     tol = resolve_tol(tol)
     if mode not in ("local", "global"):
@@ -72,9 +72,12 @@ def descent_step(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
 
 
 def _sublevel_ekeland(f, g, x0, eps, tol):
-    """The Ekeland point from x0 of f restricted to {f - g <= (f-g)(x0)}."""
-    m1 = sublevel_diff(f, g, f.value(x0) - g.value(x0), tol)
-    return ekeland_point(restrict(f, m1), x0, eps)
+    """The Ekeland point from x0 of f + i_M, M = {f - g <= (f-g)(x0)}: that
+    of f on the subspace M, tie-break included, without building M."""
+    m = set(sublevel_diff(f, g, f.value(x0) - g.value(x0), tol))
+    f_m = ScalarField(f.space, tuple(
+        v if p in m else INF for p, v in zip(f.space.points, f.values)))
+    return ekeland_point(f_m, x0, eps)
 
 
 @dataclass

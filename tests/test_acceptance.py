@@ -11,8 +11,9 @@ import time
 import numpy as np
 
 from slopekit import (check_lips, check_lsc, check_tz, gen_dominated_pair,
-                      gen_random_instance, gen_random_pl, scale_field,
-                      definitional_global_slope, mr_check, PLConvex)
+                      gen_random_pl, scale_field, definitional_global_slope,
+                      mr_check, PLConvex)
+from slopekit.instances import instance_stream
 from slopekit.suite import (check_crit_lipschitz, check_descent,
                             check_difference_bound, check_evp,
                             check_global_ge_local, check_log_bound,
@@ -21,22 +22,6 @@ from slopekit.suite import (check_crit_lipschitz, check_descent,
                             check_truncation, default_ops, run_suite)
 
 TOL = 1e-9
-KINDS = ["graph", "matrix", "grid"]
-P_INF = [0.0, 0.2]
-
-
-def _instances(count, seed0, max_points=12):
-    for i in range(count):
-        seed = [seed0, i]
-        rng = np.random.default_rng(seed)
-        kind = KINDS[i % len(KINDS)]
-        p_inf = P_INF[(i // len(KINDS)) % len(P_INF)]
-        n_lo = 2 if kind == "grid" else 1
-        n = int(rng.integers(n_lo, max_points + 1))
-        inst = gen_random_instance(
-            seed, n, metric_kind=kind,
-            field_spec={"f": {"p_inf": p_inf}, "g": {"p_inf": p_inf}})
-        yield inst, rng
 
 
 def _verdict(label, failures):
@@ -51,7 +36,7 @@ def test_acceptance_1_slope_calculus():
     ops = default_ops()
     failures = []
     start = time.perf_counter()
-    for inst, rng in _instances(1000, seed0=101):
+    for inst, rng in instance_stream(1000, 101):
         failures += check_slope_scaling(inst, rng, ops, TOL)
         failures += check_subadditivity(inst, rng, ops, TOL)
         failures += check_difference_bound(inst, rng, ops, TOL)
@@ -68,7 +53,7 @@ def test_acceptance_2_slope_bounds():
     set of the regularization, all with zero violations at 1e-9."""
     ops = default_ops()
     failures = []
-    for inst, rng in _instances(1000, seed0=202):
+    for inst, rng in instance_stream(1000, 202):
         failures += check_log_bound(inst, rng, ops, TOL)
         failures += check_truncation(inst, rng, ops, TOL)
         failures += check_crit_lipschitz(inst, rng, ops, TOL,
@@ -86,7 +71,7 @@ def test_acceptance_3_ekeland():
     ops = default_ops()
     failures = []
     triples = 0
-    for inst, rng in _instances(334, seed0=303):
+    for inst, rng in instance_stream(334, 303):
         failures += check_evp(inst, rng, ops, TOL)   # three lambdas each
         triples += 3
     assert triples >= 1000
@@ -99,7 +84,7 @@ def test_acceptance_4_determination():
     pairs are classified as hypothesis violations (exit 1, never 2)."""
     failures = []
     per_mode = {m: 0 for m in ("truncate", "scale", "compose")}
-    for inst, rng in _instances(1000, seed0=404):
+    for inst, rng in instance_stream(1000, 404):
         f = inst.field("f")
         f_finite = all(math.isfinite(v) for v in f.values)
         for mode in per_mode:
@@ -116,7 +101,7 @@ def test_acceptance_4_determination():
                                      "mode": mode, "params": params})
     assert all(v >= 1000 for v in per_mode.values())
     # violating pairs: g with strictly larger slopes must exit 1, never 2
-    for inst, rng in _instances(100, seed0=405):
+    for inst, rng in instance_stream(100, 405):
         f = inst.field("f")
         if not all(math.isfinite(v) for v in f.values):
             continue
@@ -139,7 +124,7 @@ def test_acceptance_5_descent():
     branch never triggers."""
     ops = default_ops()
     failures = []
-    for inst, rng in _instances(500, seed0=505):
+    for inst, rng in instance_stream(500, 505):
         failures += check_descent(inst, rng, ops, TOL)
     _verdict("acceptance 5 (descent dichotomy, 500 instances)", failures)
 

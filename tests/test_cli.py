@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from slopekit import Instance, save_instance, scale_field
+from slopekit import (Instance, gen_random_instance, metric_space,
+                      save_instance, scale_field)
+from slopekit import cli
 from slopekit.cli import main
 
 INF = math.inf
@@ -43,6 +45,19 @@ class TestValidate:
         assert main(["validate", str(path)]) == 3
         report = json.loads(capsys.readouterr().out)
         assert not report["ok"] and report["violations"]
+
+    def test_instance_validated_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "graph.json"
+        save_instance(gen_random_instance(3, 9, metric_kind="graph"), path)
+        calls = []
+        validate = metric_space.validate_metric
+        for module in (metric_space, cli):
+            monkeypatch.setattr(module, "validate_metric", lambda *args:
+                                calls.append(args) or validate(*args))
+        assert main(["validate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"ok": True,
+                                                       "violations": []}
+        assert len(calls) == 1
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 3
@@ -171,3 +186,33 @@ class TestSuite:
         assert main(["suite", "--config", str(cfg), "-o", out]) == 2
         report = json.loads(open(out).read())
         assert report["counterexamples"]
+
+
+class TestSuiteOutputs:
+    @pytest.mark.parametrize("output,csv", [
+        ("out.v2/rep", "out.v2/rep.csv"),
+        ("rep", "rep.csv"),
+        ("rep.json", "rep.csv"),
+        (None, "suite_report.csv"),
+    ])
+    def test_csv_written_beside_the_report(self, tmp_path, monkeypatch,
+                                           output, csv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.v2").mkdir()
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"instances": 2, "checks": ["metric_axioms"]}))
+        argv = ["suite", "--config", "cfg.json"]
+        assert main(argv + (["-o", output] if output else [])) == 0
+        written = sorted(p.relative_to(tmp_path).as_posix()
+                         for p in tmp_path.rglob("*.csv"))
+        assert written == [csv]
+        assert (tmp_path / csv).read_text().startswith("check,pass,fail\n")
+
+
+def test_grid_neighborhoods_on_a_matrix_metric(tmp_path):
+    obj = {"points": ["a", "b"],
+           "metric": {"kind": "matrix", "dist": [[0, 1], [1, 0]]},
+           "neighborhoods": {"kind": "grid"}, "fields": {"f": [0, 1]}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["slopes", str(path)]) == 3

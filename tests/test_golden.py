@@ -36,11 +36,14 @@ SUITES = {
     "suite-default": {"instances": 60},
     "suite-broken_truncate": {"instances": 30, "mutation": "broken_truncate"},
     "suite-evp_noncritical": {"instances": 30, "mutation": "evp_noncritical"},
-    # neighborhood_symmetry is left out: its message names whichever of two
-    # broken pairs a frozenset yields first, which varies with the hash seed
+    # neighborhood_symmetry is pinned in a case of its own, so that this
+    # digest, recorded without it, stays as it was
     "suite-asymmetric_neighborhood": {
         "instances": 30, "mutation": "asymmetric_neighborhood",
         "checks": sorted(set(CHECKS) - {"neighborhood_symmetry"})},
+    "suite-asymmetric_neighborhood-symmetry": {
+        "instances": 30, "mutation": "asymmetric_neighborhood",
+        "checks": ["neighborhood_symmetry"]},
 }
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from slopekit import (ImproperFieldError, ParameterError,
                       eps_argmin, gen_dominated_pair, gen_random_instance,
                       gen_random_pl, global_slope, instance_from_dict,
                       load_instance, run_suite, save_instance, summary_csv)
+from slopekit import metric_space
 
 INF = math.inf
 TOL = 1e-9
@@ -38,6 +42,24 @@ class TestRoundTrip:
         assert prov["generator"] == "gen_random_instance"
         assert "PCG64" in prov["algorithm"]
         assert prov["params"]["seed"] == [7, 1]
+
+    def test_grid_instance_loads_in_one_build(self, monkeypatch):
+        inst = gen_random_instance([3, 1], 10, metric_kind="grid")
+        obj = inst.to_dict()
+        calls = []
+        validate = metric_space.validate_metric
+        monkeypatch.setattr(metric_space, "validate_metric",
+                            lambda *args: calls.append(args) or validate(*args))
+        back = instance_from_dict(obj)
+        assert len(calls) == 1
+        assert back == inst and back.to_json() == inst.to_json()
+
+    def test_grid_neighborhoods_need_a_grid_metric(self):
+        with pytest.raises(ParameterError):
+            instance_from_dict({"points": ["a", "b"],
+                                "metric": {"kind": "matrix",
+                                           "dist": [[0, 1], [1, 0]]},
+                                "neighborhoods": {"kind": "grid"}})
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ParameterError):
@@ -146,6 +168,32 @@ class TestSuite:
         # every counterexample is replayable from its archived instance
         replay = instance_from_dict(hits[0]["instance"])
         assert replay.space.n >= 1
+
+    def test_symmetry_check_sees_the_mutated_system(self):
+        # the mutation breaks every system with a neighbour pair; applying
+        # it a second time inside the check could mend the first break
+        from slopekit.instances import instance_stream
+        report = run_suite({"instances": 60,
+                            "mutation": "asymmetric_neighborhood",
+                            "checks": ["neighborhood_symmetry"]})
+        broken = sum(any(inst.nbhd.neighbors.values())
+                     for inst, _ in instance_stream(60, 0))
+        assert report["summary"]["neighborhood_symmetry"]["fail"] == broken
+        assert broken == 58
+
+    def test_symmetry_messages_independent_of_hash_seed(self):
+        code = ("import json; from slopekit import run_suite; "
+                "print(json.dumps(run_suite({'instances': 60, "
+                "'mutation': 'asymmetric_neighborhood', "
+                "'checks': ['neighborhood_symmetry']}), sort_keys=True))")
+        src = os.path.dirname(os.path.dirname(metric_space.__file__))
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                check=True, env={**os.environ, "PYTHONPATH": src,
+                                 "PYTHONHASHSEED": str(seed)}).stdout
+            for seed in (0, 1)}
+        assert len(outputs) == 1
 
     def test_summary_csv(self):
         report = run_suite({"instances": 6, "max_points": 5,

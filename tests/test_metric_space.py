@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from slopekit import (MetricSpace, ParameterError, ShapeError,
                       ball_neighborhoods, grid_space, shortest_path_space,
                       validate_metric)
+from slopekit.config import resolve_tol
 from slopekit.errors import MetricError
-from slopekit.metric_space import metric_closure
+from slopekit.metric_space import Violation, metric_closure
 
 
 def brute_shortest_paths(vertices, edges):
@@ -63,6 +64,86 @@ class TestValidateMetric:
     def test_nonfinite_rejected(self):
         with pytest.raises(ShapeError):
             validate_metric([[0, math.inf], [math.inf, 0]])
+
+
+def reference_violations(dist, tol=None):
+    """Oracle: the axioms checked entry by entry, in report order."""
+    tol = resolve_tol(tol)
+    arr = np.asarray(dist, dtype=float)
+    n = arr.shape[0]
+    out = []
+    for i in range(n):
+        if abs(arr[i, i]) > tol:
+            out.append(Violation(
+                "diagonal", (i,), f"dist[{i}][{i}] = {arr[i, i]} != 0"))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if arr[i, j] <= tol:
+                out.append(Violation(
+                    "negative", (i, j),
+                    f"dist[{i}][{j}] = {arr[i, j]} is not positive"))
+            if arr[i, j] - arr[j, i] > tol:
+                out.append(Violation(
+                    "asymmetry", (i, j),
+                    f"dist[{i}][{j}] = {arr[i, j]} != dist[{j}][{i}] = {arr[j, i]}"))
+    for k in range(n):
+        for i in range(n):
+            for j in np.flatnonzero(arr[i] - (arr[i, k] + arr[k]) > tol).tolist():
+                if len({i, j, k}) == 3:
+                    out.append(Violation(
+                        "triangle", (i, j, k),
+                        f"dist[{i}][{j}] = {arr[i, j]} > "
+                        f"dist[{i}][{k}] + dist[{k}][{j}] = {arr[i, k] + arr[k, j]}"))
+    return out
+
+
+def broken_matrix(seed, n):
+    """A metric with seeded diagonal, sign, symmetry and triangle faults,
+    some of them placed exactly at the default tolerance."""
+    rng = np.random.default_rng(seed)
+    d = metric_closure(rng.uniform(0.3, 2.0, size=(n, n)))
+    hits = lambda: rng.integers(0, n, size=(int(rng.integers(0, 4)), 2))
+    for i, _ in hits():
+        d[i, i] = rng.choice([1e-9, 2e-9, -0.5, 0.25])
+    for i, j in hits():
+        d[i, j] = rng.choice([0.0, 1e-9, -1.0, d[i, j] + 1e-9])
+    for i, j in hits():
+        d[i, j] += rng.choice([1e-9, 3e-9, 0.5])
+    for i, j in hits():
+        d[i, j] = d[j, i] = d[i, j] * rng.uniform(1.5, 4.0)   # long edges
+    for i, j in hits():
+        d[i, j], d[j, i] = 0.0, -0.5   # [i, j] both non-positive and asymmetric
+    return d
+
+
+class TestValidateReport:
+    """The report is pinned entry by entry: same kinds, indices, messages
+    and order as the axiom-by-axiom oracle, for ``slopekit validate``."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_oracle(self, seed):
+        n = [2, 3, 4, 7, 12, 25, 60][seed % 7]
+        d = broken_matrix([5, seed], n)
+        report = validate_metric(d)
+        assert report.violations == reference_violations(d)
+        assert report.to_dict() == {
+            "ok": report.ok,
+            "violations": [{"kind": v.kind, "indices": list(v.indices),
+                            "message": v.message}
+                           for v in reference_violations(d)]}
+        assert all(type(i) is int for v in report.violations for i in v.indices)
+
+    def test_seeds_cover_every_kind(self):
+        kinds = {v.kind for seed in range(40)
+                 for v in validate_metric(broken_matrix([5, seed], 7)).violations}
+        assert kinds == {"diagonal", "negative", "asymmetry", "triangle"}
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.3])
+    def test_explicit_tolerance(self, tol):
+        d = broken_matrix([6, 1], 12)
+        assert validate_metric(d, tol).violations == reference_violations(d, tol)
 
 
 class TestShortestPathSpace:
@@ -129,6 +210,27 @@ class TestBallNeighborhoods:
     def test_symmetric_for_any_radius(self, e3):
         for r in (0.3, 1.0, 1.5, 2.0, 5.0):
             ball_neighborhoods(e3, r).validate()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pointwise_definition(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 15))
+        space = MetricSpace(tuple(f"p{i}" for i in range(n)),
+                            metric_closure(rng.uniform(0.3, 2.0, (n, n))))
+        radii = (*rng.choice(space.dist[space.dist > 0], 3), 0.1, 9.0)
+        for r, tol in itertools.product(radii, (0.0, 1e-9)):
+            want = {p: {q for j, q in enumerate(space.points)
+                        if j != i and space.dist[i, j] <= r + tol}
+                    for i, p in enumerate(space.points)}
+            assert ball_neighborhoods(space, r, tol).neighbors == want
+
+
+class TestNeighborhoodRestrict:
+    def test_induced_system(self, e3):
+        nb = ball_neighborhoods(e3, 1.0)
+        sub = nb.restrict(["c", "b", "zz"])   # unknown points are dropped
+        assert sub.points == ("b", "c")
+        assert sub.neighbors == {"b": {"c"}, "c": {"b"}}
 
 
 class TestGridSpace:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 
@@ -319,6 +320,18 @@ class TestSublevelDiff:
     def test_g_infinite_included(self, e3, f013):
         g = ScalarField(e3, (INF, INF, INF))
         assert sublevel_diff(f013, g, -100.0) == ("a", "b", "c")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pointwise_definition(self, seed):
+        inst = gen_random_instance([31, seed], 12, field_spec={
+            "f": {"p_inf": 0.3}, "g": {"p_inf": 0.3}})
+        f, g = inst.field("f"), inst.field("g")
+        ties = [a - b for a, b in zip(f.values, g.values) if INF not in (a, b)]
+        lams = (-INF, -1.0, 0.0, 0.5, *ties[:4], INF, math.nan)
+        for lam, tol in itertools.product(lams, (0.0, TOL)):
+            want = tuple(p for p, a, b in zip(f.space.points, f.values, g.values)
+                         if a != INF and (b == INF or a - b <= lam + tol))
+            assert sublevel_diff(f, g, lam, tol) == want
 
 
 class TestRestrict:

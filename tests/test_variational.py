@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,9 +10,9 @@ from slopekit import (DomainError, HypothesisViolation,
                       ParameterError, ScalarField, check_compact, check_lips,
                       check_lsc, check_tz, descent_step, descent_to_critical,
                       ekeland_point, gen_random_instance,
-                      global_slope, local_slope, scale_field, truncate,
-                      verify_trace)
-from slopekit import variational
+                      global_slope, local_slope, restrict, scale_field,
+                      sublevel_diff, truncate, verify_trace)
+from slopekit import metric_space, variational
 
 INF = math.inf
 TOL = 1e-9
@@ -136,6 +137,37 @@ class TestDescentToCritical:
         assert len(calls) == 1
         with pytest.raises(HypothesisViolation):
             descent_to_critical(f, scale_field(f, 2.0), inst.nbhd, "p10")
+
+    def test_descent_builds_no_metric_space(self, monkeypatch):
+        # the sub-level set is a mask on f's own space, not a new subspace
+        inst = gen_random_instance([14], 12, field_spec={"f": {}})
+        f = inst.field("f")
+        g = scale_field(f, 0.5)
+        calls = []
+        validate = metric_space.validate_metric
+        monkeypatch.setattr(metric_space, "validate_metric",
+                            lambda *args: calls.append(args) or validate(*args))
+        trace = descent_to_critical(f, g, inst.nbhd, "p10")
+        assert trace.points == ["p10", "p5", "p4", "p8"]
+        for mode in ("local", "global"):
+            assert descent_step(f, g, inst.nbhd, "p10", 0.1, mode=mode) == "p8"
+        assert calls == []
+
+    def test_sublevel_step_is_ekeland_on_the_subspace(self):
+        # reference: the Ekeland point of f restricted to the subspace M
+        binding = 0
+        for seed in range(12):
+            inst = gen_random_instance(
+                [41, seed], 10, metric_kind=["graph", "matrix", "grid"][seed % 3],
+                field_spec={"f": {"p_inf": 0.2}, "g": {"p_inf": 0.2}})
+            f, g = inst.field("f"), inst.field("g")
+            for x0, eps in itertools.product(f.dom(), (0.05, 0.5, 2.0)):
+                m = sublevel_diff(f, g, f.value(x0) - g.value(x0), TOL)
+                want = ekeland_point(restrict(f, m), x0, eps)
+                got = variational._sublevel_ekeland(f, g, x0, eps, TOL)
+                assert got == want
+                binding += want != ekeland_point(f, x0, eps)
+        assert binding > 0   # M excludes the unconstrained answer somewhere
 
     def test_nondecreasing_schedule_rejected(self, f013, e3_path_nbhd):
         g = scale_field(f013, 0.5)
