@@ -10,7 +10,8 @@ import os
 import sys
 
 from .convex1d import mr_check, pl_from_dict
-from .errors import FatalFinding, HypothesisViolation, SlopekitError
+from .errors import (FatalFinding, HypothesisViolation, ParameterError,
+                     SlopekitError)
 from .instances import (gen_random_instance, instance_from_dict,
                         load_instance, save_instance)
 from .metric_space import ValidationReport, validate_metric
@@ -25,6 +26,12 @@ EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
 EXIT_FATAL = 2
 EXIT_INPUT = 3
+
+# Largest `gen --n`.  An instance holds dense n x n arrays (n x n x dim for a
+# grid) and its load runs O(n^3) closure and validation: at n = 1000 a matrix
+# instance takes about 9 s, 230 MB and a 26 MB file, and each doubling of n
+# costs about 7 times the time and 4 times the memory.
+MAX_GEN_POINTS = 1000
 
 
 def _emit(obj, path=None):
@@ -50,6 +57,9 @@ def cmd_validate(args):
 
 
 def cmd_gen(args):
+    if not 1 <= args.n <= MAX_GEN_POINTS:
+        raise ParameterError(
+            f"--n must be between 1 and {MAX_GEN_POINTS}, got {args.n}")
     inst = gen_random_instance(
         args.seed, args.n, metric_kind=args.kind,
         field_spec={"f": {"p_inf": args.p_inf}, "g": {"p_inf": args.p_inf}})

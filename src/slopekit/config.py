@@ -5,6 +5,7 @@ tolerance.  The default is 1e-9 and can be overridden with the
 SLOPEKIT_TOL environment variable.
 """
 
+import math
 import os
 
 from .errors import ParameterError
@@ -20,11 +21,21 @@ def get_tol() -> float:
         tol = float(raw)
     except ValueError:
         raise ParameterError(f"SLOPEKIT_TOL is not a number: {raw!r}")
-    if tol <= 0:
-        raise ParameterError(f"SLOPEKIT_TOL must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterError(
+            f"SLOPEKIT_TOL must be positive and finite, got {tol}")
     return tol
 
 
 def resolve_tol(tol=None) -> float:
-    """Return the explicit tolerance if given, the global one otherwise."""
-    return get_tol() if tol is None else float(tol)
+    """Return the explicit tolerance if given, the global one otherwise.
+
+    An explicit tolerance may be 0 but must be finite and not negative.
+    """
+    if tol is None:
+        return get_tol()
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParameterError(
+            f"tolerance must be finite and not negative, got {tol}")
+    return tol

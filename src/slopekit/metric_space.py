@@ -9,6 +9,7 @@ topologically isolated).
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -56,8 +57,37 @@ def _as_square_matrix(dist) -> np.ndarray:
     return arr
 
 
+_ROWS = 16   # rows i per slab of the triangle fast path
+_MIDS = 16   # intermediates k per slab
+
+
+def _triangle_ok(arr, tol) -> bool:
+    """Whether d_ij - (d_ki + d_kj) <= tol for every i, every j >= i and every
+    k, degenerate triples included, for an exactly symmetric matrix.
+
+    Symmetry makes the excess of (i, j) bit-identical to that of (j, i), so
+    the upper triangle suffices; fl(a - s) is monotone in s, so the largest
+    excess over k is exactly d_ij - min_k (d_ki + d_kj).  True therefore
+    means that the per-triple loop of ``validate_metric`` reports nothing.
+    """
+    n = arr.shape[0]
+    for lo in range(0, n, _ROWS):
+        hi = min(lo + _ROWS, n)
+        shortest = np.full((hi - lo, n - lo), np.inf)
+        for k in range(0, n, _MIDS):
+            sums = arr[k:k + _MIDS, lo:hi, None] + arr[k:k + _MIDS, None, lo:]
+            np.minimum(shortest, sums.min(axis=0), out=shortest)
+        if (arr[lo:hi, lo:] - shortest).max() > tol:
+            return False
+    return True
+
+
 def validate_metric(dist, tol=None) -> ValidationReport:
-    """Check all metric axioms, reporting every violated instance."""
+    """Check all metric axioms, reporting every violated instance.
+
+    An exactly symmetric matrix has its triangle inequality checked once per
+    unordered pair; the per-triple report is built only when that fails.
+    """
     tol = resolve_tol(tol)
     arr = _as_square_matrix(dist)
     n = arr.shape[0]
@@ -76,8 +106,11 @@ def validate_metric(dist, tol=None) -> ValidationReport:
             violations.append(Violation(
                 "asymmetry", (i, j),
                 f"dist[{i}][{j}] = {arr[i, j]} != dist[{j}][{i}] = {arr[j, i]}"))
-    # triangle inequality, every ordered triple through an intermediate k,
-    # in one reused buffer: a fresh n x n array per k costs more than the sums
+    # triangle inequality: with n < 3 no triple of distinct points exists
+    if n < 3 or (np.array_equal(arr, arr.T) and _triangle_ok(arr, tol)):
+        return ValidationReport(violations)
+    # every ordered triple through an intermediate k, in one reused buffer:
+    # a fresh n x n array per k costs more than the sums
     excess = np.empty_like(arr)
     for k in range(n):
         np.add(arr[:, k:k + 1], arr[k:k + 1, :], out=excess)
@@ -195,9 +228,17 @@ class NeighborhoodSystem:
         ``space`` neighbours its point i; computed once per point list."""
         mask = self._masks.get(space.points)
         if mask is None:
+            nbrs = [self.of(p) for p in space.points]
+            rows = np.repeat(np.arange(space.n), [len(s) for s in nbrs])
+            try:
+                cols = np.fromiter(
+                    map(space._index.__getitem__, chain.from_iterable(nbrs)),
+                    dtype=np.intp, count=len(rows))
+            except KeyError as exc:
+                raise DomainError(
+                    f"point {exc.args[0]!r} is not in the space") from None
             mask = np.zeros((space.n, space.n), dtype=bool)
-            for i, p in enumerate(space.points):
-                mask[i, [space.index(q) for q in self.of(p)]] = True
+            mask[rows, cols] = True
             mask.flags.writeable = False
             self._masks[space.points] = mask
         return mask
@@ -278,8 +319,10 @@ def shortest_path_space(vertices, edges) -> MetricSpace:
 
 def floyd_warshall(d: np.ndarray) -> np.ndarray:
     d = np.array(d, dtype=float)
+    paths = np.empty_like(d)   # one buffer for the paths through every k
     for k in range(d.shape[0]):
-        np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :], out=d)
+        np.add(d[:, k:k + 1], d[k:k + 1, :], out=paths)
+        np.minimum(d, paths, out=d)
     return d
 
 

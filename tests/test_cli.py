@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -80,6 +81,27 @@ class TestGen:
         main(["gen", "--seed", "9", "--n", "6", "-o", a])
         main(["gen", "--seed", "9", "--n", "6", "-o", b])
         assert open(a).read() == open(b).read()
+
+    @pytest.mark.parametrize("n", [10**7, cli.MAX_GEN_POINTS + 1, 0, -3])
+    def test_size_refused_before_allocating(self, n, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "gen_random_instance", None)
+        tracemalloc.start()
+        try:
+            assert main(["gen", "--n", str(n), "--kind", "grid"]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert "--n" in err and str(cli.MAX_GEN_POINTS) in err
+
+    def test_size_limit_inclusive(self, monkeypatch, capsys):
+        sizes = []
+        monkeypatch.setattr(cli, "gen_random_instance", lambda seed, n, **kw:
+                            sizes.append(n) or gen_random_instance(seed, 3))
+        assert main(["gen", "--n", str(cli.MAX_GEN_POINTS)]) == 0
+        assert main(["gen", "--n", "1"]) == 0
+        assert sizes == [cli.MAX_GEN_POINTS, 1]
 
 
 class TestSlopes:

@@ -13,6 +13,7 @@ from slopekit import (ImproperFieldError, ParameterError,
                       gen_random_pl, global_slope, instance_from_dict,
                       load_instance, run_suite, save_instance, summary_csv)
 from slopekit import metric_space
+from slopekit.config import resolve_tol
 
 INF = math.inf
 TOL = 1e-9
@@ -195,6 +196,10 @@ class TestSuite:
             for seed in (0, 1)}
         assert len(outputs) == 1
 
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ParameterError, match="tolerance"):
+            run_suite({"instances": 4}, tol=-1e-9)
+
     def test_summary_csv(self):
         report = run_suite({"instances": 6, "max_points": 5,
                             "checks": ["evp", "descent"]})
@@ -203,3 +208,24 @@ class TestSuite:
         assert lines[0] == "check,pass,fail"
         assert lines[1] == "descent,6,0"
         assert lines[2] == "evp,6,0"
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [-1e-9, -1.0, math.nan, INF, -INF])
+    def test_bad_explicit_tolerance(self, tol):
+        with pytest.raises(ParameterError, match="tolerance"):
+            resolve_tol(tol)
+
+    @pytest.mark.parametrize("tol", [0.0, -0.0, 1e-12, 0.5])
+    def test_explicit_tolerance_kept(self, tol):
+        assert resolve_tol(tol) == tol
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "0", "-1e-9"])
+    def test_bad_environment_tolerance(self, raw, monkeypatch):
+        monkeypatch.setenv("SLOPEKIT_TOL", raw)
+        with pytest.raises(ParameterError, match="SLOPEKIT_TOL"):
+            resolve_tol()
+
+    def test_environment_tolerance(self, monkeypatch):
+        monkeypatch.setenv("SLOPEKIT_TOL", "1e-6")
+        assert resolve_tol() == 1e-6 and resolve_tol(0.0) == 0.0

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopekit import (MetricSpace, ParameterError, ShapeError,
-                      ball_neighborhoods, grid_space, shortest_path_space,
-                      validate_metric)
+from slopekit import (DomainError, MetricSpace, NeighborhoodSystem,
+                      ParameterError, ShapeError, all_pairs_neighborhoods,
+                      ball_neighborhoods, explicit_neighborhoods, grid_space,
+                      shortest_path_space, validate_metric)
 from slopekit.config import resolve_tol
 from slopekit.errors import MetricError
-from slopekit.metric_space import Violation, metric_closure
+from slopekit import metric_space
+from slopekit.metric_space import (Violation, _triangle_ok, floyd_warshall,
+                                   metric_closure)
 
 
 def brute_shortest_paths(vertices, edges):
@@ -146,6 +149,160 @@ class TestValidateReport:
         assert validate_metric(d, tol).violations == reference_violations(d, tol)
 
 
+def excess_ok(arr, tol):
+    """Oracle for ``_triangle_ok``: fl(d_ij - fl(d_ik + d_kj)) <= tol on every
+    ordered triple, degenerate ones included, computed all at once."""
+    return (arr[:, :, None] - (arr[:, None, :] + arr[None, :, :])).max() <= tol
+
+
+def collinear(rng, n, integer=False):
+    """Distances of n points on a line: every triangle through a middle
+    point holds with equality, exactly so for integer coordinates."""
+    x = (rng.integers(0, 4 * n, n) if integer else rng.uniform(0, 5, n))
+    x = np.unique(x).astype(float)
+    return np.abs(x[:, None] - x[None, :])
+
+
+def on_the_edge(rng, n, delta):
+    """A collinear metric with a symmetric pair (i, j) lengthened by delta,
+    so that the triangles through the points between them exceed by delta."""
+    d = collinear(rng, n)
+    i, j = sorted(rng.choice(len(d), 2, replace=False))
+    d[i, j] = d[j, i] = d[i, j] + delta
+    return d
+
+
+class TestTriangleFastPath:
+    """The symmetric fast path of ``validate_metric`` must not change a
+    report: each case is compared entry by entry with the oracle loop."""
+
+    TOLS = (None, 0.0, 1e-9, 1e-6)
+
+    def cases(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 4, 15, 16, 17, 33, 40):
+            yield metric_closure(rng.uniform(0.3, 2.0, (n, n)))
+            yield collinear(rng, n)
+            yield collinear(rng, n, integer=True)
+        for tol in (1e-9, 1e-6):
+            for delta in (tol, np.nextafter(tol, 1), 2 * tol, 0.5 * tol):
+                yield on_the_edge(rng, int(rng.integers(3, 40)), delta)
+        for tol in (1e-9, 1e-6):
+            for n in (3, 9, 20, 37):
+                d = metric_closure(rng.uniform(0.3, 2.0, (n, n)))
+                np.fill_diagonal(d, rng.uniform(-tol, tol, n))
+                d[0, 0], d[-1, -1] = -tol, tol
+                yield d
+        for n in (3, 10, 24):
+            d = metric_closure(rng.uniform(0.3, 2.0, (n, n)))
+            i, j = rng.choice(n, 2, replace=False)
+            d[i, j] += rng.choice([5e-10, 1e-9])   # asymmetric, within tol
+            yield d
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_matches_oracle(self, tol):
+        for d in self.cases():
+            assert validate_metric(d, tol).violations == \
+                reference_violations(d, tol)
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_large_metric(self, tol):
+        rng = np.random.default_rng(12)
+        d = metric_closure(rng.uniform(0.3, 2.0, (300, 300)))
+        d[3, 250] = d[250, 3] = d[3, 250] * 1.5   # a few broken triangles
+        report = validate_metric(d, tol)
+        assert report.violations == reference_violations(d, tol)
+        assert report.violations
+
+    def test_fast_path_is_exact(self):
+        rng = np.random.default_rng(13)
+        for d in self.cases():
+            if not np.array_equal(d, d.T):
+                continue
+            excess = (d[:, :, None] - (d[:, None, :] + d[None, :, :])).ravel()
+            tols = [0.0, 1e-9, 1e-6, *rng.choice(excess, 3)]
+            for tol in tols:   # realised excesses put some exactly at tol
+                assert _triangle_ok(d, tol) == excess_ok(d, tol)
+
+    @pytest.mark.parametrize("n", [17, 40])
+    def test_one_broken_triangle_per_intermediate(self, n):
+        """Each k, slab edges included, is the only intermediate of one
+        broken triangle: all distances 2, but 1 from i and j to k."""
+        rng = np.random.default_rng([17, n])
+        for k in range(n):
+            i, j = rng.choice([p for p in range(n) if p != k], 2, replace=False)
+            d = np.full((n, n), 2.0)
+            np.fill_diagonal(d, 0.0)
+            d[i, k] = d[k, i] = d[j, k] = d[k, j] = 1.0
+            d[i, j] = d[j, i] = 2.0 + 1e-6
+            assert not _triangle_ok(d, 1e-9)
+            report = validate_metric(d)
+            assert report.violations == reference_violations(d)
+            assert [v.indices for v in report.violations] == [
+                (min(i, j), max(i, j), k), (max(i, j), min(i, j), k)]
+
+    @pytest.mark.parametrize("n", [3, 16, 17, 33])
+    def test_degenerate_triples_included(self, n):
+        """A large diagonal entry breaks only the triples (i, i, k); the fast
+        path must see it in every row, the last one included."""
+        d = metric_closure(np.random.default_rng([18, n]).uniform(0.3, 2.0, (n, n)))
+        for i in (0, n // 2, n - 1):
+            e = d.copy()
+            e[i, i] = 5.0
+            assert not _triangle_ok(e, 1e-9) and not excess_ok(e, 1e-9)
+            assert validate_metric(e).violations == reference_violations(e)
+
+    def test_boundary_cases_reach_both_outcomes(self):
+        """The seeded cases hit the tolerance from both sides, and some
+        fail the fast path only through degenerate triples."""
+        outcomes = set()
+        for d in self.cases():
+            if len(d) >= 3 and np.array_equal(d, d.T):
+                for tol in (1e-9, 1e-6):
+                    outcomes.add((_triangle_ok(d, tol),
+                                  bool(reference_violations(d, tol))))
+        assert outcomes == {(True, False), (False, True), (False, False)}
+
+    def test_asymmetric_matrix_takes_the_loop(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(metric_space, "_triangle_ok",
+                            lambda *args: calls.append(args) or True)
+        d = metric_closure(np.random.default_rng(14).uniform(0.3, 2.0, (8, 8)))
+        d[5, 2] += 1e-10
+        d[0, 1] = d[1, 0] = 5.0   # a triangle violation the loop must report
+        report = validate_metric(d)
+        assert not calls
+        assert report.violations == reference_violations(d)
+        assert {v.kind for v in report.violations} == {"triangle"}
+
+    def test_small_spaces_skip_the_pass(self, monkeypatch):
+        monkeypatch.setattr(metric_space, "_triangle_ok", None)
+        for d in ([[0.0]], [[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [2.0, 0.0]]):
+            assert validate_metric(d).violations == reference_violations(d)
+
+
+def fresh_floyd_warshall(d):
+    """Oracle: the Floyd-Warshall loop with a fresh array per k."""
+    d = np.array(d, dtype=float)
+    for k in range(d.shape[0]):
+        np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :], out=d)
+    return d
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_floyd_warshall_matches_fresh_arrays(seed):
+    rng = np.random.default_rng([15, seed])
+    n = int(rng.integers(1, 40))
+    d = np.where(rng.random((n, n)) < rng.uniform(0.02, 0.5),
+                 rng.uniform(0.2, 2.0, (n, n)), np.inf)
+    d = np.minimum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    got = floyd_warshall(d)
+    want = fresh_floyd_warshall(d)
+    assert got.tobytes() == want.tobytes()   # bit-equal, inf entries included
+    assert not np.shares_memory(got, d)
+
+
 class TestShortestPathSpace:
     def test_path_graph(self):
         space = shortest_path_space(["a", "b", "c"],
@@ -231,6 +388,48 @@ class TestNeighborhoodRestrict:
         sub = nb.restrict(["c", "b", "zz"])   # unknown points are dropped
         assert sub.points == ("b", "c")
         assert sub.neighbors == {"b": {"c"}, "c": {"b"}}
+
+
+def per_pair_adjacency(nbhd, space):
+    """Oracle: the adjacency mask filled one neighbour pair at a time."""
+    mask = np.zeros((space.n, space.n), dtype=bool)
+    for i, p in enumerate(space.points):
+        for q in nbhd.of(p):
+            mask[i, space.index(q)] = True
+    return mask
+
+
+class TestAdjacency:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_pair_loop(self, seed):
+        rng = np.random.default_rng([16, seed])
+        n = int(rng.integers(2, 60))
+        edges = [(int(rng.integers(0, v)), v, float(rng.uniform(0.2, 2.0)))
+                 for v in range(1, n)]
+        graph = shortest_path_space([f"v{i}" for i in range(n)], edges)
+        grid, grid_nbhd = grid_space([(0, 1), (0, 2)], [2, max(2, n // 2)])
+        systems = [
+            (graph, explicit_neighborhoods(graph, [
+                (graph.points[u], graph.points[v]) for u, v, _ in edges])),
+            (graph, ball_neighborhoods(graph, float(np.median(graph.dist)))),
+            (graph, all_pairs_neighborhoods(graph)),
+            (graph, NeighborhoodSystem(graph.points, {   # not symmetric
+                p: set(rng.choice(graph.points, int(rng.integers(0, n))))
+                for p in graph.points})),
+            (grid, grid_nbhd)]
+        for space, nbhd in systems:
+            mask = nbhd.adjacency(space)
+            assert mask.tobytes() == per_pair_adjacency(nbhd, space).tobytes()
+            assert not mask.flags.writeable
+
+    def test_points_outside_the_space(self, e3):
+        stray = NeighborhoodSystem(("a", "b", "c"),
+                                   {"a": {"b"}, "b": {"a", "zz"}})
+        with pytest.raises(DomainError, match="'zz'"):
+            stray.adjacency(e3)
+        partial = NeighborhoodSystem(("a", "b"), {"a": {"b"}, "b": {"a"}})
+        with pytest.raises(DomainError, match="'c'"):
+            partial.adjacency(e3)
 
 
 class TestGridSpace:
