@@ -129,10 +129,8 @@ def cmd_check(args):
         report = check_lips(f, g, args.eps)
     elif args.which == "lsc":
         report = check_lsc(f, g, args.r, args.eps)
-    elif args.which == "compact":
-        report = check_compact(f, g, inst.nbhd)
     else:
-        raise SlopekitError(f"unknown check {args.which!r}")
+        report = check_compact(f, g, inst.nbhd)
     _emit(report.to_dict(), args.output)
     return report.exit_code()
 

@@ -60,16 +60,16 @@ class ScalarField:
         return any(math.isfinite(v) for v in self.values)
 
     def min_finite(self) -> float:
-        finite = [v for v in self.values if math.isfinite(v)]
-        if not finite:
-            raise ImproperFieldError("field is identically +inf")
-        return min(finite)
+        return min(self._finite_values())
 
     def max_finite(self) -> float:
+        return max(self._finite_values())
+
+    def _finite_values(self) -> list:
         finite = [v for v in self.values if math.isfinite(v)]
         if not finite:
             raise ImproperFieldError("field is identically +inf")
-        return max(finite)
+        return finite
 
     def __eq__(self, other):
         if not isinstance(other, ScalarField):
@@ -256,7 +256,7 @@ def eps_Crit(f: ScalarField, eps: float, tol=None) -> tuple:
     return tuple(pts[i] for i in rows)
 
 
-def pasch_hausdorff(f: ScalarField, eps: float, tol=None) -> ScalarField:
+def pasch_hausdorff(f: ScalarField, eps: float) -> ScalarField:
     """Regularization g(x) = min_y f(y) + eps * dist(y, x).
 
     g is everywhere finite and eps-Lipschitz; it coincides with f exactly

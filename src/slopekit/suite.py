@@ -14,10 +14,10 @@ from .config import resolve_tol
 from .errors import FatalFinding, HypothesisViolation, ParameterError
 from .instances import gen_dominated_pair, instance_stream
 from .metric_space import NeighborhoodSystem, validate_metric
-from .slope_core import (INF, ScalarField, add_fields, domination_witnesses,
-                         eps_Crit, global_slope, log_distance_field,
-                         pasch_hausdorff, restrict, scale_field, slopes,
-                         sub_fields, sublevel_diff, truncate)
+from .slope_core import (INF, ScalarField, add_fields, eps_Crit,
+                         global_slope, log_distance_field, pasch_hausdorff,
+                         restrict, scale_field, slopes, sub_fields,
+                         sublevel_diff, truncate)
 from .variational import (check_compact, check_lips, check_lsc,
                           check_tz, descent_to_critical, ekeland_point,
                           verify_trace)
@@ -205,7 +205,7 @@ def check_ph_coincidence(inst, rng, ops, tol, eps_values=(0.25, 1.0, 3.0)):
     f = inst.field("f")
     failures = []
     for eps in eps_values:
-        reg = pasch_hausdorff(f, eps, tol)
+        reg = pasch_hausdorff(f, eps)
         coincide = {x for x, fv, rv in
                     zip(inst.space.points, f.values, reg.values)
                     if fv != INF and abs(fv - rv) <= tol}
@@ -328,15 +328,12 @@ def check_determination(inst, rng, ops, tol):
 
 
 def check_domination_constructors(inst, rng, ops, tol):
+    # gen_dominated_pair tests its pair for domination and raises a
+    # FatalFinding, which run_suite records, when the test fails
     f = inst.field("f")
-    failures = []
     for mode in ("truncate", "scale", "compose"):
-        pair_seed = int(rng.integers(0, 2 ** 62))
-        g, params = gen_dominated_pair(pair_seed, f, mode, tol)
-        failures += [_fail(f"emitted pair not dominated at {x}", mode=mode,
-                           params=params, x=x)
-                     for x in domination_witnesses(f, g, tol)]
-    return failures
+        gen_dominated_pair(int(rng.integers(0, 2 ** 62)), f, mode, tol)
+    return []
 
 
 CHECKS = {

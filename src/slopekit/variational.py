@@ -33,13 +33,10 @@ def ekeland_point(f: ScalarField, x0, lam: float):
     if not math.isfinite(f.values[i]):
         raise DomainError(f"start point {x0!r} is outside dom f")
     while True:
-        fx = f.values[i]
-        best = i
-        for j in range(space.n):
-            if f.values[j] <= fx - lam * space.dist[i, j]:
-                if f.values[j] < f.values[best] or (
-                        f.values[j] == f.values[best] and j < best):
-                    best = j
+        # lam = inf or nan admits no j, not even i: then x0 is returned
+        best = min((j for j in range(space.n)
+                    if f.values[j] <= f.values[i] - lam * space.dist[i, j]),
+                   key=lambda j: (f.values[j], j), default=i)
         if best == i:
             return space.points[i]
         i = best
@@ -217,6 +214,15 @@ def _require_finite_everywhere(h: ScalarField, name: str):
         raise ParameterError(f"{name} must be finite-valued for this check")
 
 
+def _least(objective, points: tuple):
+    """The least value of ``objective`` over ``points`` and the first point,
+    in the order of ``points``, that attains it.  A nan value, inf - inf
+    after an overflow, is passed over."""
+    values = [objective(p) for p in points]
+    least = min(v for v in values if not math.isnan(v))
+    return least, points[values.index(least)]
+
+
 def check_tz(f: ScalarField, g: ScalarField, tol=None) -> CheckReport:
     """Global-slope domination forces f - inf f >= g - inf g on dom f."""
     tol = resolve_tol(tol)
@@ -227,13 +233,8 @@ def check_tz(f: ScalarField, g: ScalarField, tol=None) -> CheckReport:
         return CheckReport("tz", hypothesis_ok=False, hypothesis_witnesses=bad)
     inf_f = f.min_finite()
     inf_g = g.min_finite()
-    slack = INF
-    witness = None
-    for x in f.dom():
-        margin = (f.value(x) - inf_f) - (g.value(x) - inf_g)
-        if margin < slack:
-            slack = margin
-            witness = x
+    slack, witness = _least(
+        lambda x: (f.value(x) - inf_f) - (g.value(x) - inf_g), f.dom())
     return CheckReport(
         "tz", hypothesis_ok=True, conclusion_ok=slack >= -tol,
         witness=witness, slack=slack,
@@ -250,12 +251,9 @@ def check_lips(f: ScalarField, g: ScalarField, eps: float, tol=None) -> CheckRep
     bad = domination_witnesses(f, g, tol)
     if bad:
         return CheckReport("lips", hypothesis_ok=False, hypothesis_witnesses=bad)
-    diff = {p: f.value(p) - g.value(p) for p in f.space.points}
-    m_all = min(diff.values())
-    crit = eps_Crit(f, eps, tol)
-    m_crit = min(diff[p] for p in crit)
-    witness = min((p for p in crit if diff[p] == m_crit),
-                  key=f.space.index)
+    diff = {p: f.value(p) - g.value(p) for p in f.space.points}.get
+    m_all, _ = _least(diff, f.space.points)
+    m_crit, witness = _least(diff, eps_Crit(f, eps, tol))
     slack = m_all - m_crit   # <= 0 always; equality means verified
     return CheckReport(
         "lips", hypothesis_ok=True, conclusion_ok=slack >= -tol,
@@ -276,23 +274,13 @@ def check_lsc(f: ScalarField, g: ScalarField, r: float, eps: float,
     bad = domination_witnesses(f, g, tol)
     if bad:
         return CheckReport("lsc", hypothesis_ok=False, hypothesis_witnesses=bad)
-
-    def diff(p):
-        # domain convention: g = +inf with f finite gives -inf
-        gv = g.value(p)
-        return -INF if gv == INF else f.value(p) - r * gv
-
     dom = f.dom()
-    m_dom = min(diff(p) for p in dom)
-    crit = eps_Crit(f, eps, tol)
-    m_crit = min(diff(p) for p in crit)
-    if m_dom == -INF and m_crit == -INF:
-        slack = 0.0
-    elif m_dom == -INF:
-        slack = -INF
-    else:
-        slack = m_dom - m_crit
-    witness = min((p for p in crit if diff(p) == m_crit), key=f.space.index)
+    # f finite and g = +inf give f - r g = -inf: the domain convention
+    diff = {p: f.value(p) - r * g.value(p) for p in dom}.get
+    m_dom, _ = _least(diff, dom)
+    m_crit, witness = _least(diff, eps_Crit(f, eps, tol))
+    # f - r g can overflow to -inf; then m_dom = m_crit = -inf, no gap
+    slack = 0.0 if m_crit == -INF else m_dom - m_crit
     return CheckReport(
         "lsc", hypothesis_ok=True, conclusion_ok=slack >= -tol,
         witness=witness, slack=slack,
@@ -309,11 +297,9 @@ def check_compact(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
     if bad:
         return CheckReport("compact", hypothesis_ok=False,
                            hypothesis_witnesses=bad)
-    diff = {p: f.value(p) - g.value(p) for p in f.space.points}
-    m_all = min(diff.values())
-    crit0 = eps_crit(f, nbhd, 0.0, tol)
-    m_crit = min(diff[p] for p in crit0)
-    witness = min((p for p in crit0 if diff[p] == m_crit), key=f.space.index)
+    diff = {p: f.value(p) - g.value(p) for p in f.space.points}.get
+    m_all, _ = _least(diff, f.space.points)
+    m_crit, witness = _least(diff, eps_crit(f, nbhd, 0.0, tol))
     slack = m_all - m_crit
     return CheckReport(
         "compact", hypothesis_ok=True, conclusion_ok=slack >= -tol,

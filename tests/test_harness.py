@@ -196,6 +196,27 @@ class TestSuite:
             for seed in (0, 1)}
         assert len(outputs) == 1
 
+    def test_non_dominated_constructor_is_a_fatal_finding(self, monkeypatch):
+        from slopekit import ScalarField, instances
+
+        def steep_truncate(g, lam):
+            # slope of at least 1e6 / d at the last point: never dominated
+            return ScalarField(g.space, tuple(1e6 * k for k in range(g.space.n)))
+
+        monkeypatch.setattr(instances, "truncate", steep_truncate)
+        cfg = {"instances": 12, "max_points": 6, "p_inf": [0.0],
+               "checks": ["domination_constructors"]}
+        report = run_suite(cfg)
+        multi_point = sum(inst.space.n > 1 for inst, _ in
+                          instances.instance_stream(12, 0, 6, p_inf=[0.0]))
+        assert multi_point > 0
+        assert report["summary"]["domination_constructors"] == {
+            "pass": 12 - multi_point, "fail": multi_point}
+        for c in report["counterexamples"]:
+            assert c["detail"] == ("fatal finding: domination constructor "
+                                   "emitted a non-dominated pair")
+            assert c["witness"]["payload"]["mode"] == "truncate"
+
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ParameterError, match="tolerance"):
             run_suite({"instances": 4}, tol=-1e-9)
