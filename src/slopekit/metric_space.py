@@ -82,15 +82,117 @@ def _triangle_ok(arr, tol) -> bool:
     return True
 
 
-def validate_metric(dist, tol=None) -> ValidationReport:
+def _as_coords(coords, n) -> np.ndarray:
+    """``coords`` as an n x dim float array, dim >= 1, every entry finite."""
+    try:
+        arr = np.asarray(coords, dtype=float)
+    except (TypeError, ValueError):
+        raise ShapeError("coordinates must be numbers, one common dimension "
+                         "per point") from None
+    if arr.ndim != 2 or arr.shape[0] != n or arr.shape[1] < 1:
+        raise ShapeError(f"coordinates must form an array of shape ({n}, dim) "
+                         f"with dim >= 1, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ShapeError("coordinates must be finite")
+    return arr
+
+
+def _pow(t, e):
+    """``t ** e``, in place.  numpy runs ``** 1.0``, ``** 2.0`` and ``** 0.5``
+    as np.positive, np.square and np.sqrt, the same values as below; they
+    are named here because the rounding bound below needs them exact or
+    correctly rounded."""
+    if e == 1:
+        return t
+    if e == 2:
+        return np.square(t, out=t)
+    if e == 0.5:
+        return np.sqrt(t, out=t)
+    return np.power(t, e, out=t)
+
+
+def _lp_distances(coords, p) -> np.ndarray:
+    """The l_p distance matrix of the rows of the n x dim array ``coords``,
+    built one axis at a time, bit for bit equal to the n x n x dim formula
+    ``(|x_i - x_j| ** p).sum(axis=2) ** (1 / p)`` and, for p = inf,
+    ``|x_i - x_j|.max(axis=2)``."""
+    n, dim = coords.shape
+    if p != math.inf and dim >= 8:   # numpy sums 8 or more terms pairwise
+        diff = np.abs(coords[:, None, :] - coords[None, :, :])
+        return _pow(_pow(diff, p).sum(axis=2), 1.0 / p)
+    d = np.zeros((n, n))
+    term = np.empty((n, n))   # one buffer for every axis
+    for a in range(dim):
+        np.subtract.outer(coords[:, a], coords[:, a], out=term)
+        np.abs(term, out=term)
+        if p == math.inf:   # max is exact, so the axis order does not matter
+            np.maximum(d, term, out=d)
+        else:
+            d += _pow(term, p)
+    return d if p == math.inf else _pow(d, 1.0 / p)
+
+
+# The triangle inequality of a matrix d that is bit for bit the l_inf, l_1
+# or l_2 matrix of float coordinates x, as _lp_distances builds it.
+#
+# Model (IEEE double, round to nearest, u = 2^-53): subtraction, addition,
+# np.square and np.sqrt are correctly rounded, fl(a o b) = (a o b)(1 + e)
+# with |e| <= u; abs, max and np.positive are exact.  Subtraction, addition
+# and sqrt lose nothing to underflow; a square that underflows adds an
+# absolute error of at most 2^-1075.  Write g_k = k u / (1 - k u).
+#
+# Let r_ij be the exact l_p distance between the float points x_i and x_j.
+# By Minkowski's inequality r is a (pseudo)metric.  Each per-axis difference
+# carries one factor (1 + e).  Every entry is d_ij = r_ij (1 + t) + h:
+#   p = inf: |t| <= u, h = 0 (the largest rounded difference);
+#   p = 1:   |t| <= g_dim, h = 0 (the difference and at most dim - 1 sums,
+#            in whatever order numpy adds);
+#   p = 2:   the sum of squares is r^2 (1 + s) + M with |s| <= g_(dim+2)
+#            (difference twice, square, dim - 1 sums) and
+#            |M| <= dim 2^-1075 (1 + g_dim); the square root adds one
+#            factor, and sqrt(y + M) lies within sqrt(|M|) of sqrt(y), so
+#            |t| <= g_(dim+3) and |h| <= b = sqrt(dim) 2^-537.
+# Let a = g_(dim+3), which covers all three, and D = max d.  The triangle
+# pass computes E = fl(d_ij - fl(d_ik + d_kj)).  With R = r_ik + r_kj >= r_ij,
+#   d_ij - fl(d_ik + d_kj) <= R (1 + a) + b - (R (1 - a) - 2 b)(1 - u)
+#                          <= R (2 a + u) + 3 b,
+# rounding multiplies a positive difference by at most 1 + u (an overflow
+# of the sum gives E = -inf), and R <= 2 max r <= 2 (D + b) / (1 - a), so
+#   E <= (1 + u) ((2 a + u) 2 (D + b) / (1 - a) + 3 b).
+# For dim < 2^30 the factor of D is at most (4 (dim + 3) + 2)(1 + 2^-17) u
+# and the terms in b sum to at most 4 b <= dim 2^-535, so
+#   E <= 5 (dim + 3) u D + dim 2^-535,
+# with a margin of at least dim u D that covers the two roundings made
+# in computing the bound itself.  When the bound is at most tol, no triple of
+# the triangle pass exceeds tol.
+def _certified(arr, coords, tol) -> bool:
+    """Whether the triangle inequality of ``arr`` within ``tol`` follows from
+    ``coords`` by the rounding bound: arr is bit for bit their l_inf, l_1 or
+    l_2 matrix and the bound is at most tol."""
+    dim = coords.shape[1]
+    if 5 * (dim + 3) * 2.0 ** -53 * float(arr.max()) + dim * 2.0 ** -535 > tol:
+        return False
+    return any(np.array_equal(arr, _lp_distances(coords, p))
+               for p in (math.inf, 1.0, 2.0))
+
+
+def validate_metric(dist, tol=None, coords=None) -> ValidationReport:
     """Check all metric axioms, reporting every violated instance.
 
-    An exactly symmetric matrix has its triangle inequality checked once per
-    unordered pair; the per-triple report is built only when that fails.
+    ``coords``, one row of coordinates per point, may be given when they are
+    known.  If ``dist`` is bit for bit their l_inf, l_1 or l_2 matrix and a
+    proved rounding bound, 5 (dim + 3) 2^-53 max(dist) + dim 2^-535, is at
+    most ``tol``, the triangle inequality holds within tol and its O(n^3)
+    pass is skipped; the report is the same as without ``coords``.
+    Otherwise an exactly symmetric matrix has its triangle inequality
+    checked once per unordered pair; the per-triple report is built only
+    when that fails.
     """
     tol = resolve_tol(tol)
     arr = _as_square_matrix(dist)
     n = arr.shape[0]
+    if coords is not None:
+        coords = _as_coords(coords, n)
     off = ~np.eye(n, dtype=bool)
     violations = [
         Violation("diagonal", (i,), f"dist[{i}][{i}] = {arr[i, i]} != 0")
@@ -107,7 +209,8 @@ def validate_metric(dist, tol=None) -> ValidationReport:
                 "asymmetry", (i, j),
                 f"dist[{i}][{j}] = {arr[i, j]} != dist[{j}][{i}] = {arr[j, i]}"))
     # triangle inequality: with n < 3 no triple of distinct points exists
-    if n < 3 or (np.array_equal(arr, arr.T) and _triangle_ok(arr, tol)):
+    if (n < 3 or (coords is not None and _certified(arr, coords, tol))
+            or (np.array_equal(arr, arr.T) and _triangle_ok(arr, tol))):
         return ValidationReport(violations)
     # every ordered triple through an intermediate k, in one reused buffer:
     # a fresh n x n array per k costs more than the sums
@@ -130,7 +233,7 @@ def validate_metric(dist, tol=None) -> ValidationReport:
 class MetricSpace:
     points: tuple
     dist: np.ndarray
-    coords: tuple = None   # optional per-point coordinates (grids only)
+    coords: tuple = None   # optional per-point coordinates, one row per point
 
     def __post_init__(self):
         self.points = tuple(str(p) for p in self.points)
@@ -141,12 +244,14 @@ class MetricSpace:
             raise ShapeError(
                 f"{len(self.points)} points but distance matrix is "
                 f"{self.dist.shape[0]}x{self.dist.shape[1]}")
-        report = validate_metric(self.dist)
+        coords = self.coords
+        if coords is not None:
+            coords = _as_coords(coords, len(self.points))
+            self.coords = tuple(map(tuple, coords.tolist()))
+        report = validate_metric(self.dist, None, coords)
         if not report.ok:
             raise MetricError("not a metric: " + report.summary())
         self.dist.flags.writeable = False
-        if self.coords is not None:
-            self.coords = tuple(tuple(float(c) for c in pt) for pt in self.coords)
         self._index = {p: i for i, p in enumerate(self.points)}
 
     @property
@@ -254,7 +359,7 @@ class NeighborhoodSystem:
 def ball_neighborhoods(space: MetricSpace, r: float, tol=None) -> NeighborhoodSystem:
     """Neighbors of x are all points within distance r of x."""
     tol = resolve_tol(tol)
-    if r <= 0:
+    if not r > 0:   # nan too
         raise ParameterError(f"ball radius must be positive, got {r}")
     pts = space.points
     within = (space.dist <= r + tol) & ~np.eye(space.n, dtype=bool)
@@ -367,12 +472,7 @@ def grid_space(bounds, resolution, p=2.0):
     n = coords.shape[0]
     points = tuple(f"n{i}" for i in range(n))
 
-    diff = np.abs(coords[:, None, :] - coords[None, :, :])
-    if p == math.inf:
-        d = diff.max(axis=2)
-    else:
-        d = (diff ** p).sum(axis=2) ** (1.0 / p)
-    space = MetricSpace(points, d, coords=tuple(map(tuple, coords)))
+    space = MetricSpace(points, _lp_distances(coords, p), coords=coords)
 
     # axis-adjacent pairs by multi-index
     shape = tuple(resolution)

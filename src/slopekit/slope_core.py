@@ -183,7 +183,8 @@ def domination_witnesses(f: ScalarField, g: ScalarField, tol=None) -> list:
     """
     tol = resolve_tol(tol)
     _require_same_points(f, g)
-    return list(_points_where(f, slopes(g) > slopes(f) + tol))
+    return list(_points_where(
+        f, (slopes(g) > slopes(f) + tol) | ~np.isfinite(g.array)))
 
 
 def strict_comparison_witnesses(f: ScalarField, g: ScalarField,
@@ -220,7 +221,7 @@ def slope_profile(f: ScalarField, nbhd: NeighborhoodSystem) -> SlopeProfile:
 def eps_argmin(f: ScalarField, eps: float, tol=None) -> tuple:
     """{x : f(x) <= inf f + eps}."""
     tol = resolve_tol(tol)
-    if eps < 0:
+    if not eps >= 0:   # nan too
         raise ParameterError(f"eps must be nonnegative, got {eps}")
     lo = f.min_finite()
     return tuple(p for p, v in zip(f.space.points, f.values)
@@ -230,7 +231,7 @@ def eps_argmin(f: ScalarField, eps: float, tol=None) -> tuple:
 def eps_crit(f: ScalarField, nbhd: NeighborhoodSystem, eps: float, tol=None) -> tuple:
     """Sub-level set of the local slope at level eps."""
     tol = resolve_tol(tol)
-    if eps < 0:
+    if not eps >= 0:   # nan too
         raise ParameterError(f"eps must be nonnegative, got {eps}")
     return _points_where(f, slopes(f, nbhd) <= eps + tol)
 
@@ -242,7 +243,7 @@ def eps_Crit(f: ScalarField, eps: float, tol=None) -> tuple:
     f(y) >= f(x) - eps * dist(y, x) for all y.
     """
     tol = resolve_tol(tol)
-    if eps < 0:
+    if not eps >= 0:   # nan too
         raise ParameterError(f"eps must be nonnegative, got {eps}")
     v, pts = f.array, f.space.points
     rows = np.flatnonzero((slopes(f) <= eps + tol) & np.isfinite(v))
@@ -262,7 +263,7 @@ def pasch_hausdorff(f: ScalarField, eps: float) -> ScalarField:
     g is everywhere finite and eps-Lipschitz; it coincides with f exactly
     on eps_Crit(f, eps).
     """
-    if eps <= 0:
+    if not eps > 0:   # nan too
         raise ParameterError(f"eps must be positive, got {eps}")
     if not f.is_proper():
         raise ImproperFieldError("cannot regularize an improper field")

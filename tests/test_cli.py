@@ -117,6 +117,10 @@ class TestSlopes:
     def test_unknown_field(self, inst_path):
         assert main(["slopes", inst_path, "--field", "h"]) == 3
 
+    def test_nan_eps_is_input_error(self, inst_path, capsys):
+        assert main(["slopes", inst_path, "--eps", "nan"]) == 3
+        assert capsys.readouterr().out == ""
+
 
 class TestEvp:
     def test_descends_to_minimizer(self, inst_path, capsys):

@@ -13,8 +13,9 @@ from slopekit import (DomainError, MetricSpace, NeighborhoodSystem,
 from slopekit.config import resolve_tol
 from slopekit.errors import MetricError
 from slopekit import metric_space
-from slopekit.metric_space import (Violation, _triangle_ok, floyd_warshall,
-                                   metric_closure)
+from slopekit.instances import instance_from_dict
+from slopekit.metric_space import (Violation, _certified, _lp_distances,
+                                   _triangle_ok, floyd_warshall, metric_closure)
 
 
 def brute_shortest_paths(vertices, edges):
@@ -364,6 +365,15 @@ class TestBallNeighborhoods:
         with pytest.raises(ParameterError):
             ball_neighborhoods(e3, 0.0)
 
+    def test_nan_radius(self, e3):
+        with pytest.raises(ParameterError, match="nan"):
+            ball_neighborhoods(e3, math.nan)
+        obj = {"points": ["a", "b"], "metric": {"kind": "matrix",
+                                                "dist": [[0, 1], [1, 0]]},
+               "neighborhoods": {"kind": "ball", "r": math.nan}}
+        with pytest.raises(ParameterError, match="nan"):
+            instance_from_dict(obj)
+
     def test_symmetric_for_any_radius(self, e3):
         for r in (0.3, 1.0, 1.5, 2.0, 5.0):
             ball_neighborhoods(e3, r).validate()
@@ -484,3 +494,176 @@ class TestMetricSpaceInvariants:
         rng = np.random.default_rng(seed)
         w = rng.uniform(0.1, 3.0, size=(n, n))
         assert validate_metric(metric_closure(w)).ok
+
+
+class TestCoords:
+    @pytest.mark.parametrize("coords", [
+        [(0.0,)],                              # one row for three points
+        [(0.0,), (1.0, 2.0), (2.0,)],          # ragged
+        [(0.0,), (math.nan,), (2.0,)],
+        [(0.0,), (math.inf,), (2.0,)],
+        [(), (), ()],                          # dimension 0
+        [0.0, 1.0, 2.0],                       # not one row per point
+        [("a",), ("b",), ("c",)],
+    ])
+    def test_malformed_coords_rejected(self, coords):
+        with pytest.raises(ShapeError):
+            MetricSpace(("a", "b", "c"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+                        coords=coords)
+        with pytest.raises(ShapeError):
+            validate_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]], None, coords)
+
+    def test_coords_become_float_tuples(self):
+        space = MetricSpace(("a", "b", "c"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+                            coords=np.array([[0], [1], [2]]))
+        assert space.coords == ((0.0,), (1.0,), (2.0,))
+        assert all(type(c) is float for row in space.coords for c in row)
+        assert space.subspace(["c"]).coords == ((2.0,),)
+
+
+def full_tensor_grid(bounds, resolution, p):
+    """Reference: the grid's nodes and their l_p matrix, built as one
+    n x n x dim tensor reduced over its last axis."""
+    axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(bounds, resolution)]
+    coords = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                      axis=1)
+    return coords, full_tensor(coords, p)
+
+
+def full_tensor(coords, p):
+    diff = np.abs(coords[:, None, :] - coords[None, :, :])
+    if p == math.inf:
+        return diff.max(axis=2)
+    return (diff ** p).sum(axis=2) ** (1.0 / p)
+
+
+EXPONENTS = (1.0, 2.0, math.inf, 1.5, 3.0)
+# 1e7, 1e9 and 1e12 break the triangle inequality by rounding; 1e-157
+# makes squares underflow; 2^-40 puts every spacing below the tolerance
+SCALES = (1.0, 2.0 ** 40, 2.0 ** -40, 1e7, 1e9, 1e12, 1e-157)
+
+
+def sweep_grids():
+    """Seeded grids; dim 8 has 256 nodes, so it takes scales whose failing
+    reports stay small: 2^20 breaks l_1, 2^16 is left to the triangle pass."""
+    rng = np.random.default_rng(31)
+    for dim, max_res, scales, draws in (
+            (1, 9, SCALES, 2), (2, 9, SCALES, 1), (3, 5, SCALES, 1),
+            (8, 2, (1.0, 2.0 ** 10, 2.0 ** 16, 2.0 ** 20), 1)):
+        for p in EXPONENTS:
+            for scale in scales:
+                for _ in range(draws):
+                    lo = rng.uniform(-2, 2, dim) * scale
+                    width = rng.uniform(0.5, 3, dim) * scale
+                    resolution = rng.integers(2, max_res + 1, dim).tolist()
+                    bounds = [(a, a + w) for a, w in zip(lo, width)]
+                    yield bounds, resolution, p
+
+
+class TestCoordinateCertificate:
+    """Grid matrices, errors and reports against the full-tensor formula,
+    and the rounding-bound certificate against the triangle pass."""
+
+    def test_lp_distances_match_full_tensor(self):
+        rng = np.random.default_rng(32)
+        for dim in range(1, 11):   # pairwise summation from 8 terms on
+            for p in (*EXPONENTS, 2, 3):
+                for scale in SCALES:
+                    n = int(rng.integers(1, 30))
+                    x = rng.uniform(-2, 2, (n, dim)) * scale
+                    assert _lp_distances(x, p).tobytes() == \
+                        full_tensor(x, p).tobytes()
+
+    def test_grids_match_full_tensor(self):
+        outcomes, broken = set(), set()
+        for bounds, resolution, p in sweep_grids():
+            coords, ref = full_tensor_grid(bounds, resolution, p)
+            want = validate_metric(ref)
+            try:
+                space, _ = grid_space(bounds, resolution, p)
+            except MetricError as exc:
+                assert str(exc) == "not a metric: " + want.summary()
+            else:
+                assert want.ok and space.dist.tobytes() == ref.tobytes()
+            certified = _certified(ref, coords, resolve_tol())
+            if certified:   # grid_space's error above checks the rest
+                assert validate_metric(ref, None, coords) == want
+                assert _triangle_ok(ref, resolve_tol())
+                if len(ref) <= 100:   # the oracle loop is slow beyond
+                    assert not [v for v in reference_violations(ref)
+                                if v.kind == "triangle"]
+            outcomes.add((certified, want.ok))
+            if any(v.kind == "triangle" for v in want.violations):
+                broken.add(p)
+        # certified metrics, certified grids whose spacing fails the sign
+        # check, and grids left to the triangle pass, passing and failing
+        assert outcomes == {(True, True), (True, False), (False, True),
+                            (False, False)}
+        assert broken == set(EXPONENTS)   # rounding breaks every exponent
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_large_coordinates_take_the_full_pass(self, p):
+        coords, ref = full_tensor_grid([(0, 1e7)], [40], p)
+        assert not _certified(ref, coords, resolve_tol())
+        with pytest.raises(MetricError) as exc:
+            grid_space([(0, 1e7)], [40], p)
+        want = "not a metric: " + validate_metric(ref).summary()
+        assert str(exc.value) == want
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_underflowing_squares(self, dim):
+        """Spacings near 1e-158 square to subnormals.  With a tolerance of
+        1e-160, below every distance, the certificate holds, and so does the
+        triangle pass.  At 1e-170 rounding breaks triangles by about 1e-166,
+        far more than a bound relative to the distances allows, and the
+        absolute term of the bound leaves them to the triangle pass."""
+        rng = np.random.default_rng([33, dim])
+        broken = 0
+        for _ in range(5):
+            coords, ref = full_tensor_grid(
+                [(a, a + 3e-158) for a in rng.uniform(-1e-157, 1e-157, dim)],
+                rng.integers(2, 5, dim).tolist(), 2.0)
+            assert _certified(ref, coords, 1e-160)
+            assert _triangle_ok(ref, 1e-160)
+            assert reference_violations(ref, 1e-160) == []
+            assert validate_metric(ref, 1e-160, coords).ok
+            report = validate_metric(ref, 1e-170, coords)
+            assert report.violations == reference_violations(ref, 1e-170)
+            broken += not report.ok
+        assert broken
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_matrix_that_is_not_the_coordinates_takes_the_full_pass(self, p):
+        space, _ = grid_space([(0, 1), (0, 2)], [4, 5], p)
+        d = space.dist.copy()
+        d[0, 19] = d[19, 0] = 1.5 * d[0, 19]   # one symmetric pair lengthened
+        assert not _certified(d, np.array(space.coords), resolve_tol())
+        report = validate_metric(d, None, space.coords)
+        assert report == validate_metric(d)
+        assert report.violations == reference_violations(d)
+        assert {v.kind for v in report.violations} == {"triangle"}
+        with pytest.raises(MetricError):
+            MetricSpace(space.points, d, space.coords)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, "inf"])
+    @pytest.mark.parametrize("resolution", [[200], [10, 20]])
+    def test_grid_instance_loads_without_a_triangle_pass(self, monkeypatch, p,
+                                                         resolution):
+        n = math.prod(resolution)
+        obj = {"points": [f"n{i}" for i in range(n)],
+               "metric": {"kind": "grid", "resolution": resolution, "p": p,
+                          "bounds": [[0.0, 1.0]] * len(resolution)},
+               "neighborhoods": {"kind": "grid"},
+               "fields": {"f": np.linspace(0.0, 3.0, n).tolist()}}
+        calls, passes = [], []
+        validate = metric_space.validate_metric
+        monkeypatch.setattr(metric_space, "validate_metric",
+                            lambda *args: calls.append(args) or validate(*args))
+        monkeypatch.setattr(metric_space, "_triangle_ok",
+                            lambda *args: passes.append(args) or True)
+        inst = instance_from_dict(obj)
+        assert len(calls) == 1 and passes == []
+        # a subspace keeps its coordinates, so it is certified too
+        sub = inst.space.subspace(inst.space.points[::3])
+        assert sub.coords == inst.space.coords[::3]
+        assert len(calls) == 2 and passes == []

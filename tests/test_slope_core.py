@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from slopekit import (DomainError, FatalFinding, ImproperFieldError,
                       MetricSpace, NeighborhoodSystem, ParameterError,
                       ScalarField, UndefinedArithmeticError, add_fields,
-                      domination_witnesses, eps_argmin, eps_crit, eps_Crit,
-                      gen_random_instance, global_slope, local_slope,
+                      check_lsc, domination_witnesses, eps_argmin, eps_crit,
+                      eps_Crit, gen_random_instance, global_slope, local_slope,
                       log_distance_field, pasch_hausdorff, pos_part, restrict,
                       scale_field, slope_profile, slopes,
                       strict_comparison_witnesses, sub_fields, sublevel_diff,
@@ -153,6 +153,17 @@ class TestSlopeComparisons:
         # a is 0-critical for f, yet counts because g(a) = +inf
         assert strict_comparison_witnesses(f013, g, e3_path_nbhd) == ["a"]
 
+    def test_outside_dom_g_counts_when_the_slope_of_f_overflows(self):
+        # the global slope of f at x is 2e308 / 1 = +inf, that of g is +inf
+        space = MetricSpace(("x", "y"), [[0, 1], [1, 0]])
+        f = ScalarField(space, (1e308, -1e308))
+        g = ScalarField(space, (INF, 0.0))
+        assert slopes(f)[0] == INF
+        assert domination_witnesses(f, g) == ["x"]
+        report = check_lsc(f, g, 0.5, 0.5)
+        assert not report.hypothesis_ok and report.exit_code() == 1
+        assert report.hypothesis_witnesses == ["x"]
+
     def test_strict_comparison(self, f013, e3_path_nbhd):
         half = scale_field(f013, 0.5)
         assert strict_comparison_witnesses(f013, half, e3_path_nbhd) == []
@@ -230,6 +241,14 @@ class TestEpsSets:
             eps_Crit(f013, -0.5)
         with pytest.raises(ParameterError):
             eps_crit(f013, e3_path_nbhd, -0.5)
+
+    def test_nan_eps(self, f013, e3_path_nbhd):
+        for call in (lambda: eps_argmin(f013, math.nan),
+                     lambda: eps_crit(f013, e3_path_nbhd, math.nan),
+                     lambda: eps_Crit(f013, math.nan),
+                     lambda: pasch_hausdorff(f013, math.nan)):
+            with pytest.raises(ParameterError, match="eps must be"):
+                call()
 
     def test_eps_Crit_pointwise_form(self, f013):
         # frozen oracle: direct evaluation of f(y) >= f(x) - eps*d(y,x)
