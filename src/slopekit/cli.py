@@ -46,9 +46,10 @@ def _emit(obj, path=None):
 def cmd_validate(args):
     with open(args.instance) as fh:
         obj = json.load(fh)
-    if "metric" in obj and obj["metric"].get("kind") == "matrix":
+    metric = obj.get("metric") if isinstance(obj, dict) else None
+    if isinstance(metric, dict) and metric.get("kind") == "matrix":
         # reported as given: an invalid matrix cannot become a MetricSpace
-        report = validate_metric(obj["metric"]["dist"])
+        report = validate_metric(metric["dist"])
     else:
         instance_from_dict(obj)   # its space is validated as it is built
         report = ValidationReport([])
@@ -152,9 +153,9 @@ def cmd_suite(args):
             config = json.load(fh)
     report = run_suite(config)
     _emit(report, args.output)
-    csv_path = os.path.splitext(args.output or "suite_report.json")[0] + ".csv"
-    with open(csv_path, "w") as fh:
-        fh.write(summary_csv(report))
+    if args.output:   # the CSV summary goes beside the report, if any
+        with open(os.path.splitext(args.output)[0] + ".csv", "w") as fh:
+            fh.write(summary_csv(report))
     return EXIT_OK if report["ok"] else EXIT_FATAL
 
 

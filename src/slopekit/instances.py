@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import resolve_tol
-from .errors import FatalFinding, ParameterError
+from .errors import FatalFinding, ParameterError, ShapeError
 from .metric_space import (MetricSpace, NeighborhoodSystem,
                            all_pairs_neighborhoods, ball_neighborhoods,
                            explicit_neighborhoods, grid_space, metric_closure,
@@ -76,19 +76,51 @@ class Instance:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+def _expect(value, kind, what):
+    """``value`` if it has the JSON type ``kind`` (dict or list)."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "list"
+        raise ShapeError(f"{what} must be a JSON {name}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _parsed(convert, value, what):
+    """``convert(value)``, a malformed value reported as ``ParameterError``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"malformed {what}: {value!r}") from None
+
+
+def _edge(edge):
+    u, v, w = edge
+    return int(u), int(v), float(w)
+
+
+def _pair(pair, convert=int):
+    a, b = pair
+    return convert(a), convert(b)
+
+
 def _space_from_spec(points, spec):
     """The space of a metric entry and, for a grid, its neighborhoods."""
-    kind = spec.get("kind")
+    kind = _expect(spec, dict, "metric").get("kind")
     if kind == "matrix":
-        dist = np.asarray(spec["dist"], dtype=float)
-        return MetricSpace(tuple(points), dist), None
+        return MetricSpace(tuple(points), spec["dist"]), None
     if kind == "graph":
-        edges = [(int(i), int(j), float(w)) for i, j, w in spec["edges"]]
+        edges = [_parsed(_edge, e, "graph edge (want [u, v, w])")
+                 for e in _expect(spec["edges"], list, "graph edges")]
         return shortest_path_space(points, edges), None
     if kind == "grid":
         p = spec.get("p", 2)
-        p = math.inf if p == "inf" else float(p)
-        space, nbhd = grid_space(spec["bounds"], spec["resolution"], p)
+        p = math.inf if p == "inf" else _parsed(float, p, "grid exponent p")
+        bounds = [_parsed(lambda b: _pair(b, float), b,
+                          "grid bound (want [lo, hi])")
+                  for b in _expect(spec["bounds"], list, "grid bounds")]
+        resolution = [_parsed(int, r, "grid resolution") for r in
+                      _expect(spec["resolution"], list, "grid resolution")]
+        space, nbhd = grid_space(bounds, resolution, p)
         if list(space.points) != list(points):
             raise ParameterError("grid points do not match the points list")
         return space, nbhd
@@ -96,13 +128,19 @@ def _space_from_spec(points, spec):
 
 
 def _nbhd_from_spec(space: MetricSpace, spec, grid_nbhd) -> NeighborhoodSystem:
-    kind = spec.get("kind")
+    kind = _expect(spec, dict, "neighborhoods").get("kind")
     if kind == "ball":
-        return ball_neighborhoods(space, float(spec["r"]))
+        return ball_neighborhoods(
+            space, _parsed(float, spec["r"], "ball radius r"))
     if kind == "explicit":
-        pairs = [(space.points[int(i)], space.points[int(j)])
-                 for i, j in spec["adj"]]
-        return explicit_neighborhoods(space, pairs)
+        pairs = [_parsed(_pair, e, "neighbor pair (want [i, j])")
+                 for e in _expect(spec["adj"], list, "neighbor pairs")]
+        for i, j in pairs:
+            if not (0 <= i < space.n and 0 <= j < space.n):
+                raise ParameterError(f"neighbor pair [{i}, {j}] is not a pair "
+                                     f"of indices below {space.n}")
+        return explicit_neighborhoods(
+            space, [(space.points[i], space.points[j]) for i, j in pairs])
     if kind == "all":
         return all_pairs_neighborhoods(space)
     if kind == "grid":
@@ -113,16 +151,22 @@ def _nbhd_from_spec(space: MetricSpace, spec, grid_nbhd) -> NeighborhoodSystem:
 
 
 def instance_from_dict(obj: dict) -> Instance:
-    points = [str(p) for p in obj["points"]]
+    """The instance of a parsed JSON object; malformed input raises a
+    ``SlopekitError`` (``ShapeError`` or ``ParameterError`` for a bad
+    type or value), a missing key ``KeyError``."""
+    _expect(obj, dict, "an instance")
+    points = [str(p) for p in _expect(obj["points"], list, "points")]
     space, grid_nbhd = _space_from_spec(points, obj["metric"])
     nbhd = _nbhd_from_spec(space, obj["neighborhoods"], grid_nbhd)
     fields = {
-        name: ScalarField(space, tuple(INF if v == "inf" else float(v)
-                                       for v in vals))
-        for name, vals in obj.get("fields", {}).items()
+        name: ScalarField(space, tuple(
+            _parsed(float, v, f"value of field {name!r}")
+            for v in _expect(vals, list, f"field {name!r}")))
+        for name, vals in _expect(obj.get("fields", {}), dict,
+                                  "fields").items()
     }
     return Instance(space, nbhd, fields,
-                    seed=_seed_repr(obj.get("seed", 0)),
+                    seed=_parsed(_seed_repr, obj.get("seed", 0), "seed"),
                     provenance=obj.get("provenance", {}),
                     metric_spec=obj["metric"],
                     nbhd_spec=obj["neighborhoods"])

@@ -49,7 +49,11 @@ class ValidationReport:
 
 
 def _as_square_matrix(dist) -> np.ndarray:
-    arr = np.asarray(dist, dtype=float)
+    try:
+        arr = np.asarray(dist, dtype=float)
+    except (TypeError, ValueError):
+        raise ShapeError("distance matrix entries must be numbers, in rows "
+                         "of equal length") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"distance matrix must be square, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -176,6 +180,57 @@ def _certified(arr, coords, tol) -> bool:
                for p in (math.inf, 1.0, 2.0))
 
 
+class _Closure(np.ndarray):
+    """Marks the matrix that ``floyd_warshall`` returned to
+    ``shortest_path_space`` for weights that function checked.  Nothing
+    else makes one, and ``_as_square_matrix`` turns every input into a
+    plain array, so no caller-supplied matrix reaches
+    ``_closure_certified``."""
+
+
+# The triangle inequality of a matrix D that floyd_warshall computed from a
+# weight matrix W with a zero diagonal and positive or +inf entries
+# elsewhere, as shortest_path_space builds it.
+#
+# Model as for _certified: u = 2^-53, addition and subtraction are
+# correctly rounded and lose nothing to underflow, min is exact.  Stage k
+# computes D^k_ij = min(D^(k-1)_ij, fl(D^(k-1)_ik + D^(k-1)_kj)); D_kk = 0
+# stays, so row and column k do not change at stage k.  Let delta be the
+# exact shortest-path distances of the float weights, a metric, and
+# delta^k those of the paths through the first k points only.
+# Lower bound: a finite D_ij is the computed sum of the weights of some i-j
+# walk, by a binary tree that gains at most one level per stage, so of
+# depth at most n.  Each weight carries at most n factors (1 + e), e >= -u,
+# and all are positive, so D_ij >= (1 - u)^n delta_ij, whatever the
+# length of the walk.
+# Upper bound: by induction over k, D^k_ij <= (1 + u)^k delta^k_ij when the
+# right side does not exceed the largest double: delta^k_ij is either
+# delta^(k-1)_ij or delta^(k-1)_ik + delta^(k-1)_kj, rounding is monotone
+# and fl(a + b) <= (1 + u)(a + b) below overflow.  Let M = max D < 2^1000.
+# Then delta <= M / (1 - u)^n keeps (1 + u)^n delta finite, and
+# D_ij <= (1 + u)^n delta_ij.
+# The triangle pass computes E = fl(D_ij - fl(D_ik + D_kj)).  With
+# R = delta_ik + delta_kj >= delta_ij,
+#   D_ij - fl(D_ik + D_kj) <= (1 + u)^n R - (1 - u)^(n + 1) R,
+# rounding multiplies a positive difference by at most 1 + u (an overflow
+# of the sum gives E = -inf), and R <= 2 M / (1 - u)^n, so
+#   E <= (1 + u) ((1 + u)^n - (1 - u)^(n + 1)) 2 M / (1 - u)^n.
+# For n <= 2^20, with x = n u <= 2^-33, (1 + u)^n <= 1 + x + x^2,
+# (1 - u)^(n + 1) >= 1 - x - u and (1 - u)^-n <= 1 + 2 x, so
+#   E <= (4 n + 2)(1 + 4 x) u M <= (4 n + 3) u M.
+# The bound is compared with tol exactly, as integer ratios.  When it is at
+# most tol, no triple of the triangle pass exceeds tol.
+def _closure_certified(arr, tol) -> bool:
+    """Whether the triangle inequality of ``arr``, a ``floyd_warshall``
+    closure of positive weights, holds within ``tol`` by the rounding bound
+    (4 n + 3) 2^-53 max(arr)."""
+    n, top = arr.shape[0], float(arr.max())
+    if n > 2 ** 20 or top >= 2.0 ** 1000:
+        return False
+    (a, b), (c, d) = top.as_integer_ratio(), float(tol).as_integer_ratio()
+    return (4 * n + 3) * a * d <= c * b * 2 ** 53
+
+
 def validate_metric(dist, tol=None, coords=None) -> ValidationReport:
     """Check all metric axioms, reporting every violated instance.
 
@@ -189,6 +244,7 @@ def validate_metric(dist, tol=None, coords=None) -> ValidationReport:
     when that fails.
     """
     tol = resolve_tol(tol)
+    closure = type(dist) is _Closure
     arr = _as_square_matrix(dist)
     n = arr.shape[0]
     if coords is not None:
@@ -210,6 +266,7 @@ def validate_metric(dist, tol=None, coords=None) -> ValidationReport:
                 f"dist[{i}][{j}] = {arr[i, j]} != dist[{j}][{i}] = {arr[j, i]}"))
     # triangle inequality: with n < 3 no triple of distinct points exists
     if (n < 3 or (coords is not None and _certified(arr, coords, tol))
+            or (closure and _closure_certified(arr, tol))
             or (np.array_equal(arr, arr.T) and _triangle_ok(arr, tol))):
         return ValidationReport(violations)
     # every ordered triple through an intermediate k, in one reused buffer:
@@ -239,6 +296,7 @@ class MetricSpace:
         self.points = tuple(str(p) for p in self.points)
         if len(set(self.points)) != len(self.points):
             raise ParameterError("point identifiers must be unique")
+        closure = type(self.dist) is _Closure
         self.dist = _as_square_matrix(self.dist)
         if self.dist.shape[0] != len(self.points):
             raise ShapeError(
@@ -248,7 +306,8 @@ class MetricSpace:
         if coords is not None:
             coords = _as_coords(coords, len(self.points))
             self.coords = tuple(map(tuple, coords.tolist()))
-        report = validate_metric(self.dist, None, coords)
+        report = validate_metric(
+            self.dist.view(_Closure) if closure else self.dist, None, coords)
         if not report.ok:
             raise MetricError("not a metric: " + report.summary())
         self.dist.flags.writeable = False
@@ -391,7 +450,10 @@ def shortest_path_space(vertices, edges) -> MetricSpace:
     """Metric space of all-pairs shortest-path distances of a weighted graph.
 
     Edges are (u, v, w) triples with vertex names or indices into the
-    vertex list.  Weights must be strictly positive and the graph connected.
+    vertex list.  Weights must be strictly positive and finite, and the
+    graph connected.  The triangle inequality of the distances is certified
+    by a rounding bound on ``floyd_warshall`` (see ``_closure_certified``)
+    when that bound is at most the tolerance, and checked otherwise.
     """
     vertices = [str(v) for v in vertices]
     n = len(vertices)
@@ -411,6 +473,9 @@ def shortest_path_space(vertices, edges) -> MetricSpace:
         if w <= 0:
             raise ParameterError(
                 f"edge ({vertices[i]!r}, {vertices[j]!r}) has nonpositive weight {w}")
+        if not w < math.inf:   # nan too
+            raise ParameterError(
+                f"edge ({vertices[i]!r}, {vertices[j]!r}) has non-finite weight {w}")
         if w < d[i, j]:
             d[i, j] = d[j, i] = w
     d = floyd_warshall(d)
@@ -419,10 +484,21 @@ def shortest_path_space(vertices, edges) -> MetricSpace:
         i, j = unreachable[0]
         raise ParameterError(
             f"graph is disconnected: no path from {vertices[i]!r} to {vertices[j]!r}")
-    return MetricSpace(tuple(vertices), d)
+    # the weights are positive and finite: the closure bound applies
+    return MetricSpace(tuple(vertices), d.view(_Closure))
 
 
 def floyd_warshall(d: np.ndarray) -> np.ndarray:
+    """All-pairs shortest paths of ``d``, stage k relaxing every entry
+    through k from the matrix of stage k - 1.
+
+    The closure bound of ``shortest_path_space`` relies on this stage
+    order: each entry is a summation tree that gains at most one level per
+    stage.  A closure that updates the matrix in slabs of rows but keeps
+    the stages in order and reads each stage's operands from the stage
+    before keeps it; a blocked Floyd-Warshall, which mixes operands of
+    different stages within a tile, does not.
+    """
     d = np.array(d, dtype=float)
     paths = np.empty_like(d)   # one buffer for the paths through every k
     for k in range(d.shape[0]):

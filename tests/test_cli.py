@@ -219,7 +219,7 @@ class TestSuiteOutputs:
         ("out.v2/rep", "out.v2/rep.csv"),
         ("rep", "rep.csv"),
         ("rep.json", "rep.csv"),
-        (None, "suite_report.csv"),
+        (None, None),   # no report file, so no CSV either
     ])
     def test_csv_written_beside_the_report(self, tmp_path, monkeypatch,
                                            output, csv):
@@ -231,8 +231,9 @@ class TestSuiteOutputs:
         assert main(argv + (["-o", output] if output else [])) == 0
         written = sorted(p.relative_to(tmp_path).as_posix()
                          for p in tmp_path.rglob("*.csv"))
-        assert written == [csv]
-        assert (tmp_path / csv).read_text().startswith("check,pass,fail\n")
+        assert written == ([csv] if csv else [])
+        if csv:
+            assert (tmp_path / csv).read_text().startswith("check,pass,fail\n")
 
 
 def test_grid_neighborhoods_on_a_matrix_metric(tmp_path):
@@ -242,3 +243,63 @@ def test_grid_neighborhoods_on_a_matrix_metric(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     assert main(["slopes", str(path)]) == 3
+
+
+def three_points(**metric):
+    """A valid 3-point graph instance; keyword arguments replace entries."""
+    obj = {"points": ["a", "b", "c"],
+           "metric": {"kind": "graph",
+                      "edges": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 3.0]]},
+           "neighborhoods": {"kind": "all"},
+           "fields": {"f": [0.0, 1.0, 2.0]}}
+    obj.update(metric)
+    return obj
+
+
+GRID = {"kind": "grid", "bounds": [[0.0, 1.0]], "resolution": [3], "p": 2}
+
+
+@pytest.mark.parametrize("obj", [
+    three_points(metric={"kind": "matrix",
+                         "dist": [[0, 1, 2], [1, 0, "x"], [2, 1, 0]]}),
+    three_points(metric={"kind": "matrix",
+                         "dist": [[0, 1, 2], [1, 0], [2, 1, 0]]}),
+    three_points(metric={"kind": "graph", "edges": [[0, 1], [1, 2, 1.0]]}),
+    three_points(metric={"kind": "graph",
+                         "edges": [[0, 1, 1.0], ["x", 2, 1.0]]}),
+    three_points(metric={"kind": "graph",
+                         "edges": [[0, 1, 1.0], [1, 2, "w"]]}),
+    three_points(metric={"kind": "graph",
+                         "edges": [[0, 1, 1.0], [1, 2, float("nan")],
+                                   [0, 2, 3.0]]}),
+    three_points(metric={"kind": "graph",
+                         "edges": [[0, 1, 1.0], [1, 2, float("inf")],
+                                   [0, 2, 3.0]]}),
+    three_points(neighborhoods={"kind": "explicit", "adj": [[0, 9]]}),
+    three_points(neighborhoods={"kind": "explicit", "adj": [[0, -1]]}),
+    three_points(neighborhoods={"kind": "explicit", "adj": [[0, 1, 2]]}),
+    three_points(neighborhoods={"kind": "ball", "r": "x"}),
+    three_points(fields={"f": [0.0, "q", 2.0]}),
+    three_points(fields={"f": 3}),
+    three_points(points=["n0", "n1", "n2"], metric=dict(GRID, p="x")),
+    three_points(points=["n0", "n1", "n2"],
+                 metric=dict(GRID, bounds=[[0.0, "x"]])),
+    three_points(points=["n0", "n1", "n2"],
+                 metric=dict(GRID, resolution=["x"])),
+    three_points(metric=[1, 2]),
+    three_points(seed="s"),
+    [three_points()],
+], ids=["matrix-string", "matrix-ragged", "edge-pair", "edge-vertex-x",
+        "edge-weight-w", "edge-weight-nan", "edge-weight-inf", "adj-9",
+        "adj-minus-1", "adj-triple", "ball-r-x", "field-q", "field-number",
+        "grid-p-x", "grid-bound-x", "grid-resolution-x", "metric-list",
+        "seed-string", "top-level-list"])
+@pytest.mark.parametrize("command", ["validate", "slopes"])
+def test_malformed_instance_is_input_error(tmp_path, capsys, obj, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))   # NaN and Infinity as json writes them
+    assert main([command, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert "Traceback" not in captured.err

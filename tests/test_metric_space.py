@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from slopekit import (DomainError, MetricSpace, NeighborhoodSystem,
 from slopekit.config import resolve_tol
 from slopekit.errors import MetricError
 from slopekit import metric_space
-from slopekit.instances import instance_from_dict
-from slopekit.metric_space import (Violation, _certified, _lp_distances,
+from slopekit.instances import gen_random_instance, instance_from_dict
+from slopekit.metric_space import (Violation, _certified, _Closure,
+                                   _closure_certified, _lp_distances,
                                    _triangle_ok, floyd_warshall, metric_closure)
 
 
@@ -338,6 +340,25 @@ class TestShortestPathSpace:
     def test_nonpositive_weight(self):
         with pytest.raises(ParameterError):
             shortest_path_space(["a", "b"], [("a", "b", 0.0)])
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf])
+    def test_nonfinite_weight(self, w):
+        """Such an edge used to be dropped: nan < d and inf < inf are False."""
+        with pytest.raises(ParameterError,
+                           match=r"edge \('b', 'c'\) has non-finite weight"):
+            shortest_path_space(["a", "b", "c"], [
+                ("a", "b", 1.0), ("b", "c", w), ("a", "c", 3.0)])
+
+    def test_minus_infinite_weight_is_nonpositive(self):
+        with pytest.raises(ParameterError, match="nonpositive weight -inf"):
+            shortest_path_space(["a", "b"], [("a", "b", -math.inf)])
+
+    def test_weight_below_the_tolerance(self):
+        """The closure bound replaces the triangle pass only: the sign check
+        still runs."""
+        with pytest.raises(MetricError, match="is not positive"):
+            shortest_path_space(["a", "b", "c"],
+                                [("a", "b", 1.0), ("b", "c", 1e-10)])
 
     def test_relabel_invariance(self):
         edges = [(0, 1, 1.0), (1, 2, 0.5), (0, 2, 2.5)]
@@ -667,3 +688,179 @@ class TestCoordinateCertificate:
         sub = inst.space.subspace(inst.space.points[::3])
         assert sub.coords == inst.space.coords[::3]
         assert len(calls) == 2 and passes == []
+
+
+U = 2.0 ** -53
+
+
+def closure_bound(d):
+    """The certificate's bound (4 n + 3) u max(d), rounded up to a float."""
+    exact = Fraction(4 * len(d) + 3) * Fraction(U) * Fraction(float(d.max()))
+    bound = float(exact)
+    return bound if bound >= exact else math.nextafter(bound, math.inf)
+
+
+def max_excess(d):
+    """Oracle: the largest fl(d_ij - fl(d_ik + d_kj)) over all triples,
+    one intermediate k at a time."""
+    return max((d - (d[:, k:k + 1] + d[k:k + 1, :])).max()
+               for k in range(len(d)))
+
+
+def graph_edges(rng, family, n):
+    """Vertex pairs of a graph on n vertices; chains give the deepest
+    summation trees, parallel edges repeat pairs."""
+    if family == "chain":
+        return [(i, i + 1) for i in range(n - 1)]
+    if family == "star":
+        return [(0, i) for i in range(1, n)]
+    if family == "complete":
+        return list(itertools.combinations(range(n), 2))
+    tree = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+    if family == "parallel":
+        return tree + [tree[i] for i in rng.integers(0, n - 1, n - 1)]
+    extra = rng.integers(0, n, (int(rng.integers(0, 2 * n + 1)), 2))
+    return tree + [(int(i), int(j)) for i, j in extra if i != j]
+
+
+def graph_weights(rng, kind, m):
+    if kind == "uniform":
+        return rng.uniform(0.2, 2.0, m)
+    if kind == "log-uniform":
+        return 2.0 ** rng.uniform(-30, 30, m)
+    return 1.0 + 1e-12 * rng.integers(0, 4, m)   # near-equal: ties
+
+
+def weight_matrix(n, edges):
+    """W as shortest_path_space builds it: the lightest edge per pair."""
+    w = np.full((n, n), np.inf)
+    np.fill_diagonal(w, 0.0)
+    for i, j, x in edges:
+        w[i, j] = w[j, i] = min(w[i, j], x)
+    return w
+
+
+def sweep_graphs():
+    rng = np.random.default_rng(41)
+    sizes = (1, 2, 3, 5, 17, 40, 90, 160, 230, 300)
+    for f, family in enumerate(("tree", "chain", "star", "complete",
+                                "parallel")):
+        for k, kind in enumerate(("uniform", "log-uniform", "near-equal")):
+            for n in sizes[(f + k) % 3::3]:
+                if family == "complete" or (family, kind) == ("chain",
+                                                              "log-uniform"):
+                    # 4,005 edges; a 230-point chain breaks 863,770
+                    # triangles by rounding, an 8 s report per validation
+                    n = min(n, 90)
+                pairs = graph_edges(rng, family, n)
+                edges = [(i, j, float(x)) for (i, j), x in
+                         zip(pairs, graph_weights(rng, kind, len(pairs)))]
+                yield family, kind, n, edges
+
+
+def count_calls(monkeypatch, name):
+    """Wrap metric_space.<name> so that each call is recorded."""
+    calls, fn = [], getattr(metric_space, name)
+    monkeypatch.setattr(metric_space, name,
+                        lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+class TestClosureCertificate:
+    """The rounding bound of shortest-path closures against floyd_warshall,
+    the triangle pass and an n^3 excess oracle."""
+
+    def test_sweep(self):
+        tol = resolve_tol()
+        ratios, kinds, families = [], set(), set()
+        for family, kind, n, edges in sweep_graphs():
+            ref = floyd_warshall(weight_matrix(n, edges))
+            want = validate_metric(ref)
+            try:
+                space = shortest_path_space([f"v{i}" for i in range(n)], edges)
+            except MetricError as exc:
+                assert str(exc) == "not a metric: " + want.summary()
+            else:
+                assert want.ok and space.dist.tobytes() == ref.tobytes()
+                assert type(space.dist) is np.ndarray
+            bound = closure_bound(ref)
+            for t in (tol, bound):   # uncertified reports are compared above
+                if _closure_certified(ref, t):
+                    assert validate_metric(ref.view(_Closure), t) == \
+                        validate_metric(ref, t)
+            assert _closure_certified(ref, bound)
+            assert _triangle_ok(ref, bound)
+            excess = max_excess(ref)
+            assert excess <= bound
+            for t in (0.0, excess, math.nextafter(excess, -math.inf),
+                      bound / 1000, U * float(ref.max())):
+                if t >= 0 and _closure_certified(ref, t):
+                    assert excess <= t, (family, kind, n, t)
+            if n >= 3:
+                assert not _closure_certified(ref, 0.0)
+                ratios.append(excess / bound)
+            families.add(family)
+            kinds.add(kind)
+        assert len(families) == 5 and len(kinds) == 3
+        # rounding leaves positive excesses, some above a thousandth of the
+        # bound, so the bound is not loose by that factor
+        assert max(ratios) > 1e-3
+
+    @pytest.mark.parametrize("n,scale", [(200, 1.0), (120, 2.0 ** 30)])
+    def test_tolerance_below_the_bound_takes_the_pass(self, monkeypatch, n,
+                                                       scale):
+        rng = np.random.default_rng([42, n])
+        pairs = graph_edges(rng, "chain", n) + graph_edges(rng, "tree", n)
+        edges = [(i, j, float(x) * scale) for (i, j), x in
+                 zip(pairs, graph_weights(rng, "uniform", len(pairs)))]
+        ref = floyd_warshall(weight_matrix(n, edges))
+        bound = closure_bound(ref)
+        passes = count_calls(monkeypatch, "_triangle_ok")
+        if scale == 1.0:   # the pass succeeds below the bound
+            monkeypatch.setenv("SLOPEKIT_TOL", repr(bound / 2))
+            want = validate_metric(ref)
+            assert want.ok
+            space = shortest_path_space(range(n), edges)
+            assert space.dist.tobytes() == ref.tobytes()
+        else:   # weights near 2^30: the bound exceeds 1e-9 and rounding
+            assert bound > resolve_tol()   # breaks triangles by more
+            want = validate_metric(ref)
+            assert not want.ok
+            with pytest.raises(MetricError) as exc:
+                shortest_path_space(range(n), edges)
+            assert str(exc.value) == "not a metric: " + want.summary()
+        assert len(passes) == 2   # one for the space, one for the reference
+
+    def test_graph_instance_loads_without_a_triangle_pass(self, monkeypatch):
+        graph = gen_random_instance(43, 200, metric_kind="graph")
+        obj = graph.to_dict()
+        calls = count_calls(monkeypatch, "validate_metric")
+        passes = count_calls(monkeypatch, "_triangle_ok")
+        space = instance_from_dict(obj).space
+        assert len(calls) == 1 and passes == []
+        assert type(space.dist) is np.ndarray
+        # the same closure as a matrix, through MetricSpace, validate_metric
+        # or a subspace, takes the pass once each
+        matrix = dict(obj, metric={"kind": "matrix",
+                                   "dist": space.dist.tolist()})
+        assert np.array_equal(instance_from_dict(matrix).space.dist, space.dist)
+        assert len(passes) == 1
+        MetricSpace(space.points, space.dist.copy())
+        assert len(passes) == 2
+        assert metric_space.validate_metric(space.dist).ok
+        assert len(passes) == 3
+        sub = space.subspace(space.points[::2])
+        assert type(sub.dist) is np.ndarray
+        assert len(calls) == 5 and len(passes) == 4
+
+    def test_broken_matrix_is_not_certified(self):
+        """A matrix within the bound's reach of tol but not a closure keeps
+        the full pass, through MetricSpace and validate_metric alike."""
+        d = metric_closure(np.random.default_rng(44).uniform(0.3, 2.0, (9, 9)))
+        d[2, 7] = d[7, 2] = 5.0   # the other distances are below 2
+        assert _closure_certified(d, resolve_tol())
+        report = validate_metric(d)
+        assert report.violations == reference_violations(d)
+        assert {v.kind for v in report.violations} == {"triangle"}
+        with pytest.raises(MetricError):
+            MetricSpace(tuple("abcdefghi"), d)
