@@ -10,11 +10,10 @@ import os
 import sys
 
 from .convex1d import mr_check, pl_from_dict
-from .errors import (FatalFinding, HypothesisViolation, ParameterError,
-                     SlopekitError)
-from .instances import (gen_random_instance, instance_from_dict,
-                        load_instance, save_instance)
-from .metric_space import ValidationReport, validate_metric
+from .errors import (FatalFinding, HypothesisViolation, MetricError,
+                     ParameterError, SlopekitError)
+from .instances import gen_random_instance, load_instance, save_instance
+from .metric_space import ValidationReport
 from .slope_core import (INF, eps_argmin, eps_crit, eps_Crit, global_slope,
                          local_slope)
 from .suite import run_suite, summary_csv
@@ -44,15 +43,11 @@ def _emit(obj, path=None):
 
 
 def cmd_validate(args):
-    with open(args.instance) as fh:
-        obj = json.load(fh)
-    metric = obj.get("metric") if isinstance(obj, dict) else None
-    if isinstance(metric, dict) and metric.get("kind") == "matrix":
-        # reported as given: an invalid matrix cannot become a MetricSpace
-        report = validate_metric(metric["dist"])
-    else:
-        instance_from_dict(obj)   # its space is validated as it is built
-        report = ValidationReport([])
+    report = ValidationReport([])
+    try:
+        load_instance(args.instance)   # its space is validated as it is built
+    except MetricError as exc:
+        report = exc.report
     _emit(report.to_dict(), args.output)
     return EXIT_OK if report.ok else EXIT_INPUT
 

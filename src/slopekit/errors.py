@@ -10,7 +10,11 @@ class ShapeError(SlopekitError):
 
 
 class MetricError(SlopekitError):
-    """A distance matrix violates the metric axioms."""
+    """A distance matrix violates the metric axioms, each named in ``report``."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class DomainError(SlopekitError):

@@ -93,12 +93,19 @@ def _parsed(convert, value, what):
         raise ParameterError(f"malformed {what}: {value!r}") from None
 
 
+def _index(value):
+    """``int(value)``, refusing a fraction, which int() would truncate."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
 def _edge(edge):
     u, v, w = edge
-    return int(u), int(v), float(w)
+    return _index(u), _index(v), float(w)
 
 
-def _pair(pair, convert=int):
+def _pair(pair, convert=_index):
     a, b = pair
     return convert(a), convert(b)
 
@@ -118,7 +125,7 @@ def _space_from_spec(points, spec):
         bounds = [_parsed(lambda b: _pair(b, float), b,
                           "grid bound (want [lo, hi])")
                   for b in _expect(spec["bounds"], list, "grid bounds")]
-        resolution = [_parsed(int, r, "grid resolution") for r in
+        resolution = [_parsed(_index, r, "grid resolution") for r in
                       _expect(spec["resolution"], list, "grid resolution")]
         space, nbhd = grid_space(bounds, resolution, p)
         if list(space.points) != list(points):
@@ -186,8 +193,8 @@ def save_instance(instance: Instance, path):
 def _seed_repr(seed):
     """Seeds may be ints or lists of ints (numpy seed sequences)."""
     if isinstance(seed, (list, tuple)):
-        return [int(s) for s in seed]
-    return int(seed)
+        return [_index(s) for s in seed]
+    return _index(seed)
 
 
 def _random_field_values(rng, n, p_inf=0.0, low=0.0, high=3.0):

@@ -86,8 +86,8 @@ def _triangle_ok(arr, tol) -> bool:
     return True
 
 
-def _as_coords(coords, n) -> np.ndarray:
-    """``coords`` as an n x dim float array, dim >= 1, every entry finite."""
+def _as_coords(coords, n) -> tuple:
+    """``coords`` as n rows of dim >= 1 floats, every entry finite."""
     try:
         arr = np.asarray(coords, dtype=float)
     except (TypeError, ValueError):
@@ -98,7 +98,7 @@ def _as_coords(coords, n) -> np.ndarray:
                          f"with dim >= 1, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ShapeError("coordinates must be finite")
-    return arr
+    return tuple(map(tuple, arr.tolist()))
 
 
 def _pow(t, e):
@@ -136,119 +136,39 @@ def _lp_distances(coords, p) -> np.ndarray:
     return d if p == math.inf else _pow(d, 1.0 / p)
 
 
-# The triangle inequality of a matrix d that is bit for bit the l_inf, l_1
-# or l_2 matrix of float coordinates x, as _lp_distances builds it.
-#
-# Model (IEEE double, round to nearest, u = 2^-53): subtraction, addition,
-# np.square and np.sqrt are correctly rounded, fl(a o b) = (a o b)(1 + e)
-# with |e| <= u; abs, max and np.positive are exact.  Subtraction, addition
-# and sqrt lose nothing to underflow; a square that underflows adds an
-# absolute error of at most 2^-1075.  Write g_k = k u / (1 - k u).
-#
-# Let r_ij be the exact l_p distance between the float points x_i and x_j.
-# By Minkowski's inequality r is a (pseudo)metric.  Each per-axis difference
-# carries one factor (1 + e).  Every entry is d_ij = r_ij (1 + t) + h:
-#   p = inf: |t| <= u, h = 0 (the largest rounded difference);
-#   p = 1:   |t| <= g_dim, h = 0 (the difference and at most dim - 1 sums,
-#            in whatever order numpy adds);
-#   p = 2:   the sum of squares is r^2 (1 + s) + M with |s| <= g_(dim+2)
-#            (difference twice, square, dim - 1 sums) and
-#            |M| <= dim 2^-1075 (1 + g_dim); the square root adds one
-#            factor, and sqrt(y + M) lies within sqrt(|M|) of sqrt(y), so
-#            |t| <= g_(dim+3) and |h| <= b = sqrt(dim) 2^-537.
-# Let a = g_(dim+3), which covers all three, and D = max d.  The triangle
-# pass computes E = fl(d_ij - fl(d_ik + d_kj)).  With R = r_ik + r_kj >= r_ij,
-#   d_ij - fl(d_ik + d_kj) <= R (1 + a) + b - (R (1 - a) - 2 b)(1 - u)
-#                          <= R (2 a + u) + 3 b,
-# rounding multiplies a positive difference by at most 1 + u (an overflow
-# of the sum gives E = -inf), and R <= 2 max r <= 2 (D + b) / (1 - a), so
-#   E <= (1 + u) ((2 a + u) 2 (D + b) / (1 - a) + 3 b).
-# For dim < 2^30 the factor of D is at most (4 (dim + 3) + 2)(1 + 2^-17) u
-# and the terms in b sum to at most 4 b <= dim 2^-535, so
-#   E <= 5 (dim + 3) u D + dim 2^-535,
-# with a margin of at least dim u D that covers the two roundings made
-# in computing the bound itself.  When the bound is at most tol, no triple of
-# the triangle pass exceeds tol.
-def _certified(arr, coords, tol) -> bool:
-    """Whether the triangle inequality of ``arr`` within ``tol`` follows from
-    ``coords`` by the rounding bound: arr is bit for bit their l_inf, l_1 or
-    l_2 matrix and the bound is at most tol."""
-    dim = coords.shape[1]
-    if 5 * (dim + 3) * 2.0 ** -53 * float(arr.max()) + dim * 2.0 ** -535 > tol:
-        return False
-    return any(np.array_equal(arr, _lp_distances(coords, p))
-               for p in (math.inf, 1.0, 2.0))
+class _Bounded(np.ndarray):
+    """A distance matrix whose triangle excesses, and those of its principal
+    submatrices, are proved at most rel * max(submatrix) + ab, for (rel, ab)
+    = ``bound``.  Only grid_space, shortest_path_space and subspace make one."""
+    bound = None
 
 
-class _Closure(np.ndarray):
-    """Marks the matrix that ``floyd_warshall`` returned to
-    ``shortest_path_space`` for weights that function checked.  Nothing
-    else makes one, and ``_as_square_matrix`` turns every input into a
-    plain array, so no caller-supplied matrix reaches
-    ``_closure_certified``."""
+def _bounded(arr, rel, ab) -> _Bounded:
+    arr = arr.view(_Bounded)
+    arr.bound = (rel, ab)
+    return arr
 
 
-# The triangle inequality of a matrix D that floyd_warshall computed from a
-# weight matrix W with a zero diagonal and positive or +inf entries
-# elsewhere, as shortest_path_space builds it.
-#
-# Model as for _certified: u = 2^-53, addition and subtraction are
-# correctly rounded and lose nothing to underflow, min is exact.  Stage k
-# computes D^k_ij = min(D^(k-1)_ij, fl(D^(k-1)_ik + D^(k-1)_kj)); D_kk = 0
-# stays, so row and column k do not change at stage k.  Let delta be the
-# exact shortest-path distances of the float weights, a metric, and
-# delta^k those of the paths through the first k points only.
-# Lower bound: a finite D_ij is the computed sum of the weights of some i-j
-# walk, by a binary tree that gains at most one level per stage, so of
-# depth at most n.  Each weight carries at most n factors (1 + e), e >= -u,
-# and all are positive, so D_ij >= (1 - u)^n delta_ij, whatever the
-# length of the walk.
-# Upper bound: by induction over k, D^k_ij <= (1 + u)^k delta^k_ij when the
-# right side does not exceed the largest double: delta^k_ij is either
-# delta^(k-1)_ij or delta^(k-1)_ik + delta^(k-1)_kj, rounding is monotone
-# and fl(a + b) <= (1 + u)(a + b) below overflow.  Let M = max D < 2^1000.
-# Then delta <= M / (1 - u)^n keeps (1 + u)^n delta finite, and
-# D_ij <= (1 + u)^n delta_ij.
-# The triangle pass computes E = fl(D_ij - fl(D_ik + D_kj)).  With
-# R = delta_ik + delta_kj >= delta_ij,
-#   D_ij - fl(D_ik + D_kj) <= (1 + u)^n R - (1 - u)^(n + 1) R,
-# rounding multiplies a positive difference by at most 1 + u (an overflow
-# of the sum gives E = -inf), and R <= 2 M / (1 - u)^n, so
-#   E <= (1 + u) ((1 + u)^n - (1 - u)^(n + 1)) 2 M / (1 - u)^n.
-# For n <= 2^20, with x = n u <= 2^-33, (1 + u)^n <= 1 + x + x^2,
-# (1 - u)^(n + 1) >= 1 - x - u and (1 - u)^-n <= 1 + 2 x, so
-#   E <= (4 n + 2)(1 + 4 x) u M <= (4 n + 3) u M.
-# The bound is compared with tol exactly, as integer ratios.  When it is at
-# most tol, no triple of the triangle pass exceeds tol.
-def _closure_certified(arr, tol) -> bool:
-    """Whether the triangle inequality of ``arr``, a ``floyd_warshall``
-    closure of positive weights, holds within ``tol`` by the rounding bound
-    (4 n + 3) 2^-53 max(arr)."""
-    n, top = arr.shape[0], float(arr.max())
-    if n > 2 ** 20 or top >= 2.0 ** 1000:
-        return False
-    (a, b), (c, d) = top.as_integer_ratio(), float(tol).as_integer_ratio()
-    return (4 * n + 3) * a * d <= c * b * 2 ** 53
+def _certifies(bound, top, tol) -> bool:
+    """Whether rel * top + ab <= tol, (rel, ab) = ``bound``, exactly."""
+    (r, rd), (a, ad), (m, md), (t, td) = (
+        float(x).as_integer_ratio() for x in (*bound, top, tol))
+    return (r * m * ad + a * rd * md) * td <= t * rd * ad * md
 
 
-def validate_metric(dist, tol=None, coords=None) -> ValidationReport:
+def validate_metric(dist, tol=None) -> ValidationReport:
     """Check all metric axioms, reporting every violated instance.
 
-    ``coords``, one row of coordinates per point, may be given when they are
-    known.  If ``dist`` is bit for bit their l_inf, l_1 or l_2 matrix and a
-    proved rounding bound, 5 (dim + 3) 2^-53 max(dist) + dim 2^-535, is at
-    most ``tol``, the triangle inequality holds within tol and its O(n^3)
-    pass is skipped; the report is the same as without ``coords``.
-    Otherwise an exactly symmetric matrix has its triangle inequality
-    checked once per unordered pair; the per-triple report is built only
-    when that fails.
+    An exactly symmetric matrix has its triangle inequality checked once
+    per unordered pair; the per-triple report is built only when that
+    fails.  A matrix that a builder marked with a proved rounding bound
+    skips that pass when the bound is at most ``tol``, with the same
+    report; a matrix a caller passes is never marked.
     """
     tol = resolve_tol(tol)
-    closure = type(dist) is _Closure
+    bound = dist.bound if type(dist) is _Bounded else None
     arr = _as_square_matrix(dist)
     n = arr.shape[0]
-    if coords is not None:
-        coords = _as_coords(coords, n)
     off = ~np.eye(n, dtype=bool)
     violations = [
         Violation("diagonal", (i,), f"dist[{i}][{i}] = {arr[i, i]} != 0")
@@ -265,8 +185,7 @@ def validate_metric(dist, tol=None, coords=None) -> ValidationReport:
                 "asymmetry", (i, j),
                 f"dist[{i}][{j}] = {arr[i, j]} != dist[{j}][{i}] = {arr[j, i]}"))
     # triangle inequality: with n < 3 no triple of distinct points exists
-    if (n < 3 or (coords is not None and _certified(arr, coords, tol))
-            or (closure and _closure_certified(arr, tol))
+    if (n < 3 or (bound is not None and _certifies(bound, arr.max(), tol))
             or (np.array_equal(arr, arr.T) and _triangle_ok(arr, tol))):
         return ValidationReport(violations)
     # every ordered triple through an intermediate k, in one reused buffer:
@@ -296,21 +215,20 @@ class MetricSpace:
         self.points = tuple(str(p) for p in self.points)
         if len(set(self.points)) != len(self.points):
             raise ParameterError("point identifiers must be unique")
-        closure = type(self.dist) is _Closure
-        self.dist = _as_square_matrix(self.dist)
+        given = self.dist   # a builder's matrix keeps its proved bound
+        bound = given.bound if type(given) is _Bounded else None
+        self.dist = _as_square_matrix(given)
         if self.dist.shape[0] != len(self.points):
             raise ShapeError(
                 f"{len(self.points)} points but distance matrix is "
                 f"{self.dist.shape[0]}x{self.dist.shape[1]}")
-        coords = self.coords
-        if coords is not None:
-            coords = _as_coords(coords, len(self.points))
-            self.coords = tuple(map(tuple, coords.tolist()))
-        report = validate_metric(
-            self.dist.view(_Closure) if closure else self.dist, None, coords)
+        if self.coords is not None:
+            self.coords = _as_coords(self.coords, len(self.points))
+        report = validate_metric(self.dist if bound is None else given)
         if not report.ok:
-            raise MetricError("not a metric: " + report.summary())
+            raise MetricError("not a metric: " + report.summary(), report)
         self.dist.flags.writeable = False
+        self._bound = bound
         self._index = {p: i for i, p in enumerate(self.points)}
 
     @property
@@ -339,7 +257,9 @@ class MetricSpace:
         if missing:
             raise DomainError(f"points not in space: {sorted(missing)}")
         pts = tuple(self.points[i] for i in keep)
-        sub = self.dist[np.ix_(keep, keep)].copy()
+        sub = self.dist[np.ix_(keep, keep)]
+        if self._bound is not None:   # it holds for every principal submatrix
+            sub = _bounded(sub, *self._bound)
         coords = tuple(self.coords[i] for i in keep) if self.coords else None
         return MetricSpace(pts, sub, coords)
 
@@ -446,14 +366,48 @@ def explicit_neighborhoods(space: MetricSpace, pairs) -> NeighborhoodSystem:
     return NeighborhoodSystem(space.points, nbrs).validate()
 
 
+# The triangle inequality of a matrix D that floyd_warshall computed from a
+# weight matrix W with a zero diagonal and positive or +inf entries
+# elsewhere, as shortest_path_space builds it.
+#
+# Model as for grid_space, below: u = 2^-53, addition and subtraction
+# are correctly rounded and lose nothing to underflow, min is exact.  Stage k
+# computes D^k_ij = min(D^(k-1)_ij, fl(D^(k-1)_ik + D^(k-1)_kj)); D_kk = 0
+# stays, so row and column k do not change at stage k.  Let delta be the
+# exact shortest-path distances of the float weights, a metric, and
+# delta^k those of the paths through the first k points only.
+# Lower bound: a finite D_ij is the computed sum of the weights of some i-j
+# walk, by a binary tree that gains at most one level per stage, so of
+# depth at most n.  Each weight carries at most n factors (1 + e), e >= -u,
+# and all are positive, so D_ij >= (1 - u)^n delta_ij, whatever the
+# length of the walk.
+# Upper bound: by induction over k, D^k_ij <= (1 + u)^k delta^k_ij when the
+# right side does not exceed the largest double: delta^k_ij is either
+# delta^(k-1)_ij or delta^(k-1)_ik + delta^(k-1)_kj, rounding is monotone
+# and fl(a + b) <= (1 + u)(a + b) below overflow.  Let M = max D < 2^1000.
+# Then delta <= M / (1 - u)^n keeps (1 + u)^n delta finite, and
+# D_ij <= (1 + u)^n delta_ij.
+# The triangle pass computes E = fl(D_ij - fl(D_ik + D_kj)).  With
+# R = delta_ik + delta_kj >= delta_ij,
+#   D_ij - fl(D_ik + D_kj) <= (1 + u)^n R - (1 - u)^(n + 1) R,
+# rounding multiplies a positive difference by at most 1 + u (an overflow
+# of the sum gives E = -inf), and R <= 2 M / (1 - u)^n, so
+#   E <= (1 + u) ((1 + u)^n - (1 - u)^(n + 1)) 2 M / (1 - u)^n.
+# For n <= 2^20, with x = n u <= 2^-33, (1 + u)^n <= 1 + x + x^2,
+# (1 - u)^(n + 1) >= 1 - x - u and (1 - u)^-n <= 1 + 2 x, so
+#   E <= (4 n + 2)(1 + 4 x) u M <= (4 n + 3) u M.
+# When the bound is at most tol, no triple of the triangle pass exceeds
+# tol.  R is bounded by the largest entry of the triple's own pairs, so for
+# a principal submatrix, whose triples are some of D's with the same bits,
+# M may be its own max; n stays that of D.
 def shortest_path_space(vertices, edges) -> MetricSpace:
     """Metric space of all-pairs shortest-path distances of a weighted graph.
 
     Edges are (u, v, w) triples with vertex names or indices into the
     vertex list.  Weights must be strictly positive and finite, and the
-    graph connected.  The triangle inequality of the distances is certified
-    by a rounding bound on ``floyd_warshall`` (see ``_closure_certified``)
-    when that bound is at most the tolerance, and checked otherwise.
+    graph connected.  The distances, and those of every subspace, carry
+    the rounding bound on ``floyd_warshall`` derived above, which
+    certifies their triangle inequality when it is at most the tolerance.
     """
     vertices = [str(v) for v in vertices]
     n = len(vertices)
@@ -484,8 +438,9 @@ def shortest_path_space(vertices, edges) -> MetricSpace:
         i, j = unreachable[0]
         raise ParameterError(
             f"graph is disconnected: no path from {vertices[i]!r} to {vertices[j]!r}")
-    # the weights are positive and finite: the closure bound applies
-    return MetricSpace(tuple(vertices), d.view(_Closure))
+    if n <= 2 ** 20 and d.max() < 2.0 ** 1000:   # the bound derived above
+        d = _bounded(d, (4 * n + 3) * 2.0 ** -53, 0.0)
+    return MetricSpace(tuple(vertices), d)
 
 
 def floyd_warshall(d: np.ndarray) -> np.ndarray:
@@ -521,11 +476,46 @@ def metric_closure(weights: np.ndarray) -> np.ndarray:
     return floyd_warshall(w)
 
 
+# The triangle inequality of a matrix d that is bit for bit the l_inf, l_1
+# or l_2 matrix of float coordinates x, as _lp_distances builds it.
+#
+# Model (IEEE double, round to nearest, u = 2^-53): subtraction, addition,
+# np.square and np.sqrt are correctly rounded, fl(a o b) = (a o b)(1 + e)
+# with |e| <= u; abs, max and np.positive are exact.  Subtraction, addition
+# and sqrt lose nothing to underflow; a square that underflows adds an
+# absolute error of at most 2^-1075.  Write g_k = k u / (1 - k u).
+#
+# Let r_ij be the exact l_p distance between the float points x_i and x_j.
+# By Minkowski's inequality r is a (pseudo)metric.  Each per-axis difference
+# carries one factor (1 + e).  Every entry is d_ij = r_ij (1 + t) + h:
+#   p = inf: |t| <= u, h = 0 (the largest rounded difference);
+#   p = 1:   |t| <= g_dim, h = 0 (the difference and at most dim - 1 sums,
+#            in whatever order numpy adds);
+#   p = 2:   the sum of squares is r^2 (1 + s) + M with |s| <= g_(dim+2)
+#            (difference twice, square, dim - 1 sums) and
+#            |M| <= dim 2^-1075 (1 + g_dim); the square root adds one
+#            factor, and sqrt(y + M) lies within sqrt(|M|) of sqrt(y), so
+#            |t| <= g_(dim+3) and |h| <= b = sqrt(dim) 2^-537.
+# Let a = g_(dim+3), which covers all three, and D = max d.  The triangle
+# pass computes E = fl(d_ij - fl(d_ik + d_kj)).  With R = r_ik + r_kj >= r_ij,
+#   d_ij - fl(d_ik + d_kj) <= R (1 + a) + b - (R (1 - a) - 2 b)(1 - u)
+#                          <= R (2 a + u) + 3 b,
+# rounding multiplies a positive difference by at most 1 + u (an overflow
+# of the sum gives E = -inf), and R <= 2 max r <= 2 (D + b) / (1 - a), so
+#   E <= (1 + u) ((2 a + u) 2 (D + b) / (1 - a) + 3 b).
+# For dim < 2^30 the factor of D is at most (4 (dim + 3) + 2)(1 + 2^-17) u
+# and the terms in b sum to at most 4 b <= dim 2^-535, so
+#   E <= 5 (dim + 3) u D + dim 2^-535,
+# with a margin of at least dim u D.  When the bound is at most tol, no
+# triple of the triangle pass exceeds tol.  R is bounded by the largest
+# entry of the triple's own pairs, so for a principal submatrix, whose
+# triples are some of d's with the same bits, D may be its own max.
 def grid_space(bounds, resolution, p=2.0):
     """Grid discretization of a box with the p-metric on coordinates.
 
     Returns (MetricSpace, NeighborhoodSystem); neighbors are the
-    axis-adjacent nodes.  p may be any real >= 1 or math.inf.
+    axis-adjacent nodes.  p may be any real >= 1 or math.inf; for p = 1, 2
+    or inf the distances carry the rounding bound derived above.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     resolution = [int(r) for r in resolution]
@@ -545,10 +535,13 @@ def grid_space(bounds, resolution, p=2.0):
     axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(bounds, resolution)]
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=1)
-    n = coords.shape[0]
+    n, dim = coords.shape
     points = tuple(f"n{i}" for i in range(n))
 
-    space = MetricSpace(points, _lp_distances(coords, p), coords=coords)
+    d = _lp_distances(coords, p)
+    if p in (1, 2, math.inf):   # the bound derived above
+        d = _bounded(d, 5 * (dim + 3) * 2.0 ** -53, dim * 2.0 ** -535)
+    space = MetricSpace(points, d, coords=coords)
 
     # axis-adjacent pairs by multi-index
     shape = tuple(resolution)

@@ -47,14 +47,30 @@ class TestValidate:
         report = json.loads(capsys.readouterr().out)
         assert not report["ok"] and report["violations"]
 
+    @pytest.mark.parametrize("metric", [
+        {"kind": "graph", "edges": [[0, 1, 1e-10], [1, 2, 1.0]]},
+        {"kind": "grid", "bounds": [[0.0, 2e-10]], "resolution": [3]}])
+    def test_broken_built_metric_prints_its_report(self, tmp_path, capsys,
+                                                   metric):
+        """A graph or grid whose metric fails is reported like a matrix."""
+        obj = {"points": ["n0", "n1", "n2"], "metric": metric,
+               "neighborhoods": {"kind": "all"}}
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(obj))
+        assert main(["validate", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert not report["ok"]
+        assert {v["kind"] for v in report["violations"]} == {"negative"}
+
     def test_instance_validated_once(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "graph.json"
         save_instance(gen_random_instance(3, 9, metric_kind="graph"), path)
         calls = []
         validate = metric_space.validate_metric
-        for module in (metric_space, cli):
-            monkeypatch.setattr(module, "validate_metric", lambda *args:
-                                calls.append(args) or validate(*args))
+        monkeypatch.setattr(metric_space, "validate_metric", lambda *args:
+                            calls.append(args) or validate(*args))
         assert main(["validate", str(path)]) == 0
         assert json.loads(capsys.readouterr().out) == {"ok": True,
                                                        "violations": []}
@@ -268,6 +284,8 @@ GRID = {"kind": "grid", "bounds": [[0.0, 1.0]], "resolution": [3], "p": 2}
     three_points(metric={"kind": "graph",
                          "edges": [[0, 1, 1.0], ["x", 2, 1.0]]}),
     three_points(metric={"kind": "graph",
+                         "edges": [[0, 1, 1.0], [1, 2.5, 1.0]]}),
+    three_points(metric={"kind": "graph",
                          "edges": [[0, 1, 1.0], [1, 2, "w"]]}),
     three_points(metric={"kind": "graph",
                          "edges": [[0, 1, 1.0], [1, 2, float("nan")],
@@ -278,6 +296,7 @@ GRID = {"kind": "grid", "bounds": [[0.0, 1.0]], "resolution": [3], "p": 2}
     three_points(neighborhoods={"kind": "explicit", "adj": [[0, 9]]}),
     three_points(neighborhoods={"kind": "explicit", "adj": [[0, -1]]}),
     three_points(neighborhoods={"kind": "explicit", "adj": [[0, 1, 2]]}),
+    three_points(neighborhoods={"kind": "explicit", "adj": [[0, 1.7]]}),
     three_points(neighborhoods={"kind": "ball", "r": "x"}),
     three_points(fields={"f": [0.0, "q", 2.0]}),
     three_points(fields={"f": 3}),
@@ -286,14 +305,22 @@ GRID = {"kind": "grid", "bounds": [[0.0, 1.0]], "resolution": [3], "p": 2}
                  metric=dict(GRID, bounds=[[0.0, "x"]])),
     three_points(points=["n0", "n1", "n2"],
                  metric=dict(GRID, resolution=["x"])),
+    three_points(points=["n0", "n1", "n2"],
+                 metric=dict(GRID, resolution=[2.7])),
+    three_points(points=["a", "b"], metric={"kind": "matrix", "dist": [
+        [0, 1, 2], [1, 0, 1], [2, 1, 0]]}, fields={"f": [0.0, "q"]}),
     three_points(metric=[1, 2]),
     three_points(seed="s"),
+    three_points(seed=1.5),
+    three_points(seed=float("inf")),
     [three_points()],
 ], ids=["matrix-string", "matrix-ragged", "edge-pair", "edge-vertex-x",
-        "edge-weight-w", "edge-weight-nan", "edge-weight-inf", "adj-9",
-        "adj-minus-1", "adj-triple", "ball-r-x", "field-q", "field-number",
-        "grid-p-x", "grid-bound-x", "grid-resolution-x", "metric-list",
-        "seed-string", "top-level-list"])
+        "edge-vertex-fraction", "edge-weight-w", "edge-weight-nan",
+        "edge-weight-inf", "adj-9", "adj-minus-1", "adj-triple",
+        "adj-fraction", "ball-r-x", "field-q", "field-number", "grid-p-x",
+        "grid-bound-x", "grid-resolution-x", "grid-resolution-fraction",
+        "matrix-points-mismatch", "metric-list", "seed-string",
+        "seed-fraction", "seed-infinite", "top-level-list"])
 @pytest.mark.parametrize("command", ["validate", "slopes"])
 def test_malformed_instance_is_input_error(tmp_path, capsys, obj, command):
     path = tmp_path / "bad.json"

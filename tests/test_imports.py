@@ -39,3 +39,57 @@ def test_unused_import_is_found():
     source = ("import os\nimport numpy as np\nfrom math import inf, nan\n"
               "print(np.zeros(1), inf)\n")
     assert unused_imports(source) == [(1, "os"), (3, "nan")]
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """(module, line, name) of each module-level private function, class or
+    constant that no module of ``sources`` (module name -> source) refers
+    to anywhere but at its definition."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.extend((module, node.lineno, name) for name in names
+                           if name.startswith("_")
+                           and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(d for d in defined if d[2] not in used)
+
+
+def test_no_unreferenced_private_names():
+    sources = {}
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE, module)) as fh:
+            sources[module] = fh.read()
+    assert unreferenced_private_names(sources) == []
+
+
+def test_unreferenced_private_name_is_found():
+    sources = {
+        "a.py": ("_LIMIT = 3\n_SPARE, _TOP = 1, 2\n"
+                 "def _helper():\n    return _LIMIT\n"
+                 "def _dead():\n    return 0\n"
+                 "class _Marker:\n    pass\n"
+                 "def public():\n    return __name__\n"),
+        "b.py": ("from .a import _helper\nimport a\n"
+                 "print(_helper(), a._TOP)\n"),
+    }
+    assert unreferenced_private_names(sources) == [
+        ("a.py", 2, "_SPARE"), ("a.py", 5, "_dead"), ("a.py", 7, "_Marker")]

@@ -15,9 +15,9 @@ from slopekit.config import resolve_tol
 from slopekit.errors import MetricError
 from slopekit import metric_space
 from slopekit.instances import gen_random_instance, instance_from_dict
-from slopekit.metric_space import (Violation, _certified, _Closure,
-                                   _closure_certified, _lp_distances,
-                                   _triangle_ok, floyd_warshall, metric_closure)
+from slopekit.metric_space import (ValidationReport, Violation, _bounded,
+                                   _certifies, _lp_distances, _triangle_ok,
+                                   floyd_warshall, metric_closure)
 
 
 def brute_shortest_paths(vertices, edges):
@@ -531,7 +531,7 @@ class TestCoords:
         with pytest.raises(ShapeError):
             MetricSpace(("a", "b", "c"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
                         coords=coords)
-        with pytest.raises(ShapeError):
+        with pytest.raises(TypeError):   # validate_metric takes no coords
             validate_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]], None, coords)
 
     def test_coords_become_float_tuples(self):
@@ -556,6 +556,60 @@ def full_tensor(coords, p):
     if p == math.inf:
         return diff.max(axis=2)
     return (diff ** p).sum(axis=2) ** (1.0 / p)
+
+
+U = 2.0 ** -53
+
+
+def grid_bound(dim):
+    """(rel, ab) of the proved bound of an l_inf, l_1 or l_2 grid matrix."""
+    return 5 * (dim + 3) * U, dim * 2.0 ** -535
+
+
+def closure_constants(n):
+    """(rel, ab) of the proved bound of an n-point shortest-path closure."""
+    return (4 * n + 3) * U, 0.0
+
+
+def exact_bound(bound, top):
+    """rel * top + ab, exactly."""
+    rel, ab = bound
+    return Fraction(rel) * Fraction(float(top)) + Fraction(ab)
+
+
+def rounded_up(x):
+    """The least float at or above the Fraction x."""
+    f = float(x)
+    return f if f >= x else math.nextafter(f, math.inf)
+
+
+def built_report(build):
+    """The report of the space that ``build()`` makes: empty, or the one its
+    MetricError carries."""
+    try:
+        build()
+    except MetricError as exc:
+        return exc.report
+    return ValidationReport([])
+
+
+def check_submatrix(rng, d, bound, space):
+    """A seeded random principal submatrix of ``d``, which carries the proved
+    bound (rel, ab) = ``bound``: its excess oracle is within rel * max + ab,
+    and it reports as the plain array does, marked with the bound and, when
+    ``space`` (d's space) was built, as its subspace."""
+    n = len(d)
+    keep = np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+    sub = d[np.ix_(keep, keep)]
+    assert Fraction(max_excess(sub)) <= exact_bound(bound, sub.max())
+    for t in (resolve_tol(), rounded_up(exact_bound(bound, sub.max()))):
+        assert validate_metric(_bounded(sub, *bound), t) == \
+            validate_metric(sub, t)
+    if space is not None:   # built without an error: an empty report
+        sub_space = space.subspace([space.points[i] for i in keep])
+        assert validate_metric(sub) == ValidationReport([])
+        assert sub_space.dist.tobytes() == sub.tobytes()
+        assert sub_space._bound == bound
 
 
 EXPONENTS = (1.0, 2.0, math.inf, 1.5, 3.0)
@@ -596,19 +650,26 @@ class TestCoordinateCertificate:
                         full_tensor(x, p).tobytes()
 
     def test_grids_match_full_tensor(self):
+        rng = np.random.default_rng(34)
         outcomes, broken = set(), set()
         for bounds, resolution, p in sweep_grids():
             coords, ref = full_tensor_grid(bounds, resolution, p)
             want = validate_metric(ref)
+            # only l_inf, l_1 and l_2 matrices carry the bound
+            bound = grid_bound(len(bounds)) if p in (1, 2, math.inf) else None
+            space = None
             try:
                 space, _ = grid_space(bounds, resolution, p)
             except MetricError as exc:
                 assert str(exc) == "not a metric: " + want.summary()
+                assert exc.report == want
             else:
                 assert want.ok and space.dist.tobytes() == ref.tobytes()
-            certified = _certified(ref, coords, resolve_tol())
+                assert space._bound == bound
+            certified = bound is not None and _certifies(bound, ref.max(),
+                                                         resolve_tol())
             if certified:   # grid_space's error above checks the rest
-                assert validate_metric(ref, None, coords) == want
+                assert validate_metric(_bounded(ref, *bound)) == want
                 assert _triangle_ok(ref, resolve_tol())
                 if len(ref) <= 100:   # the oracle loop is slow beyond
                     assert not [v for v in reference_violations(ref)
@@ -616,6 +677,8 @@ class TestCoordinateCertificate:
             outcomes.add((certified, want.ok))
             if any(v.kind == "triangle" for v in want.violations):
                 broken.add(p)
+            if bound is not None:
+                check_submatrix(rng, ref, bound, space)
         # certified metrics, certified grids whose spacing fails the sign
         # check, and grids left to the triangle pass, passing and failing
         assert outcomes == {(True, True), (True, False), (False, True),
@@ -625,46 +688,66 @@ class TestCoordinateCertificate:
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     def test_large_coordinates_take_the_full_pass(self, p):
         coords, ref = full_tensor_grid([(0, 1e7)], [40], p)
-        assert not _certified(ref, coords, resolve_tol())
+        assert not _certifies(grid_bound(1), ref.max(), resolve_tol())
         with pytest.raises(MetricError) as exc:
             grid_space([(0, 1e7)], [40], p)
         want = "not a metric: " + validate_metric(ref).summary()
         assert str(exc.value) == want
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_underflowing_squares(self, dim):
+    def test_underflowing_squares(self, monkeypatch, dim):
         """Spacings near 1e-158 square to subnormals.  With a tolerance of
         1e-160, below every distance, the certificate holds, and so does the
         triangle pass.  At 1e-170 rounding breaks triangles by about 1e-166,
         far more than a bound relative to the distances allows, and the
         absolute term of the bound leaves them to the triangle pass."""
         rng = np.random.default_rng([33, dim])
+        bound = grid_bound(dim)
+        passes = count_calls(monkeypatch, "_triangle_ok")
         broken = 0
         for _ in range(5):
-            coords, ref = full_tensor_grid(
-                [(a, a + 3e-158) for a in rng.uniform(-1e-157, 1e-157, dim)],
-                rng.integers(2, 5, dim).tolist(), 2.0)
-            assert _certified(ref, coords, 1e-160)
+            box = [(a, a + 3e-158) for a in rng.uniform(-1e-157, 1e-157, dim)]
+            resolution = rng.integers(2, 5, dim).tolist()
+            coords, ref = full_tensor_grid(box, resolution, 2.0)
+            assert _certifies(bound, ref.max(), 1e-160)
             assert _triangle_ok(ref, 1e-160)
             assert reference_violations(ref, 1e-160) == []
-            assert validate_metric(ref, 1e-160, coords).ok
-            report = validate_metric(ref, 1e-170, coords)
+            assert validate_metric(_bounded(ref, *bound), 1e-160).ok
+            report = validate_metric(_bounded(ref, *bound), 1e-170)
             assert report.violations == reference_violations(ref, 1e-170)
             broken += not report.ok
+            passes.clear()
+            monkeypatch.setenv("SLOPEKIT_TOL", "1e-160")
+            grid_space(box, resolution, 2.0)
+            assert passes == []
+            monkeypatch.setenv("SLOPEKIT_TOL", "1e-170")
+            assert built_report(lambda: grid_space(box, resolution, 2.0)) == \
+                report
+            assert len(passes) == (len(ref) >= 3)   # no triple below 3 points
         assert broken
 
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     def test_matrix_that_is_not_the_coordinates_takes_the_full_pass(self, p):
+        """The bound would pass this matrix; a caller's coords do not mark it."""
         space, _ = grid_space([(0, 1), (0, 2)], [4, 5], p)
         d = space.dist.copy()
         d[0, 19] = d[19, 0] = 1.5 * d[0, 19]   # one symmetric pair lengthened
-        assert not _certified(d, np.array(space.coords), resolve_tol())
-        report = validate_metric(d, None, space.coords)
-        assert report == validate_metric(d)
+        assert _certifies(grid_bound(2), d.max(), resolve_tol())
+        report = validate_metric(d)
         assert report.violations == reference_violations(d)
         assert {v.kind for v in report.violations} == {"triangle"}
-        with pytest.raises(MetricError):
+        with pytest.raises(MetricError) as exc:
             MetricSpace(space.points, d, space.coords)
+        assert exc.value.report == report
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_caller_built_space_takes_the_pass(self, monkeypatch, p):
+        space, _ = grid_space([(0, 1), (0, 2)], [4, 5], p)
+        passes = count_calls(monkeypatch, "_triangle_ok")
+        same = MetricSpace(space.points, space.dist.copy(), space.coords)
+        assert same == space and same._bound is None and len(passes) == 1
+        same.subspace(space.points[::2])
+        assert len(passes) == 2
 
     @pytest.mark.parametrize("p", [1.0, 2.0, "inf"])
     @pytest.mark.parametrize("resolution", [[200], [10, 20]])
@@ -684,20 +767,16 @@ class TestCoordinateCertificate:
                             lambda *args: passes.append(args) or True)
         inst = instance_from_dict(obj)
         assert len(calls) == 1 and passes == []
-        # a subspace keeps its coordinates, so it is certified too
+        # a subspace inherits the bound, so it is certified too
         sub = inst.space.subspace(inst.space.points[::3])
         assert sub.coords == inst.space.coords[::3]
+        assert sub._bound == inst.space._bound == grid_bound(len(resolution))
         assert len(calls) == 2 and passes == []
-
-
-U = 2.0 ** -53
 
 
 def closure_bound(d):
     """The certificate's bound (4 n + 3) u max(d), rounded up to a float."""
-    exact = Fraction(4 * len(d) + 3) * Fraction(U) * Fraction(float(d.max()))
-    bound = float(exact)
-    return bound if bound >= exact else math.nextafter(bound, math.inf)
+    return rounded_up(exact_bound(closure_constants(len(d)), d.max()))
 
 
 def max_excess(d):
@@ -772,33 +851,40 @@ class TestClosureCertificate:
 
     def test_sweep(self):
         tol = resolve_tol()
+        rng = np.random.default_rng(45)
         ratios, kinds, families = [], set(), set()
         for family, kind, n, edges in sweep_graphs():
             ref = floyd_warshall(weight_matrix(n, edges))
             want = validate_metric(ref)
+            constants = closure_constants(n)
+            space = None
             try:
                 space = shortest_path_space([f"v{i}" for i in range(n)], edges)
             except MetricError as exc:
                 assert str(exc) == "not a metric: " + want.summary()
+                assert exc.report == want
             else:
                 assert want.ok and space.dist.tobytes() == ref.tobytes()
                 assert type(space.dist) is np.ndarray
+                assert space._bound == constants
             bound = closure_bound(ref)
+            top = ref.max()
             for t in (tol, bound):   # uncertified reports are compared above
-                if _closure_certified(ref, t):
-                    assert validate_metric(ref.view(_Closure), t) == \
+                if _certifies(constants, top, t):
+                    assert validate_metric(_bounded(ref, *constants), t) == \
                         validate_metric(ref, t)
-            assert _closure_certified(ref, bound)
+            assert _certifies(constants, top, bound)
             assert _triangle_ok(ref, bound)
             excess = max_excess(ref)
             assert excess <= bound
             for t in (0.0, excess, math.nextafter(excess, -math.inf),
-                      bound / 1000, U * float(ref.max())):
-                if t >= 0 and _closure_certified(ref, t):
+                      bound / 1000, U * float(top)):
+                if t >= 0 and _certifies(constants, top, t):
                     assert excess <= t, (family, kind, n, t)
             if n >= 3:
-                assert not _closure_certified(ref, 0.0)
+                assert not _certifies(constants, top, 0.0)
                 ratios.append(excess / bound)
+            check_submatrix(rng, ref, constants, space)
             families.add(family)
             kinds.add(kind)
         assert len(families) == 5 and len(kinds) == 3
@@ -839,8 +925,8 @@ class TestClosureCertificate:
         space = instance_from_dict(obj).space
         assert len(calls) == 1 and passes == []
         assert type(space.dist) is np.ndarray
-        # the same closure as a matrix, through MetricSpace, validate_metric
-        # or a subspace, takes the pass once each
+        # the same closure as a matrix, through MetricSpace or
+        # validate_metric, takes the pass once each
         matrix = dict(obj, metric={"kind": "matrix",
                                    "dist": space.dist.tolist()})
         assert np.array_equal(instance_from_dict(matrix).space.dist, space.dist)
@@ -849,18 +935,67 @@ class TestClosureCertificate:
         assert len(passes) == 2
         assert metric_space.validate_metric(space.dist).ok
         assert len(passes) == 3
+        # a subspace of the graph inherits the bound and takes no pass
         sub = space.subspace(space.points[::2])
         assert type(sub.dist) is np.ndarray
-        assert len(calls) == 5 and len(passes) == 4
+        assert sub._bound == space._bound == closure_constants(space.n)
+        assert len(calls) == 5 and len(passes) == 3
 
     def test_broken_matrix_is_not_certified(self):
         """A matrix within the bound's reach of tol but not a closure keeps
         the full pass, through MetricSpace and validate_metric alike."""
         d = metric_closure(np.random.default_rng(44).uniform(0.3, 2.0, (9, 9)))
         d[2, 7] = d[7, 2] = 5.0   # the other distances are below 2
-        assert _closure_certified(d, resolve_tol())
+        assert _certifies(closure_constants(9), d.max(), resolve_tol())
         report = validate_metric(d)
         assert report.violations == reference_violations(d)
         assert {v.kind for v in report.violations} == {"triangle"}
         with pytest.raises(MetricError):
             MetricSpace(tuple("abcdefghi"), d)
+
+
+class TestCertificateGate:
+    """The gate rel * max + ab <= tol against an exact Fraction oracle."""
+
+    @pytest.mark.parametrize("bound", [grid_bound(1), grid_bound(8),
+                                       closure_constants(3),
+                                       closure_constants(1000)])
+    def test_matches_fraction_oracle(self, bound):
+        rng = np.random.default_rng(47)
+        tops = [0.0, 5e-324, 2.0 ** -1060, 2.0 ** -1022, 1.0, 2.0 ** 999,
+                *rng.uniform(0, 1e4, 20), *2.0 ** rng.uniform(-1070, 1000, 20)]
+        for top in tops:
+            exact = exact_bound(bound, top)
+            near = float(exact)
+            for tol in (0.0, near, math.nextafter(near, -math.inf),
+                        math.nextafter(near, math.inf), 5e-324, 1e-9):
+                if tol >= 0:
+                    assert _certifies(bound, top, tol) == \
+                        (exact <= Fraction(tol)), (bound, top, tol)
+
+    @pytest.mark.parametrize("bound,top,representable", [
+        (closure_constants(3), 1.0, True),       # (4 n + 3) u
+        (grid_bound(2), 0.0, True),              # dim 2^-535
+        (closure_constants(7), 2.0 ** -1074, False),   # a subnormal max
+        (grid_bound(3), 2.0 ** -1074, False)])
+    def test_tolerance_at_the_bound(self, bound, top, representable):
+        """The least float tol at or above the bound certifies, the float
+        below it does not, and neither does tol = 0."""
+        exact = exact_bound(bound, top)
+        at = rounded_up(exact)
+        assert (at == exact) == representable
+        assert _certifies(bound, top, at)
+        assert not _certifies(bound, top, math.nextafter(at, -math.inf))
+        assert not _certifies(bound, top, 0.0)
+
+    def test_graph_at_the_bound(self, monkeypatch):
+        """A 3-point path of weights 1/2 has max 1, so its bound is 15 u:
+        a tolerance of exactly 15 u skips the pass, the float below runs it."""
+        passes = count_calls(monkeypatch, "_triangle_ok")
+        edges = [(0, 1, 0.5), (1, 2, 0.5)]
+        monkeypatch.setenv("SLOPEKIT_TOL", repr(15 * U))
+        space = shortest_path_space(range(3), edges)
+        assert space._bound == closure_constants(3) and passes == []
+        monkeypatch.setenv("SLOPEKIT_TOL", repr(math.nextafter(15 * U, 0)))
+        assert shortest_path_space(range(3), edges) == space
+        assert len(passes) == 1
