@@ -8,6 +8,7 @@ topologically isolated).
 """
 
 import math
+from ctypes import addressof, c_char
 from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
@@ -61,6 +62,15 @@ def _as_square_matrix(dist) -> np.ndarray:
     return arr
 
 
+def _aligned(size) -> np.ndarray:
+    """``size`` uninitialised floats from a 64-byte boundary.  numpy only
+    promises 16 bytes, and the n x n kernels ran up to half again as slow
+    on buffers that straddle cache lines."""
+    buf = np.empty(size + 8)
+    start = -addressof(c_char.from_buffer(buf)) % 64 // 8
+    return buf[start:][:size]   # a nonempty slice first, so size 0 moves too
+
+
 _ROWS = 16   # rows i per slab of the triangle fast path
 _MIDS = 16   # intermediates k per slab
 
@@ -75,13 +85,23 @@ def _triangle_ok(arr, tol) -> bool:
     means that the per-triple loop of ``validate_metric`` reports nothing.
     """
     n = arr.shape[0]
+    # one set of buffers for every slab; a partial slab uses a prefix
+    sums_buf = _aligned(_MIDS * _ROWS * n)
+    least_buf, shortest_buf = _aligned(_ROWS * n), _aligned(_ROWS * n)
     for lo in range(0, n, _ROWS):
         hi = min(lo + _ROWS, n)
-        shortest = np.full((hi - lo, n - lo), np.inf)
+        shape = (hi - lo, n - lo)
+        shortest = shortest_buf[:(hi - lo) * (n - lo)].reshape(shape)
+        least = least_buf[:shortest.size].reshape(shape)
+        shortest.fill(np.inf)
         for k in range(0, n, _MIDS):
-            sums = arr[k:k + _MIDS, lo:hi, None] + arr[k:k + _MIDS, None, lo:]
-            np.minimum(shortest, sums.min(axis=0), out=shortest)
-        if (arr[lo:hi, lo:] - shortest).max() > tol:
+            mids = min(_MIDS, n - k)
+            sums = sums_buf[:mids * shortest.size].reshape(mids, *shape)
+            np.add(arr[k:k + mids, lo:hi, None], arr[k:k + mids, None, lo:],
+                   out=sums)
+            np.minimum.reduce(sums, axis=0, out=least)
+            np.minimum(shortest, least, out=shortest)
+        if np.subtract(arr[lo:hi, lo:], shortest, out=shortest).max() > tol:
             return False
     return True
 
@@ -454,8 +474,10 @@ def floyd_warshall(d: np.ndarray) -> np.ndarray:
     before keeps it; a blocked Floyd-Warshall, which mixes operands of
     different stages within a tile, does not.
     """
-    d = np.array(d, dtype=float)
-    paths = np.empty_like(d)   # one buffer for the paths through every k
+    src = np.asarray(d, dtype=float)
+    d = _aligned(src.size).reshape(src.shape)
+    d[...] = src
+    paths = _aligned(src.size).reshape(src.shape)   # the paths through each k
     for k in range(d.shape[0]):
         np.add(d[:, k:k + 1], d[k:k + 1, :], out=paths)
         np.minimum(d, paths, out=d)

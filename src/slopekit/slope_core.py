@@ -14,7 +14,7 @@ import numpy as np
 from .config import resolve_tol
 from .errors import (DomainError, FatalFinding, ImproperFieldError,
                      ParameterError, UndefinedArithmeticError)
-from .metric_space import MetricSpace, NeighborhoodSystem
+from .metric_space import MetricSpace, NeighborhoodSystem, _aligned
 
 INF = math.inf
 
@@ -131,15 +131,18 @@ def slopes(f: ScalarField, nbhd: NeighborhoodSystem = None) -> np.ndarray:
     cached = f._slopes.get(key)
     if cached is not None:
         return cached[1]
-    v = f.array
+    v, n = f.array, f.space.n
+    quot = _aligned(n * n).reshape(n, n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        diff = v[:, None] - v[None, :]
-        quot = diff / f.space.dist
-    # diff > 0 drops y = x, f(y) = +inf (diff is -inf or nan) and ascents
-    admit = diff > 0
-    if nbhd is not None:
-        admit &= nbhd.adjacency(f.space)
-    out = np.where(admit, quot, 0.0).max(axis=1, initial=0.0)
+        np.subtract.outer(v, v, out=quot)
+        np.divide(quot, f.space.dist, out=quot)
+        if nbhd is not None:   # a non-neighbour gives ±0 or nan (inf * 0)
+            np.multiply(quot, nbhd.adjacency(f.space), out=quot)
+    # [.]+ is the initial 0: ascents and f(y) = +inf give quotients <= 0,
+    # and the diagonal 0 / d_xx gives +-0 or nan, which fmax passes over;
+    # rows off dom f are overwritten below, and + 0.0 turns -0.0 into 0.0
+    out = np.fmax.reduce(quot, axis=1, initial=0.0)
+    out += 0.0
     out[~np.isfinite(v)] = INF
     out.flags.writeable = False
     # the entry holds nbhd, so its id cannot be reused while cached

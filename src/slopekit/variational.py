@@ -223,6 +223,11 @@ def _least(objective, points: tuple):
     return least, points[values.index(least)]
 
 
+def _gap(m_all, m_sub) -> float:
+    """m_all - m_sub, or 0 for equal infima, one overflowed infinity too."""
+    return 0.0 if m_all == m_sub else m_all - m_sub
+
+
 def check_tz(f: ScalarField, g: ScalarField, tol=None) -> CheckReport:
     """Global-slope domination forces f - inf f >= g - inf g on dom f."""
     tol = resolve_tol(tol)
@@ -254,7 +259,7 @@ def check_lips(f: ScalarField, g: ScalarField, eps: float, tol=None) -> CheckRep
     diff = {p: f.value(p) - g.value(p) for p in f.space.points}.get
     m_all, _ = _least(diff, f.space.points)
     m_crit, witness = _least(diff, eps_Crit(f, eps, tol))
-    slack = m_all - m_crit   # <= 0 always; equality means verified
+    slack = _gap(m_all, m_crit)
     return CheckReport(
         "lips", hypothesis_ok=True, conclusion_ok=slack >= -tol,
         witness=witness, slack=slack,
@@ -279,8 +284,7 @@ def check_lsc(f: ScalarField, g: ScalarField, r: float, eps: float,
     diff = {p: f.value(p) - r * g.value(p) for p in dom}.get
     m_dom, _ = _least(diff, dom)
     m_crit, witness = _least(diff, eps_Crit(f, eps, tol))
-    # f - r g can overflow to -inf; then m_dom = m_crit = -inf, no gap
-    slack = 0.0 if m_crit == -INF else m_dom - m_crit
+    slack = _gap(m_dom, m_crit)
     return CheckReport(
         "lsc", hypothesis_ok=True, conclusion_ok=slack >= -tol,
         witness=witness, slack=slack,
@@ -300,7 +304,7 @@ def check_compact(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
     diff = {p: f.value(p) - g.value(p) for p in f.space.points}.get
     m_all, _ = _least(diff, f.space.points)
     m_crit, witness = _least(diff, eps_crit(f, nbhd, 0.0, tol))
-    slack = m_all - m_crit
+    slack = _gap(m_all, m_crit)
     return CheckReport(
         "compact", hypothesis_ok=True, conclusion_ok=slack >= -tol,
         witness=witness, slack=slack,

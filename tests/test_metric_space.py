@@ -15,9 +15,10 @@ from slopekit.config import resolve_tol
 from slopekit.errors import MetricError
 from slopekit import metric_space
 from slopekit.instances import gen_random_instance, instance_from_dict
-from slopekit.metric_space import (ValidationReport, Violation, _bounded,
-                                   _certifies, _lp_distances, _triangle_ok,
-                                   floyd_warshall, metric_closure)
+from slopekit.metric_space import (ValidationReport, Violation, _aligned,
+                                   _bounded, _certifies, _lp_distances,
+                                   _triangle_ok, floyd_warshall,
+                                   metric_closure)
 
 
 def brute_shortest_paths(vertices, edges):
@@ -201,6 +202,9 @@ class TestTriangleFastPath:
             i, j = rng.choice(n, 2, replace=False)
             d[i, j] += rng.choice([5e-10, 1e-9])   # asymmetric, within tol
             yield d
+        ties = np.random.default_rng(16)
+        for n in (15, 16, 17, 33):   # around the slab size; exact ties
+            yield metric_closure(ties.integers(1, 4, (n, n)).astype(float))
 
     @pytest.mark.parametrize("tol", TOLS)
     def test_matches_oracle(self, tol):
@@ -227,7 +231,7 @@ class TestTriangleFastPath:
             for tol in tols:   # realised excesses put some exactly at tol
                 assert _triangle_ok(d, tol) == excess_ok(d, tol)
 
-    @pytest.mark.parametrize("n", [17, 40])
+    @pytest.mark.parametrize("n", [15, 16, 17, 33, 40])
     def test_one_broken_triangle_per_intermediate(self, n):
         """Each k, slab edges included, is the only intermediate of one
         broken triangle: all distances 2, but 1 from i and j to k."""
@@ -244,7 +248,7 @@ class TestTriangleFastPath:
             assert [v.indices for v in report.violations] == [
                 (min(i, j), max(i, j), k), (max(i, j), min(i, j), k)]
 
-    @pytest.mark.parametrize("n", [3, 16, 17, 33])
+    @pytest.mark.parametrize("n", [3, 15, 16, 17, 33])
     def test_degenerate_triples_included(self, n):
         """A large diagonal entry breaks only the triples (i, i, k); the fast
         path must see it in every row, the last one included."""
@@ -292,18 +296,59 @@ def fresh_floyd_warshall(d):
     return d
 
 
+def sparse_weights(rng, n, integer=False):
+    """A symmetric weight matrix with +inf for missing edges; integer
+    weights make ties between paths."""
+    edges = rng.random((n, n)) < rng.uniform(0.02, 0.5)
+    w = (rng.integers(1, 4, (n, n)).astype(float) if integer
+         else rng.uniform(0.2, 2.0, (n, n)))
+    d = np.where(edges, w, np.inf)
+    d = np.minimum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_floyd_warshall_matches_fresh_arrays(seed):
     rng = np.random.default_rng([15, seed])
-    n = int(rng.integers(1, 40))
-    d = np.where(rng.random((n, n)) < rng.uniform(0.02, 0.5),
-                 rng.uniform(0.2, 2.0, (n, n)), np.inf)
-    d = np.minimum(d, d.T)
-    np.fill_diagonal(d, 0.0)
-    got = floyd_warshall(d)
-    want = fresh_floyd_warshall(d)
-    assert got.tobytes() == want.tobytes()   # bit-equal, inf entries included
-    assert not np.shares_memory(got, d)
+    for n, integer in ((int(rng.integers(1, 40)), False),
+                       (15, True), (16, True), (17, False), (33, True)):
+        d = sparse_weights(rng, n, integer)
+        got = floyd_warshall(d)
+        want = fresh_floyd_warshall(d)
+        assert got.tobytes() == want.tobytes()   # inf entries included
+        assert not np.shares_memory(got, d)
+
+
+def at_offset(a, offset):
+    """A copy of ``a`` whose data starts ``offset`` bytes past a 64-byte
+    boundary."""
+    buf = np.empty(a.size + 8)
+    start = (offset - buf.ctypes.data) % 64 // 8
+    out = buf[start:start + a.size].reshape(a.shape)
+    out[...] = a
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+def test_kernels_ignore_input_alignment():
+    rng = np.random.default_rng(21)
+    w = sparse_weights(rng, 33, integer=True)
+    d = metric_closure(rng.uniform(0.3, 2.0, (33, 33)))
+    d[2, 30] = d[30, 2] = 3 * d.max()   # broken triangles through every k
+    closures, reports = set(), []
+    for offset in (0, 16, 32, 48):
+        closures.add(floyd_warshall(at_offset(w, offset)).tobytes())
+        reports.append(validate_metric(at_offset(d, offset)).to_dict())
+    assert closures == {fresh_floyd_warshall(w).tobytes()}
+    assert reports == [reports[0]] * 4 and not reports[0]["ok"]
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 200 ** 2])
+def test_aligned_buffer(size):
+    buf = _aligned(size)
+    assert buf.shape == (size,) and buf.dtype == np.float64
+    assert buf.ctypes.data % 64 == 0
 
 
 class TestShortestPathSpace:

@@ -13,12 +13,14 @@ from slopekit import (DomainError, FatalFinding, ImproperFieldError,
                       MetricSpace, NeighborhoodSystem, ParameterError,
                       ScalarField, UndefinedArithmeticError, add_fields,
                       check_lsc, domination_witnesses, eps_argmin, eps_crit,
-                      eps_Crit, gen_random_instance, global_slope, local_slope,
+                      eps_Crit, explicit_neighborhoods, gen_random_instance,
+                      global_slope, local_slope,
                       log_distance_field, pasch_hausdorff, pos_part, restrict,
                       scale_field, slope_profile, slopes,
                       strict_comparison_witnesses, sub_fields, sublevel_diff,
                       truncate)
 from slopekit import slope_core
+from slopekit.metric_space import metric_closure
 
 INF = math.inf
 TOL = 1e-9
@@ -91,6 +93,35 @@ class TestSlopeKernel:
             assert gs == loop_slope(f, x, [y for y in pts if y != x])
         for eps in (0.25, 1.0, 3.0):
             assert pasch_hausdorff(f, eps).values == loop_pasch_hausdorff(f, eps)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_pointwise_loops_bytewise(self, seed):
+        """Signed zeros, a subnormal, differences that overflow to +inf,
+        +inf values and ties; ``tobytes`` tells -0.0 from 0.0.  A diagonal
+        entry may be off zero within the tolerance, so 0 / d_xx = -0.0."""
+        rng = np.random.default_rng([19, seed])
+        n = int(rng.integers(1, 20))
+        dist = metric_closure(rng.uniform(0.2, 2.0, (n, n)))
+        np.fill_diagonal(dist, rng.choice([0.0, -1e-10, 1e-10], n))
+        space = MetricSpace(tuple(f"p{i}" for i in range(n)), dist)
+        vals = rng.choice(
+            [0.0, -0.0, 1e-320, 1e300, -1e300, 1e308, -1e308, INF, 1.0, 2.0], n)
+        if not np.isfinite(vals).any():
+            vals[0] = -0.0
+        f = ScalarField(space, tuple(vals.tolist()))
+        pts = space.points
+        nbhd = explicit_neighborhoods(space, [
+            (pts[i], pts[j]) for i, j in itertools.combinations(range(n), 2)
+            if rng.random() < 0.4])
+
+        def loop(others):
+            return np.array([INF if v == INF else loop_slope(f, x, others(x))
+                             for x, v in zip(pts, f.values)])
+
+        assert slopes(f).tobytes() == \
+            loop(lambda x: [y for y in pts if y != x]).tobytes()
+        assert slopes(f, nbhd).tobytes() == loop(nbhd.of).tobytes()
 
     def test_computed_once_per_field_and_system(self, f013, e3_path_nbhd):
         g = slopes(f013)

@@ -65,7 +65,8 @@ def ref_check_lips(f, g, eps, tol=TOL):
     m_crit = min(diff[p] for p in crit)
     witness = min((p for p in crit if diff[p] == m_crit),
                   key=f.space.index)
-    slack = m_all - m_crit
+    # equal infima, overflowed to the same infinity included, leave no gap
+    slack = 0.0 if m_all == m_crit else m_all - m_crit
     return CheckReport(
         "lips", hypothesis_ok=True, conclusion_ok=slack >= -tol,
         witness=witness, slack=slack,
@@ -91,7 +92,7 @@ def ref_check_lsc(f, g, r, eps, tol=TOL):
     m_dom = min(diff(p) for p in dom)
     crit = eps_Crit(f, eps, tol)
     m_crit = min(diff(p) for p in crit)
-    if m_dom == -INF and m_crit == -INF:
+    if m_dom == m_crit:
         slack = 0.0
     elif m_dom == -INF:
         slack = -INF
@@ -116,7 +117,7 @@ def ref_check_compact(f, g, nbhd, tol=TOL):
     crit0 = eps_crit(f, nbhd, 0.0, tol)
     m_crit = min(diff[p] for p in crit0)
     witness = min((p for p in crit0 if diff[p] == m_crit), key=f.space.index)
-    slack = m_all - m_crit
+    slack = 0.0 if m_all == m_crit else m_all - m_crit
     return CheckReport(
         "compact", hypothesis_ok=True, conclusion_ok=slack >= -tol,
         witness=witness, slack=slack,

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopekit import (DomainError, HypothesisViolation,
-                      ParameterError, ScalarField, check_compact, check_lips,
+from slopekit import (DomainError, HypothesisViolation, MetricSpace,
+                      ParameterError, ScalarField, all_pairs_neighborhoods,
+                      check_compact, check_lips,
                       check_lsc, check_tz, descent_step, descent_to_critical,
                       ekeland_point, gen_random_instance,
                       global_slope, local_slope, restrict, scale_field,
@@ -280,6 +281,25 @@ class TestCheckLSC:
         report = check_lsc(f013, g, 0.5, 0.5)
         assert not report.hypothesis_ok
         assert "b" in report.hypothesis_witnesses
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_infima_overflowed_to_one_infinity_leave_no_gap(n, sign):
+    """f - g and f - r g overflow to the same infinity at every point, so
+    the infimum over the space equals the one over the critical set."""
+    space = MetricSpace(tuple("ab")[:n], 1.0 - np.eye(n))
+    f = ScalarField(space, (sign * 1e308,) * n)
+    g = ScalarField(space, (-sign * 1e308,) * n)
+    reports = (check_lips(f, g, 0.5),
+               check_compact(f, g, all_pairs_neighborhoods(space)),
+               check_lsc(f, g, 0.95, 0.5))
+    for report in reports:
+        assert report.hypothesis_ok and report.conclusion_ok, report.to_dict()
+        assert math.copysign(1.0, report.slack) == 1.0 and report.slack == 0.0
+        assert report.witness == "a"
+    assert set(reports[0].details.values()) == {sign * INF, 0.5}
 
 
 @given(seed=st.integers(0, 10**6))
