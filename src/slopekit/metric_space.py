@@ -49,9 +49,9 @@ class ValidationReport:
         }
 
 
-def _as_square_matrix(dist) -> np.ndarray:
+def _as_square_matrix(dist, copy=False) -> np.ndarray:
     try:
-        arr = np.asarray(dist, dtype=float)
+        arr = (np.array if copy else np.asarray)(dist, dtype=float)
     except (TypeError, ValueError):
         raise ShapeError("distance matrix entries must be numbers, in rows "
                          "of equal length") from None
@@ -237,7 +237,8 @@ class MetricSpace:
             raise ParameterError("point identifiers must be unique")
         given = self.dist   # a builder's matrix keeps its proved bound
         bound = given.bound if type(given) is _Bounded else None
-        self.dist = _as_square_matrix(given)
+        # frozen below, so a caller's array is copied; a builder's is adopted
+        self.dist = _as_square_matrix(given, copy=bound is None)
         if self.dist.shape[0] != len(self.points):
             raise ShapeError(
                 f"{len(self.points)} points but distance matrix is "
@@ -369,8 +370,11 @@ def ball_neighborhoods(space: MetricSpace, r: float, tol=None) -> NeighborhoodSy
 
 def all_pairs_neighborhoods(space: MetricSpace) -> NeighborhoodSystem:
     pts = set(space.points)
-    return NeighborhoodSystem(
+    nbhd = NeighborhoodSystem(
         space.points, {p: frozenset(pts - {p}) for p in space.points}).validate()
+    nbhd._masks[space.points] = mask = ~np.eye(space.n, dtype=bool)
+    mask.flags.writeable = False   # the mask that adjacency would build
+    return nbhd
 
 
 def explicit_neighborhoods(space: MetricSpace, pairs) -> NeighborhoodSystem:

@@ -26,8 +26,8 @@ def pos_part(t: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """A field on a metric space.  Immutable, so that the slope arrays
-    cached on it by ``slopes`` stay valid."""
+    """A field on a metric space.  Immutable, so that the slope arrays and
+    the sets that ``slopes`` and ``eps_Crit`` cache on it stay valid."""
     space: MetricSpace
     values: tuple   # one float per point; +inf allowed, -inf and nan are not
 
@@ -44,6 +44,7 @@ class ScalarField:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "array", array)   # values as a float array
         object.__setattr__(self, "_slopes", {})    # see slopes()
+        object.__setattr__(self, "_crit", {})      # see eps_Crit()
 
     def __reduce__(self):
         # copies start with an empty cache: its keys are object ids
@@ -84,7 +85,7 @@ def scale_field(f: ScalarField, r: float) -> ScalarField:
         raise ParameterError(f"scale factor must be nonnegative, got {r}")
     if r == 0:
         return ScalarField(f.space, (0.0,) * f.space.n)
-    return ScalarField(f.space, tuple(r * v for v in f.values))
+    return ScalarField(f.space, tuple((r * f.array).tolist()))
 
 
 def add_fields(f: ScalarField, g: ScalarField) -> ScalarField:
@@ -226,9 +227,8 @@ def eps_argmin(f: ScalarField, eps: float, tol=None) -> tuple:
     tol = resolve_tol(tol)
     if not eps >= 0:   # nan too
         raise ParameterError(f"eps must be nonnegative, got {eps}")
-    lo = f.min_finite()
-    return tuple(p for p, v in zip(f.space.points, f.values)
-                 if v <= lo + eps + tol)
+    pts, lo = f.space.points, f.min_finite()   # eps = inf takes all points
+    return tuple(pts[i] for i in np.flatnonzero(f.array <= lo + eps + tol))
 
 
 def eps_crit(f: ScalarField, nbhd: NeighborhoodSystem, eps: float, tol=None) -> tuple:
@@ -243,21 +243,30 @@ def eps_Crit(f: ScalarField, eps: float, tol=None) -> tuple:
     """Sub-level set of the global slope at level eps.
 
     Members are re-checked against the equivalent pointwise form
-    f(y) >= f(x) - eps * dist(y, x) for all y.
+    f(y) >= f(x) - eps * dist(y, x) for all y.  The set is computed once
+    per field, eps and resolved tol; a failed re-check is not kept.
     """
+    return _crit_rows(f, eps, tol)[1]
+
+
+def _crit_rows(f: ScalarField, eps, tol) -> tuple:
+    """The indices of eps_Crit(f, eps, tol), as an array, and its points."""
     tol = resolve_tol(tol)
     if not eps >= 0:   # nan too
         raise ParameterError(f"eps must be nonnegative, got {eps}")
-    v, pts = f.array, f.space.points
-    rows = np.flatnonzero((slopes(f) <= eps + tol) & np.isfinite(v))
-    d = f.space.dist[rows]
-    bad = np.argwhere(v[None, :] < v[rows, None] - eps * d - tol * (1 + d))
-    if len(bad):
-        i, j = bad[0]
-        raise FatalFinding(
-            "eps_Crit member fails the pointwise inequality",
-            witness={"x": pts[rows[i]], "y": pts[j], "eps": eps})
-    return tuple(pts[i] for i in rows)
+    key = (float(eps), tol)
+    if key not in f._crit:
+        v, pts = f.array, f.space.points
+        rows = np.flatnonzero((slopes(f) <= eps + tol) & np.isfinite(v))
+        d = f.space.dist[rows]
+        bad = np.argwhere(v[None, :] < v[rows, None] - eps * d - tol * (1 + d))
+        if len(bad):
+            i, j = bad[0]
+            raise FatalFinding(
+                "eps_Crit member fails the pointwise inequality",
+                witness={"x": pts[rows[i]], "y": pts[j], "eps": eps})
+        f._crit[key] = (rows, tuple(pts[i] for i in rows))
+    return f._crit[key]
 
 
 def pasch_hausdorff(f: ScalarField, eps: float) -> ScalarField:
@@ -277,8 +286,8 @@ def pasch_hausdorff(f: ScalarField, eps: float) -> ScalarField:
 
 def truncate(g: ScalarField, lam: float) -> ScalarField:
     """Pointwise min(g, lam).  Never increases either slope."""
-    lam = float(lam)
-    return ScalarField(g.space, tuple(min(v, lam) for v in g.values))
+    lam, v = float(lam), g.array   # min(v, lam) is v unless lam < v
+    return ScalarField(g.space, tuple(np.where(lam < v, lam, v).tolist()))
 
 
 def log_distance_field(space: MetricSpace, a) -> ScalarField:
@@ -300,15 +309,20 @@ def sublevel_diff(f: ScalarField, g: ScalarField, lam: float, tol=None) -> tuple
     The difference is only formed where at least one value is finite; a
     point with f finite and g = +inf has f - g = -inf and is included.
     """
+    return _points_where(f, _sublevel_mask(f, g, lam, tol))
+
+
+def _sublevel_mask(f: ScalarField, g: ScalarField, lam, tol) -> np.ndarray:
+    """The mask of sublevel_diff, before it is cut to dom f."""
     tol = resolve_tol(tol)
-    if f.space != g.space:
+    if g.space is not f.space and f.space != g.space:
         raise ParameterError("fields live on different spaces")
     if not f.is_proper():
         raise ImproperFieldError("f is identically +inf")
     lam = float(lam)
     with np.errstate(invalid="ignore"):   # inf - inf, off dom f
         diff_ok = f.array - g.array <= lam + tol
-    return _points_where(f, (g.array == INF) | diff_ok)
+    return (g.array == INF) | diff_ok
 
 
 def restrict(f: ScalarField, subset) -> ScalarField:

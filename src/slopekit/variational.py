@@ -10,12 +10,14 @@ contradict a proved statement).
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import resolve_tol
 from .errors import (DomainError, FatalFinding, HypothesisViolation,
                      ImproperFieldError, ParameterError)
 from .metric_space import NeighborhoodSystem
-from .slope_core import (INF, ScalarField, domination_witnesses, eps_crit,
-                         eps_Crit, local_slope, sublevel_diff,
+from .slope_core import (INF, ScalarField, _crit_rows, _sublevel_mask,
+                         domination_witnesses, local_slope, slopes,
                          strict_comparison_witnesses)
 
 
@@ -32,14 +34,19 @@ def ekeland_point(f: ScalarField, x0, lam: float):
     i = space.index(x0)
     if not math.isfinite(f.values[i]):
         raise DomainError(f"start point {x0!r} is outside dom f")
-    while True:
-        # lam = inf or nan admits no j, not even i: then x0 is returned
-        best = min((j for j in range(space.n)
-                    if f.values[j] <= f.values[i] - lam * space.dist[i, j]),
-                   key=lambda j: (f.values[j], j), default=i)
+    return space.points[_ekeland_index(f.array, space.dist, i, lam)]
+
+
+def _ekeland_index(v, dist, i, lam):
+    """Ekeland's iteration on the values ``v`` from index i: the first argmin
+    of v over S(x_i) until that is i."""
+    while lam < INF:   # lam = inf or nan admits no j, not even i
+        cand = (v <= v[i] - lam * dist[i]).nonzero()[0]
+        best = cand[v[cand].argmin()] if len(cand) else i
         if best == i:
-            return space.points[i]
+            break
         i = best
+    return i
 
 
 def descent_step(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
@@ -71,10 +78,10 @@ def descent_step(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
 def _sublevel_ekeland(f, g, x0, eps, tol):
     """The Ekeland point from x0 of f + i_M, M = {f - g <= (f-g)(x0)}: that
     of f on the subspace M, tie-break included, without building M."""
-    m = set(sublevel_diff(f, g, f.value(x0) - g.value(x0), tol))
-    f_m = ScalarField(f.space, tuple(
-        v if p in m else INF for p, v in zip(f.space.points, f.values)))
-    return ekeland_point(f_m, x0, eps)
+    m = _sublevel_mask(f, g, f.value(x0) - g.value(x0), tol)
+    i = _ekeland_index(np.where(m, f.array, INF), f.space.dist,
+                       f.space.index(x0), eps)
+    return f.space.points[i]
 
 
 @dataclass
@@ -210,22 +217,30 @@ class CheckReport:
 
 
 def _require_finite_everywhere(h: ScalarField, name: str):
-    if any(v == INF for v in h.values):
+    if INF in h.values:
         raise ParameterError(f"{name} must be finite-valued for this check")
 
 
-def _least(objective, points: tuple):
-    """The least value of ``objective`` over ``points`` and the first point,
-    in the order of ``points``, that attains it.  A nan value, inf - inf
-    after an overflow, is passed over."""
-    values = [objective(p) for p in points]
-    least = min(v for v in values if not math.isnan(v))
-    return least, points[values.index(least)]
+def _least(values, rows):
+    """The least of ``values`` at the indices ``rows`` and the first of them
+    that attains it, by np.argmin, with its own value: of tied 0.0 and -0.0
+    the first is kept.  A nan value, inf - inf after an overflow, is skipped."""
+    w = values[rows]
+    ok = (w == w).nonzero()[0]
+    k = ok[w[ok].argmin()]
+    return w[k].item(), rows[k]
 
 
-def _gap(m_all, m_sub) -> float:
-    """m_all - m_sub, or 0 for equal infima, one overflowed infinity too."""
-    return 0.0 if m_all == m_sub else m_all - m_sub
+def _localized(name, f, diff, rows, crit, tol, names, **params):
+    """The report, hypothesis held, that the least of ``diff`` over the
+    indices ``rows`` is attained on ``crit``, its infima named ``names``.
+    Equal infima, the same overflowed infinity too, give slack 0."""
+    m_all, _ = _least(diff, rows)
+    m_crit, k = _least(diff, crit)
+    slack = 0.0 if m_all == m_crit else m_all - m_crit
+    return CheckReport(name, hypothesis_ok=True, conclusion_ok=slack >= -tol,
+                       witness=f.space.points[k], slack=slack,
+                       details=dict(zip(names, (m_all, m_crit)), **params))
 
 
 def check_tz(f: ScalarField, g: ScalarField, tol=None) -> CheckReport:
@@ -236,13 +251,13 @@ def check_tz(f: ScalarField, g: ScalarField, tol=None) -> CheckReport:
     bad = domination_witnesses(f, g, tol)
     if bad:
         return CheckReport("tz", hypothesis_ok=False, hypothesis_witnesses=bad)
-    inf_f = f.min_finite()
-    inf_g = g.min_finite()
-    slack, witness = _least(
-        lambda x: (f.value(x) - inf_f) - (g.value(x) - inf_g), f.dom())
+    inf_f, inf_g = f.min_finite(), g.min_finite()
+    with np.errstate(over="ignore", invalid="ignore"):   # as Python floats do
+        margin = (f.array - inf_f) - (g.array - inf_g)
+    slack, k = _least(margin, np.isfinite(f.array).nonzero()[0])
     return CheckReport(
         "tz", hypothesis_ok=True, conclusion_ok=slack >= -tol,
-        witness=witness, slack=slack,
+        witness=f.space.points[k], slack=slack,
         details={"inf_f": inf_f, "inf_g": inf_g})
 
 
@@ -256,14 +271,9 @@ def check_lips(f: ScalarField, g: ScalarField, eps: float, tol=None) -> CheckRep
     bad = domination_witnesses(f, g, tol)
     if bad:
         return CheckReport("lips", hypothesis_ok=False, hypothesis_witnesses=bad)
-    diff = {p: f.value(p) - g.value(p) for p in f.space.points}.get
-    m_all, _ = _least(diff, f.space.points)
-    m_crit, witness = _least(diff, eps_Crit(f, eps, tol))
-    slack = _gap(m_all, m_crit)
-    return CheckReport(
-        "lips", hypothesis_ok=True, conclusion_ok=slack >= -tol,
-        witness=witness, slack=slack,
-        details={"inf_all": m_all, "inf_crit": m_crit, "eps": eps})
+    return _localized("lips", f, f.array - g.array, np.arange(f.space.n),
+                      _crit_rows(f, eps, tol)[0], tol,
+                      ("inf_all", "inf_crit"), eps=eps)
 
 
 def check_lsc(f: ScalarField, g: ScalarField, r: float, eps: float,
@@ -279,16 +289,12 @@ def check_lsc(f: ScalarField, g: ScalarField, r: float, eps: float,
     bad = domination_witnesses(f, g, tol)
     if bad:
         return CheckReport("lsc", hypothesis_ok=False, hypothesis_witnesses=bad)
-    dom = f.dom()
     # f finite and g = +inf give f - r g = -inf: the domain convention
-    diff = {p: f.value(p) - r * g.value(p) for p in dom}.get
-    m_dom, _ = _least(diff, dom)
-    m_crit, witness = _least(diff, eps_Crit(f, eps, tol))
-    slack = _gap(m_dom, m_crit)
-    return CheckReport(
-        "lsc", hypothesis_ok=True, conclusion_ok=slack >= -tol,
-        witness=witness, slack=slack,
-        details={"inf_dom": m_dom, "inf_crit": m_crit, "r": r, "eps": eps})
+    with np.errstate(over="ignore", invalid="ignore"):   # inf - inf off dom f
+        diff = f.array - r * g.array
+    return _localized("lsc", f, diff, np.isfinite(f.array).nonzero()[0],
+                      _crit_rows(f, eps, tol)[0], tol,
+                      ("inf_dom", "inf_crit"), r=r, eps=eps)
 
 
 def check_compact(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
@@ -301,11 +307,7 @@ def check_compact(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
     if bad:
         return CheckReport("compact", hypothesis_ok=False,
                            hypothesis_witnesses=bad)
-    diff = {p: f.value(p) - g.value(p) for p in f.space.points}.get
-    m_all, _ = _least(diff, f.space.points)
-    m_crit, witness = _least(diff, eps_crit(f, nbhd, 0.0, tol))
-    slack = _gap(m_all, m_crit)
-    return CheckReport(
-        "compact", hypothesis_ok=True, conclusion_ok=slack >= -tol,
-        witness=witness, slack=slack,
-        details={"inf_all": m_all, "inf_crit0": m_crit})
+    # 0-crit f is where the local slope is at most tol: f is finite
+    return _localized("compact", f, f.array - g.array, np.arange(f.space.n),
+                      (slopes(f, nbhd) <= tol).nonzero()[0], tol,
+                      ("inf_all", "inf_crit0"))

@@ -498,6 +498,23 @@ class TestAdjacency:
             assert mask.tobytes() == per_pair_adjacency(nbhd, space).tobytes()
             assert not mask.flags.writeable
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_all_pairs_mask_is_built_with_the_system(self, n, monkeypatch):
+        space = MetricSpace([f"p{i}" for i in range(n)],
+                            metric_closure(np.ones((n, n))))
+        nbhd = all_pairs_neighborhoods(space)
+        want = per_pair_adjacency(nbhd, space)
+        # no neighbour set is read for the space's own point list
+        monkeypatch.setattr(NeighborhoodSystem, "of", None)
+        mask = nbhd.adjacency(space)
+        assert mask.tobytes() == want.tobytes()
+        assert not mask.flags.writeable
+        monkeypatch.undo()
+        # another point list, the same points reversed, is built as before
+        other = MetricSpace(space.points[::-1], space.dist)
+        assert nbhd.adjacency(other).tobytes() == \
+            per_pair_adjacency(nbhd, other).tobytes()
+
     def test_points_outside_the_space(self, e3):
         stray = NeighborhoodSystem(("a", "b", "c"),
                                    {"a": {"b"}, "b": {"a", "zz"}})
@@ -541,6 +558,14 @@ class TestGridSpace:
 
 
 class TestMetricSpaceInvariants:
+    def test_caller_array_is_copied(self):
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        space = MetricSpace(("a", "b"), d)
+        assert d.flags.writeable
+        assert not space.dist.flags.writeable
+        d[0, 1] = d[1, 0] = 5.0
+        assert space.distance("a", "b") == 1.0
+
     def test_duplicate_points_rejected(self):
         with pytest.raises(ParameterError):
             MetricSpace(("a", "a"), [[0, 1], [1, 0]])

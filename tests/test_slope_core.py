@@ -295,6 +295,49 @@ class TestEpsSets:
         assert list(eps_Crit(f013, eps)) == expected
 
 
+class TestEpsCritCache:
+    def test_repeat_call_reads_the_cache(self, f013, monkeypatch):
+        crit = eps_Crit(f013, 1.0)
+        # neither the slopes nor the pointwise re-check run again
+        monkeypatch.setattr(slope_core, "slopes", None)
+        monkeypatch.setattr(slope_core.np, "argwhere", None)
+        assert eps_Crit(f013, 1.0) is crit
+        assert eps_Crit(f013, 1.0, TOL) is crit
+        assert list(f013._crit) == [(1.0, TOL)]
+
+    def test_each_eps_and_tol_has_its_own_entry(self, e3, monkeypatch):
+        f = ScalarField(e3, (0.0, 1.0, 1.5))   # global slopes 0, 1, 0.75
+        assert eps_Crit(f, 0.8) == ("a", "c")
+        assert eps_Crit(f, 0.25) == ("a",)
+        assert eps_Crit(f, 0.25, 0.5) == ("a", "c")
+        monkeypatch.setenv("SLOPEKIT_TOL", "0.5")
+        assert eps_Crit(f, 0.25) == ("a", "c")
+        monkeypatch.setenv("SLOPEKIT_TOL", "1.0")
+        assert eps_Crit(f, 0.0) == ("a", "b", "c")
+        assert set(f._crit) == {(0.8, TOL), (0.25, TOL), (0.25, 0.5),
+                                (0.0, 1.0)}
+
+    def test_failed_recheck_is_not_cached(self, e3, monkeypatch):
+        f = ScalarField(e3, (0.0, 2.0, 3.0))
+        with monkeypatch.context() as m:
+            m.setattr(slope_core, "slopes", lambda h, nbhd=None: np.zeros(3))
+            for _ in range(2):
+                with pytest.raises(FatalFinding):
+                    eps_Crit(f, 0.5)
+        assert f._crit == {}
+        assert eps_Crit(f, 0.5) == ("a",)
+
+    def test_copies_start_with_an_empty_cache(self):
+        inst = gen_random_instance(2, 8)
+        f = inst.field("f")
+        want = eps_Crit(f, 0.5)
+        assert f._crit
+        for dup in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f),
+                    pickle.loads(pickle.dumps(inst)).field("f")):
+            assert dup._crit == {}
+            assert eps_Crit(dup, 0.5) == want
+
+
 class TestPaschHausdorff:
     def test_example(self, f013):
         reg = pasch_hausdorff(f013, 1.0)
