@@ -28,8 +28,8 @@ EXIT_INPUT = 3
 
 # Largest `gen --n`.  An instance holds dense n x n arrays (n x n x dim for a
 # grid) and its load runs O(n^3) closure and validation: at n = 1000 a matrix
-# instance takes about 7 s, 230 MB and a 27 MB file, against 1.5 s and 94 MB
-# at n = 500 (`gen` on 2 vCPUs of a shared Intel Xeon host).
+# instance takes 5-7 s, 230 MB and a 27 MB file, against 1.1 s and 94 MB at
+# n = 500 (`gen` on 2 vCPUs of a shared Intel Xeon host).
 MAX_GEN_POINTS = 1000
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import resolve_tol
 from .errors import FatalFinding, ParameterError, ShapeError
-from .metric_space import (MetricSpace, NeighborhoodSystem,
+from .metric_space import (MetricSpace, NeighborhoodSystem, _closure_space,
                            all_pairs_neighborhoods, ball_neighborhoods,
                            explicit_neighborhoods, grid_space, metric_closure,
                            shortest_path_space)
@@ -252,7 +252,10 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
         points = [f"n{i}" for i in range(math.prod(resolution))]
     else:
         raise ParameterError(f"unknown metric kind {metric_kind!r}")
-    space, grid_nbhd = _space_from_spec(points, metric_spec)
+    # a closure just computed carries its bound; loading the file re-checks it
+    space, grid_nbhd = ((_closure_space(points, d), None)
+                        if metric_kind == "matrix"
+                        else _space_from_spec(points, metric_spec))
 
     if grid_nbhd is not None:
         nbhd_spec = {"kind": "grid"}

@@ -71,6 +71,17 @@ def _aligned(size) -> np.ndarray:
     return buf[start:][:size]   # a nonempty slice first, so size 0 moves too
 
 
+def _outer_sum(col, row, out, lhs, rhs):
+    """out[..., i, j] = col[..., i] + row[..., j] as one BLAS dgemm per matrix,
+    [col, 1] @ [1; row], in ``lhs`` and ``rhs``, ones of shape (..., m, 2) and
+    (..., 2, n) made once per kernel call.  The products by 1 are exact, so
+    the sum rounds once, in any order, fused or not, to np.add's bits, but
+    (-0) + (-0) gives +0.  Edge tiles times +inf set the invalid flag in lanes
+    never stored; floyd_warshall ignores it, as +inf and finite give no NaN."""
+    lhs[..., 0], rhs[..., 1, :] = col, row
+    np.matmul(lhs, rhs, out=out)
+
+
 _ROWS = 16   # rows i per slab of the triangle fast path
 _MIDS = 16   # intermediates k per slab
 
@@ -88,6 +99,7 @@ def _triangle_ok(arr, tol) -> bool:
     # one set of buffers for every slab; a partial slab uses a prefix
     sums_buf = _aligned(_MIDS * _ROWS * n)
     least_buf, shortest_buf = _aligned(_ROWS * n), _aligned(_ROWS * n)
+    lhs, rhs = np.ones((_MIDS, _ROWS, 2)), np.ones((_MIDS, 2, n))
     for lo in range(0, n, _ROWS):
         hi = min(lo + _ROWS, n)
         shape = (hi - lo, n - lo)
@@ -97,8 +109,8 @@ def _triangle_ok(arr, tol) -> bool:
         for k in range(0, n, _MIDS):
             mids = min(_MIDS, n - k)
             sums = sums_buf[:mids * shortest.size].reshape(mids, *shape)
-            np.add(arr[k:k + mids, lo:hi, None], arr[k:k + mids, None, lo:],
-                   out=sums)
+            _outer_sum(arr[k:k + mids, lo:hi], arr[k:k + mids, lo:], sums,
+                       lhs[:mids, :hi - lo], rhs[:mids, :, lo:])
             np.minimum.reduce(sums, axis=0, out=least)
             np.minimum(shortest, least, out=shortest)
         if np.subtract(arr[lo:hi, lo:], shortest, out=shortest).max() > tol:
@@ -159,7 +171,7 @@ def _lp_distances(coords, p) -> np.ndarray:
 class _Bounded(np.ndarray):
     """A distance matrix whose triangle excesses, and those of its principal
     submatrices, are proved at most rel * max(submatrix) + ab, for (rel, ab)
-    = ``bound``.  Only grid_space, shortest_path_space and subspace make one."""
+    = ``bound``.  Only grid_space, _closure_space and subspace make one."""
     bound = None
 
 
@@ -211,8 +223,9 @@ def validate_metric(dist, tol=None) -> ValidationReport:
     # every ordered triple through an intermediate k, in one reused buffer:
     # a fresh n x n array per k costs more than the sums
     excess = np.empty_like(arr)
+    lhs, rhs = np.ones((n, 2)), np.ones((2, n))
     for k in range(n):
-        np.add(arr[:, k:k + 1], arr[k:k + 1, :], out=excess)
+        _outer_sum(arr[:, k], arr[k], excess, lhs, rhs)
         np.subtract(arr, excess, out=excess)
         if excess.max() <= tol:
             continue
@@ -363,6 +376,7 @@ def ball_neighborhoods(space: MetricSpace, r: float, tol=None) -> NeighborhoodSy
         raise ParameterError(f"ball radius must be positive, got {r}")
     pts = space.points
     within = (space.dist <= r + tol) & ~np.eye(space.n, dtype=bool)
+    within &= within.T   # both ways, as dist is symmetric only up to tol
     return NeighborhoodSystem(pts, {
         p: frozenset(pts[j] for j in np.flatnonzero(row))
         for p, row in zip(pts, within)}).validate()
@@ -392,14 +406,15 @@ def explicit_neighborhoods(space: MetricSpace, pairs) -> NeighborhoodSystem:
 
 # The triangle inequality of a matrix D that floyd_warshall computed from a
 # weight matrix W with a zero diagonal and positive or +inf entries
-# elsewhere, as shortest_path_space builds it.
+# elsewhere, as shortest_path_space and metric_closure build it.
 #
 # Model as for grid_space, below: u = 2^-53, addition and subtraction
 # are correctly rounded and lose nothing to underflow, min is exact.  Stage k
-# computes D^k_ij = min(D^(k-1)_ij, fl(D^(k-1)_ik + D^(k-1)_kj)); D_kk = 0
-# stays, so row and column k do not change at stage k.  Let delta be the
-# exact shortest-path distances of the float weights, a metric, and
-# delta^k those of the paths through the first k points only.
+# computes D^k_ij = min(D^(k-1)_ij, fl(D^(k-1)_ik + D^(k-1)_kj)); _outer_sum
+# rounds each sum once too, so the bound below holds for it.  D_kk = 0 stays,
+# so row and column k do not change at stage k.  Let delta be the exact
+# shortest-path distances of the float weights, a metric, and delta^k those
+# of the paths through the first k points only.
 # Lower bound: a finite D_ij is the computed sum of the weights of some i-j
 # walk, by a binary tree that gains at most one level per stage, so of
 # depth at most n.  Each weight carries at most n factors (1 + e), e >= -u,
@@ -424,6 +439,13 @@ def explicit_neighborhoods(space: MetricSpace, pairs) -> NeighborhoodSystem:
 # tol.  R is bounded by the largest entry of the triple's own pairs, so for
 # a principal submatrix, whose triples are some of D's with the same bits,
 # M may be its own max; n stays that of D.
+def _closure_space(points, d) -> MetricSpace:
+    """The space of such a closure ``d``, marked with the bound above."""
+    if len(d) <= 2 ** 20 and d.max() < 2.0 ** 1000:
+        d = _bounded(d, (4 * len(d) + 3) * 2.0 ** -53, 0.0)
+    return MetricSpace(tuple(points), d)
+
+
 def shortest_path_space(vertices, edges) -> MetricSpace:
     """Metric space of all-pairs shortest-path distances of a weighted graph.
 
@@ -462,9 +484,7 @@ def shortest_path_space(vertices, edges) -> MetricSpace:
         i, j = unreachable[0]
         raise ParameterError(
             f"graph is disconnected: no path from {vertices[i]!r} to {vertices[j]!r}")
-    if n <= 2 ** 20 and d.max() < 2.0 ** 1000:   # the bound derived above
-        d = _bounded(d, (4 * n + 3) * 2.0 ** -53, 0.0)
-    return MetricSpace(tuple(vertices), d)
+    return _closure_space(vertices, d)
 
 
 def floyd_warshall(d: np.ndarray) -> np.ndarray:
@@ -482,9 +502,11 @@ def floyd_warshall(d: np.ndarray) -> np.ndarray:
     d = _aligned(src.size).reshape(src.shape)
     d[...] = src
     paths = _aligned(src.size).reshape(src.shape)   # the paths through each k
-    for k in range(d.shape[0]):
-        np.add(d[:, k:k + 1], d[k:k + 1, :], out=paths)
-        np.minimum(d, paths, out=d)
+    lhs, rhs = np.ones((len(d), 2)), np.ones((2, len(d)))
+    with np.errstate(invalid="ignore"):   # see _outer_sum
+        for k in range(len(d)):
+            _outer_sum(d[:, k], d[k], paths, lhs, rhs)
+            np.minimum(paths, d, out=d)   # a tie of zeros keeps d's sign
     return d
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -13,11 +14,11 @@ from slopekit import (DomainError, MetricSpace, NeighborhoodSystem,
                       shortest_path_space, validate_metric)
 from slopekit.config import resolve_tol
 from slopekit.errors import MetricError
-from slopekit import metric_space
+from slopekit import instances, metric_space
 from slopekit.instances import gen_random_instance, instance_from_dict
 from slopekit.metric_space import (ValidationReport, Violation, _aligned,
                                    _bounded, _certifies, _lp_distances,
-                                   _triangle_ok, floyd_warshall,
+                                   _outer_sum, _triangle_ok, floyd_warshall,
                                    metric_closure)
 
 
@@ -176,11 +177,27 @@ def on_the_edge(rng, n, delta):
     return d
 
 
+# Scales at which only a faulty BLAS sums differently from np.add: subnormal
+# sums, which a flush to zero loses, and sums near 2^1024, which overflow.
+BLAS_SCALES = (1.0, 2.0 ** -1070, 2.0 ** 1022)
+
+# Every edge-tile shape of the BLAS kernels behind _outer_sum.
+SWEEP_SIZES = (*range(1, 71), 200)
+
+
 class TestTriangleFastPath:
     """The symmetric fast path of ``validate_metric`` must not change a
     report: each case is compared entry by entry with the oracle loop."""
 
     TOLS = (None, 0.0, 1e-9, 1e-6)
+
+    def sweep(self):
+        """Closures of n = 1-70 and 200 points, at scale BLAS_SCALES[n % 3]:
+        each scale meets every residue of n mod 8."""
+        rng = np.random.default_rng(19)
+        for n in SWEEP_SIZES:
+            d = metric_closure(rng.uniform(0.3, 2.0, (n, n)))
+            yield d * BLAS_SCALES[n % 3]
 
     def cases(self):
         rng = np.random.default_rng(11)
@@ -230,6 +247,56 @@ class TestTriangleFastPath:
             tols = [0.0, 1e-9, 1e-6, *rng.choice(excess, 3)]
             for tol in tols:   # realised excesses put some exactly at tol
                 assert _triangle_ok(d, tol) == excess_ok(d, tol)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_sweep_is_exact(self):
+        """The largest excess, one np.add per intermediate in the oracle,
+        passes at itself and fails one ulp below, on every size at its scale:
+        a slab sum off by one rounding would move it."""
+        for d in self.sweep():
+            top = max_excess(d) if len(d) > 70 else \
+                (d[:, :, None] - (d[:, None, :] + d[None, :, :])).max()
+            assert _triangle_ok(d, top)
+            assert not _triangle_ok(d, math.nextafter(top, -math.inf))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_outer_sums_are_the_bits_of_np_add(self):
+        """The slab sums as the fast path stacks them, and the n x n sums of
+        floyd_warshall and the per-triple loop with +inf in the column, equal
+        np.add byte for byte in an output first filled with nan: a BLAS that
+        reads the output at beta = 0, or flushes subnormals, fails here."""
+        rows, mids = metric_space._ROWS, metric_space._MIDS
+        for d in self.sweep():
+            n = len(d)
+            lhs, rhs = np.ones((mids, rows, 2)), np.ones((mids, 2, n))
+            for lo in sorted({0, (n - 1) // rows * rows}):
+                for k in sorted({0, (n - 1) // mids * mids}):
+                    col = d[k:k + mids, lo:lo + rows]
+                    row = d[k:k + mids, lo:]
+                    out = np.full((len(col), col.shape[1], row.shape[1]),
+                                  np.nan)
+                    _outer_sum(col, row, out, lhs[:len(col), :col.shape[1]],
+                               rhs[:len(col), :, lo:])
+                    assert out.tobytes() == \
+                        np.add(col[:, :, None], row[:, None, :]).tobytes()
+            col = d[:, n // 2].copy()
+            col[::3] = np.inf
+            out = np.full((n, n), np.nan)
+            with np.errstate(invalid="ignore"):   # as in floyd_warshall
+                _outer_sum(col, d[0], out, np.ones((n, 2)), np.ones((2, n)))
+            assert out.tobytes() == np.add.outer(col, d[0]).tobytes()
+
+    def test_asymmetric_sweep_matches_oracle(self):
+        """The per-triple loop on asymmetric matrices at unit and subnormal
+        scale; the sizes at each scale take every residue mod 8."""
+        rng = np.random.default_rng(20)
+        for n in range(3, 71, 5):
+            d = metric_closure(rng.uniform(0.3, 2.0, (n, n)))
+            i, j = rng.integers(0, n, (2, 3))
+            d[i, j] *= 1.5
+            for scale in BLAS_SCALES[:1 if n > 40 else 2]:
+                assert validate_metric(d * scale, 0.0).violations == \
+                    reference_violations(d * scale, 0.0)
 
     @pytest.mark.parametrize("n", [15, 16, 17, 33, 40])
     def test_one_broken_triangle_per_intermediate(self, n):
@@ -296,28 +363,63 @@ def fresh_floyd_warshall(d):
     return d
 
 
-def sparse_weights(rng, n, integer=False):
-    """A symmetric weight matrix with +inf for missing edges; integer
-    weights make ties between paths."""
+def sparse_weights(rng, n, integer=False, scale=1.0, symmetric=True):
+    """A weight matrix, symmetric unless asked, with +inf for missing
+    edges; integer weights make ties between paths."""
     edges = rng.random((n, n)) < rng.uniform(0.02, 0.5)
     w = (rng.integers(1, 4, (n, n)).astype(float) if integer
          else rng.uniform(0.2, 2.0, (n, n)))
-    d = np.where(edges, w, np.inf)
-    d = np.minimum(d, d.T)
+    d = np.where(edges, w * scale, np.inf)
+    if symmetric:
+        d = np.minimum(d, d.T)
     np.fill_diagonal(d, 0.0)
     return d
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("seed", range(8))
 def test_floyd_warshall_matches_fresh_arrays(seed):
+    """Seeded cases, then a share of the sizes 1-70 and 200 (every edge tile
+    of BLAS), symmetric when n % 16 < 8 and at scale BLAS_SCALES[n % 3], so
+    that each kind meets every residue of n mod 8, with +inf in the column
+    operand wherever an edge is missing."""
     rng = np.random.default_rng([15, seed])
-    for n, integer in ((int(rng.integers(1, 40)), False),
-                       (15, True), (16, True), (17, False), (33, True)):
-        d = sparse_weights(rng, n, integer)
+    cases = [(int(rng.integers(1, 40)), False, 1.0, True),
+             (15, True, 1.0, True), (16, True, 1.0, True),
+             (17, False, 1.0, True), (33, True, 1.0, True)]
+    cases += [(n, n % 4 == 0, BLAS_SCALES[n % 3], n % 16 < 8)
+              for n in SWEEP_SIZES[seed::8]]
+    for n, integer, scale, symmetric in cases:
+        d = sparse_weights(rng, n, integer, scale, symmetric)
         got = floyd_warshall(d)
         want = fresh_floyd_warshall(d)
         assert got.tobytes() == want.tobytes()   # inf entries included
         assert not np.shares_memory(got, d)
+
+
+def test_floyd_warshall_keeps_a_negative_zero_diagonal():
+    """BLAS sums (-0) + (-0) to +0; the closure still keeps a -0.0 diagonal
+    as the broadcast oracle does."""
+    rng = np.random.default_rng(24)
+    for n in (1, 2, 9, 33):
+        d = sparse_weights(rng, n)
+        np.fill_diagonal(d, -0.0)
+        got = floyd_warshall(d)
+        assert got.tobytes() == fresh_floyd_warshall(d).tobytes()
+        assert np.signbit(got.diagonal()).all()
+
+
+def test_kernels_raise_no_floating_point_error():
+    """BLAS edge tiles multiply +inf by padding zeros in lanes never stored;
+    no flag of that may surface.  A chain of odd length leaves +inf in the
+    column operand of most stages."""
+    n = 41
+    edges = [(i, i + 1, 0.5 + i % 3) for i in range(n - 1)] + [(0, 20, 7.0)]
+    matrix = gen_random_instance(25, 33, metric_kind="matrix").to_dict()
+    with np.errstate(all="raise"):
+        assert shortest_path_space(range(n), edges).n == n
+        assert instance_from_dict(matrix).space.n == 33
+        assert validate_metric(matrix["metric"]["dist"]).ok
 
 
 def at_offset(a, offset):
@@ -443,6 +545,17 @@ class TestBallNeighborhoods:
     def test_symmetric_for_any_radius(self, e3):
         for r in (0.3, 1.0, 1.5, 2.0, 5.0):
             ball_neighborhoods(e3, r).validate()
+
+    def test_space_asymmetric_within_tol(self):
+        """A pair is a neighbour only when both directions are within
+        r + tol, so a space asymmetric by less than tol still gets a
+        symmetric system."""
+        space = MetricSpace(("a", "b", "c"),
+                            [[0, 1, 2], [1 + 5e-10, 0, 1], [2, 1, 0]])
+        assert validate_metric(space.dist).ok
+        nb = ball_neighborhoods(space, 1 - 8e-10)
+        assert nb.of("a") == set() and nb.of("b") == {"c"}
+        assert ball_neighborhoods(space, 1 - 3e-10).of("a") == {"b"}
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_pointwise_definition(self, seed):
@@ -1010,6 +1123,22 @@ class TestClosureCertificate:
         assert type(sub.dist) is np.ndarray
         assert sub._bound == space._bound == closure_constants(space.n)
         assert len(calls) == 5 and len(passes) == 3
+
+    def test_matrix_gen_takes_no_triangle_pass(self, monkeypatch):
+        """gen marks the closure it has just computed with the closure
+        bound; loading the file it writes keeps the full pass."""
+        with monkeypatch.context() as m:   # the space from the JSON matrix
+            m.setattr(instances, "_closure_space",
+                      lambda points, d: MetricSpace(tuple(points), d.tolist()))
+            want = gen_random_instance(46, 90, metric_kind="matrix").to_json()
+        passes = count_calls(monkeypatch, "_triangle_ok")
+        inst = gen_random_instance(46, 90, metric_kind="matrix")
+        assert passes == []
+        assert inst.space._bound == closure_constants(90)
+        assert inst.to_json() == want
+        loaded = instance_from_dict(json.loads(want))
+        assert len(passes) == 1 and loaded.space._bound is None
+        assert loaded.space.dist.tobytes() == inst.space.dist.tobytes()
 
     def test_broken_matrix_is_not_certified(self):
         """A matrix within the bound's reach of tol but not a closure keeps
