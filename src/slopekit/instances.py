@@ -16,8 +16,8 @@ import numpy as np
 from .config import resolve_tol
 from .errors import FatalFinding, ParameterError, ShapeError
 from .metric_space import (MetricSpace, NeighborhoodSystem, _closure_space,
-                           all_pairs_neighborhoods, ball_neighborhoods,
-                           explicit_neighborhoods, grid_space, metric_closure,
+                           _pair_system, all_pairs_neighborhoods,
+                           ball_neighborhoods, grid_space, metric_closure,
                            shortest_path_space)
 from .slope_core import (INF, ScalarField, domination_witnesses, scale_field,
                          truncate)
@@ -140,14 +140,20 @@ def _nbhd_from_spec(space: MetricSpace, spec, grid_nbhd) -> NeighborhoodSystem:
         return ball_neighborhoods(
             space, _parsed(float, spec["r"], "ball radius r"))
     if kind == "explicit":
-        pairs = [_parsed(_pair, e, "neighbor pair (want [i, j])")
-                 for e in _expect(spec["adj"], list, "neighbor pairs")]
-        for i, j in pairs:
-            if not (0 <= i < space.n and 0 <= j < space.n):
-                raise ParameterError(f"neighbor pair [{i}, {j}] is not a pair "
-                                     f"of indices below {space.n}")
-        return explicit_neighborhoods(
-            space, [(space.points[i], space.points[j]) for i, j in pairs])
+        adj = _expect(spec["adj"], list, "neighbor pairs")
+        try:   # plain ints as one array; _pair reads or names any other
+            ends = np.array(adj)
+        except ValueError:
+            ends = np.array(())
+        if ends.dtype.kind != "i" or ends.shape != (len(adj), 2):
+            ends = np.array([_parsed(_pair, e, "neighbor pair (want [i, j])")
+                             for e in adj], dtype=object).reshape(-1, 2)
+        outside = ((ends < 0) | (ends >= space.n)).any(axis=1)
+        if outside.any():
+            i, j = ends[outside.argmax()].tolist()
+            raise ParameterError(f"neighbor pair [{i}, {j}] is not a pair "
+                                 f"of indices below {space.n}")
+        return _pair_system(space.points, ends.astype(np.intp))
     if kind == "all":
         return all_pairs_neighborhoods(space)
     if kind == "grid":

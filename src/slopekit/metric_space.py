@@ -8,9 +8,10 @@ topologically isolated).
 """
 
 import math
+import operator
 from ctypes import addressof, c_char
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -201,13 +202,16 @@ def validate_metric(dist, tol=None) -> ValidationReport:
     bound = dist.bound if type(dist) is _Bounded else None
     arr = _as_square_matrix(dist)
     n = arr.shape[0]
-    off = ~np.eye(n, dtype=bool)
     violations = [
         Violation("diagonal", (i,), f"dist[{i}][{i}] = {arr[i, i]} != 0")
         for i in np.flatnonzero(np.abs(arr.diagonal()) > tol).tolist()]
-    negative = (arr <= tol) & off
-    asymmetric = (arr - arr.T > tol) & off
-    for i, j in np.argwhere(negative | asymmetric).tolist():
+    symmetric = np.array_equal(arr, arr.T)
+    negative = arr <= tol
+    negative.flat[::n + 1] = False   # the diagonal is checked above
+    # tol >= 0: a symmetric matrix, and any diagonal, has no asymmetry
+    asymmetric = negative & False if symmetric else arr - arr.T > tol
+    flagged = negative | asymmetric   # argwhere costs more than the rest
+    for i, j in np.argwhere(flagged).tolist() if flagged.any() else ():
         if negative[i, j]:
             violations.append(Violation(
                 "negative", (i, j),
@@ -218,7 +222,7 @@ def validate_metric(dist, tol=None) -> ValidationReport:
                 f"dist[{i}][{j}] = {arr[i, j]} != dist[{j}][{i}] = {arr[j, i]}"))
     # triangle inequality: with n < 3 no triple of distinct points exists
     if (n < 3 or (bound is not None and _certifies(bound, arr.max(), tol))
-            or (np.array_equal(arr, arr.T) and _triangle_ok(arr, tol))):
+            or (symmetric and _triangle_ok(arr, tol))):
         return ValidationReport(violations)
     # every ordered triple through an intermediate k, in one reused buffer:
     # a fresh n x n array per k costs more than the sums
@@ -305,68 +309,117 @@ class MetricSpace:
                 and self.coords == other.coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class NeighborhoodSystem:
-    """Neighbours of each point.  Immutable, so that the masks cached by
-    ``adjacency`` stay valid."""
+    """Neighbours of each point, as one read-only boolean mask over
+    ``points``: entry [i, j] says that point j neighbours point i.
+    Immutable, so that the slope arrays cached per system stay valid.
+    ``NeighborhoodSystem(points, neighbors)`` reads a mapping from points
+    to neighbours; one that is not a point is kept for ``validate``."""
     points: tuple
-    neighbors: dict   # point -> frozenset of points, read-only
+    mask: np.ndarray
 
-    def __post_init__(self):
-        points = tuple(self.points)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "neighbors", MappingProxyType(
-            {p: frozenset(self.neighbors.get(p, ())) for p in points}))
-        object.__setattr__(self, "_masks", {})   # point list -> adjacency
+    def __init__(self, points, neighbors):
+        points = tuple(points)
+        index = {p: i for i, p in enumerate(points)}
+        nbrs = [frozenset(neighbors.get(p, ())) for p in points]
+        names = list(chain.from_iterable(nbrs))
+        rows = np.repeat(np.arange(len(points)), list(map(len, nbrs)))
+        cols = np.fromiter(map(index.get, names, repeat(-1)), np.intp, len(names))
+        mask = np.zeros((len(points), len(points)), dtype=bool)
+        mask[rows[cols >= 0], cols[cols >= 0]] = True
+        stray = {r: sorted(nbrs[r].difference(index), key=str)   # by row
+                 for r in set(rows[cols < 0].tolist())}
+        vars(self).update(vars(_masked(points, mask, stray)))
+
+    def __eq__(self, other):
+        if not isinstance(other, NeighborhoodSystem):
+            return NotImplemented
+        return (self.points == other.points and self._stray == other._stray
+                and np.array_equal(self.mask, other.mask))
 
     def __reduce__(self):
-        return NeighborhoodSystem, (self.points, dict(self.neighbors))
+        return _masked, (self.points, self.mask, self._stray)
 
     def validate(self):
-        pset = set(self.points)
-        for p, nbrs in self.neighbors.items():
-            for q in nbrs:
-                if q not in pset:
-                    raise ParameterError(f"neighbor {q!r} of {p!r} is not a point")
-                if q == p:
-                    raise ParameterError(f"point {p!r} listed as its own neighbor")
-                if p not in self.neighbors[q]:
-                    raise ParameterError(
-                        f"asymmetric neighborhood: {q!r} in neighbors({p!r}) "
-                        f"but not vice versa")
+        """The system, if it is symmetric, with only points as neighbours
+        and none its own.  Else the ``ParameterError`` names the first
+        faulty point p and within p a stray name (the least), else p
+        itself, else the first point that p lists one way."""
+        one_way = self.mask > self.mask.T
+        faulty = one_way.any(axis=1) | self.mask.diagonal()
+        faulty[list(self._stray)] = True
+        if faulty.any():
+            i = int(faulty.argmax())
+            p = self.points[i]
+            if i in self._stray:
+                raise ParameterError(
+                    f"neighbor {self._stray[i][0]!r} of {p!r} is not a point")
+            if self.mask[i, i]:
+                raise ParameterError(f"point {p!r} listed as its own neighbor")
+            raise ParameterError(
+                f"asymmetric neighborhood: {self.points[one_way[i].argmax()]!r} "
+                f"in neighbors({p!r}) but not vice versa")
         return self
 
-    def of(self, x) -> frozenset:
-        if x not in self.neighbors:
+    def _row(self, x) -> int:
+        if x not in self._index:
             raise DomainError(f"point {x!r} is not in the neighborhood system")
-        return self.neighbors[x]
+        return self._index[x]
+
+    def of(self, x) -> frozenset:
+        i = self._row(x)
+        return frozenset(compress(self.points, self.mask[i].tolist())).union(
+            self._stray.get(i, ()))
+
+    @property
+    def neighbors(self) -> MappingProxyType:
+        """point -> frozenset of its neighbours, a read-only view."""
+        return MappingProxyType({p: self.of(p) for p in self.points})
 
     def adjacency(self, space: MetricSpace) -> np.ndarray:
         """Read-only boolean matrix whose entry [i, j] says that point j of
-        ``space`` neighbours its point i; computed once per point list."""
-        mask = self._masks.get(space.points)
-        if mask is None:
-            nbrs = [self.of(p) for p in space.points]
-            rows = np.repeat(np.arange(space.n), [len(s) for s in nbrs])
-            try:
-                cols = np.fromiter(
-                    map(space._index.__getitem__, chain.from_iterable(nbrs)),
-                    dtype=np.intp, count=len(rows))
-            except KeyError as exc:
-                raise DomainError(
-                    f"point {exc.args[0]!r} is not in the space") from None
-            mask = np.zeros((space.n, space.n), dtype=bool)
-            mask[rows, cols] = True
-            mask.flags.writeable = False
-            self._masks[space.points] = mask
+        ``space`` neighbours its point i: the mask itself, or its rows and
+        columns taken in the order of another point list."""
+        if space.points == self.points and not self._stray:
+            return self.mask
+        take = [self._row(p) for p in space.points]
+        mask = self.mask[np.ix_(take, take)]
+        if self._stray or mask.sum() < self.mask[take].sum():
+            for p in space.points:   # DomainError for the first outside
+                for q in sorted(self.of(p), key=str):
+                    space.index(q)
+        mask.flags.writeable = False
         return mask
 
     def restrict(self, subset) -> "NeighborhoodSystem":
         """Induced system: neighbors intersected with the subset."""
-        kset = set(subset).intersection(self.points)
-        keep = [p for p in self.points if p in kset]
-        return NeighborhoodSystem(
-            tuple(keep), {p: self.neighbors[p] & kset for p in keep})
+        kset = set(subset)
+        keep = [i for i, p in enumerate(self.points) if p in kset]
+        return _masked([self.points[i] for i in keep],
+                       self.mask[np.ix_(keep, keep)])
+
+
+def _masked(points, mask, stray=None) -> NeighborhoodSystem:
+    """The system of the boolean ``mask`` over ``points``; freezes it."""
+    nbhd, points = object.__new__(NeighborhoodSystem), tuple(points)
+    mask.flags.writeable = False
+    for name, value in (("points", points), ("mask", mask), ("_stray", stray or {}),
+                        ("_index", {p: i for i, p in enumerate(points)})):
+        object.__setattr__(nbhd, name, value)
+    return nbhd
+
+
+def _pair_system(points, ends) -> NeighborhoodSystem:
+    """The system of the index pairs in the rows of ``ends``, both ways;
+    the first self-pair is refused."""
+    loops = ends[:, 0] == ends[:, 1]
+    if loops.any():
+        p = points[ends[loops.argmax(), 0]]
+        raise ParameterError(f"self-pair ({p!r}, {p!r}) not allowed")
+    mask = np.zeros((len(points), len(points)), dtype=bool)
+    mask[ends[:, 0], ends[:, 1]] = mask[ends[:, 1], ends[:, 0]] = True
+    return _masked(points, mask)
 
 
 def ball_neighborhoods(space: MetricSpace, r: float, tol=None) -> NeighborhoodSystem:
@@ -374,34 +427,27 @@ def ball_neighborhoods(space: MetricSpace, r: float, tol=None) -> NeighborhoodSy
     tol = resolve_tol(tol)
     if not r > 0:   # nan too
         raise ParameterError(f"ball radius must be positive, got {r}")
-    pts = space.points
-    within = (space.dist <= r + tol) & ~np.eye(space.n, dtype=bool)
+    within = space.dist <= r + tol
     within &= within.T   # both ways, as dist is symmetric only up to tol
-    return NeighborhoodSystem(pts, {
-        p: frozenset(pts[j] for j in np.flatnonzero(row))
-        for p, row in zip(pts, within)}).validate()
+    np.fill_diagonal(within, False)
+    return _masked(space.points, within)
 
 
 def all_pairs_neighborhoods(space: MetricSpace) -> NeighborhoodSystem:
-    pts = set(space.points)
-    nbhd = NeighborhoodSystem(
-        space.points, {p: frozenset(pts - {p}) for p in space.points}).validate()
-    nbhd._masks[space.points] = mask = ~np.eye(space.n, dtype=bool)
-    mask.flags.writeable = False   # the mask that adjacency would build
-    return nbhd
+    return _masked(space.points, ~np.eye(space.n, dtype=bool))
 
 
 def explicit_neighborhoods(space: MetricSpace, pairs) -> NeighborhoodSystem:
-    """Build from undirected pairs; symmetrized automatically."""
-    nbrs = {p: set() for p in space.points}
-    for a, b in pairs:
-        if a not in nbrs or b not in nbrs:
-            raise DomainError(f"pair ({a!r}, {b!r}) uses unknown points")
-        if a == b:
-            raise ParameterError(f"self-pair ({a!r}, {a!r}) not allowed")
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    return NeighborhoodSystem(space.points, nbrs).validate()
+    """Build from undirected pairs of points; symmetrized automatically."""
+    pairs = list(pairs)
+    refs = np.array(pairs, dtype=object).reshape(len(pairs), 2)
+    ends = np.fromiter(map(space._index.get, refs.ravel(), repeat(-1)),
+                       np.intp, refs.size).reshape(-1, 2)
+    unknown = (ends < 0).any(axis=1)
+    if unknown.any() and unknown[(unknown | (ends[:, 0] == ends[:, 1])).argmax()]:
+        a, b = pairs[unknown.argmax()]   # no self-pair comes before it
+        raise DomainError(f"pair ({a!r}, {b!r}) uses unknown points")
+    return _pair_system(space.points, ends)
 
 
 # The triangle inequality of a matrix D that floyd_warshall computed from a
@@ -459,25 +505,34 @@ def shortest_path_space(vertices, edges) -> MetricSpace:
     n = len(vertices)
     if n == 0:
         raise ParameterError("need at least one vertex")
+    edges = list(edges)
+    us, vs, ws = np.array(edges, dtype=object).reshape(len(edges), 3).T
     index = {v: i for i, v in enumerate(vertices)}
-    d = np.full((n, n), np.inf)
-    np.fill_diagonal(d, 0.0)
-    for u, v, w in edges:
-        i = index[str(u)] if not isinstance(u, int) else u
-        j = index[str(v)] if not isinstance(v, int) else v
-        if not (0 <= i < n and 0 <= j < n):
-            raise DomainError(f"edge ({u!r}, {v!r}) uses unknown vertices")
+
+    def vertex(ref):   # an integer is an index, anything else a name
+        try:
+            i = operator.index(ref)
+        except TypeError:
+            return index.get(str(ref), -1)
+        return i if 0 <= i < n else -1
+    ends = np.fromiter(map(vertex, chain(us, vs)), np.intp,
+                       2 * len(edges)).reshape(2, -1)
+    w = np.fromiter(map(float, ws), float, len(edges))
+    unknown = (ends < 0).any(axis=0)
+    bad = unknown | (ends[0] == ends[1]) | (w <= 0) | ~(w < math.inf)
+    if bad.any():   # the first bad edge, its faults in this order
+        k = int(bad.argmax())
+        (i, j), wk = ends[:, k].tolist(), float(w[k])
+        if unknown[k]:
+            raise DomainError(f"edge ({us[k]!r}, {vs[k]!r}) uses unknown vertices")
         if i == j:
             raise ParameterError(f"self-loop at {vertices[i]!r} not allowed")
-        w = float(w)
-        if w <= 0:
-            raise ParameterError(
-                f"edge ({vertices[i]!r}, {vertices[j]!r}) has nonpositive weight {w}")
-        if not w < math.inf:   # nan too
-            raise ParameterError(
-                f"edge ({vertices[i]!r}, {vertices[j]!r}) has non-finite weight {w}")
-        if w < d[i, j]:
-            d[i, j] = d[j, i] = w
+        raise ParameterError(
+            f"edge ({vertices[i]!r}, {vertices[j]!r}) has "
+            f"{'nonpositive' if wk <= 0 else 'non-finite'} weight {wk}")
+    d = np.full((n, n), np.inf)
+    np.minimum.at(d, (ends.ravel(), ends[::-1].ravel()), np.tile(w, 2))
+    np.fill_diagonal(d, 0.0)
     d = floyd_warshall(d)
     unreachable = np.argwhere(np.isinf(d))
     if len(unreachable):
@@ -592,12 +647,8 @@ def grid_space(bounds, resolution, p=2.0):
     space = MetricSpace(points, d, coords=coords)
 
     # axis-adjacent pairs by multi-index
-    shape = tuple(resolution)
-    idx = np.arange(n).reshape(shape)
-    pairs = []
-    for ax in range(len(shape)):
-        a = np.moveaxis(idx, ax, 0)
-        pairs.extend(zip(a[:-1].ravel(), a[1:].ravel()))
-    nbhd = explicit_neighborhoods(
-        space, [(points[i], points[j]) for i, j in pairs])
-    return space, nbhd
+    idx = np.arange(n).reshape(resolution)
+    ends = np.concatenate([
+        np.stack((a[:-1].ravel(), a[1:].ravel()), axis=1)
+        for a in (np.moveaxis(idx, ax, 0) for ax in range(dim))])
+    return space, _pair_system(points, ends)

@@ -32,16 +32,17 @@ class ScalarField:
     values: tuple   # one float per point; +inf allowed, -inf and nan are not
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) != self.space.n:
+        # each value goes through float(), whose conversions and errors stay
+        array = np.fromiter(map(float, self.values), dtype=float)
+        if len(array) != self.space.n:
             raise ParameterError(
-                f"{len(vals)} values for {self.space.n} points")
-        for v in vals:
-            if math.isnan(v) or v == -INF:
-                raise ParameterError(f"field value {v} is not in R ∪ {{+inf}}")
-        array = np.array(vals, dtype=float)
+                f"{len(array)} values for {self.space.n} points")
+        bad = ~(array > -INF)   # nan or -inf
+        if bad.any():
+            raise ParameterError(
+                f"field value {array[bad.argmax()]} is not in R ∪ {{+inf}}")
         array.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(array.tolist()))
         object.__setattr__(self, "array", array)   # values as a float array
         object.__setattr__(self, "_slopes", {})    # see slopes()
         object.__setattr__(self, "_crit", {})      # see eps_Crit()
@@ -54,11 +55,10 @@ class ScalarField:
         return self.values[self.space.index(x)]
 
     def dom(self) -> tuple:
-        return tuple(p for p, v in zip(self.space.points, self.values)
-                     if math.isfinite(v))
+        return _points_where(self, True)
 
     def is_proper(self) -> bool:
-        return any(math.isfinite(v) for v in self.values)
+        return bool(np.isfinite(self.array).any())
 
     def min_finite(self) -> float:
         return min(self._finite_values())
@@ -67,7 +67,7 @@ class ScalarField:
         return max(self._finite_values())
 
     def _finite_values(self) -> list:
-        finite = [v for v in self.values if math.isfinite(v)]
+        finite = self.array[np.isfinite(self.array)].tolist()
         if not finite:
             raise ImproperFieldError("field is identically +inf")
         return finite
@@ -169,8 +169,8 @@ def global_slope(f: ScalarField, x) -> float:
 
 def _points_where(f: ScalarField, mask) -> tuple:
     """The points of dom f at which the boolean array ``mask`` holds."""
-    pts = f.space.points
-    return tuple(pts[i] for i in np.flatnonzero(mask & np.isfinite(f.array)))
+    return tuple(map(f.space.points.__getitem__,
+                     np.flatnonzero(mask & np.isfinite(f.array)).tolist()))
 
 
 def _require_same_points(f: ScalarField, g: ScalarField):

@@ -1,6 +1,11 @@
+import copy
 import itertools
 import json
 import math
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -507,6 +512,70 @@ class TestShortestPathSpace:
             shortest_path_space(["a", "b", "c"],
                                 [("a", "b", 1.0), ("b", "c", 1e-10)])
 
+    @pytest.mark.parametrize("u, v", [("a", "zz"), ("zz", 1), (0, 3), (-1, 2),
+                                      (0, 10 ** 30), (1.0, 2), (np.float64(0), 1)])
+    def test_unknown_vertex_is_a_domain_error(self, u, v):
+        """A name that is no vertex, an index out of range, and a float, which
+        is read as a name, all raise the same error as an unknown index."""
+        with pytest.raises(DomainError, match=r"uses unknown vertices") as info:
+            shortest_path_space(["a", "b", "c"], [("a", "b", 1.0), (u, v, 1.0)])
+        assert str(info.value) == f"edge ({u!r}, {v!r}) uses unknown vertices"
+
+    def test_any_integer_is_an_index(self):
+        want = shortest_path_space(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 2.0)])
+        for i0, i1, i2 in [(np.int64(0), np.int32(1), np.uint8(2)),
+                           (False, True, 2)]:
+            got = shortest_path_space(["a", "b", "c"],
+                                      [(i0, i1, 1.0), (i1, i2, 2.0)])
+            assert got.dist.tobytes() == want.dist.tobytes()
+
+    @pytest.mark.parametrize("edges, error, message", [
+        # the first bad edge in list order is named, whatever comes later
+        ([("a", "b", -1.0), ("a", "zz", 1.0)], ParameterError,
+         "edge ('a', 'b') has nonpositive weight -1.0"),
+        ([("a", "zz", -1.0), ("a", "b", -1.0)], DomainError,
+         "edge ('a', 'zz') uses unknown vertices"),
+        # within an edge: unknown vertex, self-loop, sign, finiteness
+        ([("zz", "zz", math.nan)], DomainError,
+         "edge ('zz', 'zz') uses unknown vertices"),
+        ([("a", "b", 1.0), ("c", 2, 0.0)], ParameterError,
+         "self-loop at 'c' not allowed"),
+        ([("b", "c", 0.0)], ParameterError,
+         "edge ('b', 'c') has nonpositive weight 0.0"),
+        ([("b", "c", -math.inf)], ParameterError,
+         "edge ('b', 'c') has nonpositive weight -inf"),
+        ([(1, 2, math.inf)], ParameterError,
+         "edge ('b', 'c') has non-finite weight inf"),
+        ([("a", "b", 1.0), (2, "a", math.nan)], ParameterError,
+         "edge ('c', 'a') has non-finite weight nan"),
+    ])
+    def test_first_bad_edge_and_check_order(self, edges, error, message):
+        with pytest.raises(error) as info:
+            shortest_path_space(["a", "b", "c"], edges)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_duplicate_edges_keep_the_least_weight(self):
+        rng = np.random.default_rng(12)
+        n = 9
+        edges = [(int(rng.integers(0, v)), v, float(rng.uniform(0.2, 2.0)))
+                 for v in range(1, n)]
+        edges += [(j, i, float(rng.uniform(0.2, 2.0))) for i, j, _ in edges]
+        edges += [(int(i), int(j), float(rng.uniform(0.2, 2.0)))
+                  for i, j in rng.integers(0, n, size=(30, 2)) if i != j]
+        w = np.full((n, n), np.inf)
+        np.fill_diagonal(w, 0.0)
+        for i, j, wt in edges:   # the per-edge loop the build replaced
+            if wt < w[i, j]:
+                w[i, j] = w[j, i] = wt
+        space = shortest_path_space([f"v{i}" for i in range(n)], edges)
+        assert space.dist.tobytes() == floyd_warshall(w).tobytes()
+
+    def test_edges_must_be_triples(self):
+        for edges in ([("a", "b")], [("a", "b", 1.0, 2.0)],
+                      [("a", "b", 1.0), ("b", "c")]):
+            with pytest.raises(ValueError):
+                shortest_path_space(["a", "b", "c"], edges)
+
     def test_relabel_invariance(self):
         edges = [(0, 1, 1.0), (1, 2, 0.5), (0, 2, 2.5)]
         s1 = shortest_path_space(["a", "b", "c"], edges)
@@ -577,6 +646,134 @@ class TestNeighborhoodRestrict:
         sub = nb.restrict(["c", "b", "zz"])   # unknown points are dropped
         assert sub.points == ("b", "c")
         assert sub.neighbors == {"b": {"c"}, "c": {"b"}}
+
+
+VALIDATE_CASES = [
+    ((("a", "b", "c", "d"), {"a": {"b", "c", "d"}}),
+     "asymmetric neighborhood: 'b' in neighbors('a') but not vice versa"),
+    ((("a", "b"), {"a": {"x", "y", "b"}, "b": {"a"}}),
+     "neighbor 'x' of 'a' is not a point"),
+    ((("a", "b", "c"), {"b": {"zz", "b", "a"}, "c": {"c"}}),
+     "neighbor 'zz' of 'b' is not a point"),
+    ((("a", "b", "c"), {"c": {"a"}, "b": {"q", "p"}}),
+     "neighbor 'p' of 'b' is not a point"),
+    ((("a", "b", "c"), {"a": {"b"}, "b": {"c", "zz", "b"}, "c": {"c"}}),
+     "asymmetric neighborhood: 'b' in neighbors('a') but not vice versa"),
+    ((("a", "b", "c"), {"a": {"b"}, "b": {"c", "b", "a"}}),
+     "point 'b' listed as its own neighbor"),
+    ((("a", "b", "c"), {"a": {"c", "b"}, "b": {"a"}}),
+     "asymmetric neighborhood: 'c' in neighbors('a') but not vice versa"),
+]
+
+
+class TestNeighborhoodValidate:
+    @pytest.mark.parametrize("system, message", VALIDATE_CASES)
+    def test_reports_the_first_fault(self, system, message):
+        """Point order first; within a point, stray names (sorted), then the
+        point itself, then one-way neighbours in point order."""
+        with pytest.raises(ParameterError) as info:
+            NeighborhoodSystem(*system).validate()
+        assert str(info.value) == message
+
+    def test_messages_independent_of_hash_seed(self):
+        code = ("import json, sys; from slopekit import NeighborhoodSystem\n"
+                "out = []\n"
+                "for system in json.loads(sys.argv[1]):\n"
+                "    try:\n"
+                "        NeighborhoodSystem(*system).validate()\n"
+                "    except Exception as exc:\n"
+                "        out.append(str(exc))\n"
+                "print(json.dumps(out))")
+        systems = json.dumps([[pts, {p: sorted(q) for p, q in nb.items()}]
+                              for (pts, nb), _ in VALIDATE_CASES])
+        src = os.path.dirname(os.path.dirname(metric_space.__file__))
+        for seed in (0, 2):   # seeds under which sets iterate differently
+            out = subprocess.run(
+                [sys.executable, "-c", code, systems], capture_output=True,
+                text=True, check=True, env={**os.environ, "PYTHONPATH": src,
+                                            "PYTHONHASHSEED": str(seed)}).stdout
+            assert json.loads(out) == [m for _, m in VALIDATE_CASES]
+
+    def test_valid_systems_pass(self, e3):
+        for nbhd in (ball_neighborhoods(e3, 1.0), all_pairs_neighborhoods(e3),
+                     NeighborhoodSystem(e3.points, {}),
+                     explicit_neighborhoods(e3, [("a", "c")])):
+            assert nbhd.validate() is nbhd
+
+
+class TestMaskStorage:
+    def test_mask_and_views(self, e3):
+        nbhd = NeighborhoodSystem(e3.points, {"a": ["b"], "b": ("a", "c"),
+                                              "c": {"b"}, "zz": {"a"}})
+        assert nbhd.mask.tolist() == [[False, True, False], [True, False, True],
+                                      [False, True, False]]
+        assert not nbhd.mask.flags.writeable
+        assert nbhd.adjacency(e3) is nbhd.mask
+        assert dict(nbhd.neighbors) == {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
+        assert nbhd == explicit_neighborhoods(e3, [("a", "b"), ("c", "b")])
+        with pytest.raises(DomainError, match="'zz' is not in the neighborhood"):
+            nbhd.of("zz")
+
+    def test_stray_names_are_kept(self, e3):
+        stray = NeighborhoodSystem(e3.points, {"a": {"b", "q"}, "b": {"a"}})
+        assert stray.of("a") == {"b", "q"}
+        assert stray != NeighborhoodSystem(e3.points, {"a": {"b"}, "b": {"a"}})
+        with pytest.raises(ParameterError, match="'q' of 'a' is not a point"):
+            stray.validate()
+        assert stray.restrict(e3.points).of("a") == {"b"}
+
+    def test_copies_are_equal_and_frozen(self, e3):
+        nbhd = NeighborhoodSystem(e3.points, {"a": {"b", "zz"}, "b": {"a"}})
+        for dup in (pickle.loads(pickle.dumps(nbhd)), copy.deepcopy(nbhd)):
+            assert dup == nbhd and dup.of("a") == {"b", "zz"}
+            assert not dup.mask.flags.writeable
+
+    @pytest.mark.parametrize("adj", [
+        [[0, 1], [2, 1]], [[0.0, 1.0], [2, 1.0]], [[True, 0], [1, 2]],
+        [["0", "1"], ["2", "1"]], [[0, 1], [1, 0], [2, 1]]])
+    def test_loaded_pairs(self, adj):
+        """Plain int pairs are read as one array; the other entries that the
+        per-pair reader accepted are still read the same."""
+        inst = instance_from_dict({
+            "points": ["a", "b", "c"],
+            "metric": {"kind": "matrix", "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+            "neighborhoods": {"kind": "explicit", "adj": adj}})
+        assert dict(inst.nbhd.neighbors) == {"a": {"b"}, "b": {"a", "c"},
+                                             "c": {"b"}}
+
+    def test_builds_at_n_1000_read_no_neighbour_set(self, monkeypatch):
+        """Builders, adjacency and validate work on the mask alone."""
+        space, _ = grid_space([(0, 1), (0, 2)], [25, 40])   # certified
+        n = space.n
+        upper = np.triu(space.dist <= 0.1, 1)
+        pairs = [(space.points[i], space.points[j])
+                 for i, j in np.argwhere(upper).tolist()]
+
+        def refuse(*args):
+            raise AssertionError("a neighbour set was read")
+
+        monkeypatch.setattr(NeighborhoodSystem, "of", refuse)
+        monkeypatch.setattr(NeighborhoodSystem, "neighbors", property(refuse))
+        within = space.dist <= 0.3 + 1e-9
+        axis = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        row = np.arange(n) // 40
+        want = {
+            "ball": within & within.T & ~np.eye(n, dtype=bool),
+            "all": ~np.eye(n, dtype=bool),
+            "explicit": upper | upper.T,
+            "grid": ((axis == 40) | ((axis == 1) &
+                                     (row[:, None] == row[None, :]))),
+        }
+        got = {"ball": ball_neighborhoods(space, 0.3),
+               "all": all_pairs_neighborhoods(space),
+               "explicit": explicit_neighborhoods(space, pairs),
+               "grid": grid_space([(0, 1), (0, 2)], [25, 40])[1]}
+        for kind, nbhd in got.items():
+            assert nbhd.validate() is nbhd
+            mask = nbhd.adjacency(space)
+            assert mask.tobytes() == want[kind].tobytes(), kind
+            assert not mask.flags.writeable
+            assert nbhd.restrict(space.points).mask.tobytes() == mask.tobytes()
 
 
 def per_pair_adjacency(nbhd, space):

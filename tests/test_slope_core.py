@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,6 +48,68 @@ class TestScalarField:
         f = ScalarField(e3, (0.0, INF, 1.0))
         with pytest.raises(UndefinedArithmeticError):
             sub_fields(f, f)
+
+    @pytest.mark.parametrize("values, want", [
+        ((1, 2, 3), (1.0, 2.0, 3.0)),
+        ((True, False, True), (1.0, 0.0, 1.0)),
+        ((np.float32(0.1), np.int64(2), np.float64(3.0)),
+         (0.10000000149011612, 2.0, 3.0)),
+        (("1.5", "inf", " 2 "), (1.5, INF, 2.0)),
+        (("1_000", 1, 2), (1000.0, 1.0, 2.0)),
+        ((Fraction(1, 3), 1, 2), (1 / 3, 1.0, 2.0)),
+        ((v for v in (1.0, 2.0, 3.0)), (1.0, 2.0, 3.0)),
+    ])
+    def test_accepted_values(self, e3, values, want):
+        f = ScalarField(e3, values)
+        assert f.values == want and all(type(v) is float for v in f.values)
+        assert f.array.tolist() == list(want)
+
+    @pytest.mark.parametrize("values, error, message", [
+        ((10 ** 400, 1, 2), OverflowError, "int too large to convert to float"),
+        ((1.0, math.nan, 2.0), ParameterError,
+         "field value nan is not in R ∪ {+inf}"),
+        (("nan", 1, 2), ParameterError, "field value nan is not in R ∪ {+inf}"),
+        ((1.0, -INF, math.nan), ParameterError,
+         "field value -inf is not in R ∪ {+inf}"),
+        ((1.0, 2.0), ParameterError, "2 values for 3 points"),
+        ((1.0, 2.0, 3.0, 4.0), ParameterError, "4 values for 3 points"),
+        # numpy reads None as nan, float() refuses it
+        ((None, 1.0, 2.0), TypeError, "float() argument must be a string or "
+         "a real number, not 'NoneType'"),
+        ((None,), TypeError, "not 'NoneType'"),
+        # numpy reads nested lists as one 2-D array, float() refuses them
+        (([1.0], 2.0, 3.0), TypeError, "not 'list'"),
+        (([1.0], [2.0], [3.0]), TypeError, "not 'list'"),
+        (("x", 1, 2), ValueError, "could not convert string to float: 'x'"),
+        ((1.0, "x", None), ValueError, "could not convert string to float: 'x'"),
+    ])
+    def test_refused_values(self, e3, values, error, message):
+        with pytest.raises(error) as info:
+            ScalarField(e3, values)
+        assert type(info.value) is error and message in str(info.value)
+
+    @pytest.mark.parametrize("values, lo, hi", [
+        # Python's min and max keep the first of tied 0.0 and -0.0; numpy's
+        # min of (0.0, -0.0) is -0.0
+        ((0.0, -0.0, INF), 0.0, 0.0),
+        ((-0.0, 0.0, INF), -0.0, -0.0),
+        ((INF, -0.0, 0.0), -0.0, -0.0),
+        ((2.0, 0.0, -0.0), 0.0, 2.0),
+    ])
+    def test_signed_zeros_of_min_and_max(self, e3, values, lo, hi):
+        f = ScalarField(e3, values)
+        got = f.min_finite(), f.max_finite()
+        assert got == (lo, hi)
+        assert [math.copysign(1, v) for v in got] == \
+            [math.copysign(1, v) for v in (lo, hi)]
+
+    def test_min_and_max_of_an_improper_field(self, e3):
+        f = ScalarField(e3, (INF, INF, INF))
+        for extreme in (f.min_finite, f.max_finite):
+            with pytest.raises(ImproperFieldError,
+                               match="field is identically"):
+                extreme()
+        assert f.dom() == () and not f.is_proper()
 
     def test_pos_part(self):
         assert pos_part(-2.0) == 0.0
