@@ -16,7 +16,7 @@ import numpy as np
 from .config import resolve_tol
 from .errors import FatalFinding, ParameterError, ShapeError
 from .metric_space import (MetricSpace, NeighborhoodSystem, _closure_space,
-                           _pair_system, all_pairs_neighborhoods,
+                           _graph_space, _pair_system, all_pairs_neighborhoods,
                            ball_neighborhoods, grid_space, metric_closure,
                            shortest_path_space)
 from .slope_core import (INF, ScalarField, domination_witnesses, scale_field,
@@ -116,9 +116,18 @@ def _space_from_spec(points, spec):
     if kind == "matrix":
         return MetricSpace(tuple(points), spec["dist"]), None
     if kind == "graph":
-        edges = [_parsed(_edge, e, "graph edge (want [u, v, w])")
-                 for e in _expect(spec["edges"], list, "graph edges")]
-        return shortest_path_space(points, edges), None
+        edges = _expect(spec["edges"], list, "graph edges")
+        try:   # numbers with indices for ends as one array; _edge reads any other
+            arr = np.array(edges)
+        except ValueError:
+            arr = np.array(())
+        if arr.dtype.kind in "if" and arr.shape == (len(edges), 3) and (
+                (arr[:, :2] >= 0) & (arr[:, :2] < len(points))
+                & (arr[:, :2] == np.floor(arr[:, :2]))).all():
+            ends = arr[:, :2].T.astype(np.intp)
+            return _graph_space(points, ends, arr[:, 2].astype(float), ends), None
+        return shortest_path_space(points, [
+            _parsed(_edge, e, "graph edge (want [u, v, w])") for e in edges]), None
     if kind == "grid":
         p = spec.get("p", 2)
         p = math.inf if p == "inf" else _parsed(float, p, "grid exponent p")

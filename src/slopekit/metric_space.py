@@ -83,8 +83,13 @@ def _outer_sum(col, row, out, lhs, rhs):
     np.matmul(lhs, rhs, out=out)
 
 
-_ROWS = 16   # rows i per slab of the triangle fast path
-_MIDS = 16   # intermediates k per slab
+_ROWS = 16        # rows i per slab of the triangle fast path
+_SUMS = 2 ** 17   # floats of stacked sums per slab (1 MiB), at every n
+
+
+def _slab_depth(n) -> int:
+    """Intermediates k per slab of the triangle fast path at size n."""
+    return max(1, min(n, _SUMS // (_ROWS * n)))
 
 
 def _triangle_ok(arr, tol) -> bool:
@@ -97,18 +102,19 @@ def _triangle_ok(arr, tol) -> bool:
     means that the per-triple loop of ``validate_metric`` reports nothing.
     """
     n = arr.shape[0]
+    depth = _slab_depth(n)
     # one set of buffers for every slab; a partial slab uses a prefix
-    sums_buf = _aligned(_MIDS * _ROWS * n)
+    sums_buf = _aligned(depth * _ROWS * n)
     least_buf, shortest_buf = _aligned(_ROWS * n), _aligned(_ROWS * n)
-    lhs, rhs = np.ones((_MIDS, _ROWS, 2)), np.ones((_MIDS, 2, n))
+    lhs, rhs = np.ones((depth, _ROWS, 2)), np.ones((depth, 2, n))
     for lo in range(0, n, _ROWS):
         hi = min(lo + _ROWS, n)
         shape = (hi - lo, n - lo)
         shortest = shortest_buf[:(hi - lo) * (n - lo)].reshape(shape)
         least = least_buf[:shortest.size].reshape(shape)
         shortest.fill(np.inf)
-        for k in range(0, n, _MIDS):
-            mids = min(_MIDS, n - k)
+        for k in range(0, n, depth):
+            mids = min(depth, n - k)
             sums = sums_buf[:mids * shortest.size].reshape(mids, *shape)
             _outer_sum(arr[k:k + mids, lo:hi], arr[k:k + mids, lo:], sums,
                        lhs[:mids, :hi - lo], rhs[:mids, :, lo:])
@@ -506,7 +512,7 @@ def shortest_path_space(vertices, edges) -> MetricSpace:
     if n == 0:
         raise ParameterError("need at least one vertex")
     edges = list(edges)
-    us, vs, ws = np.array(edges, dtype=object).reshape(len(edges), 3).T
+    refs = np.array(edges, dtype=object).reshape(len(edges), 3).T
     index = {v: i for i, v in enumerate(vertices)}
 
     def vertex(ref):   # an integer is an index, anything else a name
@@ -515,28 +521,34 @@ def shortest_path_space(vertices, edges) -> MetricSpace:
         except TypeError:
             return index.get(str(ref), -1)
         return i if 0 <= i < n else -1
-    ends = np.fromiter(map(vertex, chain(us, vs)), np.intp,
+    ends = np.fromiter(map(vertex, chain(refs[0], refs[1])), np.intp,
                        2 * len(edges)).reshape(2, -1)
-    w = np.fromiter(map(float, ws), float, len(edges))
+    w = np.fromiter(map(float, refs[2]), float, len(edges))
+    return _graph_space(vertices, ends, w, refs)
+
+
+def _graph_space(vertices, ends, w, refs) -> MetricSpace:
+    """The space of the edges ends[:, k] (vertex indices, -1 if unknown, as
+    given in refs[:2, k]) of weights w; the first bad edge is named as below."""
     unknown = (ends < 0).any(axis=0)
     bad = unknown | (ends[0] == ends[1]) | (w <= 0) | ~(w < math.inf)
-    if bad.any():   # the first bad edge, its faults in this order
+    if bad.any():
         k = int(bad.argmax())
         (i, j), wk = ends[:, k].tolist(), float(w[k])
         if unknown[k]:
-            raise DomainError(f"edge ({us[k]!r}, {vs[k]!r}) uses unknown vertices")
+            u, v = refs[:2, k].tolist()
+            raise DomainError(f"edge ({u!r}, {v!r}) uses unknown vertices")
         if i == j:
             raise ParameterError(f"self-loop at {vertices[i]!r} not allowed")
         raise ParameterError(
             f"edge ({vertices[i]!r}, {vertices[j]!r}) has "
             f"{'nonpositive' if wk <= 0 else 'non-finite'} weight {wk}")
-    d = np.full((n, n), np.inf)
+    d = np.full((len(vertices),) * 2, np.inf)
     np.minimum.at(d, (ends.ravel(), ends[::-1].ravel()), np.tile(w, 2))
     np.fill_diagonal(d, 0.0)
     d = floyd_warshall(d)
-    unreachable = np.argwhere(np.isinf(d))
-    if len(unreachable):
-        i, j = unreachable[0]
+    if np.isinf(d).any():
+        i, j = np.argwhere(np.isinf(d))[0]
         raise ParameterError(
             f"graph is disconnected: no path from {vertices[i]!r} to {vertices[j]!r}")
     return _closure_space(vertices, d)

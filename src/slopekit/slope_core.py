@@ -37,15 +37,7 @@ class ScalarField:
         if len(array) != self.space.n:
             raise ParameterError(
                 f"{len(array)} values for {self.space.n} points")
-        bad = ~(array > -INF)   # nan or -inf
-        if bad.any():
-            raise ParameterError(
-                f"field value {array[bad.argmax()]} is not in R ∪ {{+inf}}")
-        array.flags.writeable = False
-        object.__setattr__(self, "values", tuple(array.tolist()))
-        object.__setattr__(self, "array", array)   # values as a float array
-        object.__setattr__(self, "_slopes", {})    # see slopes()
-        object.__setattr__(self, "_crit", {})      # see eps_Crit()
+        _adopt(self, array)
 
     def __reduce__(self):
         # copies start with an empty cache: its keys are object ids
@@ -78,14 +70,36 @@ class ScalarField:
         return self.space == other.space and self.values == other.values
 
 
+def _adopt(f: ScalarField, array) -> ScalarField:
+    """f with the values of the float ``array``, which it keeps and freezes."""
+    bad = ~(array > -INF)   # nan or -inf
+    if bad.any():
+        raise ParameterError(
+            f"field value {array[bad.argmax()]} is not in R ∪ {{+inf}}")
+    array.flags.writeable = False
+    object.__setattr__(f, "values", tuple(array.tolist()))
+    object.__setattr__(f, "array", array)   # values as a float array
+    object.__setattr__(f, "_slopes", {})    # see slopes()
+    object.__setattr__(f, "_crit", {})      # see eps_Crit()
+    return f
+
+
+def _field(space: MetricSpace, array) -> ScalarField:
+    """ScalarField(space, values) from a float array of the values, adopted
+    as it is: derived fields skip the public constructor's float() pass."""
+    f = object.__new__(ScalarField)
+    object.__setattr__(f, "space", space)
+    return _adopt(f, array)
+
+
 def scale_field(f: ScalarField, r: float) -> ScalarField:
     """r·f for r >= 0.  r = 0 gives the zero field everywhere (so that the
     result is a real-valued constant even off dom f)."""
     if r < 0:
         raise ParameterError(f"scale factor must be nonnegative, got {r}")
     if r == 0:
-        return ScalarField(f.space, (0.0,) * f.space.n)
-    return ScalarField(f.space, tuple((r * f.array).tolist()))
+        return _field(f.space, np.zeros(f.space.n))
+    return _field(f.space, float(r) * f.array)
 
 
 def add_fields(f: ScalarField, g: ScalarField) -> ScalarField:
@@ -139,9 +153,10 @@ def slopes(f: ScalarField, nbhd: NeighborhoodSystem = None) -> np.ndarray:
         np.divide(quot, f.space.dist, out=quot)
         if nbhd is not None:   # a non-neighbour gives ±0 or nan (inf * 0)
             np.multiply(quot, nbhd.adjacency(f.space), out=quot)
-    # [.]+ is the initial 0: ascents and f(y) = +inf give quotients <= 0,
-    # and the diagonal 0 / d_xx gives +-0 or nan, which fmax passes over;
-    # rows off dom f are overwritten below, and + 0.0 turns -0.0 into 0.0
+    # [.]+ is the initial 0: ascents and f(y) = +inf give quotients <= 0;
+    # the diagonal, +-0 or nan (0 / d_xx), is set to 0, as nan halves the
+    # speed of fmax; rows off dom f are overwritten below; + 0.0 turns -0.0 to 0.0
+    quot.ravel()[::n + 1] = 0.0   # a view: quot is contiguous
     out = np.fmax.reduce(quot, axis=1, initial=0.0)
     out += 0.0
     out[~np.isfinite(v)] = INF
@@ -256,12 +271,17 @@ def _crit_rows(f: ScalarField, eps, tol) -> tuple:
         raise ParameterError(f"eps must be nonnegative, got {eps}")
     key = (float(eps), tol)
     if key not in f._crit:
-        v, pts = f.array, f.space.points
+        v, pts, d = f.array, f.space.points, f.space.dist
         rows = np.flatnonzero((slopes(f) <= eps + tol) & np.isfinite(v))
-        d = f.space.dist[rows]
-        bad = np.argwhere(v[None, :] < v[rows, None] - eps * d - tol * (1 + d))
-        if len(bad):
-            i, j = bad[0]
+        d = d[rows] if len(rows) < len(v) else d
+        # in place: eps = inf or an overflow gives -inf or nan, no v_j below it
+        with np.errstate(over="ignore", invalid="ignore"):
+            low, slack = np.multiply(eps, d), np.add(1, d)
+            np.subtract(v[rows, None], low, out=low)
+            np.subtract(low, np.multiply(tol, slack, out=slack), out=low)
+        bad = v < low
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
             raise FatalFinding(
                 "eps_Crit member fails the pointwise inequality",
                 witness={"x": pts[rows[i]], "y": pts[j], "eps": eps})
@@ -275,19 +295,23 @@ def pasch_hausdorff(f: ScalarField, eps: float) -> ScalarField:
     g is everywhere finite and eps-Lipschitz; it coincides with f exactly
     on eps_Crit(f, eps).
     """
-    if not eps > 0:   # nan too
-        raise ParameterError(f"eps must be positive, got {eps}")
+    if not 0 < eps < INF:   # nan too
+        raise ParameterError(f"eps must be positive and finite, got {eps}")
     if not f.is_proper():
         raise ImproperFieldError("cannot regularize an improper field")
-    fin = np.isfinite(f.array)
-    out = (f.array[fin, None] + eps * f.space.dist[fin]).min(axis=0)
-    return ScalarField(f.space, tuple(out.tolist()))
+    v, d, fin = f.array, f.space.dist, np.isfinite(f.array)
+    if not fin.all():
+        v, d = v[fin], d[fin]
+    with np.errstate(over="ignore"):   # f(y) + eps d(y, x) may round to inf
+        paths = np.multiply(eps, d)
+        np.add(v[:, None], paths, out=paths)
+    return _field(f.space, paths.min(axis=0))
 
 
 def truncate(g: ScalarField, lam: float) -> ScalarField:
     """Pointwise min(g, lam).  Never increases either slope."""
     lam, v = float(lam), g.array   # min(v, lam) is v unless lam < v
-    return ScalarField(g.space, tuple(np.where(lam < v, lam, v).tolist()))
+    return _field(g.space, np.where(lam < v, lam, v))
 
 
 def log_distance_field(space: MetricSpace, a) -> ScalarField:

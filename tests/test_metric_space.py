@@ -270,9 +270,13 @@ class TestTriangleFastPath:
         floyd_warshall and the per-triple loop with +inf in the column, equal
         np.add byte for byte in an output first filled with nan: a BLAS that
         reads the output at beta = 0, or flushes subnormals, fails here."""
-        rows, mids = metric_space._ROWS, metric_space._MIDS
-        for d in self.sweep():
+        rows = metric_space._ROWS
+        rng = np.random.default_rng(21)
+        partial = (metric_closure(rng.uniform(0.3, 2.0, (n, n)))
+                   for n in (91, 150, 220, 410))   # n not a multiple of mids
+        for d in itertools.chain(self.sweep(), partial):
             n = len(d)
+            mids = metric_space._slab_depth(n)
             lhs, rhs = np.ones((mids, rows, 2)), np.ones((mids, 2, n))
             for lo in sorted({0, (n - 1) // rows * rows}):
                 for k in sorted({0, (n - 1) // mids * mids}):
@@ -319,6 +323,32 @@ class TestTriangleFastPath:
             assert report.violations == reference_violations(d)
             assert [v.indices for v in report.violations] == [
                 (min(i, j), max(i, j), k), (max(i, j), min(i, j), k)]
+
+    @pytest.mark.parametrize("n, depth", [
+        (1, 1), (3, 3), (12, 12), (90, 90), (91, 90), (150, 54), (200, 40),
+        (220, 37), (400, 20), (410, 19), (1000, 8), (8192, 1), (10 ** 5, 1)])
+    def test_slab_depth(self, n, depth):
+        """The stacked sums of a slab fill at most 1 MiB, and one slab of
+        every intermediate serves n <= 90, the suite's sizes included."""
+        assert metric_space._slab_depth(n) == depth
+        assert depth * metric_space._ROWS * n * 8 <= 2 ** 20 or depth == 1
+
+    @pytest.mark.parametrize("n", [91, 150, 220])
+    def test_broken_triangle_at_the_end_of_a_partial_slab(self, n):
+        """The last intermediate, alone in the last, partial block of k, is
+        the only one of a broken triangle, in the first and the last rows."""
+        k = n - 1
+        assert n % metric_space._slab_depth(n) != 0
+        for i, j in ((0, 1), (n - 3, n - 2)):
+            d = np.full((n, n), 2.0)
+            np.fill_diagonal(d, 0.0)
+            d[i, k] = d[k, i] = d[j, k] = d[k, j] = 1.0
+            d[i, j] = d[j, i] = 2.0 + 1e-6
+            excess = d[i, j] - 2.0   # exactly, through k alone
+            assert _triangle_ok(d, excess)
+            assert not _triangle_ok(d, math.nextafter(excess, 0.0))
+            assert [v.indices for v in validate_metric(d).violations] == [
+                (i, j, k), (j, i, k)]
 
     @pytest.mark.parametrize("n", [3, 15, 16, 17, 33])
     def test_degenerate_triples_included(self, n):
@@ -581,6 +611,82 @@ class TestShortestPathSpace:
         s1 = shortest_path_space(["a", "b", "c"], edges)
         s2 = shortest_path_space(["x", "y", "z"], edges)
         assert np.array_equal(s1.dist, s2.dist)
+
+
+def load_graph(edges):
+    return instance_from_dict({
+        "points": ["a", "b", "c", "d"], "metric": {"kind": "graph", "edges": edges},
+        "neighborhoods": {"kind": "all"}}).space
+
+
+class TestLoadedEdges:
+    """Edges of numbers with index ends are read as one array; every other
+    encoding goes through the per-edge reader, with its errors."""
+
+    @pytest.mark.parametrize("edges", [
+        [[0, 1, 1.0], [1, 2, 3.5], [2, 3, 1], [0, 3, 6.0]],
+        [[0, 1, 1], [1, 2, 3.5], [2, 3, 1], [0, 3, 6]],
+        [[0.0, 1.0, 1.0], [1, 2.0, 3.5], [2, 3, 1.0], [-0.0, 3, 6.0]],
+        [[False, True, True], [True, 2, 3.5], [2, 3, 1], [0, 3, 6]],
+        [["0", "1", "1"], [1, 2, "3.5"], [2, 3, 1], [0, 3, 6]],
+        [[1, 0, 1.0], [2, 1, 3.5], [3, 2, 1.0], [3, 0, 6.0], [0, 1, 9.0]],
+    ])
+    def test_equal_spaces(self, edges):
+        want = shortest_path_space("abcd", [(0, 1, 1.0), (1, 2, 3.5),
+                                            (2, 3, 1.0), (0, 3, 6.0)])
+        got = load_graph(edges)
+        assert got == want and got.dist.tobytes() == want.dist.tobytes()
+
+    @pytest.mark.parametrize("edges, error, message", [
+        ([[0, 1, 1.0], [0.5, 2, 1.0]], ParameterError,
+         "malformed graph edge (want [u, v, w]): [0.5, 2, 1.0]"),
+        ([[0, 1, 1.0], [1, 2]], ParameterError,
+         "malformed graph edge (want [u, v, w]): [1, 2]"),
+        ([[0, 1], [1, 2]], ParameterError,
+         "malformed graph edge (want [u, v, w]): [0, 1]"),
+        ([[0, 1, 1.0, 2.0]], ParameterError,
+         "malformed graph edge (want [u, v, w]): [0, 1, 1.0, 2.0]"),
+        ([["x", 1, 1.0]], ParameterError,
+         "malformed graph edge (want [u, v, w]): ['x', 1, 1.0]"),
+        ([[0, 1, None]], ParameterError,
+         "malformed graph edge (want [u, v, w]): [0, 1, None]"),
+        ([[0, 1, [1.0]]], ParameterError,
+         "malformed graph edge (want [u, v, w]): [0, 1, [1.0]]"),
+        ([[math.nan, 1, 1.0]], ParameterError,
+         "malformed graph edge (want [u, v, w]): [nan, 1, 1.0]"),
+        ([[0, math.inf, 1.0]], ParameterError,
+         "malformed graph edge (want [u, v, w]): [0, inf, 1.0]"),
+        ([[0, 1, 1.0], [0, 4, 1.0]], DomainError,
+         "edge (0, 4) uses unknown vertices"),
+        ([[0, 4.0, 1.0]], DomainError, "edge (0, 4) uses unknown vertices"),
+        ([[-1, 2, 1.0]], DomainError, "edge (-1, 2) uses unknown vertices"),
+        ([[0, 10 ** 30, 1.0]], DomainError,
+         f"edge (0, {10 ** 30}) uses unknown vertices"),
+        ([[0, 1e30, 1.0]], DomainError,
+         f"edge (0, {int(1e30)}) uses unknown vertices"),
+        ([[0, 1, 1.0], [2, 2, 1.0]], ParameterError,
+         "self-loop at 'c' not allowed"),
+        ([[0, 1, -1.5], [0, 9, 1.0]], ParameterError,
+         "edge ('a', 'b') has nonpositive weight -1.5"),
+        ([[0, 1, 0]], ParameterError, "edge ('a', 'b') has nonpositive weight 0.0"),
+        ([[0, 1, math.inf]], ParameterError,
+         "edge ('a', 'b') has non-finite weight inf"),
+        ([[3, 1, math.nan]], ParameterError,
+         "edge ('d', 'b') has non-finite weight nan"),
+        ([[0, 1, 1.0], [2, 3, 1.0]], ParameterError,
+         "graph is disconnected: no path from 'a' to 'c'"),
+        ([], ParameterError, "graph is disconnected: no path from 'a' to 'b'"),
+    ])
+    def test_malformed(self, edges, error, message):
+        with pytest.raises(error) as info:
+            load_graph(edges)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_no_per_edge_reads(self, monkeypatch):
+        """The generator's 200-point graph is loaded without ``_edge``."""
+        inst = gen_random_instance(3, 200)
+        monkeypatch.setattr(instances, "_edge", None)
+        assert instance_from_dict(inst.to_dict()).space == inst.space
 
 
 class TestBallNeighborhoods:

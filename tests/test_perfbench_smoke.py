@@ -5,7 +5,8 @@
 ``__dict__`` (``NeighborhoodSystem.validate`` and ``restrict`` among them).
 A change that breaks either would only show as failed ops in a benchmark
 run; these tests make it fail here.  The modules are imported without
-writing bytecode next to them.
+writing bytecode next to them.  The ops run on clean inputs, so a
+RuntimeWarning (a nan or overflow lane in some pass) is an error.
 """
 
 import os
@@ -15,6 +16,8 @@ import pytest
 
 import slopekit
 import slopekit.cli  # the tracer wraps a module of every layer
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")

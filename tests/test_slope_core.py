@@ -442,6 +442,118 @@ class TestTruncate:
         assert all(global_slope(g1, x) == 0.0 for x in g1.space.points)
 
 
+def derived_inputs():
+    """Seeded fields with -0.0, subnormals, ties and +inf, on n = 1-12."""
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 5, 12):
+        space = MetricSpace(tuple(f"p{i}" for i in range(n)),
+                            metric_closure(rng.uniform(0.2, 2.0, (n, n))))
+        for _ in range(4):
+            vals = rng.choice([0.0, -0.0, 5e-324, 1e-310, 1.0, 1.0, 2.5, -3.0,
+                               INF], n)
+            if not np.isfinite(vals).any():
+                vals[0] = -0.0
+            yield ScalarField(space, tuple(vals.tolist()))
+
+
+class TestDerivedFields:
+    """scale_field, truncate and pasch_hausdorff adopt the array they
+    compute: each field equals, bit for bit, the one the public constructor
+    makes from the values of the formula, and owns a frozen array."""
+
+    def check(self, got, f, formula):
+        want = ScalarField(f.space, tuple(formula.tolist()))
+        assert got.values == want.values
+        assert np.array(got.values).tobytes() == np.array(want.values).tobytes()
+        assert got.array.tobytes() == want.array.tobytes()
+        assert not got.array.flags.writeable
+        assert not np.shares_memory(got.array, f.array)
+        assert not np.shares_memory(got.array, f.space.dist)
+        assert got == want and got._slopes == {} and got._crit == {}
+
+    def test_scale_field(self):
+        for f in derived_inputs():
+            for r in (0.0, -0.0, 0.5, 1.0, 3.0, 1e-300, 2.0 ** -1074):
+                want = np.zeros(f.space.n) if r == 0 else r * f.array
+                self.check(scale_field(f, r), f, want)
+
+    def test_truncate(self):
+        for f in derived_inputs():
+            for lam in (-3.0, -0.0, 0.0, 5e-324, 1.0, 2.5, INF, math.nan):
+                v = f.array
+                self.check(truncate(f, lam), f, np.where(lam < v, lam, v))
+
+    def test_pasch_hausdorff(self):
+        for f in derived_inputs():
+            if not f.is_proper():
+                continue
+            fin = np.isfinite(f.array)
+            for eps in (1e-300, 0.5, 1.0, 3.0):
+                want = (f.array[fin, None] + eps * f.space.dist[fin]).min(axis=0)
+                self.check(pasch_hausdorff(f, eps), f, want)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda f: scale_field(f, math.nan), "field value nan is not in R ∪ {+inf}"),
+        (lambda f: truncate(f, -INF), "field value -inf is not in R ∪ {+inf}"),
+        (lambda f: scale_field(f, -1.0), "scale factor must be nonnegative, got -1.0"),
+        (lambda f: pasch_hausdorff(f, INF), "eps must be positive and finite, got inf"),
+        (lambda f: pasch_hausdorff(f, -0.0), "eps must be positive and finite, got -0.0"),
+    ])
+    def test_refused(self, f013, call, message):
+        with pytest.raises(ParameterError) as info:
+            call(f013)
+        assert type(info.value) is ParameterError and str(info.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+class TestNoFloatingPointWarnings:
+    """eps = inf and products eps * d that overflow give the sets and fields
+    of the formulas, without a RuntimeWarning."""
+
+    def test_eps_Crit_of_inf_is_dom_f(self, e3):
+        for vals in ((0.0, 1.0, 3.0), (0.0, INF, 3.0)):
+            f = ScalarField(e3, vals)
+            assert eps_Crit(f, INF) == f.dom()
+
+    @pytest.mark.parametrize("vals", [(0.0, 1.0, 3.0), (0.0, INF, 3.0),
+                                      (1e308, 1e308, 0.0)])
+    def test_overflowing_products(self, e3, vals):
+        f, eps = ScalarField(e3, vals), 1e308   # eps * 2 overflows
+        assert eps_Crit(f, eps) == f.dom()
+        fin = np.isfinite(f.array)
+        with np.errstate(over="ignore"):
+            want = (f.array[fin, None] + eps * e3.dist[fin]).min(axis=0)
+        assert pasch_hausdorff(f, eps).array.tobytes() == want.tobytes()
+
+
+class TestCritRecheckWitness:
+    def test_an_improper_field_has_no_members(self, e3):
+        f = ScalarField(e3, (INF, INF, INF))
+        for eps in (0.0, 0.5, INF):
+            assert eps_Crit(f, eps) == ()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_faked_member_names_the_old_witness(self, seed, monkeypatch):
+        """With every slope faked to 0, the in-place re-check names the first
+        (x, y) of the boolean formula it replaced, in row-major order."""
+        inst = gen_random_instance([7, seed], int(seed % 6) + 2,
+                                   field_spec={"f": {"p_inf": 0.3 * (seed % 2)}})
+        f, eps, tol = inst.field("f"), 0.25 * (seed % 3), TOL
+        v, pts = f.array, f.space.points
+        rows = np.flatnonzero(np.isfinite(v))
+        d = f.space.dist[rows]
+        bad = np.argwhere(v[None, :] < v[rows, None] - eps * d - tol * (1 + d))
+        monkeypatch.setattr(slope_core, "slopes",
+                            lambda h, nbhd=None: np.zeros(h.space.n))
+        if not len(bad):
+            assert eps_Crit(f, eps, tol) == f.dom()
+            return
+        with pytest.raises(FatalFinding) as info:
+            eps_Crit(f, eps, tol)
+        i, j = bad[0]
+        assert info.value.witness == {"x": pts[rows[i]], "y": pts[j], "eps": eps}
+
+
 class TestLogDistanceField:
     def test_values_and_bound(self, e3):
         phi = log_distance_field(e3, "a")
