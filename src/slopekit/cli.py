@@ -14,8 +14,7 @@ from .errors import (FatalFinding, HypothesisViolation, MetricError,
                      ParameterError, SlopekitError)
 from .instances import gen_random_instance, load_instance, save_instance
 from .metric_space import ValidationReport
-from .slope_core import (INF, eps_argmin, eps_crit, eps_Crit, global_slope,
-                         local_slope)
+from .slope_core import INF, eps_argmin, eps_crit, eps_Crit, slope_profile
 from .suite import run_suite, summary_csv
 from .variational import (check_compact, check_lips, check_lsc, check_tz,
                           descent_step, descent_to_critical, ekeland_point,
@@ -69,15 +68,13 @@ def cmd_gen(args):
 def cmd_slopes(args):
     inst = load_instance(args.instance)
     f = inst.field(args.field)
-    eps_values = args.eps or []
-    report = {"field": args.field, "points": {}}
-    for x in f.space.points:
-        entry = {"value": "inf" if f.value(x) == INF else f.value(x)}
-        if f.value(x) != INF:
-            entry["local_slope"] = local_slope(f, inst.nbhd, x)
-            entry["global_slope"] = global_slope(f, x)
-        report["points"][x] = entry
-    for eps in eps_values:
+    prof = slope_profile(f, inst.nbhd)
+    report = {"field": args.field, "points": {
+        x: {"value": "inf"} if v == INF else
+        {"value": v, "local_slope": prof.local[x],
+         "global_slope": prof.global_[x]}
+        for x, v in zip(f.space.points, f.values)}}
+    for eps in args.eps or []:
         report.setdefault("eps_sets", {})[str(eps)] = {
             "eps_argmin": list(eps_argmin(f, eps)),
             "eps_crit": list(eps_crit(f, inst.nbhd, eps)),

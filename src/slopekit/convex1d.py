@@ -16,7 +16,7 @@ import numpy as np
 from .config import resolve_tol
 from .errors import ParameterError
 from .metric_space import MetricSpace
-from .slope_core import ScalarField
+from .slope_core import ScalarField, _field
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,7 @@ class PLConvex:
         object.__setattr__(self, "_knot_values", tuple(kv))
 
     def value(self, x: float) -> float:
-        i = bisect.bisect_right(self.knots, x)
-        if i == 0:
-            return self.anchor + self.slopes[0] * (x - self.knots[0])
-        return self._knot_values[i - 1] + self.slopes[i] * (x - self.knots[i - 1])
+        return float(self.values(x))
 
     def values(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -160,7 +157,7 @@ def sample_to_field(f: PLConvex, grid: MetricSpace) -> ScalarField:
     """Tabulate f on the nodes of a one-dimensional grid space."""
     if grid.coords is None or any(len(c) != 1 for c in grid.coords):
         raise ParameterError("grid must be one-dimensional with coordinates")
-    return ScalarField(grid, tuple(f.value(c[0]) for c in grid.coords))
+    return _field(grid, f.values([c[0] for c in grid.coords]))
 
 
 def definitional_global_slope(f: PLConvex, x: float, ys) -> float:

@@ -102,24 +102,28 @@ def scale_field(f: ScalarField, r: float) -> ScalarField:
     return _field(f.space, float(r) * f.array)
 
 
-def add_fields(f: ScalarField, g: ScalarField) -> ScalarField:
-    if f.space != g.space:
+def _same_space(f: ScalarField, g: ScalarField):
+    """Refuse a pair of fields unless both live on one metric space."""
+    if g.space is not f.space and g.space != f.space:
         raise ParameterError("fields live on different spaces")
-    return ScalarField(f.space, tuple(a + b for a, b in zip(f.values, g.values)))
+
+
+def add_fields(f: ScalarField, g: ScalarField) -> ScalarField:
+    _same_space(f, g)
+    with np.errstate(over="ignore"):   # a sum may round to ±inf
+        return _field(f.space, f.array + g.array)
 
 
 def sub_fields(f: ScalarField, g: ScalarField) -> ScalarField:
     """f - g, defined only when it never forms inf - inf."""
-    if f.space != g.space:
-        raise ParameterError("fields live on different spaces")
-    out = []
-    for a, b in zip(f.values, g.values):
-        if a == INF and b == INF:
+    _same_space(f, g)
+    g_inf = g.array == INF
+    if g_inf.any():   # the first such point decides the error
+        if f.array[g_inf.argmax()] == INF:
             raise UndefinedArithmeticError("inf - inf is undefined")
-        if b == INF:
-            raise ParameterError("f - g would take the value -inf")
-        out.append(a - b)
-    return ScalarField(f.space, tuple(out))
+        raise ParameterError("f - g would take the value -inf")
+    with np.errstate(over="ignore"):   # a difference may round to ±inf
+        return _field(f.space, f.array - g.array)
 
 
 def _require_in_dom(f: ScalarField, x) -> int:
@@ -148,7 +152,7 @@ def slopes(f: ScalarField, nbhd: NeighborhoodSystem = None) -> np.ndarray:
         return cached[1]
     v, n = f.array, f.space.n
     quot = _aligned(n * n).reshape(n, n)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.subtract.outer(v, v, out=quot)
         np.divide(quot, f.space.dist, out=quot)
         if nbhd is not None:   # a non-neighbour gives ±0 or nan (inf * 0)
@@ -188,9 +192,9 @@ def _points_where(f: ScalarField, mask) -> tuple:
                      np.flatnonzero(mask & np.isfinite(f.array)).tolist()))
 
 
-def _require_same_points(f: ScalarField, g: ScalarField):
-    if g.space is not f.space and g.space.points != f.space.points:
-        raise ParameterError("fields live on different spaces")
+def _dom_rows(f: ScalarField) -> np.ndarray:
+    """The indices of dom f, in point order."""
+    return np.flatnonzero(np.isfinite(f.array))
 
 
 def domination_witnesses(f: ScalarField, g: ScalarField, tol=None) -> list:
@@ -201,7 +205,7 @@ def domination_witnesses(f: ScalarField, g: ScalarField, tol=None) -> list:
     +inf.
     """
     tol = resolve_tol(tol)
-    _require_same_points(f, g)
+    _same_space(f, g)
     return list(_points_where(
         f, (slopes(g) > slopes(f) + tol) | ~np.isfinite(g.array)))
 
@@ -217,7 +221,7 @@ def strict_comparison_witnesses(f: ScalarField, g: ScalarField,
     +inf.
     """
     tol = resolve_tol(tol)
-    _require_same_points(f, g)
+    _same_space(f, g)
     fs, gs = slopes(f, nbhd), slopes(g, nbhd)
     return list(_points_where(
         f, ((fs > tol) & ~(fs > gs)) | ~np.isfinite(g.array)))
@@ -230,8 +234,7 @@ class SlopeProfile:
 
 
 def slope_profile(f: ScalarField, nbhd: NeighborhoodSystem) -> SlopeProfile:
-    dom = f.dom()
-    i = np.flatnonzero(np.isfinite(f.array))
+    dom, i = f.dom(), _dom_rows(f)
     return SlopeProfile(
         local=dict(zip(dom, slopes(f, nbhd)[i].tolist())),
         global_=dict(zip(dom, slopes(f)[i].tolist())))
@@ -292,8 +295,10 @@ def _crit_rows(f: ScalarField, eps, tol) -> tuple:
 def pasch_hausdorff(f: ScalarField, eps: float) -> ScalarField:
     """Regularization g(x) = min_y f(y) + eps * dist(y, x).
 
-    g is everywhere finite and eps-Lipschitz; it coincides with f exactly
-    on eps_Crit(f, eps).
+    g is eps-Lipschitz and coincides with f exactly on eps_Crit(f, eps).
+    It is finite wherever some f(y) + eps * dist(y, x) is: g(x) = +inf
+    when every such sum overflows, e.g. f = (0, +inf) on two points 4
+    apart with eps = 1e308 gives g = (0.0, inf).
     """
     if not 0 < eps < INF:   # nan too
         raise ParameterError(f"eps must be positive and finite, got {eps}")
@@ -321,10 +326,9 @@ def log_distance_field(space: MetricSpace, a) -> ScalarField:
     """
     if space.n < 2:
         raise ParameterError("log-distance field needs at least two points")
-    i = space.index(a)
-    vals = tuple(INF if j == i else -math.log(space.dist[j, i])
-                 for j in range(space.n))
-    return ScalarField(space, vals)
+    i = space.index(a)   # math.log per entry, for its bits
+    return _field(space, np.array([INF if j == i else -math.log(d) for j, d
+                                   in enumerate(space.dist[:, i].tolist())]))
 
 
 def sublevel_diff(f: ScalarField, g: ScalarField, lam: float, tol=None) -> tuple:
@@ -339,8 +343,7 @@ def sublevel_diff(f: ScalarField, g: ScalarField, lam: float, tol=None) -> tuple
 def _sublevel_mask(f: ScalarField, g: ScalarField, lam, tol) -> np.ndarray:
     """The mask of sublevel_diff, before it is cut to dom f."""
     tol = resolve_tol(tol)
-    if g.space is not f.space and f.space != g.space:
-        raise ParameterError("fields live on different spaces")
+    _same_space(f, g)
     if not f.is_proper():
         raise ImproperFieldError("f is identically +inf")
     lam = float(lam)
@@ -352,4 +355,4 @@ def _sublevel_mask(f: ScalarField, g: ScalarField, lam, tol) -> np.ndarray:
 def restrict(f: ScalarField, subset) -> ScalarField:
     """f restricted to the induced metric subspace on the given points."""
     sub = f.space.subspace(subset)
-    return ScalarField(sub, tuple(f.value(p) for p in sub.points))
+    return _field(sub, f.array[list(map(f.space.index, sub.points))])

@@ -14,7 +14,7 @@ from .config import resolve_tol
 from .errors import FatalFinding, HypothesisViolation, ParameterError
 from .instances import gen_dominated_pair, instance_stream
 from .metric_space import NeighborhoodSystem, validate_metric
-from .slope_core import (INF, ScalarField, add_fields, eps_Crit,
+from .slope_core import (INF, ScalarField, _dom_rows, add_fields, eps_Crit,
                          global_slope, log_distance_field, pasch_hausdorff,
                          restrict, scale_field, slopes, sub_fields,
                          sublevel_diff, truncate)
@@ -23,6 +23,7 @@ from .variational import (check_compact, check_lips, check_lsc,
                           verify_trace)
 
 SCALING_RTOL = 1e-12
+_EPS_VALUES = (0.25, 1.0, 3.0)   # the eps levels of the eps-Crit checks
 
 
 def _fail(detail, **witness):
@@ -86,70 +87,61 @@ def check_neighborhood_symmetry(inst, rng, ops, tol):
     return []
 
 
-def _dom_index(h: ScalarField) -> np.ndarray:
-    return np.flatnonzero(np.isfinite(h.array))
-
-
-def _slopes_at(inst, h, idx) -> dict:
-    """Local and global slopes of h at the points with indices idx."""
-    return {"local": slopes(h, inst.nbhd)[idx], "global": slopes(h)[idx]}
+def _slopes_at(inst, h, idx) -> np.ndarray:
+    """The slopes of h at the indices idx, as a 2 x len(idx) array: local
+    slopes in row 0, global ones in row 1."""
+    return np.stack((slopes(h, inst.nbhd)[idx], slopes(h)[idx]))
 
 
 def _flagged(inst, idx, bad):
-    """(k, point, kind) for each k where a mask in ``bad`` holds, ordered by
-    point and then local before global."""
-    for k in np.flatnonzero(bad["local"] | bad["global"]):
-        for kind in ("local", "global"):
-            if bad[kind][k]:
-                yield k, inst.space.points[idx[k]], kind
+    """((row, k), point, kind) for each entry of the 2 x len(idx) mask
+    ``bad`` that holds, ordered by point and then local before global."""
+    for k, row in np.argwhere(bad.T).tolist():
+        yield (row, k), inst.space.points[idx[k]], ("local", "global")[row]
 
 
 def check_slope_scaling(inst, rng, ops, tol):
     f = inst.field("f")
-    idx = _dom_index(f)
+    idx = _dom_rows(f)
     base = _slopes_at(inst, f, idx)
     failures = []
     for r in (0.0, 0.5, float(rng.uniform(0.0, 3.0))):
         got = _slopes_at(inst, scale_field(f, r), idx)
-        want = {kind: r * s for kind, s in base.items()}
-        bad = {kind: np.abs(got[kind] - want[kind])
-               > SCALING_RTOL * np.maximum(1.0, np.abs(want[kind]))
-               for kind in got}
-        for k, x, kind in _flagged(inst, idx, bad):
+        want = r * base
+        bad = np.abs(got - want) > SCALING_RTOL * np.maximum(1.0, np.abs(want))
+        for at, x, kind in _flagged(inst, idx, bad):
             failures.append(_fail(
-                f"{kind} slope of {r}*f at {x} is {got[kind][k].item()}, "
-                f"expected {want[kind][k].item()}", r=r, x=x))
+                f"{kind} slope of {r}*f at {x} is {got[at].item()}, "
+                f"expected {want[at].item()}", r=r, x=x))
     return failures
 
 
 def check_subadditivity(inst, rng, ops, tol):
     f, g = inst.field("f"), inst.field("g")
     h = add_fields(f, g)
-    idx = _dom_index(h)   # dom f ∩ dom g
+    idx = _dom_rows(h)   # dom f ∩ dom g
     sf, sg, sh = (_slopes_at(inst, q, idx) for q in (f, g, h))
-    bad = {kind: sh[kind] > sf[kind] + sg[kind] + tol for kind in sh}
     return [_fail(f"{kind} slope of f+g at {x} exceeds the sum of slopes", x=x)
-            for _, x, kind in _flagged(inst, idx, bad)]
+            for _, x, kind in _flagged(inst, idx, sh > sf + sg + tol)]
 
 
 def check_difference_bound(inst, rng, ops, tol):
     f, g = inst.field("f"), inst.field("g")
     g_fin = truncate(g, g.max_finite())   # finite-valued version of g
-    idx = _dom_index(f)
+    idx = _dom_rows(f)
     sf, sg, sd = (_slopes_at(inst, q, idx)
                   for q in (f, g_fin, sub_fields(f, g_fin)))
-    bad = {kind: sd[kind] < sf[kind] - sg[kind] - tol for kind in sd}
     return [_fail(f"{kind} slope of f-g at {x} below |slope f| - |slope g|", x=x)
-            for _, x, kind in _flagged(inst, idx, bad)]
+            for _, x, kind in _flagged(inst, idx, sd < sf - sg - tol)]
 
 
 def check_global_ge_local(inst, rng, ops, tol):
     f = inst.field("f")
-    idx = _dom_index(f)
-    s = _slopes_at(inst, f, idx)
+    idx = _dom_rows(f)
+    local, global_ = _slopes_at(inst, f, idx)
     return [_fail(f"global slope below local slope at {inst.space.points[i]}",
                   x=inst.space.points[i])
-            for i in idx[s["global"] < s["local"] - tol]]
+            for i in idx[global_ < local - tol]]
 
 
 def check_log_bound(inst, rng, ops, tol):
@@ -158,7 +150,7 @@ def check_log_bound(inst, rng, ops, tol):
     failures = []
     for a_index, a in enumerate(inst.space.points):
         phi = log_distance_field(inst.space, a)
-        idx = _dom_index(phi)   # every point but a
+        idx = _dom_rows(phi)   # every point but a
         bound = 1.0 / inst.space.dist[idx, a_index]
         for i in idx[slopes(phi)[idx] > bound + tol]:
             x = inst.space.points[i]
@@ -171,23 +163,22 @@ def check_log_bound(inst, rng, ops, tol):
 def check_truncation(inst, rng, ops, tol):
     g = inst.field("g")
     lo, hi = g.min_finite(), g.max_finite()
-    idx = _dom_index(g)
+    idx = _dom_rows(g)
     base = _slopes_at(inst, g, idx)
     failures = []
     for lam in (lo, (lo + hi) / 2.0, float(rng.uniform(lo - 1.0, hi + 1.0))):
         got = _slopes_at(inst, ops["truncate"](g, lam), idx)
-        bad = {kind: got[kind] > base[kind] + tol for kind in got}
-        for _, x, kind in _flagged(inst, idx, bad):
+        for _, x, kind in _flagged(inst, idx, got > base + tol):
             failures.append(_fail(
                 f"truncation increased the {kind} slope at {x}",
                 lam=lam, x=x))
     return failures
 
 
-def check_crit_lipschitz(inst, rng, ops, tol, eps_values=(0.25, 1.0, 3.0)):
+def check_crit_lipschitz(inst, rng, ops, tol):
     f = inst.field("f")
     failures = []
-    for eps in eps_values:
+    for eps in _EPS_VALUES:
         crit = eps_Crit(f, eps, tol)
         idx = [inst.space.index(x) for x in crit]
         v = f.array[idx]
@@ -201,10 +192,10 @@ def check_crit_lipschitz(inst, rng, ops, tol, eps_values=(0.25, 1.0, 3.0)):
     return failures
 
 
-def check_ph_coincidence(inst, rng, ops, tol, eps_values=(0.25, 1.0, 3.0)):
+def check_ph_coincidence(inst, rng, ops, tol):
     f = inst.field("f")
     failures = []
-    for eps in eps_values:
+    for eps in _EPS_VALUES:
         reg = pasch_hausdorff(f, eps)
         coincide = {x for x, fv, rv in
                     zip(inst.space.points, f.values, reg.values)
@@ -236,18 +227,17 @@ def check_restriction_invariance(inst, rng, ops, tol):
     idx = np.array([inst.space.index(x) for x in m1])
     # slopes of g are +inf off dom g, so a point there never qualifies
     sf, sg = _slopes_at(inst, f, idx), _slopes_at(inst, g, idx)
-    s1 = {"local": slopes(f1, inst.nbhd.restrict(m1)), "global": slopes(f1)}
-    bad = {kind: (sf[kind] > sg[kind]) & (np.abs(s1[kind] - sf[kind]) > tol)
-           for kind in sf}
+    s1 = np.stack((slopes(f1, inst.nbhd.restrict(m1)), slopes(f1)))
+    bad = (sf > sg) & (np.abs(s1 - sf) > tol)
     failures = [_fail(f"{kind} slope changed under restriction at {x}", x=x,
                       lam=lam)
                 for _, x, kind in _flagged(inst, idx, bad)]
     # restriction to the sub-level set intersected with an s-critical set
     s = global_slope(f, x0)
-    keep = sf["global"] <= s + tol
+    keep = sf[1] <= s + tol
     if keep.any():
         m2 = [x for x, k in zip(m1, keep) if k]
-        gf, gg = sf["global"][keep], sg["global"][keep]
+        gf, gg = sf[1][keep], sg[1][keep]
         bad2 = (gf > gg) & (np.abs(slopes(restrict(f, m2)) - gf) > tol)
         failures += [_fail(
             f"global slope changed under critical restriction at {x}",
@@ -257,7 +247,7 @@ def check_restriction_invariance(inst, rng, ops, tol):
 
 def check_trivial_inf_dom(inst, rng, ops, tol):
     f = inst.field("f")
-    if not np.isfinite(slopes(f)[_dom_index(f)]).all():
+    if not np.isfinite(slopes(f)[_dom_rows(f)]).all():
         return [_fail("global slope not finite on all of dom f")]
     return []
 

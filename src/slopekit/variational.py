@@ -16,9 +16,9 @@ from .config import resolve_tol
 from .errors import (DomainError, FatalFinding, HypothesisViolation,
                      ImproperFieldError, ParameterError)
 from .metric_space import NeighborhoodSystem
-from .slope_core import (INF, ScalarField, _crit_rows, _sublevel_mask,
-                         domination_witnesses, local_slope, slopes,
-                         strict_comparison_witnesses)
+from .slope_core import (INF, ScalarField, _crit_rows, _dom_rows,
+                         _same_space, _sublevel_mask, domination_witnesses,
+                         local_slope, slopes, strict_comparison_witnesses)
 
 
 def ekeland_point(f: ScalarField, x0, lam: float):
@@ -62,7 +62,7 @@ def descent_step(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
     tol = resolve_tol(tol)
     if mode not in ("local", "global"):
         raise ParameterError(f"mode must be 'local' or 'global', got {mode!r}")
-    if eps <= 0:
+    if not eps > 0:   # nan too
         raise ParameterError(f"eps must be positive, got {eps}")
     i = f.space.index(x0)
     if not math.isfinite(f.values[i]):
@@ -104,9 +104,9 @@ class DescentTrace:
         }
 
 
-def default_eps_schedule(eps0: float = 1.0, length: int = 200):
-    """eps_n = eps0 / 2^n, n = 1..length."""
-    return [eps0 / 2.0 ** n for n in range(1, length + 1)]
+def default_eps_schedule(eps0: float = 1.0):
+    """eps_n = eps0 / 2^n, n = 1..200."""
+    return [eps0 / 2.0 ** n for n in range(1, 201)]
 
 
 def descent_to_critical(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
@@ -122,11 +122,12 @@ def descent_to_critical(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem
     and is raised as a fatal finding.
     """
     tol = resolve_tol(tol)
+    _same_space(f, g)   # also when x0 is already 0-critical
     if eps_schedule is None:
         eps_schedule = default_eps_schedule(eps0)
     else:
         eps_schedule = [float(e) for e in eps_schedule]
-        if any(e <= 0 for e in eps_schedule):
+        if any(not e > 0 for e in eps_schedule):   # nan too
             raise ParameterError("eps schedule must be positive")
         if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
             raise ParameterError("eps schedule must be strictly decreasing")
@@ -254,7 +255,7 @@ def check_tz(f: ScalarField, g: ScalarField, tol=None) -> CheckReport:
     inf_f, inf_g = f.min_finite(), g.min_finite()
     with np.errstate(over="ignore", invalid="ignore"):   # as Python floats do
         margin = (f.array - inf_f) - (g.array - inf_g)
-    slack, k = _least(margin, np.isfinite(f.array).nonzero()[0])
+    slack, k = _least(margin, _dom_rows(f))
     return CheckReport(
         "tz", hypothesis_ok=True, conclusion_ok=slack >= -tol,
         witness=f.space.points[k], slack=slack,
@@ -264,7 +265,7 @@ def check_tz(f: ScalarField, g: ScalarField, tol=None) -> CheckReport:
 def check_lips(f: ScalarField, g: ScalarField, eps: float, tol=None) -> CheckReport:
     """For finite-valued dominated pairs, inf(f-g) is attained on eps-Crit f."""
     tol = resolve_tol(tol)
-    if eps <= 0:
+    if not eps > 0:   # nan too
         raise ParameterError(f"eps must be positive, got {eps}")
     _require_finite_everywhere(f, "f")
     _require_finite_everywhere(g, "g")
@@ -282,7 +283,7 @@ def check_lsc(f: ScalarField, g: ScalarField, r: float, eps: float,
     tol = resolve_tol(tol)
     if not 0 < r < 1:
         raise ParameterError(f"r must be in (0, 1), got {r}")
-    if eps <= 0:
+    if not eps > 0:   # nan too
         raise ParameterError(f"eps must be positive, got {eps}")
     if not f.is_proper():
         raise ImproperFieldError("f is identically +inf")
@@ -292,9 +293,8 @@ def check_lsc(f: ScalarField, g: ScalarField, r: float, eps: float,
     # f finite and g = +inf give f - r g = -inf: the domain convention
     with np.errstate(over="ignore", invalid="ignore"):   # inf - inf off dom f
         diff = f.array - r * g.array
-    return _localized("lsc", f, diff, np.isfinite(f.array).nonzero()[0],
-                      _crit_rows(f, eps, tol)[0], tol,
-                      ("inf_dom", "inf_crit"), r=r, eps=eps)
+    return _localized("lsc", f, diff, _dom_rows(f), _crit_rows(f, eps, tol)[0],
+                      tol, ("inf_dom", "inf_crit"), r=r, eps=eps)
 
 
 def check_compact(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,

@@ -525,6 +525,17 @@ class TestNoFloatingPointWarnings:
             want = (f.array[fin, None] + eps * e3.dist[fin]).min(axis=0)
         assert pasch_hausdorff(f, eps).array.tobytes() == want.tobytes()
 
+    def test_overflowing_differences(self):
+        # f(x) - f(y) = 2e308 rounds to +inf, the intended quotient
+        f = ScalarField(MetricSpace(("x", "y"), [[0, 1], [1, 0]]),
+                        (1e308, -1e308))
+        assert slopes(f).tolist() == [INF, 0.0]
+
+    def test_regularization_that_overflows_is_inf(self):
+        # the exact value 4e308 at y is above the largest double
+        f = ScalarField(MetricSpace(("x", "y"), [[0, 4], [4, 0]]), (0.0, INF))
+        assert pasch_hausdorff(f, 1e308).values == (0.0, INF)
+
 
 class TestCritRecheckWitness:
     def test_an_improper_field_has_no_members(self, e3):

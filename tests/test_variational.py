@@ -107,6 +107,12 @@ class TestDescentStep:
         with pytest.raises(ParameterError):
             descent_step(f013, g, e3_path_nbhd, "c", 0.5, mode="sideways")
 
+    def test_nan_eps(self, f013, e3_path_nbhd):
+        # nan admitted no move, so x0 came back as if it were critical
+        g = scale_field(f013, 0.5)
+        with pytest.raises(ParameterError, match="^eps must be positive, got nan$"):
+            descent_step(f013, g, e3_path_nbhd, "c", math.nan)
+
 
 class TestDescentToCritical:
     def test_example_trace(self, f013, e3_path_nbhd):
@@ -119,6 +125,12 @@ class TestDescentToCritical:
         budget = sum(e * d for e, d in
                      zip(trace.eps_schedule, trace.step_distances))
         assert budget <= f013.value("c") - f013.min_finite() + TOL
+
+    def test_nan_in_schedule(self, f013, e3_path_nbhd):
+        g = scale_field(f013, 0.5)
+        with pytest.raises(ParameterError, match="^eps schedule must be positive$"):
+            descent_to_critical(f013, g, e3_path_nbhd, "c",
+                                eps_schedule=[1.0, math.nan, 0.25])
 
     def test_start_at_critical_point(self, f013, e3_path_nbhd):
         g = scale_field(f013, 0.5)
@@ -254,6 +266,10 @@ class TestCheckLips:
         with pytest.raises(ParameterError):
             check_lips(f, f, 0.5)
 
+    def test_nan_eps(self, f013):
+        with pytest.raises(ParameterError, match="^eps must be positive, got nan$"):
+            check_lips(f013, f013, math.nan)
+
 
 class TestCheckLSC:
     def test_g_equals_f(self, f013):
@@ -268,6 +284,10 @@ class TestCheckLSC:
     def test_r_out_of_range(self, f013):
         with pytest.raises(ParameterError):
             check_lsc(f013, f013, 1.0, 0.5)
+
+    def test_nan_eps(self, f013):
+        with pytest.raises(ParameterError, match="^eps must be positive, got nan$"):
+            check_lsc(f013, f013, 0.5, math.nan)
 
     def test_g_with_inf_values(self, e3):
         # g infinite exactly off dom f: hypothesis on dom f still holds
