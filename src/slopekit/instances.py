@@ -40,8 +40,9 @@ class Instance:
             self.metric_spec = {
                 "kind": "matrix", "dist": [list(row) for row in self.space.dist]}
         if self.nbhd_spec is None:
-            adj = np.argwhere(np.triu(self.nbhd.adjacency(self.space), 1))
-            self.nbhd_spec = {"kind": "explicit", "adj": adj.tolist()}
+            adj = np.triu(self.nbhd.adjacency(self.space), 1).nonzero()
+            self.nbhd_spec = {"kind": "explicit",
+                              "adj": np.array(adj).T.tolist()}
 
     def field(self, name: str) -> ScalarField:
         try:

@@ -58,7 +58,7 @@ def _as_square_matrix(dist, copy=False) -> np.ndarray:
                          "of equal length") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"distance matrix must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ShapeError("distance matrix entries must be finite")
     return arr
 
@@ -135,7 +135,7 @@ def _as_coords(coords, n) -> tuple:
     if arr.ndim != 2 or arr.shape[0] != n or arr.shape[1] < 1:
         raise ShapeError(f"coordinates must form an array of shape ({n}, dim) "
                          f"with dim >= 1, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ShapeError("coordinates must be finite")
     return tuple(map(tuple, arr.tolist()))
 
@@ -210,14 +210,15 @@ def validate_metric(dist, tol=None) -> ValidationReport:
     n = arr.shape[0]
     violations = [
         Violation("diagonal", (i,), f"dist[{i}][{i}] = {arr[i, i]} != 0")
-        for i in np.flatnonzero(np.abs(arr.diagonal()) > tol).tolist()]
-    symmetric = np.array_equal(arr, arr.T)
+        for i in (np.abs(arr.diagonal()) > tol).nonzero()[0].tolist()]
+    symmetric = (arr == arr.T).all()   # the entries are finite
     negative = arr <= tol
     negative.flat[::n + 1] = False   # the diagonal is checked above
     # tol >= 0: a symmetric matrix, and any diagonal, has no asymmetry
     asymmetric = negative & False if symmetric else arr - arr.T > tol
-    flagged = negative | asymmetric   # argwhere costs more than the rest
-    for i, j in np.argwhere(flagged).tolist() if flagged.any() else ():
+    flagged = negative | asymmetric   # nonzero costs more than the rest
+    for i, j in (zip(*(ix.tolist() for ix in flagged.nonzero()))
+                 if flagged.any() else ()):
         if negative[i, j]:
             violations.append(Violation(
                 "negative", (i, j),
@@ -239,7 +240,7 @@ def validate_metric(dist, tol=None) -> ValidationReport:
         np.subtract(arr, excess, out=excess)
         if excess.max() <= tol:
             continue
-        for i, j in np.argwhere(excess > tol).tolist():
+        for i, j in zip(*(ix.tolist() for ix in (excess > tol).nonzero())):
             if i != k and j != k and i != j:
                 violations.append(Violation(
                     "triangle", (i, j, k),
@@ -271,7 +272,7 @@ class MetricSpace:
         report = validate_metric(self.dist if bound is None else given)
         if not report.ok:
             raise MetricError("not a metric: " + report.summary(), report)
-        self.dist.flags.writeable = False
+        self.dist.setflags(write=False)
         self._bound = bound
         self._index = {p: i for i, p in enumerate(self.points)}
 
@@ -301,7 +302,7 @@ class MetricSpace:
         if missing:
             raise DomainError(f"points not in space: {sorted(missing)}")
         pts = tuple(self.points[i] for i in keep)
-        sub = self.dist[np.ix_(keep, keep)]
+        sub = self.dist.take(keep, 0).take(keep, 1)
         if self._bound is not None:   # it holds for every principal submatrix
             sub = _bounded(sub, *self._bound)
         coords = tuple(self.coords[i] for i in keep) if self.coords else None
@@ -311,7 +312,7 @@ class MetricSpace:
         if not isinstance(other, MetricSpace):
             return NotImplemented
         return (self.points == other.points
-                and np.array_equal(self.dist, other.dist)
+                and (self.dist == other.dist).all()
                 and self.coords == other.coords)
 
 
@@ -342,7 +343,7 @@ class NeighborhoodSystem:
         if not isinstance(other, NeighborhoodSystem):
             return NotImplemented
         return (self.points == other.points and self._stray == other._stray
-                and np.array_equal(self.mask, other.mask))
+                and (self.mask == other.mask).all())
 
     def __reduce__(self):
         return _masked, (self.points, self.mask, self._stray)
@@ -390,12 +391,13 @@ class NeighborhoodSystem:
         if space.points == self.points and not self._stray:
             return self.mask
         take = [self._row(p) for p in space.points]
-        mask = self.mask[np.ix_(take, take)]
-        if self._stray or mask.sum() < self.mask[take].sum():
+        rows = self.mask.take(take, 0)
+        mask = rows.take(take, 1)
+        if self._stray or mask.sum() < rows.sum():
             for p in space.points:   # DomainError for the first outside
                 for q in sorted(self.of(p), key=str):
                     space.index(q)
-        mask.flags.writeable = False
+        mask.setflags(write=False)
         return mask
 
     def restrict(self, subset) -> "NeighborhoodSystem":
@@ -403,13 +405,13 @@ class NeighborhoodSystem:
         kset = set(subset)
         keep = [i for i, p in enumerate(self.points) if p in kset]
         return _masked([self.points[i] for i in keep],
-                       self.mask[np.ix_(keep, keep)])
+                       self.mask.take(keep, 0).take(keep, 1))
 
 
 def _masked(points, mask, stray=None) -> NeighborhoodSystem:
     """The system of the boolean ``mask`` over ``points``; freezes it."""
     nbhd, points = object.__new__(NeighborhoodSystem), tuple(points)
-    mask.flags.writeable = False
+    mask.setflags(write=False)
     for name, value in (("points", points), ("mask", mask), ("_stray", stray or {}),
                         ("_index", {p: i for i, p in enumerate(points)})):
         object.__setattr__(nbhd, name, value)
@@ -548,7 +550,7 @@ def _graph_space(vertices, ends, w, refs) -> MetricSpace:
     np.fill_diagonal(d, 0.0)
     d = floyd_warshall(d)
     if np.isinf(d).any():
-        i, j = np.argwhere(np.isinf(d))[0]
+        i, j = next(zip(*np.isinf(d).nonzero()))   # the first in row order
         raise ParameterError(
             f"graph is disconnected: no path from {vertices[i]!r} to {vertices[j]!r}")
     return _closure_space(vertices, d)
@@ -586,7 +588,7 @@ def metric_closure(weights: np.ndarray) -> np.ndarray:
     w = _as_square_matrix(weights)
     w = (w + w.T) / 2.0
     np.fill_diagonal(w, 0.0)
-    if np.any(w[~np.eye(w.shape[0], dtype=bool)] <= 0):
+    if (w[~np.eye(w.shape[0], dtype=bool)] <= 0).any():
         raise ParameterError("off-diagonal weights must be positive")
     return floyd_warshall(w)
 

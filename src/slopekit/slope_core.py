@@ -72,11 +72,12 @@ class ScalarField:
 
 def _adopt(f: ScalarField, array) -> ScalarField:
     """f with the values of the float ``array``, which it keeps and freezes."""
-    bad = ~(array > -INF)   # nan or -inf
-    if bad.any():
+    # one reduction: the least value is nan or -inf if any value is
+    if not np.minimum.reduce(array, initial=INF) > -INF:
+        bad = ~(array > -INF)
         raise ParameterError(
             f"field value {array[bad.argmax()]} is not in R ∪ {{+inf}}")
-    array.flags.writeable = False
+    array.setflags(write=False)
     object.__setattr__(f, "values", tuple(array.tolist()))
     object.__setattr__(f, "array", array)   # values as a float array
     object.__setattr__(f, "_slopes", {})    # see slopes()
@@ -150,7 +151,7 @@ def slopes(f: ScalarField, nbhd: NeighborhoodSystem = None) -> np.ndarray:
     cached = f._slopes.get(key)
     if cached is not None:
         return cached[1]
-    v, n = f.array, f.space.n
+    v, n = f.array, len(f.array)
     quot = _aligned(n * n).reshape(n, n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.subtract.outer(v, v, out=quot)
@@ -164,7 +165,7 @@ def slopes(f: ScalarField, nbhd: NeighborhoodSystem = None) -> np.ndarray:
     out = np.fmax.reduce(quot, axis=1, initial=0.0)
     out += 0.0
     out[~np.isfinite(v)] = INF
-    out.flags.writeable = False
+    out.setflags(write=False)
     # the entry holds nbhd, so its id cannot be reused while cached
     f._slopes[key] = (nbhd, out)
     return out
@@ -189,12 +190,12 @@ def global_slope(f: ScalarField, x) -> float:
 def _points_where(f: ScalarField, mask) -> tuple:
     """The points of dom f at which the boolean array ``mask`` holds."""
     return tuple(map(f.space.points.__getitem__,
-                     np.flatnonzero(mask & np.isfinite(f.array)).tolist()))
+                     (mask & np.isfinite(f.array)).nonzero()[0].tolist()))
 
 
 def _dom_rows(f: ScalarField) -> np.ndarray:
     """The indices of dom f, in point order."""
-    return np.flatnonzero(np.isfinite(f.array))
+    return np.isfinite(f.array).nonzero()[0]
 
 
 def domination_witnesses(f: ScalarField, g: ScalarField, tol=None) -> list:
@@ -246,7 +247,8 @@ def eps_argmin(f: ScalarField, eps: float, tol=None) -> tuple:
     if not eps >= 0:   # nan too
         raise ParameterError(f"eps must be nonnegative, got {eps}")
     pts, lo = f.space.points, f.min_finite()   # eps = inf takes all points
-    return tuple(pts[i] for i in np.flatnonzero(f.array <= lo + eps + tol))
+    return tuple(map(pts.__getitem__,
+                     (f.array <= lo + eps + tol).nonzero()[0].tolist()))
 
 
 def eps_crit(f: ScalarField, nbhd: NeighborhoodSystem, eps: float, tol=None) -> tuple:
@@ -275,7 +277,7 @@ def _crit_rows(f: ScalarField, eps, tol) -> tuple:
     key = (float(eps), tol)
     if key not in f._crit:
         v, pts, d = f.array, f.space.points, f.space.dist
-        rows = np.flatnonzero((slopes(f) <= eps + tol) & np.isfinite(v))
+        rows = ((slopes(f) <= eps + tol) & np.isfinite(v)).nonzero()[0]
         d = d[rows] if len(rows) < len(v) else d
         # in place: eps = inf or an overflow gives -inf or nan, no v_j below it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -284,11 +286,11 @@ def _crit_rows(f: ScalarField, eps, tol) -> tuple:
             np.subtract(low, np.multiply(tol, slack, out=slack), out=low)
         bad = v < low
         if bad.any():
-            i, j = np.argwhere(bad)[0]
+            i, j = next(zip(*bad.nonzero()))   # the first in row order
             raise FatalFinding(
                 "eps_Crit member fails the pointwise inequality",
                 witness={"x": pts[rows[i]], "y": pts[j], "eps": eps})
-        f._crit[key] = (rows, tuple(pts[i] for i in rows))
+        f._crit[key] = (rows, tuple(map(pts.__getitem__, rows.tolist())))
     return f._crit[key]
 
 

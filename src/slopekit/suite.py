@@ -14,10 +14,10 @@ from .config import resolve_tol
 from .errors import FatalFinding, HypothesisViolation, ParameterError
 from .instances import gen_dominated_pair, instance_stream
 from .metric_space import NeighborhoodSystem, validate_metric
-from .slope_core import (INF, ScalarField, _dom_rows, add_fields, eps_Crit,
-                         global_slope, log_distance_field, pasch_hausdorff,
-                         restrict, scale_field, slopes, sub_fields,
-                         sublevel_diff, truncate)
+from .slope_core import (INF, ScalarField, _crit_rows, _dom_rows, add_fields,
+                         eps_Crit, global_slope, log_distance_field,
+                         pasch_hausdorff, restrict, scale_field, slopes,
+                         sub_fields, sublevel_diff, truncate)
 from .variational import (check_compact, check_lips, check_lsc,
                           check_tz, descent_to_critical, ekeland_point,
                           verify_trace)
@@ -90,13 +90,13 @@ def check_neighborhood_symmetry(inst, rng, ops, tol):
 def _slopes_at(inst, h, idx) -> np.ndarray:
     """The slopes of h at the indices idx, as a 2 x len(idx) array: local
     slopes in row 0, global ones in row 1."""
-    return np.stack((slopes(h, inst.nbhd)[idx], slopes(h)[idx]))
+    return np.array((slopes(h, inst.nbhd)[idx], slopes(h)[idx]))
 
 
 def _flagged(inst, idx, bad):
     """((row, k), point, kind) for each entry of the 2 x len(idx) mask
     ``bad`` that holds, ordered by point and then local before global."""
-    for k, row in np.argwhere(bad.T).tolist():
+    for k, row in zip(*bad.T.nonzero()):
         yield (row, k), inst.space.points[idx[k]], ("local", "global")[row]
 
 
@@ -179,12 +179,11 @@ def check_crit_lipschitz(inst, rng, ops, tol):
     f = inst.field("f")
     failures = []
     for eps in _EPS_VALUES:
-        crit = eps_Crit(f, eps, tol)
-        idx = [inst.space.index(x) for x in crit]
+        idx, crit = _crit_rows(f, eps, tol)   # eps_Crit(f, eps, tol)
         v = f.array[idx]
         bad = (np.abs(v[:, None] - v[None, :])
-               > eps * inst.space.dist[np.ix_(idx, idx)] + tol)
-        for a, b in np.argwhere(bad):
+               > eps * inst.space.dist.take(idx, 0).take(idx, 1) + tol)
+        for a, b in zip(*bad.nonzero()):
             x, y = crit[a], crit[b]
             failures.append(_fail(
                 f"f is not {eps}-Lipschitz on {eps}-Crit at ({x}, {y})",
@@ -208,10 +207,9 @@ def check_ph_coincidence(inst, rng, ops, tol):
         # the regularization itself must be eps-Lipschitz
         v = reg.array
         bad = np.abs(v[:, None] - v[None, :]) > eps * inst.space.dist + tol
-        for i, j in np.argwhere(np.tril(bad, -1)):
-            failures.append(_fail(
-                "regularization is not eps-Lipschitz",
-                eps=eps, x=inst.space.points[i], y=inst.space.points[j]))
+        failures += [_fail("regularization is not eps-Lipschitz", eps=eps,
+                           x=inst.space.points[i], y=inst.space.points[j])
+                     for i, j in zip(*bad.nonzero()) if i > j]
     return failures
 
 
@@ -227,7 +225,7 @@ def check_restriction_invariance(inst, rng, ops, tol):
     idx = np.array([inst.space.index(x) for x in m1])
     # slopes of g are +inf off dom g, so a point there never qualifies
     sf, sg = _slopes_at(inst, f, idx), _slopes_at(inst, g, idx)
-    s1 = np.stack((slopes(f1, inst.nbhd.restrict(m1)), slopes(f1)))
+    s1 = np.array((slopes(f1, inst.nbhd.restrict(m1)), slopes(f1)))
     bad = (sf > sg) & (np.abs(s1 - sf) > tol)
     failures = [_fail(f"{kind} slope changed under restriction at {x}", x=x,
                       lam=lam)

@@ -28,7 +28,7 @@ def ekeland_point(f: ScalarField, x0, lam: float):
     S(x) = {y : f(y) <= f(x) - lam*dist(y, x)} (ties broken by point
     order) until S(x) = {x}.
     """
-    if lam <= 0:
+    if not lam > 0:   # nan too
         raise ParameterError(f"lambda must be positive, got {lam}")
     space = f.space
     i = space.index(x0)
@@ -40,7 +40,7 @@ def ekeland_point(f: ScalarField, x0, lam: float):
 def _ekeland_index(v, dist, i, lam):
     """Ekeland's iteration on the values ``v`` from index i: the first argmin
     of v over S(x_i) until that is i."""
-    while lam < INF:   # lam = inf or nan admits no j, not even i
+    while lam < INF:   # lam = inf admits no j, not even i
         cand = (v <= v[i] - lam * dist[i]).nonzero()[0]
         best = cand[v[cand].argmin()] if len(cand) else i
         if best == i:
@@ -167,9 +167,33 @@ def descent_to_critical(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem
 
 def verify_trace(trace: DescentTrace, f: ScalarField, g: ScalarField,
                  nbhd: NeighborhoodSystem, tol=None) -> list:
-    """Brute-force re-check of every trace invariant; returns violations."""
+    """Brute-force re-check of every trace invariant; returns violations.
+
+    The recorded values must be those of the pair at the trace's points,
+    bit for bit: f and f - g at each point, and the distance of each step.
+    """
     tol = resolve_tol(tol)
+    _same_space(f, g)
+    m = len(trace.points)
+    if not (len(trace.f_values) == len(trace.diff_values) == m
+            and len(trace.eps_schedule) == len(trace.step_distances) == m - 1):
+        return ["trace lists have inconsistent lengths"]
     problems = []
+    for k, x in enumerate(trace.points):
+        fx = f.value(x)
+        diff = fx - g.value(x)
+        if trace.f_values[k] != fx:
+            problems.append(f"point {k}: recorded f = {trace.f_values[k]} "
+                            f"!= f({x!r}) = {fx}")
+        if trace.diff_values[k] != diff:
+            problems.append(f"point {k}: recorded f - g = "
+                            f"{trace.diff_values[k]} != (f - g)({x!r}) = {diff}")
+    for n, (x, y) in enumerate(zip(trace.points, trace.points[1:])):
+        d = f.space.distance(y, x)
+        if trace.step_distances[n] != d:
+            problems.append(f"step {n}: recorded distance "
+                            f"{trace.step_distances[n]} != dist({y!r}, {x!r}) "
+                            f"= {d}")
     for n, eps in enumerate(trace.eps_schedule):
         lhs = trace.f_values[n + 1]
         rhs = trace.f_values[n] - eps * trace.step_distances[n]

@@ -152,6 +152,11 @@ class TestEvp:
     def test_bad_lambda_is_input_error(self, inst_path):
         assert main(["evp", inst_path, "--from", "c", "--lambda", "-1"]) == 3
 
+    def test_nan_lambda_is_input_error(self, inst_path, capsys):
+        # exited 0 and reported the start point as the Ekeland point
+        assert main(["evp", inst_path, "--from", "c", "--lambda", "nan"]) == 3
+        assert capsys.readouterr().out == ""
+
 
 class TestDescent:
     def test_trace(self, inst_path, capsys):

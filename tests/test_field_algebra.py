@@ -16,7 +16,8 @@ from slopekit import (MetricSpace, ParameterError, PLConvex, ScalarField,
                       check_lsc, check_tz, descent_step, descent_to_critical,
                       domination_witnesses, gen_random_instance, grid_space,
                       log_distance_field, restrict, sample_to_field,
-                      strict_comparison_witnesses, sub_fields, sublevel_diff)
+                      scale_field, strict_comparison_witnesses, sub_fields,
+                      sublevel_diff, verify_trace)
 from slopekit import suite
 from slopekit.metric_space import metric_closure
 
@@ -50,6 +51,8 @@ PAIR_FUNCTIONS = {
         lambda f, g, nbhd: descent_to_critical(f, g, nbhd, "y"),
     "descent_to_critical from a 0-critical point":
         lambda f, g, nbhd: descent_to_critical(f, g, nbhd, "x"),
+    "verify_trace": lambda f, g, nbhd: verify_trace(
+        descent_to_critical(f, scale_field(f, 0.5), nbhd, "y"), f, g, nbhd),
 }
 
 

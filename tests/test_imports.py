@@ -1,6 +1,8 @@
 """Every name a library module imports is used in that module.
 
 ``__init__.py`` is exempt: its imports are the package's public names.
+Library modules also call no numpy helper that only wraps a C entry point
+in Python code (see ``NUMPY_HELPERS``).
 """
 
 import ast
@@ -93,3 +95,47 @@ def test_unreferenced_private_name_is_found():
     }
     assert unreferenced_private_names(sources) == [
         ("a.py", 2, "_SPARE"), ("a.py", 5, "_dead"), ("a.py", 7, "_Marker")]
+
+
+# numpy helper -> the C entry point it wraps, which the library calls instead:
+# at n <= 12 each helper costs microseconds against well under one of work
+NUMPY_HELPERS = {
+    "flatnonzero": "m.nonzero()[0]",
+    "argwhere": "zip(*m.nonzero())",
+    "ix_": "x.take(r, 0).take(c, 1)",
+    "array_equal": "(a == b).all()",
+    "all": "x.all()",
+    "any": "x.any()",
+}
+
+
+def numpy_helper_calls(source: str) -> list:
+    """(line, name) of each call of a ``NUMPY_HELPERS`` name through np or
+    numpy, or imported from numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")
+                and node.func.attr in NUMPY_HELPERS):
+            found.append((node.lineno, node.func.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name in NUMPY_HELPERS)
+    return sorted(found)
+
+
+def test_no_numpy_python_helpers():
+    source = ("import numpy as np\nfrom numpy import ix_, stack\n"
+              "np.all(x); x.all(); np.flatnonzero(m); m.nonzero()\n"
+              "numpy.argwhere(m); np.array_equal(a, b); np.any(x); np.stack(y)\n")
+    assert numpy_helper_calls(source) == [
+        (2, "ix_"), (3, "all"), (3, "flatnonzero"), (4, "any"),
+        (4, "argwhere"), (4, "array_equal")]
+    found = {}
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE, module)) as fh:
+            calls = numpy_helper_calls(fh.read())
+        if calls:
+            found[module] = calls
+    assert found == {}

@@ -432,7 +432,7 @@ def test_conclusions_match_loops_after_overflow():
     assert {"inf", "nan"} <= objectives
 
 
-@pytest.mark.parametrize("lam", [1e-300, 0.1, 1.0, INF, math.nan])
+@pytest.mark.parametrize("lam", [1e-300, 0.1, 1.0, INF])
 def test_ekeland_point_matches_loop(lam):
     moved = 0
     for seed in range(40):
@@ -450,7 +450,7 @@ def test_ekeland_point_matches_loop(lam):
             assert x == want == ref
             moved += x != x0
     # lam = 1e-300 moves between equal values, where lam * dist is lost in
-    # rounding, to the lower index; inf and nan admit no move
+    # rounding, to the lower index; inf admits no move
     assert (moved > 0) == (lam <= 1.0)
 
 

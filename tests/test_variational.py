@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -53,6 +54,12 @@ class TestEkelandPoint:
     def test_nonpositive_lambda(self, f013):
         with pytest.raises(ParameterError):
             ekeland_point(f013, "c", 0.0)
+
+    def test_nan_lambda(self, f013):
+        # nan admitted no move, so x0 came back as the Ekeland point
+        with pytest.raises(ParameterError,
+                           match="^lambda must be positive, got nan$"):
+            ekeland_point(f013, "c", math.nan)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=80, deadline=None)
@@ -125,6 +132,27 @@ class TestDescentToCritical:
         budget = sum(e * d for e, d in
                      zip(trace.eps_schedule, trace.step_distances))
         assert budget <= f013.value("c") - f013.min_finite() + TOL
+
+    def test_trace_is_rechecked_against_the_pair(self, f013, e3_path_nbhd):
+        # the trace from c for g = f / 2 passed any g and any recorded values
+        g = scale_field(f013, 0.5)
+        trace = descent_to_critical(f013, g, e3_path_nbhd, "c")
+        assert verify_trace(trace, f013, g, e3_path_nbhd) == []
+        assert verify_trace(trace, f013, scale_field(f013, 0.9),
+                            e3_path_nbhd) == [
+            "point 0: recorded f - g = 1.5 != (f - g)('c') = 0.2999999999999998"]
+        faked = dataclasses.replace(trace, diff_values=[9.0, -5.0])
+        assert verify_trace(faked, f013, g, e3_path_nbhd) == [
+            "point 0: recorded f - g = 9.0 != (f - g)('c') = 1.5",
+            "point 1: recorded f - g = -5.0 != (f - g)('a') = 0.0"]
+        faked = dataclasses.replace(trace, f_values=[3.0, 0.5],
+                                    step_distances=[1.0])
+        assert verify_trace(faked, f013, g, e3_path_nbhd) == [
+            "point 1: recorded f = 0.5 != f('a') = 0.0",
+            "step 0: recorded distance 1.0 != dist('a', 'c') = 2.0"]
+        faked = dataclasses.replace(trace, f_values=[3.0])
+        assert verify_trace(faked, f013, g, e3_path_nbhd) == [
+            "trace lists have inconsistent lengths"]
 
     def test_nan_in_schedule(self, f013, e3_path_nbhd):
         g = scale_field(f013, 0.5)
