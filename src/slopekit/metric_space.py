@@ -176,9 +176,9 @@ def _lp_distances(coords, p) -> np.ndarray:
 
 
 class _Bounded(np.ndarray):
-    """A distance matrix whose triangle excesses, and those of its principal
-    submatrices, are proved at most rel * max(submatrix) + ab, for (rel, ab)
-    = ``bound``.  Only grid_space, _closure_space and subspace make one."""
+    """A distance matrix whose triangle excesses are proved at most
+    rel * max + ab, for (rel, ab) = ``bound``.  Only grid_space and
+    _closure_space make one."""
     bound = None
 
 
@@ -259,21 +259,20 @@ class MetricSpace:
         self.points = tuple(str(p) for p in self.points)
         if len(set(self.points)) != len(self.points):
             raise ParameterError("point identifiers must be unique")
-        given = self.dist   # a builder's matrix keeps its proved bound
-        bound = given.bound if type(given) is _Bounded else None
+        given = self.dist   # a builder's matrix carries its proved bound
+        marked = type(given) is _Bounded
         # frozen below, so a caller's array is copied; a builder's is adopted
-        self.dist = _as_square_matrix(given, copy=bound is None)
+        self.dist = _as_square_matrix(given, copy=not marked)
         if self.dist.shape[0] != len(self.points):
             raise ShapeError(
                 f"{len(self.points)} points but distance matrix is "
                 f"{self.dist.shape[0]}x{self.dist.shape[1]}")
         if self.coords is not None:
             self.coords = _as_coords(self.coords, len(self.points))
-        report = validate_metric(self.dist if bound is None else given)
+        report = validate_metric(given if marked else self.dist)
         if not report.ok:
             raise MetricError("not a metric: " + report.summary(), report)
         self.dist.setflags(write=False)
-        self._bound = bound
         self._index = {p: i for i, p in enumerate(self.points)}
 
     @property
@@ -293,20 +292,26 @@ class MetricSpace:
         return float(self.dist.max()) if self.n > 1 else 0.0
 
     def subspace(self, subset) -> "MetricSpace":
-        """Induced subspace on the given points, original order kept."""
+        """Induced subspace on the given points, original order kept.
+
+        It adopts the principal submatrix unchecked: its entries and
+        triangle triples are some of this space's, with the same bits.  A
+        space is checked under the tolerance in force when it is built, and
+        its subspaces inherit that verdict even if SLOPEKIT_TOL changes."""
         subset = set(subset)
         if not subset:
             raise ParameterError("subspace needs a nonempty point set")
-        keep = [i for i, p in enumerate(self.points) if p in subset]
-        missing = subset - {self.points[i] for i in keep}
+        missing = subset - self._index.keys()
         if missing:
             raise DomainError(f"points not in space: {sorted(missing)}")
-        pts = tuple(self.points[i] for i in keep)
-        sub = self.dist.take(keep, 0).take(keep, 1)
-        if self._bound is not None:   # it holds for every principal submatrix
-            sub = _bounded(sub, *self._bound)
-        coords = tuple(self.coords[i] for i in keep) if self.coords else None
-        return MetricSpace(pts, sub, coords)
+        keep = sorted(map(self._index.get, subset))
+        sub = object.__new__(MetricSpace)
+        sub.points = tuple(self.points[i] for i in keep)
+        sub.dist = self.dist.take(keep, 0).take(keep, 1)
+        sub.dist.setflags(write=False)
+        sub.coords = tuple(self.coords[i] for i in keep) if self.coords else None
+        sub._index = {p: i for i, p in enumerate(sub.points)}
+        return sub
 
     def __eq__(self, other):
         if not isinstance(other, MetricSpace):
@@ -489,10 +494,7 @@ def explicit_neighborhoods(space: MetricSpace, pairs) -> NeighborhoodSystem:
 # For n <= 2^20, with x = n u <= 2^-33, (1 + u)^n <= 1 + x + x^2,
 # (1 - u)^(n + 1) >= 1 - x - u and (1 - u)^-n <= 1 + 2 x, so
 #   E <= (4 n + 2)(1 + 4 x) u M <= (4 n + 3) u M.
-# When the bound is at most tol, no triple of the triangle pass exceeds
-# tol.  R is bounded by the largest entry of the triple's own pairs, so for
-# a principal submatrix, whose triples are some of D's with the same bits,
-# M may be its own max; n stays that of D.
+# When the bound is at most tol, no triple of the triangle pass exceeds tol.
 def _closure_space(points, d) -> MetricSpace:
     """The space of such a closure ``d``, marked with the bound above."""
     if len(d) <= 2 ** 20 and d.max() < 2.0 ** 1000:
@@ -505,9 +507,9 @@ def shortest_path_space(vertices, edges) -> MetricSpace:
 
     Edges are (u, v, w) triples with vertex names or indices into the
     vertex list.  Weights must be strictly positive and finite, and the
-    graph connected.  The distances, and those of every subspace, carry
-    the rounding bound on ``floyd_warshall`` derived above, which
-    certifies their triangle inequality when it is at most the tolerance.
+    graph connected.  The distances carry the rounding bound on
+    ``floyd_warshall`` derived above, which certifies their triangle
+    inequality when it is at most the tolerance.
     """
     vertices = [str(v) for v in vertices]
     n = len(vertices)
@@ -624,9 +626,7 @@ def metric_closure(weights: np.ndarray) -> np.ndarray:
 # and the terms in b sum to at most 4 b <= dim 2^-535, so
 #   E <= 5 (dim + 3) u D + dim 2^-535,
 # with a margin of at least dim u D.  When the bound is at most tol, no
-# triple of the triangle pass exceeds tol.  R is bounded by the largest
-# entry of the triple's own pairs, so for a principal submatrix, whose
-# triples are some of d's with the same bits, D may be its own max.
+# triple of the triangle pass exceeds tol.
 def grid_space(bounds, resolution, p=2.0):
     """Grid discretization of a box with the p-metric on coordinates.
 

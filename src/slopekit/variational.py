@@ -140,7 +140,6 @@ def descent_to_critical(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem
     checked = False
     for eps in eps_schedule:
         if local_slope(f, nbhd, x) <= tol:
-            trace.terminal_flag = "reached-0crit"
             break
         if checked:
             # f and g are fixed, so the first step's hypothesis check holds
@@ -159,9 +158,8 @@ def descent_to_critical(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem
                     "descent trace longer than the space: escaping branch "
                     "realized on a finite space", witness=trace.to_dict())
             x = y
-    else:
-        if local_slope(f, nbhd, x) <= tol:
-            trace.terminal_flag = "reached-0crit"
+    if local_slope(f, nbhd, x) <= tol:
+        trace.terminal_flag = "reached-0crit"
     return trace
 
 
@@ -195,6 +193,8 @@ def verify_trace(trace: DescentTrace, f: ScalarField, g: ScalarField,
                             f"{trace.step_distances[n]} != dist({y!r}, {x!r}) "
                             f"= {d}")
     for n, eps in enumerate(trace.eps_schedule):
+        if not eps > 0:   # nan too: the bounds below would then test nothing
+            problems.append(f"step {n}: eps {eps} is not positive")
         lhs = trace.f_values[n + 1]
         rhs = trace.f_values[n] - eps * trace.step_distances[n]
         if lhs > rhs + tol:

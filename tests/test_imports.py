@@ -139,3 +139,46 @@ def test_no_numpy_python_helpers():
         if calls:
             found[module] = calls
     assert found == {}
+
+
+# Where a distance matrix enters the program, so that MetricSpace checks it:
+# (module, enclosing function).  Every other space, a subspace, is built
+# from a matrix that one of these has already checked.
+MATRIX_ENTRIES = {("metric_space.py", "grid_space"),
+                  ("metric_space.py", "_closure_space"),
+                  ("instances.py", "_space_from_spec")}
+
+
+def metric_space_builds(source: str) -> list:
+    """(enclosing function, line) of each ``MetricSpace(...)`` call; a method
+    is named with its class, module level is ""."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and (
+                    getattr(child.func, "id", None) == "MetricSpace"
+                    or getattr(child.func, "attr", None) == "MetricSpace"):
+                found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_metric_space_built_only_where_a_matrix_enters():
+    source = ("def grid_space():\n    return MetricSpace(p, d)\n"
+              "class MetricSpace:\n    def subspace(self):\n"
+              "        return object.__new__(MetricSpace), MetricSpace(p, d)\n"
+              "space = metric_space.MetricSpace(p, d)\n")
+    assert metric_space_builds(source) == [
+        ("grid_space", 2), ("MetricSpace.subspace", 5), ("", 6)]
+    found = set()
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE, module)) as fh:
+            found.update((module, scope)
+                         for scope, _ in metric_space_builds(fh.read()))
+    assert found == MATRIX_ENTRIES

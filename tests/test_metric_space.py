@@ -1079,11 +1079,18 @@ def built_report(build):
     return ValidationReport([])
 
 
-def check_submatrix(rng, d, bound, space):
+def marks(calls):
+    """The proved bound that the matrix of each recorded validate_metric
+    call carries, None for one that carries none."""
+    return [getattr(args[0], "bound", None) for args in calls]
+
+
+def check_submatrix(rng, d, bound, space, calls):
     """A seeded random principal submatrix of ``d``, which carries the proved
     bound (rel, ab) = ``bound``: its excess oracle is within rel * max + ab,
-    and it reports as the plain array does, marked with the bound and, when
-    ``space`` (d's space) was built, as its subspace."""
+    and it reports as the plain array does, marked with the bound.  When
+    ``space`` (d's space) was built, its subspace adopts the submatrix and
+    adds no validate_metric call to ``calls``."""
     n = len(d)
     keep = np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
     sub = d[np.ix_(keep, keep)]
@@ -1092,10 +1099,12 @@ def check_submatrix(rng, d, bound, space):
         assert validate_metric(_bounded(sub, *bound), t) == \
             validate_metric(sub, t)
     if space is not None:   # built without an error: an empty report
+        made = len(calls)
         sub_space = space.subspace([space.points[i] for i in keep])
+        assert len(calls) == made
         assert validate_metric(sub) == ValidationReport([])
-        assert sub_space.dist.tobytes() == sub.tobytes()
-        assert sub_space._bound == bound
+        assert sub_space.dist.tobytes() == sub.tobytes() == \
+            space.dist.take(keep, 0).take(keep, 1).tobytes()
 
 
 EXPONENTS = (1.0, 2.0, math.inf, 1.5, 3.0)
@@ -1135,8 +1144,9 @@ class TestCoordinateCertificate:
                     assert _lp_distances(x, p).tobytes() == \
                         full_tensor(x, p).tobytes()
 
-    def test_grids_match_full_tensor(self):
+    def test_grids_match_full_tensor(self, monkeypatch):
         rng = np.random.default_rng(34)
+        calls = count_calls(monkeypatch, "validate_metric")
         outcomes, broken = set(), set()
         for bounds, resolution, p in sweep_grids():
             coords, ref = full_tensor_grid(bounds, resolution, p)
@@ -1144,6 +1154,7 @@ class TestCoordinateCertificate:
             # only l_inf, l_1 and l_2 matrices carry the bound
             bound = grid_bound(len(bounds)) if p in (1, 2, math.inf) else None
             space = None
+            calls.clear()
             try:
                 space, _ = grid_space(bounds, resolution, p)
             except MetricError as exc:
@@ -1151,7 +1162,7 @@ class TestCoordinateCertificate:
                 assert exc.report == want
             else:
                 assert want.ok and space.dist.tobytes() == ref.tobytes()
-                assert space._bound == bound
+            assert marks(calls) == [bound]
             certified = bound is not None and _certifies(bound, ref.max(),
                                                          resolve_tol())
             if certified:   # grid_space's error above checks the rest
@@ -1164,7 +1175,7 @@ class TestCoordinateCertificate:
             if any(v.kind == "triangle" for v in want.violations):
                 broken.add(p)
             if bound is not None:
-                check_submatrix(rng, ref, bound, space)
+                check_submatrix(rng, ref, bound, space, calls)
         # certified metrics, certified grids whose spacing fails the sign
         # check, and grids left to the triangle pass, passing and failing
         assert outcomes == {(True, True), (True, False), (False, True),
@@ -1229,11 +1240,14 @@ class TestCoordinateCertificate:
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     def test_caller_built_space_takes_the_pass(self, monkeypatch, p):
         space, _ = grid_space([(0, 1), (0, 2)], [4, 5], p)
+        calls = count_calls(monkeypatch, "validate_metric")
         passes = count_calls(monkeypatch, "_triangle_ok")
         same = MetricSpace(space.points, space.dist.copy(), space.coords)
-        assert same == space and same._bound is None and len(passes) == 1
-        same.subspace(space.points[::2])
-        assert len(passes) == 2
+        assert same == space and marks(calls) == [None] and len(passes) == 1
+        # its subspace adopts the checked submatrix, as a grid's does
+        sub = same.subspace(space.points[::2])
+        assert sub == space.subspace(space.points[::2])
+        assert len(calls) == len(passes) == 1
 
     @pytest.mark.parametrize("p", [1.0, 2.0, "inf"])
     @pytest.mark.parametrize("resolution", [[200], [10, 20]])
@@ -1252,12 +1266,12 @@ class TestCoordinateCertificate:
         monkeypatch.setattr(metric_space, "_triangle_ok",
                             lambda *args: passes.append(args) or True)
         inst = instance_from_dict(obj)
-        assert len(calls) == 1 and passes == []
-        # a subspace inherits the bound, so it is certified too
+        assert marks(calls) == [grid_bound(len(resolution))] and passes == []
+        # a subspace adopts the checked submatrix: no validation at all
         sub = inst.space.subspace(inst.space.points[::3])
         assert sub.coords == inst.space.coords[::3]
-        assert sub._bound == inst.space._bound == grid_bound(len(resolution))
-        assert len(calls) == 2 and passes == []
+        assert sub.dist.tobytes() == inst.space.dist[::3, ::3].tobytes()
+        assert len(calls) == 1 and passes == []
 
 
 def closure_bound(d):
@@ -1326,8 +1340,8 @@ def sweep_graphs():
 def count_calls(monkeypatch, name):
     """Wrap metric_space.<name> so that each call is recorded."""
     calls, fn = [], getattr(metric_space, name)
-    monkeypatch.setattr(metric_space, name,
-                        lambda *args: calls.append(args) or fn(*args))
+    monkeypatch.setattr(metric_space, name, lambda *args, **kwargs:
+                        calls.append(args) or fn(*args, **kwargs))
     return calls
 
 
@@ -1335,15 +1349,17 @@ class TestClosureCertificate:
     """The rounding bound of shortest-path closures against floyd_warshall,
     the triangle pass and an n^3 excess oracle."""
 
-    def test_sweep(self):
+    def test_sweep(self, monkeypatch):
         tol = resolve_tol()
         rng = np.random.default_rng(45)
+        calls = count_calls(monkeypatch, "validate_metric")
         ratios, kinds, families = [], set(), set()
         for family, kind, n, edges in sweep_graphs():
             ref = floyd_warshall(weight_matrix(n, edges))
             want = validate_metric(ref)
             constants = closure_constants(n)
             space = None
+            calls.clear()
             try:
                 space = shortest_path_space([f"v{i}" for i in range(n)], edges)
             except MetricError as exc:
@@ -1352,7 +1368,7 @@ class TestClosureCertificate:
             else:
                 assert want.ok and space.dist.tobytes() == ref.tobytes()
                 assert type(space.dist) is np.ndarray
-                assert space._bound == constants
+            assert marks(calls) == [constants]
             bound = closure_bound(ref)
             top = ref.max()
             for t in (tol, bound):   # uncertified reports are compared above
@@ -1370,7 +1386,7 @@ class TestClosureCertificate:
             if n >= 3:
                 assert not _certifies(constants, top, 0.0)
                 ratios.append(excess / bound)
-            check_submatrix(rng, ref, constants, space)
+            check_submatrix(rng, ref, constants, space, calls)
             families.add(family)
             kinds.add(kind)
         assert len(families) == 5 and len(kinds) == 3
@@ -1409,7 +1425,7 @@ class TestClosureCertificate:
         calls = count_calls(monkeypatch, "validate_metric")
         passes = count_calls(monkeypatch, "_triangle_ok")
         space = instance_from_dict(obj).space
-        assert len(calls) == 1 and passes == []
+        assert marks(calls) == [closure_constants(space.n)] and passes == []
         assert type(space.dist) is np.ndarray
         # the same closure as a matrix, through MetricSpace or
         # validate_metric, takes the pass once each
@@ -1421,11 +1437,13 @@ class TestClosureCertificate:
         assert len(passes) == 2
         assert metric_space.validate_metric(space.dist).ok
         assert len(passes) == 3
-        # a subspace of the graph inherits the bound and takes no pass
-        sub = space.subspace(space.points[::2])
+        # a subspace of the graph adopts the checked submatrix unvalidated
+        keep = list(range(0, space.n, 2))
+        sub = space.subspace([space.points[i] for i in keep])
         assert type(sub.dist) is np.ndarray
-        assert sub._bound == space._bound == closure_constants(space.n)
-        assert len(calls) == 5 and len(passes) == 3
+        assert sub.dist.tobytes() == \
+            space.dist.take(keep, 0).take(keep, 1).tobytes()
+        assert len(calls) == 4 and len(passes) == 3
 
     def test_matrix_gen_takes_no_triangle_pass(self, monkeypatch):
         """gen marks the closure it has just computed with the closure
@@ -1434,13 +1452,14 @@ class TestClosureCertificate:
             m.setattr(instances, "_closure_space",
                       lambda points, d: MetricSpace(tuple(points), d.tolist()))
             want = gen_random_instance(46, 90, metric_kind="matrix").to_json()
+        calls = count_calls(monkeypatch, "validate_metric")
         passes = count_calls(monkeypatch, "_triangle_ok")
         inst = gen_random_instance(46, 90, metric_kind="matrix")
         assert passes == []
-        assert inst.space._bound == closure_constants(90)
+        assert marks(calls) == [closure_constants(90)]
         assert inst.to_json() == want
         loaded = instance_from_dict(json.loads(want))
-        assert len(passes) == 1 and loaded.space._bound is None
+        assert len(passes) == 1 and marks(calls) == [closure_constants(90), None]
         assert loaded.space.dist.tobytes() == inst.space.dist.tobytes()
 
     def test_broken_matrix_is_not_certified(self):
@@ -1493,11 +1512,78 @@ class TestCertificateGate:
     def test_graph_at_the_bound(self, monkeypatch):
         """A 3-point path of weights 1/2 has max 1, so its bound is 15 u:
         a tolerance of exactly 15 u skips the pass, the float below runs it."""
+        calls = count_calls(monkeypatch, "validate_metric")
         passes = count_calls(monkeypatch, "_triangle_ok")
         edges = [(0, 1, 0.5), (1, 2, 0.5)]
         monkeypatch.setenv("SLOPEKIT_TOL", repr(15 * U))
         space = shortest_path_space(range(3), edges)
-        assert space._bound == closure_constants(3) and passes == []
+        assert marks(calls) == [closure_constants(3)] and passes == []
         monkeypatch.setenv("SLOPEKIT_TOL", repr(math.nextafter(15 * U, 0)))
         assert shortest_path_space(range(3), edges) == space
         assert len(passes) == 1
+
+
+GRID = ([(0.0, 1.0), (-1.0, 2.0)], [3, 4])
+
+
+def caller_copy():
+    """A caller-built copy of a certified grid: its matrix carries no bound."""
+    space, _ = grid_space(*GRID, 2.0)
+    return MetricSpace(space.points, space.dist.copy(), space.coords)
+
+
+def loaded_matrix():
+    inst = gen_random_instance(63, 12, metric_kind="matrix")
+    return instance_from_dict(json.loads(inst.to_json())).space
+
+
+SUBSPACE_PARENTS = {
+    "grid-p1": lambda: grid_space(*GRID, 1.0)[0],
+    "grid-p2": lambda: grid_space(*GRID, 2.0)[0],
+    "grid-pinf": lambda: grid_space(*GRID, math.inf)[0],
+    "grid-p1.5": lambda: grid_space(*GRID, 1.5)[0],   # uncertified
+    "graph": lambda: gen_random_instance(61, 12, metric_kind="graph").space,
+    "matrix": lambda: gen_random_instance(62, 12, metric_kind="matrix").space,
+    "caller": caller_copy,
+    "loaded": loaded_matrix,
+}
+
+
+class TestSubspaceAdoption:
+    """A subspace adopts its parent's checked principal submatrix, whatever
+    built the parent, and equals the space the public constructor builds."""
+
+    @pytest.mark.parametrize("kind", SUBSPACE_PARENTS)
+    def test_subspaces_adopt_the_submatrix(self, monkeypatch, kind):
+        space = SUBSPACE_PARENTS[kind]()
+        rng = np.random.default_rng([65, *kind.encode()])
+        calls = [count_calls(monkeypatch, name) for name in (
+            "validate_metric", "_as_square_matrix", "_as_coords", "_triangle_ok")]
+        keeps = [np.sort(rng.choice(space.n, int(rng.integers(1, space.n + 1)),
+                                    replace=False)).tolist() for _ in range(30)]
+        # each subset in a shuffled order, which the subspace does not keep
+        subs = [space.subspace(rng.permutation(np.take(space.points, keep))
+                               .tolist()) for keep in keeps]
+        assert calls == [[], [], [], []]
+        for keep, sub in zip(keeps, subs):
+            assert sub.points == tuple(space.points[i] for i in keep)
+            assert sub.dist.tobytes() == \
+                space.dist.take(keep, 0).take(keep, 1).tobytes()
+            assert not sub.dist.flags.writeable
+            assert sub.coords == (space.coords and
+                                  tuple(space.coords[i] for i in keep))
+            assert [sub.index(p) for p in sub.points] == list(range(len(keep)))
+            assert validate_metric(sub.dist) == ValidationReport([])
+            assert MetricSpace(sub.points, sub.dist, sub.coords) == sub
+
+    def test_subspace_keeps_the_verdict_of_its_build(self, monkeypatch):
+        """A space passes under the tolerance of its build; a tighter
+        SLOPEKIT_TOL set later re-judges neither it nor its subspaces."""
+        d = [[0, 1, 2 + 1e-10], [1, 0, 1], [2 + 1e-10, 1, 0]]
+        space = MetricSpace("abc", d)
+        monkeypatch.setenv("SLOPEKIT_TOL", "1e-12")
+        assert space.subspace("cab") == space
+        with pytest.raises(MetricError):
+            MetricSpace(space.points, space.dist)
+        with pytest.raises(DomainError, match=r"^points not in space: \['z'\]$"):
+            space.subspace({"a", "z"})

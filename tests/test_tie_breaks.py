@@ -252,7 +252,8 @@ def test_ekeland_point_matches_reference_loop_on_ties(lam):
         f = _integer_field(inst.space, rng, 0.25)
         for x0 in f.dom():
             x = ekeland_point(f, x0, lam)
-            assert x == ref_ekeland_point(f, x0, lam)
+            with np.errstate(invalid="ignore"):   # inf * 0 in the loop
+                assert x == ref_ekeland_point(f, x0, lam)
             moved += x != x0
     # with values in 0..3 and distances of at least 0.2, lam >= 1e300
     # admits no move

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopekit import (DomainError, HypothesisViolation, MetricSpace,
-                      ParameterError, ScalarField, all_pairs_neighborhoods,
-                      check_compact, check_lips,
+from slopekit import (DescentTrace, DomainError, HypothesisViolation,
+                      MetricSpace, ParameterError, ScalarField,
+                      all_pairs_neighborhoods, check_compact, check_lips,
                       check_lsc, check_tz, descent_step, descent_to_critical,
                       ekeland_point, gen_random_instance,
                       global_slope, local_slope, restrict, scale_field,
@@ -153,6 +153,18 @@ class TestDescentToCritical:
         faked = dataclasses.replace(trace, f_values=[3.0])
         assert verify_trace(faked, f013, g, e3_path_nbhd) == [
             "trace lists have inconsistent lengths"]
+
+    @pytest.mark.parametrize("eps", [-2.0, math.nan])
+    def test_trace_with_a_nonpositive_eps_is_reported(self, f013,
+                                                       e3_path_nbhd, eps):
+        # f rises from 0 to 3; an eps that is not > 0 makes the decrease
+        # test and the eps-weighted length bound pass it
+        trace = DescentTrace(points=["a", "c"], eps_schedule=[eps],
+                             step_distances=[2.0], f_values=[0.0, 3.0],
+                             diff_values=[0.0, 0.0],
+                             terminal_flag="budget-exhausted")
+        assert verify_trace(trace, f013, f013, e3_path_nbhd) == [
+            f"step 0: eps {eps} is not positive"]
 
     def test_nan_in_schedule(self, f013, e3_path_nbhd):
         g = scale_field(f013, 0.5)
