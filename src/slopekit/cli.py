@@ -12,7 +12,8 @@ import sys
 from .convex1d import mr_check, pl_from_dict
 from .errors import (FatalFinding, HypothesisViolation, MetricError,
                      ParameterError, SlopekitError)
-from .instances import gen_random_instance, load_instance, save_instance
+from .instances import (_read_json, gen_random_instance, load_instance,
+                        save_instance)
 from .metric_space import ValidationReport
 from .slope_core import INF, eps_argmin, eps_crit, eps_Crit, slope_profile
 from .suite import run_suite, summary_csv
@@ -129,21 +130,13 @@ def cmd_check(args):
 
 
 def cmd_mr(args):
-    with open(args.f) as fh:
-        f = pl_from_dict(json.load(fh))
-    with open(args.g) as fh:
-        g = pl_from_dict(json.load(fh))
-    result = mr_check(f, g)
-    _emit(result.to_dict(), args.output)
+    f, g = (pl_from_dict(_read_json(path)) for path in (args.f, args.g))
+    _emit(mr_check(f, g).to_dict(), args.output)
     return EXIT_OK
 
 
 def cmd_suite(args):
-    config = {}
-    if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    report = run_suite(config)
+    report = run_suite(_read_json(args.config) if args.config else {})
     _emit(report, args.output)
     if args.output:   # the CSV summary goes beside the report, if any
         with open(os.path.splitext(args.output)[0] + ".csv", "w") as fh:

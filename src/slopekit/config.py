@@ -39,3 +39,11 @@ def resolve_tol(tol=None) -> float:
         raise ParameterError(
             f"tolerance must be finite and not negative, got {tol}")
     return tol
+
+
+def _require_level(value, what="eps", strict=True):
+    """Refuse a level that is not > 0 (with ``strict=False``, not >= 0);
+    nan is neither."""
+    if not (value > 0 if strict else value >= 0):
+        sign = "positive" if strict else "nonnegative"
+        raise ParameterError(f"{what} must be {sign}, got {value}")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import resolve_tol
 from .errors import ParameterError
+from .instances import _expect, _parsed
 from .metric_space import MetricSpace
 from .slope_core import ScalarField, _field
 
@@ -97,8 +98,12 @@ class PLConvex:
 
 
 def pl_from_dict(obj: dict) -> PLConvex:
-    return PLConvex(tuple(obj["knots"]), tuple(obj["slopes"]),
-                    float(obj["anchor"]))
+    """A malformed object raises ``ShapeError`` or ``ParameterError``."""
+    obj = _expect(obj, dict, "a PL function")
+    knots, slopes = (tuple(_parsed(float, v, f"{key} entry")
+                           for v in _expect(obj[key], list, key))
+                     for key in ("knots", "slopes"))
+    return PLConvex(knots, slopes, _parsed(float, obj["anchor"], "anchor"))
 
 
 @dataclass

@@ -25,15 +25,15 @@ from .slope_core import (INF, ScalarField, domination_witnesses, scale_field,
 PRNG_ALGORITHM = "numpy PCG64"
 
 
-@dataclass(eq=False)
+@dataclass
 class Instance:
     space: MetricSpace
     nbhd: NeighborhoodSystem
     fields: dict                      # name -> ScalarField
     seed: int = 0
     provenance: dict = field(default_factory=dict)
-    metric_spec: dict = None          # JSON "metric" entry for round-trip
-    nbhd_spec: dict = None            # JSON "neighborhoods" entry
+    metric_spec: dict = field(default=None, compare=False)  # JSON "metric"
+    nbhd_spec: dict = field(default=None, compare=False)    # "neighborhoods"
 
     def __post_init__(self):
         if self.metric_spec is None:
@@ -50,15 +50,6 @@ class Instance:
         except KeyError:
             raise ParameterError(f"instance has no field {name!r}; "
                                  f"available: {sorted(self.fields)}")
-
-    def __eq__(self, other):
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return (self.space == other.space
-                and self.nbhd == other.nbhd
-                and self.fields == other.fields
-                and self.seed == other.seed
-                and self.provenance == other.provenance)
 
     def to_dict(self) -> dict:
         return {
@@ -195,9 +186,13 @@ def instance_from_dict(obj: dict) -> Instance:
                     nbhd_spec=obj["neighborhoods"])
 
 
-def load_instance(path) -> Instance:
+def _read_json(path):
     with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+        return json.load(fh)
+
+
+def load_instance(path) -> Instance:
+    return instance_from_dict(_read_json(path))
 
 
 def save_instance(instance: Instance, path):
@@ -234,6 +229,10 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
         raise ParameterError(f"need at least one point, got {n_points}")
     if field_spec is None:
         field_spec = {"f": {}, "g": {}}
+    for fs in field_spec.values():
+        p_inf = _parsed(float, fs.get("p_inf", 0.0), "p_inf")
+        if not 0 <= p_inf <= 1:   # nan too
+            raise ParameterError(f"p_inf must be in [0, 1], got {p_inf}")
     rng = np.random.default_rng(seed)
     points = [f"p{i}" for i in range(n_points)]
     if metric_kind == "graph":
@@ -286,7 +285,7 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
     fields = {}
     for name, fs in field_spec.items():
         fields[name] = ScalarField(space, _random_field_values(
-            rng, space.n, p_inf=fs.get("p_inf", 0.0),
+            rng, space.n, p_inf=float(fs.get("p_inf", 0.0)),
             low=fs.get("low", 0.0), high=fs.get("high", 3.0)))
 
     provenance = {

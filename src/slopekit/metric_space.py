@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .config import resolve_tol
+from .config import _require_level, resolve_tol
 from .errors import DomainError, MetricError, ParameterError, ShapeError
 
 
@@ -303,7 +303,8 @@ class MetricSpace:
             raise ParameterError("subspace needs a nonempty point set")
         missing = subset - self._index.keys()
         if missing:
-            raise DomainError(f"points not in space: {sorted(missing)}")
+            by_type = sorted(missing, key=lambda p: (type(p).__name__, p))
+            raise DomainError(f"points not in space: {by_type}")
         keep = sorted(map(self._index.get, subset))
         sub = object.__new__(MetricSpace)
         sub.points = tuple(self.points[i] for i in keep)
@@ -438,8 +439,7 @@ def _pair_system(points, ends) -> NeighborhoodSystem:
 def ball_neighborhoods(space: MetricSpace, r: float, tol=None) -> NeighborhoodSystem:
     """Neighbors of x are all points within distance r of x."""
     tol = resolve_tol(tol)
-    if not r > 0:   # nan too
-        raise ParameterError(f"ball radius must be positive, got {r}")
+    _require_level(r, "ball radius")
     within = space.dist <= r + tol
     within &= within.T   # both ways, as dist is symmetric only up to tol
     np.fill_diagonal(within, False)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import resolve_tol
+from .config import _require_level, resolve_tol
 from .errors import (DomainError, FatalFinding, ImproperFieldError,
                      ParameterError, UndefinedArithmeticError)
 from .metric_space import MetricSpace, NeighborhoodSystem, _aligned
@@ -24,7 +24,7 @@ def pos_part(t: float) -> float:
     return t if t > 0 else 0.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ScalarField:
     """A field on a metric space.  Immutable, so that the slope arrays and
     the sets that ``slopes`` and ``eps_Crit`` cache on it stay valid."""
@@ -63,11 +63,6 @@ class ScalarField:
         if not finite:
             raise ImproperFieldError("field is identically +inf")
         return finite
-
-    def __eq__(self, other):
-        if not isinstance(other, ScalarField):
-            return NotImplemented
-        return self.space == other.space and self.values == other.values
 
 
 def _adopt(f: ScalarField, array) -> ScalarField:
@@ -244,8 +239,7 @@ def slope_profile(f: ScalarField, nbhd: NeighborhoodSystem) -> SlopeProfile:
 def eps_argmin(f: ScalarField, eps: float, tol=None) -> tuple:
     """{x : f(x) <= inf f + eps}."""
     tol = resolve_tol(tol)
-    if not eps >= 0:   # nan too
-        raise ParameterError(f"eps must be nonnegative, got {eps}")
+    _require_level(eps, strict=False)
     pts, lo = f.space.points, f.min_finite()   # eps = inf takes all points
     return tuple(map(pts.__getitem__,
                      (f.array <= lo + eps + tol).nonzero()[0].tolist()))
@@ -254,8 +248,7 @@ def eps_argmin(f: ScalarField, eps: float, tol=None) -> tuple:
 def eps_crit(f: ScalarField, nbhd: NeighborhoodSystem, eps: float, tol=None) -> tuple:
     """Sub-level set of the local slope at level eps."""
     tol = resolve_tol(tol)
-    if not eps >= 0:   # nan too
-        raise ParameterError(f"eps must be nonnegative, got {eps}")
+    _require_level(eps, strict=False)
     return _points_where(f, slopes(f, nbhd) <= eps + tol)
 
 
@@ -272,8 +265,7 @@ def eps_Crit(f: ScalarField, eps: float, tol=None) -> tuple:
 def _crit_rows(f: ScalarField, eps, tol) -> tuple:
     """The indices of eps_Crit(f, eps, tol), as an array, and its points."""
     tol = resolve_tol(tol)
-    if not eps >= 0:   # nan too
-        raise ParameterError(f"eps must be nonnegative, got {eps}")
+    _require_level(eps, strict=False)
     key = (float(eps), tol)
     if key not in f._crit:
         v, pts, d = f.array, f.space.points, f.space.dist

@@ -7,18 +7,18 @@ conclusion) from conclusion failures (a fatal finding: the instance would
 contradict a proved statement).
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import resolve_tol
-from .errors import (DomainError, FatalFinding, HypothesisViolation,
-                     ImproperFieldError, ParameterError)
+from .config import _require_level, resolve_tol
+from .errors import (FatalFinding, HypothesisViolation, ImproperFieldError,
+                     ParameterError)
 from .metric_space import NeighborhoodSystem
 from .slope_core import (INF, ScalarField, _crit_rows, _dom_rows,
-                         _same_space, _sublevel_mask, domination_witnesses,
-                         local_slope, slopes, strict_comparison_witnesses)
+                         _require_in_dom, _same_space, _sublevel_mask,
+                         domination_witnesses, local_slope, slopes,
+                         strict_comparison_witnesses)
 
 
 def ekeland_point(f: ScalarField, x0, lam: float):
@@ -28,13 +28,9 @@ def ekeland_point(f: ScalarField, x0, lam: float):
     S(x) = {y : f(y) <= f(x) - lam*dist(y, x)} (ties broken by point
     order) until S(x) = {x}.
     """
-    if not lam > 0:   # nan too
-        raise ParameterError(f"lambda must be positive, got {lam}")
-    space = f.space
-    i = space.index(x0)
-    if not math.isfinite(f.values[i]):
-        raise DomainError(f"start point {x0!r} is outside dom f")
-    return space.points[_ekeland_index(f.array, space.dist, i, lam)]
+    _require_level(lam, "lambda")
+    i = _require_in_dom(f, x0)
+    return f.space.points[_ekeland_index(f.array, f.space.dist, i, lam)]
 
 
 def _ekeland_index(v, dist, i, lam):
@@ -62,11 +58,8 @@ def descent_step(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
     tol = resolve_tol(tol)
     if mode not in ("local", "global"):
         raise ParameterError(f"mode must be 'local' or 'global', got {mode!r}")
-    if not eps > 0:   # nan too
-        raise ParameterError(f"eps must be positive, got {eps}")
-    i = f.space.index(x0)
-    if not math.isfinite(f.values[i]):
-        raise DomainError(f"start point {x0!r} is outside dom f")
+    _require_level(eps)
+    _require_in_dom(f, x0)
     bad = strict_comparison_witnesses(
         f, g, nbhd if mode == "local" else None, tol)
     if bad:
@@ -94,14 +87,7 @@ class DescentTrace:
     terminal_flag: str      # "reached-0crit" | "budget-exhausted"
 
     def to_dict(self) -> dict:
-        return {
-            "points": list(self.points),
-            "eps_schedule": list(self.eps_schedule),
-            "step_distances": list(self.step_distances),
-            "f_values": list(self.f_values),
-            "diff_values": list(self.diff_values),
-            "terminal_flag": self.terminal_flag,
-        }
+        return asdict(self)
 
 
 def default_eps_schedule(eps0: float = 1.0):
@@ -289,8 +275,7 @@ def check_tz(f: ScalarField, g: ScalarField, tol=None) -> CheckReport:
 def check_lips(f: ScalarField, g: ScalarField, eps: float, tol=None) -> CheckReport:
     """For finite-valued dominated pairs, inf(f-g) is attained on eps-Crit f."""
     tol = resolve_tol(tol)
-    if not eps > 0:   # nan too
-        raise ParameterError(f"eps must be positive, got {eps}")
+    _require_level(eps)
     _require_finite_everywhere(f, "f")
     _require_finite_everywhere(g, "g")
     bad = domination_witnesses(f, g, tol)
@@ -307,8 +292,7 @@ def check_lsc(f: ScalarField, g: ScalarField, r: float, eps: float,
     tol = resolve_tol(tol)
     if not 0 < r < 1:
         raise ParameterError(f"r must be in (0, 1), got {r}")
-    if not eps > 0:   # nan too
-        raise ParameterError(f"eps must be positive, got {eps}")
+    _require_level(eps)
     if not f.is_proper():
         raise ImproperFieldError("f is identically +inf")
     bad = domination_witnesses(f, g, tol)

@@ -6,7 +6,7 @@ import pytest
 
 from slopekit import (Instance, gen_random_instance, metric_space,
                       save_instance, scale_field)
-from slopekit import cli
+from slopekit import cli, suite
 from slopekit.cli import main
 
 INF = math.inf
@@ -120,6 +120,21 @@ class TestGen:
         assert sizes == [cli.MAX_GEN_POINTS, 1]
 
 
+    @pytest.mark.parametrize("p_inf", ["nan", "1.5", "-0.5", "inf"])
+    def test_p_inf_outside_the_unit_interval(self, p_inf, capsys):
+        assert main(["gen", "--n", "3", "--p-inf", p_inf]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"input error: p_inf must be in [0, 1], "
+                                f"got {float(p_inf)}\n")
+
+    @pytest.mark.parametrize("p_inf", ["0", "1.0"])
+    def test_p_inf_at_the_ends(self, p_inf, capsys):
+        assert main(["gen", "--n", "3", "--p-inf", p_inf]) == 0
+        fields = json.loads(capsys.readouterr().out)["fields"]
+        assert all((v == "inf") == (p_inf == "1.0") for v in fields["f"])
+
+
 class TestSlopes:
     def test_report(self, inst_path, capsys):
         assert main(["slopes", inst_path, "--eps", "1.0"]) == 0
@@ -169,6 +184,21 @@ class TestDescent:
         assert main(["descent", bad_pair_path, "--from", "c"]) == 1
 
 
+    def test_failed_recheck_is_a_fatal_finding(self, inst_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr(cli, "verify_trace",
+                            lambda *args: ["step 0: f - g increased"])
+        assert main(["descent", inst_path, "--from", "c"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        head, witness = captured.err.split("\n", 1)
+        assert head == "FATAL FINDING: step 0: f - g increased"
+        assert json.loads(witness) == {
+            "points": ["c", "a"], "eps_schedule": [0.5],
+            "step_distances": [2.0], "f_values": [3.0, 0.0],
+            "diff_values": [1.5, 0.0], "terminal_flag": "reached-0crit"}
+
+
 class TestCheck:
     def test_verified_exit_0(self, inst_path, capsys):
         for which in ("tz", "lips", "lsc", "compact"):
@@ -213,6 +243,28 @@ class TestMr:
         assert main(["mr", f, f]) == 3
 
 
+    @pytest.mark.parametrize("obj", [
+        [1],
+        {"knots": 5, "slopes": [1, 2], "anchor": 0.0},
+        {"knots": ["a"], "slopes": [1, 2], "anchor": 0.0},
+        {"knots": [0.0], "slopes": {"s": 1}, "anchor": 0.0},
+        {"knots": [0.0], "slopes": [1, None], "anchor": 0.0},
+        {"knots": [0.0], "slopes": [1, 2], "anchor": None},
+        {"knots": [0.0], "slopes": [1, 2], "anchor": [0.0]},
+        {"knots": [0.0], "slopes": [1, 2]},
+    ], ids=["list", "knots-number", "knot-string", "slopes-object",
+            "slope-null", "anchor-null", "anchor-list", "anchor-missing"])
+    def test_malformed_pl_is_input_error(self, tmp_path, capsys, obj):
+        f = self._write(tmp_path, "f.json", obj)
+        g = self._write(tmp_path, "g.json",
+                        {"knots": [0.0], "slopes": [-1, 1], "anchor": 0.0})
+        for argv in (["mr", f, g], ["mr", g, f]):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("input error: ")
+
+
 class TestSuite:
     def test_clean_suite(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -233,6 +285,49 @@ class TestSuite:
         assert main(["suite", "--config", str(cfg), "-o", out]) == 2
         report = json.loads(open(out).read())
         assert report["counterexamples"]
+
+
+    @pytest.mark.parametrize("config,message", [
+        ({"max_points": 0}, "max_points must be at least 2, got 0"),
+        ({"max_points": 1}, "max_points must be at least 2, got 1"),
+        ({"max_points": 0, "kinds": ["graph"]},
+         "max_points must be at least 1, got 0"),
+        ({"kinds": []}, "kinds must be a nonempty list"),
+        ({"p_inf": []}, "p_inf must be a nonempty list"),
+        ({"checks": []}, "checks must be a nonempty list"),
+        ({"kinds": "grid"}, "kinds must be a JSON list, got str"),
+        ({"checks": "evp"}, "checks must be a JSON list, got str"),
+        ({"checks": [["evp"]]}, "unknown checks: [\"['evp']\"]"),
+        ({"instances": "abc"}, "malformed instances: 'abc'"),
+        ({"instances": 2.5}, "malformed instances: 2.5"),
+        ({"seed": [1]}, "malformed seed: [1]"),
+        ({"max_points": None}, "malformed max_points: None"),
+        ([1, 2], "suite config must be a JSON object, got list"),
+        ({"instance": 3}, "unknown config keys: ['instance']"),
+        ({"mutation": ["evp_noncritical"]},
+         "unknown mutation ['evp_noncritical']"),
+        ({"p_inf": [1.5]}, "p_inf must be in [0, 1], got 1.5"),
+        ({"p_inf": [math.nan]}, "p_inf must be in [0, 1], got nan"),
+        ({"p_inf": ["x"]}, "malformed p_inf: 'x'"),
+    ])
+    def test_malformed_config_is_input_error(self, tmp_path, capsys, config,
+                                             message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))   # nan as json writes it
+        assert main(["suite", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+    def test_config_echo_is_verbatim(self, tmp_path, capsys):
+        config = {"seed": 3, "instances": 2.0, "max_points": "4",
+                  "kinds": ["graph"], "p_inf": [0]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["suite", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"] == {**suite.DEFAULT_CONFIG, **config}
+        assert report["summary"]["evp"] == {"pass": 2, "fail": 0}
 
 
 class TestSuiteOutputs:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -29,6 +30,17 @@ class TestRoundTrip:
         back = load_instance(path)
         assert back == inst
         assert back.to_json() == inst.to_json()
+
+    def test_equality_ignores_the_specs(self):
+        inst = gen_random_instance(42, 6, metric_kind="grid")
+        respelled = dataclasses.replace(inst, metric_spec={"kind": "matrix"},
+                                        nbhd_spec=None)
+        assert respelled.nbhd_spec["kind"] == "explicit"
+        assert respelled == inst
+        assert dataclasses.replace(inst, seed=7) != inst
+        assert dataclasses.replace(inst, provenance={}) != inst
+        assert dataclasses.replace(inst, fields={}) != inst
+        assert (inst == inst.to_dict()) is False
 
     def test_inf_encoding(self):
         inst = gen_random_instance(3, 6, field_spec={"f": {"p_inf": 0.5}})
@@ -133,6 +145,22 @@ class TestDominatedPair:
         inst = gen_random_instance(0, 4)
         with pytest.raises(ParameterError):
             gen_dominated_pair(0, inst.field("f"), "square")
+
+
+@pytest.mark.parametrize("p_inf,message", [
+    (math.nan, "p_inf must be in [0, 1], got nan"),
+    (1.5, "p_inf must be in [0, 1], got 1.5"),
+    (-0.0001, "p_inf must be in [0, 1], got -0.0001"),
+    ("x", "malformed p_inf: 'x'"),
+    (None, "malformed p_inf: None"),
+])
+def test_p_inf_refused_before_the_metric_is_built(monkeypatch, p_inf, message):
+    from slopekit import instances
+    monkeypatch.setattr(instances, "metric_closure", None)
+    with pytest.raises(ParameterError) as info:
+        gen_random_instance(0, 4, metric_kind="matrix",
+                            field_spec={"f": {}, "g": {"p_inf": p_inf}})
+    assert str(info.value) == message
 
 
 class TestSuite:

@@ -182,3 +182,85 @@ def test_metric_space_built_only_where_a_matrix_enters():
             found.update((module, scope)
                          for scope, _ in metric_space_builds(fh.read()))
     assert found == MATRIX_ENTRIES
+
+
+# Rules written in one place, (module, function, rule): a level must be
+# positive (or nonnegative), and a point must lie in dom f.
+RULE_HOMES = {("config.py", "_require_level", "level"),
+              ("slope_core.py", "_require_in_dom", "dom")}
+
+
+def _raises(node) -> bool:
+    return any(isinstance(n, ast.Raise) for n in ast.walk(node))
+
+
+def _is_level_test(test) -> bool:
+    """``not x > 0`` or ``not x >= 0`` (or 0 < x, 0 <= x): one comparison."""
+    if not (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)
+            and isinstance(test.operand, ast.Compare)
+            and len(test.operand.ops) == 1):
+        return False
+    cmp = test.operand
+    zero = [isinstance(n, ast.Constant) and n.value == 0
+            and not isinstance(n.value, bool)
+            for n in (cmp.left, cmp.comparators[0])]
+    return ((zero[1] and isinstance(cmp.ops[0], (ast.Gt, ast.GtE)))
+            or (zero[0] and isinstance(cmp.ops[0], (ast.Lt, ast.LtE))))
+
+
+def rule_copies(source: str) -> list:
+    """(enclosing function, line, rule) of each spelling of a one-place
+    rule: an ``if`` with a level test whose body raises ("level"), and a
+    raise whose message says "outside dom f" ("dom")."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.If) and _is_level_test(child.test)
+                    and any(map(_raises, child.body))):
+                found.append((".".join(scope), child.lineno, "level"))
+            if isinstance(child, ast.Raise) and child.exc and any(
+                    isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    and "outside dom f" in n.value
+                    for n in ast.walk(child.exc)):
+                found.append((".".join(scope), child.lineno, "dom"))
+            visit(child, scope)
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_level_and_domain_refusals_written_once():
+    source = (
+        "def f(x):\n"
+        "    if not x > 0:   # nan too\n"
+        "        raise ValueError(x)\n"
+        "    if not x >= 0:\n"
+        "        y = 1\n"
+        "    if not 0 < x < 1:\n"
+        "        raise ValueError(x)\n"
+        "    if not (x > 0 and x < 1):\n"
+        "        raise ValueError(x)\n"
+        "    if not x > 1:\n"
+        "        raise ValueError(x)\n"
+        "class C:\n"
+        "    def g(self, x):\n"
+        "        if not 0.0 <= x:\n"
+        "            if x:\n"
+        "                raise ValueError(f'{x} is bad')\n"
+        "        raise DomainError(f'point {x!r} is outside dom f')\n"
+        "def h(problems):\n"
+        "    problems.append('outside dom f')\n"
+        "    raise DomainError('start point is outside dom f')\n")
+    assert rule_copies(source) == [
+        ("f", 2, "level"), ("C.g", 14, "level"), ("C.g", 17, "dom"),
+        ("h", 20, "dom")]
+    found = set()
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE, module)) as fh:
+            found.update((module, scope, rule)
+                         for scope, _, rule in rule_copies(fh.read()))
+    assert found - RULE_HOMES == set()

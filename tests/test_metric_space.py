@@ -1587,3 +1587,15 @@ class TestSubspaceAdoption:
             MetricSpace(space.points, space.dist)
         with pytest.raises(DomainError, match=r"^points not in space: \['z'\]$"):
             space.subspace({"a", "z"})
+
+    @pytest.mark.parametrize("subset,names", [
+        ({"z", 1}, "[1, 'z']"),
+        ({"a", 2.5, "z", 1, (0,)}, "[2.5, 1, 'z', (0,)]"),
+        ({"b", 10, 9}, "[9, 10]"),
+        ({"y", "x"}, "['x', 'y']"),
+    ])
+    def test_unknown_points_of_mixed_types(self, e3, subset, names):
+        # the message sorted str and int together and raised TypeError
+        with pytest.raises(DomainError) as info:
+            e3.subspace(subset)
+        assert str(info.value) == f"points not in space: {names}"

@@ -111,6 +111,13 @@ class TestScalarField:
                 extreme()
         assert f.dom() == () and not f.is_proper()
 
+    def test_equality_is_by_space_and_values(self, e3):
+        f = ScalarField(e3, (0.0, INF, 2.0))
+        assert f == ScalarField(MetricSpace(e3.points, e3.dist), (0, "inf", 2))
+        assert f != ScalarField(e3, (0.0, INF, 3.0))
+        assert f != ScalarField(MetricSpace(e3.points, 2 * e3.dist), f.values)
+        assert (f == f.values) is False and (f != f.values) is True
+
     def test_pos_part(self):
         assert pos_part(-2.0) == 0.0
         assert pos_part(3.0) == 3.0

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from slopekit import (DescentTrace, DomainError, HypothesisViolation,
                       MetricSpace, ParameterError, ScalarField,
-                      all_pairs_neighborhoods, check_compact, check_lips,
-                      check_lsc, check_tz, descent_step, descent_to_critical,
-                      ekeland_point, gen_random_instance,
+                      all_pairs_neighborhoods, ball_neighborhoods,
+                      check_compact, check_lips, check_lsc, check_tz,
+                      descent_step, descent_to_critical, ekeland_point,
+                      eps_argmin, eps_crit, eps_Crit, gen_random_instance,
                       global_slope, local_slope, restrict, scale_field,
                       sublevel_diff, truncate, verify_trace)
 from slopekit import metric_space, variational
@@ -165,6 +166,40 @@ class TestDescentToCritical:
                              terminal_flag="budget-exhausted")
         assert verify_trace(trace, f013, f013, e3_path_nbhd) == [
             f"step 0: eps {eps} is not positive"]
+
+    @pytest.mark.parametrize("points,eps,dist,f_values,diff_values,flag,want", [
+        # f rises from 0 to 3 and f - g from 0 to 1.5 along a step of length 2
+        (["a", "c"], [1.0], [2.0], [0.0, 3.0], [0.0, 1.5], "budget-exhausted",
+         ["step 0: f does not decrease by eps*dist (3.0 > -2.0)",
+          "step 0: f - g increased along the trace",
+          "eps-weighted length 2.0 exceeds f(x0) - inf f = 0.0"]),
+        # f falls by 3 over a distance of 2, less than eps * dist = 6
+        (["c", "a"], [3.0], [2.0], [3.0, 0.0], [1.5, 0.0], "budget-exhausted",
+         ["step 0: f does not decrease by eps*dist (0.0 > -3.0)",
+          "eps-weighted length 6.0 exceeds f(x0) - inf f = 3.0"]),
+        # c has local slope 2
+        (["c"], [], [], [3.0], [1.5], "reached-0crit",
+         ["terminal point is not 0-critical"]),
+    ], ids=["climb", "short-decrease", "false-terminal-flag"])
+    def test_each_inequality_is_rechecked(self, f013, e3_path_nbhd, points,
+                                          eps, dist, f_values, diff_values,
+                                          flag, want):
+        trace = DescentTrace(points=points, eps_schedule=eps,
+                             step_distances=dist, f_values=f_values,
+                             diff_values=diff_values, terminal_flag=flag)
+        g = scale_field(f013, 0.5)
+        assert verify_trace(trace, f013, g, e3_path_nbhd) == want
+
+    def test_to_dict_lists_the_fields_in_order(self, f013, e3_path_nbhd):
+        trace = descent_to_critical(f013, scale_field(f013, 0.5),
+                                    e3_path_nbhd, "c")
+        got = trace.to_dict()
+        assert got == {"points": ["c", "a"], "eps_schedule": [0.5],
+                       "step_distances": [2.0], "f_values": [3.0, 0.0],
+                       "diff_values": [1.5, 0.0],
+                       "terminal_flag": "reached-0crit"}
+        assert list(got) == [f.name for f in dataclasses.fields(trace)]
+        assert got["points"] is not trace.points   # a copy
 
     def test_nan_in_schedule(self, f013, e3_path_nbhd):
         g = scale_field(f013, 0.5)
@@ -375,3 +410,53 @@ def test_determination_never_falsified(seed):
         assert report.conclusion_ok, report.to_dict()
         report = check_lsc(f, g, 0.5, 0.5)
         assert report.hypothesis_ok and report.conclusion_ok, report.to_dict()
+
+
+# each entry that takes a level, with the rule its refusal states
+LEVEL_RULES = {
+    "eps_argmin": (lambda f, nbhd, v: eps_argmin(f, v),
+                   "eps must be nonnegative"),
+    "eps_crit": (lambda f, nbhd, v: eps_crit(f, nbhd, v),
+                 "eps must be nonnegative"),
+    "eps_Crit": (lambda f, nbhd, v: eps_Crit(f, v), "eps must be nonnegative"),
+    "descent_step": (lambda f, nbhd, v: descent_step(
+        f, scale_field(f, 0.5), nbhd, "c", v), "eps must be positive"),
+    "check_lips": (lambda f, nbhd, v: check_lips(f, scale_field(f, 0.5), v),
+                   "eps must be positive"),
+    "check_lsc": (lambda f, nbhd, v: check_lsc(f, scale_field(f, 0.5), 0.5, v),
+                  "eps must be positive"),
+    "ekeland_point": (lambda f, nbhd, v: ekeland_point(f, "c", v),
+                      "lambda must be positive"),
+    "ball_neighborhoods": (lambda f, nbhd, v: ball_neighborhoods(f.space, v),
+                           "ball radius must be positive"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LEVEL_RULES))
+@pytest.mark.parametrize("level", [-1.0, -INF, math.nan, 0.0, -0.0])
+def test_level_refusals(f013, e3_path_nbhd, entry, level):
+    call, rule = LEVEL_RULES[entry]
+    if rule.endswith("nonnegative") and level == 0:
+        call(f013, e3_path_nbhd, level)   # a zero level is allowed
+        return
+    with pytest.raises(ParameterError) as info:
+        call(f013, e3_path_nbhd, level)
+    assert type(info.value) is ParameterError
+    assert str(info.value) == f"{rule}, got {level}"
+
+
+def test_outside_dom_f_has_one_message(e3, e3_path_nbhd):
+    f = ScalarField(e3, (0.0, INF, 1.0))
+    g = scale_field(f, 0.5)
+    for call in (lambda: ekeland_point(f, "b", 1.0),
+                 lambda: descent_step(f, g, e3_path_nbhd, "b", 0.5),
+                 lambda: descent_to_critical(f, g, e3_path_nbhd, "b"),
+                 lambda: local_slope(f, e3_path_nbhd, "b"),
+                 lambda: global_slope(f, "b")):
+        with pytest.raises(DomainError, match=r"^point 'b' is outside dom f$"):
+            call()
+    # the level is refused first, as before
+    with pytest.raises(ParameterError):
+        ekeland_point(f, "b", -1.0)
+    with pytest.raises(ParameterError):
+        descent_step(f, g, e3_path_nbhd, "b", -1.0)
