@@ -12,8 +12,8 @@ import sys
 from .convex1d import mr_check, pl_from_dict
 from .errors import (FatalFinding, HypothesisViolation, MetricError,
                      ParameterError, SlopekitError)
-from .instances import (_read_json, gen_random_instance, load_instance,
-                        save_instance)
+from .instances import (_expect, _read_json, gen_random_instance,
+                        load_instance, save_instance)
 from .metric_space import ValidationReport
 from .slope_core import INF, eps_argmin, eps_crit, eps_Crit, slope_profile
 from .suite import run_suite, summary_csv
@@ -136,7 +136,8 @@ def cmd_mr(args):
 
 
 def cmd_suite(args):
-    report = run_suite(_read_json(args.config) if args.config else {})
+    report = run_suite(_expect(_read_json(args.config), dict, "suite config")
+                       if args.config else {})
     _emit(report, args.output)
     if args.output:   # the CSV summary goes beside the report, if any
         with open(os.path.splitext(args.output)[0] + ".csv", "w") as fh:

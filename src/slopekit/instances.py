@@ -85,6 +85,14 @@ def _parsed(convert, value, what):
         raise ParameterError(f"malformed {what}: {value!r}") from None
 
 
+def _p_inf(value) -> float:
+    """A field's chance of +inf values, refused outside [0, 1]."""
+    p_inf = _parsed(float, value, "p_inf")
+    if not 0 <= p_inf <= 1:   # nan too
+        raise ParameterError(f"p_inf must be in [0, 1], got {p_inf}")
+    return p_inf
+
+
 def _index(value):
     """``int(value)``, refusing a fraction, which int() would truncate."""
     if isinstance(value, float) and not value.is_integer():
@@ -230,9 +238,7 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
     if field_spec is None:
         field_spec = {"f": {}, "g": {}}
     for fs in field_spec.values():
-        p_inf = _parsed(float, fs.get("p_inf", 0.0), "p_inf")
-        if not 0 <= p_inf <= 1:   # nan too
-            raise ParameterError(f"p_inf must be in [0, 1], got {p_inf}")
+        _p_inf(fs.get("p_inf", 0.0))
     rng = np.random.default_rng(seed)
     points = [f"p{i}" for i in range(n_points)]
     if metric_kind == "graph":

@@ -249,31 +249,31 @@ def validate_metric(dist, tol=None) -> ValidationReport:
     return ValidationReport(violations)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MetricSpace:
+    """Immutable, so that the fields on it and their cached slopes stay valid."""
     points: tuple
     dist: np.ndarray
     coords: tuple = None   # optional per-point coordinates, one row per point
 
     def __post_init__(self):
-        self.points = tuple(str(p) for p in self.points)
-        if len(set(self.points)) != len(self.points):
+        points = tuple(str(p) for p in self.points)
+        if len(set(points)) != len(points):
             raise ParameterError("point identifiers must be unique")
         given = self.dist   # a builder's matrix carries its proved bound
         marked = type(given) is _Bounded
         # frozen below, so a caller's array is copied; a builder's is adopted
-        self.dist = _as_square_matrix(given, copy=not marked)
-        if self.dist.shape[0] != len(self.points):
+        dist = _as_square_matrix(given, copy=not marked)
+        if dist.shape[0] != len(points):
             raise ShapeError(
-                f"{len(self.points)} points but distance matrix is "
-                f"{self.dist.shape[0]}x{self.dist.shape[1]}")
-        if self.coords is not None:
-            self.coords = _as_coords(self.coords, len(self.points))
-        report = validate_metric(given if marked else self.dist)
+                f"{len(points)} points but distance matrix is "
+                f"{dist.shape[0]}x{dist.shape[1]}")
+        coords = (None if self.coords is None
+                  else _as_coords(self.coords, len(points)))
+        report = validate_metric(given if marked else dist)
         if not report.ok:
             raise MetricError("not a metric: " + report.summary(), report)
-        self.dist.setflags(write=False)
-        self._index = {p: i for i, p in enumerate(self.points)}
+        _settle(self, points, dist, coords)
 
     @property
     def n(self) -> int:
@@ -306,13 +306,10 @@ class MetricSpace:
             by_type = sorted(missing, key=lambda p: (type(p).__name__, p))
             raise DomainError(f"points not in space: {by_type}")
         keep = sorted(map(self._index.get, subset))
-        sub = object.__new__(MetricSpace)
-        sub.points = tuple(self.points[i] for i in keep)
-        sub.dist = self.dist.take(keep, 0).take(keep, 1)
-        sub.dist.setflags(write=False)
-        sub.coords = tuple(self.coords[i] for i in keep) if self.coords else None
-        sub._index = {p: i for i, p in enumerate(sub.points)}
-        return sub
+        return _settle(object.__new__(MetricSpace),
+                       tuple(self.points[i] for i in keep),
+                       self.dist.take(keep, 0).take(keep, 1),
+                       tuple(self.coords[i] for i in keep) if self.coords else None)
 
     def __eq__(self, other):
         if not isinstance(other, MetricSpace):
@@ -320,6 +317,15 @@ class MetricSpace:
         return (self.points == other.points
                 and (self.dist == other.dist).all()
                 and self.coords == other.coords)
+
+
+def _settle(space, points, dist, coords) -> MetricSpace:
+    """``space`` with these points, checked matrix, frozen, and coordinates."""
+    dist.setflags(write=False)
+    for name, value in (("points", points), ("dist", dist), ("coords", coords),
+                        ("_index", {p: i for i, p in enumerate(points)})):
+        object.__setattr__(space, name, value)
+    return space
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -50,7 +50,7 @@ class ScalarField:
         return _points_where(self, True)
 
     def is_proper(self) -> bool:
-        return bool(np.isfinite(self.array).any())
+        return len(self._dom) > 0
 
     def min_finite(self) -> float:
         return min(self._finite_values())
@@ -59,7 +59,7 @@ class ScalarField:
         return max(self._finite_values())
 
     def _finite_values(self) -> list:
-        finite = self.array[np.isfinite(self.array)].tolist()
+        finite = self.array[self._dom].tolist()
         if not finite:
             raise ImproperFieldError("field is identically +inf")
         return finite
@@ -72,9 +72,14 @@ def _adopt(f: ScalarField, array) -> ScalarField:
         bad = ~(array > -INF)
         raise ParameterError(
             f"field value {array[bad.argmax()]} is not in R ∪ {{+inf}}")
-    array.setflags(write=False)
+    in_dom = array < INF   # dom f, as no value is -inf or nan
+    dom = in_dom.nonzero()[0]
+    for a in (array, in_dom, dom):
+        a.setflags(write=False)
     object.__setattr__(f, "values", tuple(array.tolist()))
     object.__setattr__(f, "array", array)   # values as a float array
+    object.__setattr__(f, "_in_dom", in_dom)   # dom f as a mask
+    object.__setattr__(f, "_dom", dom)         # its indices, in point order
     object.__setattr__(f, "_slopes", {})    # see slopes()
     object.__setattr__(f, "_crit", {})      # see eps_Crit()
     return f
@@ -113,9 +118,9 @@ def add_fields(f: ScalarField, g: ScalarField) -> ScalarField:
 def sub_fields(f: ScalarField, g: ScalarField) -> ScalarField:
     """f - g, defined only when it never forms inf - inf."""
     _same_space(f, g)
-    g_inf = g.array == INF
+    g_inf = ~g._in_dom
     if g_inf.any():   # the first such point decides the error
-        if f.array[g_inf.argmax()] == INF:
+        if not f._in_dom[g_inf.argmax()]:
             raise UndefinedArithmeticError("inf - inf is undefined")
         raise ParameterError("f - g would take the value -inf")
     with np.errstate(over="ignore"):   # a difference may round to ±inf
@@ -124,7 +129,7 @@ def sub_fields(f: ScalarField, g: ScalarField) -> ScalarField:
 
 def _require_in_dom(f: ScalarField, x) -> int:
     i = f.space.index(x)
-    if not math.isfinite(f.values[i]):
+    if not f._in_dom[i]:
         raise DomainError(f"point {x!r} is outside dom f")
     return i
 
@@ -159,7 +164,7 @@ def slopes(f: ScalarField, nbhd: NeighborhoodSystem = None) -> np.ndarray:
     quot.ravel()[::n + 1] = 0.0   # a view: quot is contiguous
     out = np.fmax.reduce(quot, axis=1, initial=0.0)
     out += 0.0
-    out[~np.isfinite(v)] = INF
+    out[~f._in_dom] = INF
     out.setflags(write=False)
     # the entry holds nbhd, so its id cannot be reused while cached
     f._slopes[key] = (nbhd, out)
@@ -185,12 +190,7 @@ def global_slope(f: ScalarField, x) -> float:
 def _points_where(f: ScalarField, mask) -> tuple:
     """The points of dom f at which the boolean array ``mask`` holds."""
     return tuple(map(f.space.points.__getitem__,
-                     (mask & np.isfinite(f.array)).nonzero()[0].tolist()))
-
-
-def _dom_rows(f: ScalarField) -> np.ndarray:
-    """The indices of dom f, in point order."""
-    return np.isfinite(f.array).nonzero()[0]
+                     (mask & f._in_dom).nonzero()[0].tolist()))
 
 
 def domination_witnesses(f: ScalarField, g: ScalarField, tol=None) -> list:
@@ -203,7 +203,7 @@ def domination_witnesses(f: ScalarField, g: ScalarField, tol=None) -> list:
     tol = resolve_tol(tol)
     _same_space(f, g)
     return list(_points_where(
-        f, (slopes(g) > slopes(f) + tol) | ~np.isfinite(g.array)))
+        f, (slopes(g) > slopes(f) + tol) | ~g._in_dom))
 
 
 def strict_comparison_witnesses(f: ScalarField, g: ScalarField,
@@ -220,7 +220,7 @@ def strict_comparison_witnesses(f: ScalarField, g: ScalarField,
     _same_space(f, g)
     fs, gs = slopes(f, nbhd), slopes(g, nbhd)
     return list(_points_where(
-        f, ((fs > tol) & ~(fs > gs)) | ~np.isfinite(g.array)))
+        f, ((fs > tol) & ~(fs > gs)) | ~g._in_dom))
 
 
 @dataclass
@@ -230,7 +230,7 @@ class SlopeProfile:
 
 
 def slope_profile(f: ScalarField, nbhd: NeighborhoodSystem) -> SlopeProfile:
-    dom, i = f.dom(), _dom_rows(f)
+    dom, i = f.dom(), f._dom
     return SlopeProfile(
         local=dict(zip(dom, slopes(f, nbhd)[i].tolist())),
         global_=dict(zip(dom, slopes(f)[i].tolist())))
@@ -269,7 +269,7 @@ def _crit_rows(f: ScalarField, eps, tol) -> tuple:
     key = (float(eps), tol)
     if key not in f._crit:
         v, pts, d = f.array, f.space.points, f.space.dist
-        rows = ((slopes(f) <= eps + tol) & np.isfinite(v)).nonzero()[0]
+        rows = ((slopes(f) <= eps + tol) & f._in_dom).nonzero()[0]
         d = d[rows] if len(rows) < len(v) else d
         # in place: eps = inf or an overflow gives -inf or nan, no v_j below it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -298,9 +298,9 @@ def pasch_hausdorff(f: ScalarField, eps: float) -> ScalarField:
         raise ParameterError(f"eps must be positive and finite, got {eps}")
     if not f.is_proper():
         raise ImproperFieldError("cannot regularize an improper field")
-    v, d, fin = f.array, f.space.dist, np.isfinite(f.array)
-    if not fin.all():
-        v, d = v[fin], d[fin]
+    v, d = f.array, f.space.dist
+    if len(f._dom) < len(v):
+        v, d = v[f._dom], d[f._dom]
     with np.errstate(over="ignore"):   # f(y) + eps d(y, x) may round to inf
         paths = np.multiply(eps, d)
         np.add(v[:, None], paths, out=paths)
@@ -343,7 +343,7 @@ def _sublevel_mask(f: ScalarField, g: ScalarField, lam, tol) -> np.ndarray:
     lam = float(lam)
     with np.errstate(invalid="ignore"):   # inf - inf, off dom f
         diff_ok = f.array - g.array <= lam + tol
-    return (g.array == INF) | diff_ok
+    return ~g._in_dom | diff_ok
 
 
 def restrict(f: ScalarField, subset) -> ScalarField:

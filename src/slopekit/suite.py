@@ -12,13 +12,14 @@ import numpy as np
 
 from .config import resolve_tol
 from .errors import FatalFinding, HypothesisViolation, ParameterError
-from .instances import (_expect, _index, _parsed, gen_dominated_pair,
+from .instances import (_expect, _index, _p_inf, _parsed, gen_dominated_pair,
                         instance_stream)
 from .metric_space import NeighborhoodSystem, validate_metric
-from .slope_core import (INF, ScalarField, _crit_rows, _dom_rows, add_fields,
-                         eps_Crit, global_slope, log_distance_field,
-                         pasch_hausdorff, restrict, scale_field, slopes,
-                         sub_fields, sublevel_diff, truncate)
+from .slope_core import (INF, ScalarField, _crit_rows, _points_where,
+                         add_fields, eps_Crit, global_slope,
+                         log_distance_field, pasch_hausdorff, restrict,
+                         scale_field, slopes, sub_fields, sublevel_diff,
+                         truncate)
 from .variational import (check_compact, check_lips, check_lsc,
                           check_tz, descent_to_critical, ekeland_point,
                           verify_trace)
@@ -44,8 +45,7 @@ def default_ops() -> dict:
 def _broken_truncate(g: ScalarField, lam: float) -> ScalarField:
     # applies the cutoff at a single point only
     vals = list(g.values)
-    finite = [i for i, v in enumerate(vals) if v != INF]
-    i = max(finite, key=lambda j: vals[j])
+    i = max(g._dom.tolist(), key=lambda j: vals[j])
     vals[i] = min(vals[i], float(lam))
     return ScalarField(g.space, tuple(vals))
 
@@ -103,7 +103,7 @@ def _flagged(inst, idx, bad):
 
 def check_slope_scaling(inst, rng, ops, tol):
     f = inst.field("f")
-    idx = _dom_rows(f)
+    idx = f._dom
     base = _slopes_at(inst, f, idx)
     failures = []
     for r in (0.0, 0.5, float(rng.uniform(0.0, 3.0))):
@@ -120,7 +120,7 @@ def check_slope_scaling(inst, rng, ops, tol):
 def check_subadditivity(inst, rng, ops, tol):
     f, g = inst.field("f"), inst.field("g")
     h = add_fields(f, g)
-    idx = _dom_rows(h)   # dom f ∩ dom g
+    idx = h._dom   # dom f ∩ dom g
     sf, sg, sh = (_slopes_at(inst, q, idx) for q in (f, g, h))
     return [_fail(f"{kind} slope of f+g at {x} exceeds the sum of slopes", x=x)
             for _, x, kind in _flagged(inst, idx, sh > sf + sg + tol)]
@@ -129,7 +129,7 @@ def check_subadditivity(inst, rng, ops, tol):
 def check_difference_bound(inst, rng, ops, tol):
     f, g = inst.field("f"), inst.field("g")
     g_fin = truncate(g, g.max_finite())   # finite-valued version of g
-    idx = _dom_rows(f)
+    idx = f._dom
     sf, sg, sd = (_slopes_at(inst, q, idx)
                   for q in (f, g_fin, sub_fields(f, g_fin)))
     return [_fail(f"{kind} slope of f-g at {x} below |slope f| - |slope g|", x=x)
@@ -138,7 +138,7 @@ def check_difference_bound(inst, rng, ops, tol):
 
 def check_global_ge_local(inst, rng, ops, tol):
     f = inst.field("f")
-    idx = _dom_rows(f)
+    idx = f._dom
     local, global_ = _slopes_at(inst, f, idx)
     return [_fail(f"global slope below local slope at {inst.space.points[i]}",
                   x=inst.space.points[i])
@@ -151,7 +151,7 @@ def check_log_bound(inst, rng, ops, tol):
     failures = []
     for a_index, a in enumerate(inst.space.points):
         phi = log_distance_field(inst.space, a)
-        idx = _dom_rows(phi)   # every point but a
+        idx = phi._dom   # every point but a
         bound = 1.0 / inst.space.dist[idx, a_index]
         for i in idx[slopes(phi)[idx] > bound + tol]:
             x = inst.space.points[i]
@@ -164,7 +164,7 @@ def check_log_bound(inst, rng, ops, tol):
 def check_truncation(inst, rng, ops, tol):
     g = inst.field("g")
     lo, hi = g.min_finite(), g.max_finite()
-    idx = _dom_rows(g)
+    idx = g._dom
     base = _slopes_at(inst, g, idx)
     failures = []
     for lam in (lo, (lo + hi) / 2.0, float(rng.uniform(lo - 1.0, hi + 1.0))):
@@ -197,9 +197,9 @@ def check_ph_coincidence(inst, rng, ops, tol):
     failures = []
     for eps in _EPS_VALUES:
         reg = pasch_hausdorff(f, eps)
-        coincide = {x for x, fv, rv in
-                    zip(inst.space.points, f.values, reg.values)
-                    if fv != INF and abs(fv - rv) <= tol}
+        coincide = {x for x, fin, fv, rv in
+                    zip(inst.space.points, f._in_dom.tolist(), f.values,
+                        reg.values) if fin and abs(fv - rv) <= tol}
         crit = set(eps_Crit(f, eps, tol))
         if coincide != crit:
             failures.append(_fail(
@@ -216,7 +216,7 @@ def check_ph_coincidence(inst, rng, ops, tol):
 
 def check_restriction_invariance(inst, rng, ops, tol):
     f, g = inst.field("f"), inst.field("g")
-    dom_fg = [x for x in f.dom() if g.value(x) != INF]
+    dom_fg = _points_where(f, g._in_dom)
     if not dom_fg:
         return []
     x0 = dom_fg[int(rng.integers(0, len(dom_fg)))]
@@ -246,7 +246,7 @@ def check_restriction_invariance(inst, rng, ops, tol):
 
 def check_trivial_inf_dom(inst, rng, ops, tol):
     f = inst.field("f")
-    if not np.isfinite(slopes(f)[_dom_rows(f)]).all():
+    if not (slopes(f)[f._dom] < INF).all():
         return [_fail("global slope not finite on all of dom f")]
     return []
 
@@ -290,7 +290,7 @@ def check_descent(inst, rng, ops, tol):
 def check_determination(inst, rng, ops, tol):
     f = inst.field("f")
     failures = []
-    f_finite = all(v != INF for v in f.values)
+    f_finite = f._in_dom.all()
     for mode in ("truncate", "scale", "compose"):
         pair_seed = int(rng.integers(0, 2 ** 62))
         g, params = gen_dominated_pair(pair_seed, f, mode, tol)
@@ -371,6 +371,11 @@ def run_suite(config=None, tol=None) -> dict:
             raise ParameterError(f"{key} must be a nonempty list")
     seed, count, max_points = (_parsed(_index, cfg[key], key)
                                for key in ("seed", "instances", "max_points"))
+    if count < 0:
+        raise ParameterError(f"instances must not be negative, got {count}")
+    if max(map(_p_inf, cfg["p_inf"])) == 1:
+        raise ParameterError("p_inf must be below 1 in the suite: a field "
+                             "that is +inf everywhere has no start point")
     least = 2 if "grid" in cfg["kinds"] else 1   # grids have two points or more
     if max_points < least:
         raise ParameterError(

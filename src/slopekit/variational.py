@@ -15,8 +15,8 @@ from .config import _require_level, resolve_tol
 from .errors import (FatalFinding, HypothesisViolation, ImproperFieldError,
                      ParameterError)
 from .metric_space import NeighborhoodSystem
-from .slope_core import (INF, ScalarField, _crit_rows, _dom_rows,
-                         _require_in_dom, _same_space, _sublevel_mask,
+from .slope_core import (INF, ScalarField, _crit_rows, _require_in_dom,
+                         _same_space, _sublevel_mask,
                          domination_witnesses, local_slope, slopes,
                          strict_comparison_witnesses)
 
@@ -228,7 +228,7 @@ class CheckReport:
 
 
 def _require_finite_everywhere(h: ScalarField, name: str):
-    if INF in h.values:
+    if len(h._dom) < h.space.n:
         raise ParameterError(f"{name} must be finite-valued for this check")
 
 
@@ -265,7 +265,7 @@ def check_tz(f: ScalarField, g: ScalarField, tol=None) -> CheckReport:
     inf_f, inf_g = f.min_finite(), g.min_finite()
     with np.errstate(over="ignore", invalid="ignore"):   # as Python floats do
         margin = (f.array - inf_f) - (g.array - inf_g)
-    slack, k = _least(margin, _dom_rows(f))
+    slack, k = _least(margin, f._dom)
     return CheckReport(
         "tz", hypothesis_ok=True, conclusion_ok=slack >= -tol,
         witness=f.space.points[k], slack=slack,
@@ -301,7 +301,7 @@ def check_lsc(f: ScalarField, g: ScalarField, r: float, eps: float,
     # f finite and g = +inf give f - r g = -inf: the domain convention
     with np.errstate(over="ignore", invalid="ignore"):   # inf - inf off dom f
         diff = f.array - r * g.array
-    return _localized("lsc", f, diff, _dom_rows(f), _crit_rows(f, eps, tol)[0],
+    return _localized("lsc", f, diff, f._dom, _crit_rows(f, eps, tol)[0],
                       tol, ("inf_dom", "inf_crit"), r=r, eps=eps)
 
 

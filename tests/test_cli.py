@@ -309,6 +309,11 @@ class TestSuite:
         ({"p_inf": [1.5]}, "p_inf must be in [0, 1], got 1.5"),
         ({"p_inf": [math.nan]}, "p_inf must be in [0, 1], got nan"),
         ({"p_inf": ["x"]}, "malformed p_inf: 'x'"),
+        ({"instances": 1, "p_inf": [1.0]},
+         "p_inf must be below 1 in the suite: a field that is +inf "
+         "everywhere has no start point"),
+        ({"instances": -4}, "instances must not be negative, got -4"),
+        (None, "suite config must be a JSON object, got NoneType"),
     ])
     def test_malformed_config_is_input_error(self, tmp_path, capsys, config,
                                              message):
@@ -414,13 +419,17 @@ GRID = {"kind": "grid", "bounds": [[0.0, 1.0]], "resolution": [3], "p": 2}
     three_points(seed=1.5),
     three_points(seed=float("inf")),
     [three_points()],
+    three_points(metric=GRID),
+    three_points(neighborhoods={"kind": "explicit", "adj": [[0, 1], [1]]}),
+    three_points(neighborhoods={"kind": "cube"}),
 ], ids=["matrix-string", "matrix-ragged", "edge-pair", "edge-vertex-x",
         "edge-vertex-fraction", "edge-weight-w", "edge-weight-nan",
         "edge-weight-inf", "adj-9", "adj-minus-1", "adj-triple",
         "adj-fraction", "ball-r-x", "field-q", "field-number", "grid-p-x",
         "grid-bound-x", "grid-resolution-x", "grid-resolution-fraction",
         "matrix-points-mismatch", "metric-list", "seed-string",
-        "seed-fraction", "seed-infinite", "top-level-list"])
+        "seed-fraction", "seed-infinite", "top-level-list",
+        "grid-points-mismatch", "adj-ragged", "neighborhood-kind-unknown"])
 @pytest.mark.parametrize("command", ["validate", "slopes"])
 def test_malformed_instance_is_input_error(tmp_path, capsys, obj, command):
     path = tmp_path / "bad.json"

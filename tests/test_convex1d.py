@@ -33,6 +33,8 @@ class TestPLConvex:
             PLConvex((0.0,), (1.0, -1.0), 0.0)     # decreasing slopes
         with pytest.raises(ParameterError):
             PLConvex((0.0,), (1.0,), 0.0)          # wrong slope count
+        with pytest.raises(ParameterError, match="must be finite"):
+            PLConvex((0.0,), (float("nan"), 1.0), 0.0)
 
     def test_round_trip(self):
         f = PLConvex((0.0, 1.0), (-1.0, 0.0, 2.0), 0.5)

@@ -10,7 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from slopekit import (MetricSpace, ParameterError, PLConvex, ScalarField,
+from slopekit import (ImproperFieldError, MetricSpace, ParameterError,
+                      PLConvex, ScalarField,
                       UndefinedArithmeticError, add_fields,
                       all_pairs_neighborhoods, check_compact, check_lips,
                       check_lsc, check_tz, descent_step, descent_to_critical,
@@ -86,6 +87,15 @@ def test_same_space_table(name, g_values):
         with pytest.raises(ParameterError) as info:
             call(f, ScalarField(other, g_values), nbhd)
         assert type(info.value) is ParameterError and str(info.value) == SAME
+
+
+@pytest.mark.parametrize("name", ["sublevel_diff", "check_tz", "check_lsc"])
+def test_improper_f_refused(name):
+    space = two_points(1.0)
+    f, g = ScalarField(space, (INF, INF)), ScalarField(space, (0.0, 1.0))
+    with pytest.raises(ImproperFieldError) as info:
+        PAIR_FUNCTIONS[name](f, g, all_pairs_neighborhoods(space))
+    assert str(info.value) == "f is identically +inf"
 
 
 # --- derived fields from arrays, against the loops they replace -----------

@@ -163,6 +163,16 @@ def test_p_inf_refused_before_the_metric_is_built(monkeypatch, p_inf, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("n, kind, message", [
+    (0, "graph", "need at least one point, got 0"),
+    (1, "grid", "grid instances need at least two points"),
+])
+def test_too_few_points_refused(n, kind, message):
+    with pytest.raises(ParameterError) as info:
+        gen_random_instance(0, n, metric_kind=kind)
+    assert str(info.value) == message
+
+
 class TestSuite:
     def test_clean_run_passes(self):
         report = run_suite({"instances": 24, "max_points": 8})
@@ -269,7 +279,7 @@ class TestTolerance:
     def test_explicit_tolerance_kept(self, tol):
         assert resolve_tol(tol) == tol
 
-    @pytest.mark.parametrize("raw", ["nan", "inf", "0", "-1e-9"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "0", "-1e-9", "abc"])
     def test_bad_environment_tolerance(self, raw, monkeypatch):
         monkeypatch.setenv("SLOPEKIT_TOL", raw)
         with pytest.raises(ParameterError, match="SLOPEKIT_TOL"):

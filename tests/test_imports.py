@@ -264,3 +264,63 @@ def test_level_and_domain_refusals_written_once():
             found.update((module, scope, rule)
                          for scope, _, rule in rule_copies(fh.read()))
     assert found - RULE_HOMES == set()
+
+
+# dom f is computed once, where every field is built (slope_core._adopt);
+# the modules that read it use the field's mask and indices instead.
+DOM_READERS = ("slope_core.py", "variational.py", "suite.py")
+
+
+def dom_tests(source: str) -> list:
+    """(enclosing function, line) of each ``isfinite`` call and each ``==``,
+    ``!=``, ``in`` or ``not in`` comparison with ``INF`` outside ``_adopt``;
+    ``<`` and the other orderings are allowed."""
+    found = []
+
+    def is_inf(node):
+        return isinstance(node, ast.Name) and node.id == "INF"
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                if child.name != "_adopt":
+                    visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and "isfinite" in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                found.append((".".join(scope), child.lineno))
+            if isinstance(child, ast.Compare):
+                operands = [child.left, *child.comparators]
+                if any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                       and (is_inf(a) or is_inf(b))
+                       for op, a, b in zip(child.ops, operands,
+                                           operands[1:])):
+                    found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_dom_f_computed_only_where_a_field_is_built():
+    source = (
+        "def _adopt(a):\n"
+        "    return np.isfinite(a), a == INF\n"
+        "def f(v, x):\n"
+        "    if not math.isfinite(x) or x != INF:\n"
+        "        return INF in v, [y for y in v if y != INF]\n"
+        "    return 0 < x < INF, v < INF, INF == v, x is INF, isfinite(x)\n"
+        "class C:\n"
+        "    def g(self, v):\n"
+        "        return 0 <= v[0] == INF\n")
+    assert dom_tests(source) == [
+        ("f", 4), ("f", 4), ("f", 5), ("f", 5), ("f", 6), ("f", 6),
+        ("C.g", 9)]
+    found = {}
+    for module in DOM_READERS:
+        with open(os.path.join(PACKAGE, module)) as fh:
+            sites = dom_tests(fh.read())
+        if sites:
+            found[module] = sites
+    assert found == {}

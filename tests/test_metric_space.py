@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -21,6 +22,7 @@ from slopekit.config import resolve_tol
 from slopekit.errors import MetricError
 from slopekit import instances, metric_space
 from slopekit.instances import gen_random_instance, instance_from_dict
+from slopekit.slope_core import ScalarField, slopes
 from slopekit.metric_space import (ValidationReport, Violation, _aligned,
                                    _bounded, _certifies, _lp_distances,
                                    _outer_sum, _triangle_ok, floyd_warshall,
@@ -990,6 +992,26 @@ class TestMetricSpaceInvariants:
         with pytest.raises(MetricError):
             MetricSpace(("a", "b", "c"), [[0, 1, 3], [1, 0, 1], [3, 1, 0]])
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda e3: explicit_neighborhoods(e3, [("a", "b"), ("c", "c")]),
+         ParameterError, "self-pair ('c', 'c') not allowed"),
+        (lambda e3: explicit_neighborhoods(e3, [("a", "b"), ("c", "z")]),
+         DomainError, "pair ('c', 'z') uses unknown points"),
+        (lambda e3: shortest_path_space([], []),
+         ParameterError, "need at least one vertex"),
+        (lambda e3: metric_closure([[0, 1, 0], [1, 0, 1], [0, 1, 0]]),
+         ParameterError, "off-diagonal weights must be positive"),
+        (lambda e3: grid_space([(0, 1)], [3, 3]),
+         ParameterError, "bounds and resolution must have equal length"),
+        (lambda e3: grid_space([], []), ParameterError, "need at least one axis"),
+        (lambda e3: grid_space([(0, 1)], [3], p=0.5),
+         ParameterError, "metric exponent must be >= 1 or inf, got 0.5"),
+    ])
+    def test_builders_refuse(self, e3, build, error, message):
+        with pytest.raises(error) as info:
+            build(e3)
+        assert type(info.value) is error and str(info.value) == message
+
     def test_subspace_preserves_distances(self, e3):
         sub = e3.subspace({"a", "c"})
         assert sub.points == ("a", "c")
@@ -1599,3 +1621,35 @@ class TestSubspaceAdoption:
         with pytest.raises(DomainError) as info:
             e3.subspace(subset)
         assert str(info.value) == f"points not in space: {names}"
+
+
+FROZEN_SPACES = {
+    "caller": caller_copy,
+    "grid": SUBSPACE_PARENTS["grid-p2"],
+    "graph": SUBSPACE_PARENTS["graph"],
+    "closure": SUBSPACE_PARENTS["matrix"],
+    "loaded": loaded_matrix,
+    "subspace": lambda: caller_copy().subspace(["n0", "n3", "n4", "n9"]),
+}
+
+
+@pytest.mark.parametrize("kind", FROZEN_SPACES)
+def test_spaces_are_frozen(kind):
+    """No attribute of a built space can be rebound, so a field's cached
+    slopes cannot go stale behind it: rebinding dist to 10 * dist used to
+    leave them at the old distances, unchecked, while a new field on the
+    space read the new ones."""
+    space = FROZEN_SPACES[kind]()
+    f = ScalarField(space, np.linspace(0.0, 3.0, space.n) ** 2)
+    want = slopes(f).tobytes()
+    for name, value in (("points", tuple(reversed(space.points))),
+                        ("dist", 10 * space.dist), ("coords", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(space, name, value)
+    with pytest.raises(ValueError):
+        space.dist[0, 0] = 1.0
+    assert slopes(ScalarField(space, f.values)).tobytes() == want
+    assert [space.index(p) for p in space.points] == list(range(space.n))
+    for dup in (pickle.loads(pickle.dumps(space)), copy.deepcopy(space)):
+        assert dup == space
+        assert [dup.index(p) for p in dup.points] == list(range(dup.n))
