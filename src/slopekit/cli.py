@@ -1,7 +1,12 @@
 """Command-line front door.
 
+Each ``cmd_*`` returns its JSON object and its exit code; ``main`` writes
+the object, to stdout or to the file given with ``-o``, through the one
+JSON writer that instance files use too.  Input files are read as UTF-8.
+
 Exit codes: 0 verified / success, 1 hypothesis violated, 2 fatal finding
-(a theorem conclusion falsified), 3 input error.
+(a theorem conclusion falsified), 3 input error, a malformed command line
+included.
 """
 
 import argparse
@@ -12,8 +17,8 @@ import sys
 from .convex1d import mr_check, pl_from_dict
 from .errors import (FatalFinding, HypothesisViolation, MetricError,
                      ParameterError, SlopekitError)
-from .instances import (_expect, _read_json, gen_random_instance,
-                        load_instance, save_instance)
+from .instances import (_expect, _read_json, _write_json, gen_random_instance,
+                        load_instance)
 from .metric_space import ValidationReport
 from .slope_core import INF, eps_argmin, eps_crit, eps_Crit, slope_profile
 from .suite import run_suite, summary_csv
@@ -33,23 +38,13 @@ EXIT_INPUT = 3
 MAX_GEN_POINTS = 1000
 
 
-def _emit(obj, path=None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
 def cmd_validate(args):
     report = ValidationReport([])
     try:
         load_instance(args.instance)   # its space is validated as it is built
     except MetricError as exc:
         report = exc.report
-    _emit(report.to_dict(), args.output)
-    return EXIT_OK if report.ok else EXIT_INPUT
+    return report.to_dict(), EXIT_OK if report.ok else EXIT_INPUT
 
 
 def cmd_gen(args):
@@ -59,11 +54,7 @@ def cmd_gen(args):
     inst = gen_random_instance(
         args.seed, args.n, metric_kind=args.kind,
         field_spec={"f": {"p_inf": args.p_inf}, "g": {"p_inf": args.p_inf}})
-    if args.output:
-        save_instance(inst, args.output)
-    else:
-        print(inst.to_json())
-    return EXIT_OK
+    return inst.to_dict(), EXIT_OK
 
 
 def cmd_slopes(args):
@@ -81,8 +72,7 @@ def cmd_slopes(args):
             "eps_crit": list(eps_crit(f, inst.nbhd, eps)),
             "eps_Crit": list(eps_Crit(f, eps)),
         }
-    _emit(report, args.output)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def cmd_evp(args):
@@ -90,27 +80,24 @@ def cmd_evp(args):
     f = inst.field(args.field)
     x = ekeland_point(f, getattr(args, "from"), args.lam)
     d = inst.space.distance(getattr(args, "from"), x)
-    _emit({"x_lambda": x, "f_value": f.value(x), "distance_from_start": d},
-          args.output)
-    return EXIT_OK
+    return ({"x_lambda": x, "f_value": f.value(x), "distance_from_start": d},
+            EXIT_OK)
 
 
 def cmd_descent(args):
     inst = load_instance(args.instance)
     f = inst.field(args.f)
     g = inst.field(args.g)
-    if args.mode == "local":
-        trace = descent_to_critical(f, g, inst.nbhd, getattr(args, "from"),
-                                    eps0=args.eps0)
-        problems = verify_trace(trace, f, g, inst.nbhd)
-        if problems:
-            raise FatalFinding("; ".join(problems), witness=trace.to_dict())
-        _emit(trace.to_dict(), args.output)
-    else:
+    if args.mode == "global":
         x = descent_step(f, g, inst.nbhd, getattr(args, "from"), args.eps0,
                          mode="global")
-        _emit({"x": x, "f_value": f.value(x)}, args.output)
-    return EXIT_OK
+        return {"x": x, "f_value": f.value(x)}, EXIT_OK
+    trace = descent_to_critical(f, g, inst.nbhd, getattr(args, "from"),
+                                eps0=args.eps0)
+    problems = verify_trace(trace, f, g, inst.nbhd)
+    if problems:
+        raise FatalFinding("; ".join(problems), witness=trace.to_dict())
+    return trace.to_dict(), EXIT_OK
 
 
 def cmd_check(args):
@@ -125,108 +112,116 @@ def cmd_check(args):
         report = check_lsc(f, g, args.r, args.eps)
     else:
         report = check_compact(f, g, inst.nbhd)
-    _emit(report.to_dict(), args.output)
-    return report.exit_code()
+    return report.to_dict(), report.exit_code()
 
 
 def cmd_mr(args):
     f, g = (pl_from_dict(_read_json(path)) for path in (args.f, args.g))
-    _emit(mr_check(f, g).to_dict(), args.output)
-    return EXIT_OK
+    return mr_check(f, g).to_dict(), EXIT_OK
+
+
+def _summary_path(output):
+    """Where the suite's CSV summary goes: beside the report ``output``."""
+    return os.path.splitext(output)[0] + ".csv"
 
 
 def cmd_suite(args):
+    # the summary would replace the report: compared ignoring case, as some
+    # file systems do; refused before any instance is built
+    if args.output and (_summary_path(args.output).lower()
+                        == args.output.lower()):
+        raise ParameterError(
+            f"suite -o {args.output} would be overwritten by the CSV summary, "
+            f"which goes to {_summary_path(args.output)}; give the report "
+            "another extension")
     report = run_suite(_expect(_read_json(args.config), dict, "suite config")
                        if args.config else {})
-    _emit(report, args.output)
-    if args.output:   # the CSV summary goes beside the report, if any
-        with open(os.path.splitext(args.output)[0] + ".csv", "w") as fh:
-            fh.write(summary_csv(report))
-    return EXIT_OK if report["ok"] else EXIT_FATAL
+    return report, EXIT_OK if report["ok"] else EXIT_FATAL
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's usage and error lines, with exit code 3, for a malformed
+    command line; ``add_subparsers`` builds every subparser of this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slopekit",
         description="Slope analysis and variational checks on finite metric spaces")
     sub = parser.add_subparsers(dest="command", required=True)
+    instance, field, pair = (argparse.ArgumentParser(add_help=False)
+                             for _ in range(3))
+    instance.add_argument("instance")
+    field.add_argument("--field", default="f")
+    pair.add_argument("--f", default="f")
+    pair.add_argument("--g", default="g")
 
-    p = sub.add_parser("validate", help="check the metric axioms of an instance")
-    p.add_argument("instance")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_validate)
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.add_argument("-o", "--output")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen", help="generate a random instance")
+    command("validate", cmd_validate,
+            "check the metric axioms of an instance", instance)
+
+    p = command("gen", cmd_gen, "generate a random instance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--kind", choices=["graph", "matrix", "grid"], default="graph")
     p.add_argument("--p-inf", type=float, default=0.0)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("slopes", help="per-point slopes and eps-set memberships")
-    p.add_argument("instance")
-    p.add_argument("--field", default="f")
+    p = command("slopes", cmd_slopes,
+                "per-point slopes and eps-set memberships", instance, field)
     p.add_argument("--eps", type=float, action="append")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_slopes)
 
-    p = sub.add_parser("evp", help="constructive Ekeland point")
-    p.add_argument("instance")
-    p.add_argument("--field", default="f")
+    p = command("evp", cmd_evp, "constructive Ekeland point", instance, field)
     p.add_argument("--from", required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_evp)
 
-    p = sub.add_parser("descent", help="descent step / descent-to-critical trace")
-    p.add_argument("instance")
-    p.add_argument("--f", default="f")
-    p.add_argument("--g", default="g")
+    p = command("descent", cmd_descent,
+                "descent step / descent-to-critical trace", instance, pair)
     p.add_argument("--from", required=True)
     p.add_argument("--eps0", type=float, default=1.0)
     p.add_argument("--mode", choices=["local", "global"], default="local")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_descent)
 
-    p = sub.add_parser("check", help="determination theorem checkers")
-    p.add_argument("instance")
+    p = command("check", cmd_check, "determination theorem checkers",
+                instance, pair)
     p.add_argument("--which", choices=["tz", "lips", "lsc", "compact"],
                    required=True)
-    p.add_argument("--f", default="f")
-    p.add_argument("--g", default="g")
     p.add_argument("--r", type=float, default=0.5)
     p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("mr", help="Moreau-Rockafellar check for 1D PL convex pairs")
+    p = command("mr", cmd_mr, "Moreau-Rockafellar check for 1D PL convex pairs")
     p.add_argument("f")
     p.add_argument("g")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_mr)
 
-    p = sub.add_parser("suite", help="run the property-test suite")
+    p = command("suite", cmd_suite, "run the property-test suite")
     p.add_argument("--config")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_suite)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)   # exits 3 on a malformed line
     try:
-        return args.func(args)
+        obj, code = args.func(args)
+        _write_json(obj, args.output or None)   # -o "" means stdout
+        if args.command == "suite" and args.output:   # after the report
+            with open(_summary_path(args.output), "w") as fh:
+                fh.write(summary_csv(obj))
+        return code
     except HypothesisViolation as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except FatalFinding as exc:
         print(f"FATAL FINDING: {exc}", file=sys.stderr)
         if exc.witness is not None:
-            print(json.dumps(exc.witness, indent=2, default=str),
-                  file=sys.stderr)
+            _write_json(exc.witness, sys.stderr)
         return EXIT_FATAL
     except (SlopekitError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

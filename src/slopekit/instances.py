@@ -9,6 +9,7 @@ the provenance.
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,23 @@ class Instance:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _json_text(self.to_dict())
+
+
+def _json_text(obj) -> str:
+    """The one JSON layout of instance files and CLI outputs."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _write_json(obj, out=None):
+    """Write ``obj`` in that layout, and a newline, to the file at the path
+    ``out``, to the open text stream ``out``, or to stdout when it is None."""
+    text = _json_text(obj) + "\n"
+    if out is None or hasattr(out, "write"):
+        (out or sys.stdout).write(text)
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _expect(value, kind, what):
@@ -195,8 +212,12 @@ def instance_from_dict(obj: dict) -> Instance:
 
 
 def _read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON value in the file at ``path``, read as UTF-8 (RFC 8259)."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ShapeError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def load_instance(path) -> Instance:
@@ -204,9 +225,7 @@ def load_instance(path) -> Instance:
 
 
 def save_instance(instance: Instance, path):
-    with open(path, "w") as fh:
-        fh.write(instance.to_json())
-        fh.write("\n")
+    _write_json(instance.to_dict(), path)
 
 
 def _seed_repr(seed):

@@ -273,7 +273,7 @@ class MetricSpace:
         report = validate_metric(given if marked else dist)
         if not report.ok:
             raise MetricError("not a metric: " + report.summary(), report)
-        _settle(self, points, dist, coords)
+        _settle(points, dist, coords, self)
 
     @property
     def n(self) -> int:
@@ -306,8 +306,7 @@ class MetricSpace:
             by_type = sorted(missing, key=lambda p: (type(p).__name__, p))
             raise DomainError(f"points not in space: {by_type}")
         keep = sorted(map(self._index.get, subset))
-        return _settle(object.__new__(MetricSpace),
-                       tuple(self.points[i] for i in keep),
+        return _settle(tuple(self.points[i] for i in keep),
                        self.dist.take(keep, 0).take(keep, 1),
                        tuple(self.coords[i] for i in keep) if self.coords else None)
 
@@ -318,9 +317,15 @@ class MetricSpace:
                 and (self.dist == other.dist).all()
                 and self.coords == other.coords)
 
+    def __reduce__(self):
+        # a pickled or deep-copied matrix is a new array: frozen again
+        return _settle, (self.points, self.dist, self.coords)
 
-def _settle(space, points, dist, coords) -> MetricSpace:
-    """``space`` with these points, checked matrix, frozen, and coordinates."""
+
+def _settle(points, dist, coords, space=None) -> MetricSpace:
+    """The space (``space``, else a new one) with these points, checked
+    matrix, frozen, and coordinates."""
+    space = object.__new__(MetricSpace) if space is None else space
     dist.setflags(write=False)
     for name, value in (("points", points), ("dist", dist), ("coords", coords),
                         ("_index", {p: i for i, p in enumerate(points)})):

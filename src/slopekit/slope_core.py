@@ -282,6 +282,7 @@ def _crit_rows(f: ScalarField, eps, tol) -> tuple:
             raise FatalFinding(
                 "eps_Crit member fails the pointwise inequality",
                 witness={"x": pts[rows[i]], "y": pts[j], "eps": eps})
+        rows.setflags(write=False)
         f._crit[key] = (rows, tuple(map(pts.__getitem__, rows.tolist())))
     return f._crit[key]
 

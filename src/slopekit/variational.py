@@ -110,6 +110,7 @@ def descent_to_critical(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem
     tol = resolve_tol(tol)
     _same_space(f, g)   # also when x0 is already 0-critical
     if eps_schedule is None:
+        _require_level(eps0, "eps0")
         eps_schedule = default_eps_schedule(eps0)
     else:
         eps_schedule = [float(e) for e in eps_schedule]

@@ -1,5 +1,10 @@
+import argparse
+import ast
+import collections
+import inspect
 import json
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -439,3 +444,144 @@ def test_malformed_instance_is_input_error(tmp_path, capsys, obj, command):
     assert captured.out == ""
     assert captured.err.startswith("input error: ")
     assert "Traceback" not in captured.err
+
+
+def test_options_declared_once():
+    """-o/--output and the shared arguments are each declared in one place,
+    and every subcommand has the -o that main writes to."""
+    tree = ast.parse(inspect.getsource(cli))
+    declared = collections.Counter(
+        node.args[0].value for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "add_argument")
+    for name in ("-o", "instance", "--f", "--g", "--field"):
+        assert declared[name] == 1, name
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert len(sub.choices) == 8
+    for parser in sub.choices.values():
+        assert parser._option_string_actions["-o"].dest == "output"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "abc"],                       # a bad type
+    ["slopes", "x.json", "--eps", "one"],
+    ["gen", "--kind", "cube"],                   # a bad choice
+    ["descent", "x.json", "--from", "a", "--mode", "both"],
+    ["check", "x.json"],                         # a missing required option
+    ["evp", "x.json", "--lambda", "1"],
+    ["validate"],                                # a missing positional
+    ["mr", "f.json"],
+    [],                                          # a missing subcommand
+    ["bogus"],                                   # an unknown one
+    ["validate", "x.json", "--bogus"],           # an unknown option
+], ids=["type", "eps-type", "choice", "mode-choice", "required-option",
+        "required-from", "positional", "mr-positional", "no-subcommand",
+        "unknown-subcommand", "unknown-option"])
+def test_malformed_command_line_is_input_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: slopekit")
+    assert re.match(r"slopekit( \w+)?: error: ", lines[-1])
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"],
+                                  ["check", "-h"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: slopekit")
+
+
+def test_gen_writes_the_instance_layout(tmp_path, capsys):
+    """gen prints, and writes with -o, the bytes of save_instance."""
+    inst = gen_random_instance(4, 5, metric_kind="grid", field_spec={
+        "f": {"p_inf": 0.0}, "g": {"p_inf": 0.0}})
+    save_instance(inst, tmp_path / "saved.json")
+    saved = (tmp_path / "saved.json").read_bytes()
+    assert saved == (inst.to_json() + "\n").encode()
+    out = str(tmp_path / "gen.json")
+    argv = ["gen", "--seed", "4", "--n", "5", "--kind", "grid"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == saved
+    assert main(argv + ["-o", out]) == 0
+    assert capsys.readouterr().out == ""
+    assert open(out, "rb").read() == saved
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{bad}"],
+    ["slopes", "{bad}"],
+    ["evp", "{bad}", "--from", "a", "--lambda", "1"],
+    ["descent", "{bad}", "--from", "a"],
+    ["check", "{bad}", "--which", "tz"],
+    ["mr", "{bad}", "{pl}"],
+    ["mr", "{pl}", "{bad}"],
+    ["suite", "--config", "{bad}"],
+], ids=["validate", "slopes", "evp", "descent", "check", "mr-f", "mr-g",
+        "suite"])
+def test_non_utf8_file_is_input_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00{\x00}\x00")   # UTF-16 with a BOM
+    pl = tmp_path / "pl.json"
+    pl.write_text(json.dumps({"knots": [0.0], "slopes": [-1, 1],
+                              "anchor": 0.0}))
+    argv = [a.format(bad=bad, pl=pl) for a in argv]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: {bad} is not UTF-8 text: 'utf-8' codec can't decode "
+        "byte 0xff in position 0: invalid start byte\n")
+
+
+def test_utf8_file_read_as_utf8(tmp_path, capsys):
+    path = tmp_path / "names.json"
+    path.write_bytes(json.dumps(three_points(points=["α", "β", "γ"]),
+                                ensure_ascii=False).encode("utf-8"))
+    assert main(["slopes", str(path)]) == 0
+    assert list(json.loads(capsys.readouterr().out)["points"]) == [
+        "α", "β", "γ"]
+
+
+def test_descent_refuses_eps0(inst_path, capsys):
+    assert main(["descent", inst_path, "--from", "a", "--eps0", "-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: eps0 must be positive, got -1.0\n"
+
+
+class TestSuiteCsvOutput:
+    @pytest.mark.parametrize("output", ["report.csv", "report.CSV",
+                                        "out.v2/rep.Csv"])
+    def test_csv_report_refused_up_front(self, tmp_path, monkeypatch, capsys,
+                                         output):
+        # the summary went to the report's own path and replaced it
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.v2").mkdir()
+        monkeypatch.setattr(cli, "run_suite", None)
+        assert main(["suite", "-o", output]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        stem = output[:-len(".csv")]
+        assert captured.err == (
+            f"input error: suite -o {output} would be overwritten by the CSV "
+            f"summary, which goes to {stem}.csv; give the report another "
+            "extension\n")
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+    def test_summary_written_after_the_report(self, tmp_path, monkeypatch):
+        written = []
+        monkeypatch.setattr(cli, "summary_csv", lambda report: written.append(
+            (tmp_path / "rep.json").read_text()) or "check,pass,fail\n")
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"instances": 2, "checks": ["metric_axioms"]}))
+        assert main(["suite", "--config", str(tmp_path / "cfg.json"),
+                     "-o", str(tmp_path / "rep.json")]) == 0
+        assert [json.loads(text)["ok"] for text in written] == [True]
+        assert (tmp_path / "rep.csv").read_text() == "check,pass,fail\n"

@@ -2,18 +2,21 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopekit import (ImproperFieldError, ParameterError,
-                      eps_argmin, gen_dominated_pair, gen_random_instance,
-                      gen_random_pl, global_slope, instance_from_dict,
-                      load_instance, run_suite, save_instance, summary_csv)
-from slopekit import metric_space
+from slopekit import (CheckReport, HypothesisViolation, ImproperFieldError,
+                      ParameterError, eps_argmin, gen_dominated_pair,
+                      gen_random_instance, gen_random_pl, global_slope,
+                      instance_from_dict, load_instance, run_suite,
+                      save_instance, summary_csv)
+from slopekit import metric_space, suite
 from slopekit.config import resolve_tol
 
 INF = math.inf
@@ -288,3 +291,82 @@ class TestTolerance:
     def test_environment_tolerance(self, monkeypatch):
         monkeypatch.setenv("SLOPEKIT_TOL", "1e-6")
         assert resolve_tol() == 1e-6 and resolve_tol(0.0) == 0.0
+
+
+def _highest_point(f, x0, lam):
+    """A stand-in Ekeland point: the highest point of dom f."""
+    return f.space.points[f._dom[f.array[f._dom].argmax()]]
+
+
+def _forced_violation(*args, **kwargs):
+    raise HypothesisViolation("forced", witnesses=["w"])
+
+
+# check -> (suite name to replace, its replacement given the original,
+#           the detail of the failure record, its witness keys)
+BROKEN_RECORDS = {
+    "metric_axioms": ("validate_metric", lambda real: lambda dist, tol:
+                      real(-dist, tol),
+                      r"metric axiom violated", {"report"}),
+    "slope_scaling": ("scale_field", lambda real: lambda f, r: real(f, r + 1),
+                      r"(local|global) slope of \S+\*f at \S+ is \S+, "
+                      r"expected \S+", {"r", "x"}),
+    "log_bound": ("log_distance_field", lambda real: lambda space, a:
+                  suite.scale_field(real(space, a), 10.0),
+                  r"log-distance slope bound fails at \S+ \(center \S+\)",
+                  {"a", "x"}),
+    "crit_lipschitz": ("_crit_rows", lambda real: lambda f, eps, tol:
+                       (f._dom, tuple(f.space.points[i] for i in f._dom)),
+                       r"f is not \S+-Lipschitz on \S+-Crit at \(\S+, \S+\)",
+                       {"eps", "x", "y"}),
+    "ph_coincidence": ("eps_Crit", lambda real: lambda f, eps, tol: (),
+                       r"coincidence set != \S+-Crit",
+                       {"eps", "coincide", "crit"}),
+    "trivial_inf_dom": ("slopes", lambda real: lambda f, nbhd=None:
+                        np.full(f.space.n, INF),
+                        r"global slope not finite on all of dom f", set()),
+    "evp-descent-inequality": (
+        "default_ops", lambda real: lambda: dict(
+            real(), ekeland_point=_highest_point),
+        r"EVP output violates the descent inequality", {"x0", "lam", "x"}),
+    "evp-distance-bound": (
+        "default_ops", lambda real: lambda: dict(
+            real(), ekeland_point=_highest_point),
+        r"EVP output violates the classical distance bound",
+        {"x0", "lam", "x"}),
+    "descent": ("descent_to_critical", lambda real: lambda *args, **kwargs:
+                dataclasses.replace(real(*args, **kwargs),
+                                    terminal_flag="budget-exhausted"),
+                r"descent did not reach 0crit", {"x0", "r"}),
+    "determination-tz": ("check_tz", lambda real: lambda f, g, tol:
+                         CheckReport("tz", True, conclusion_ok=False),
+                         r"tz falsified on a dominated pair",
+                         {"mode", "params", "report"}),
+    "determination-compact": ("check_compact", lambda real:
+                              lambda f, g, nbhd, tol: CheckReport(
+                                  "compact", True, conclusion_ok=False),
+                              r"compact falsified on a scaled pair",
+                              {"r", "report"}),
+    "descent-hypothesis": ("descent_to_critical",
+                           lambda real: _forced_violation,
+                           r"unexpected hypothesis violation: forced",
+                           {"witnesses"}),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_RECORDS)
+def test_failure_records(monkeypatch, case):
+    """Each failure record of a check, forced by breaking what it tests:
+    a failed instance, the record's detail and its witness keys."""
+    name, broken, detail, keys = BROKEN_RECORDS[case]
+    monkeypatch.setattr(suite, name, broken(getattr(suite, name)))
+    check = case.split("-")[0]
+    report = run_suite({"instances": 6, "max_points": 6, "p_inf": [0.0],
+                        "checks": [check]})
+    assert report["summary"][check]["fail"] > 0
+    records = [c for c in report["counterexamples"]
+               if re.fullmatch(detail, c["detail"])]
+    assert records
+    assert all(c["check"] == check and set(c["witness"]) == keys
+               for c in records)
+    json.dumps(report)   # as the CLI writes it

@@ -22,7 +22,7 @@ from slopekit.config import resolve_tol
 from slopekit.errors import MetricError
 from slopekit import instances, metric_space
 from slopekit.instances import gen_random_instance, instance_from_dict
-from slopekit.slope_core import ScalarField, slopes
+from slopekit.slope_core import ScalarField, _crit_rows, slopes
 from slopekit.metric_space import (ValidationReport, Violation, _aligned,
                                    _bounded, _certifies, _lp_distances,
                                    _outer_sum, _triangle_ok, floyd_warshall,
@@ -1638,7 +1638,8 @@ def test_spaces_are_frozen(kind):
     """No attribute of a built space can be rebound, so a field's cached
     slopes cannot go stale behind it: rebinding dist to 10 * dist used to
     leave them at the old distances, unchecked, while a new field on the
-    space read the new ones."""
+    space read the new ones.  Pickled and deep-copied spaces, and the
+    eps-Crit rows cached on a field, are frozen as well."""
     space = FROZEN_SPACES[kind]()
     f = ScalarField(space, np.linspace(0.0, 3.0, space.n) ** 2)
     want = slopes(f).tobytes()
@@ -1650,6 +1651,13 @@ def test_spaces_are_frozen(kind):
         space.dist[0, 0] = 1.0
     assert slopes(ScalarField(space, f.values)).tobytes() == want
     assert [space.index(p) for p in space.points] == list(range(space.n))
-    for dup in (pickle.loads(pickle.dumps(space)), copy.deepcopy(space)):
+    for dup in (pickle.loads(pickle.dumps(space)), copy.deepcopy(space),
+                copy.deepcopy(f).space):
         assert dup == space
         assert [dup.index(p) for p in dup.points] == list(range(dup.n))
+        assert dup.dist.tobytes() == space.dist.tobytes()
+        with pytest.raises(ValueError):   # a copy's matrix is frozen too
+            dup.dist[0, 0] = 1.0
+    rows = _crit_rows(f, 1.0, None)[0]   # cached, and handed to the checkers
+    assert rows is _crit_rows(f, 1.0, None)[0]
+    assert not rows.flags.writeable

@@ -425,6 +425,8 @@ LEVEL_RULES = {
                    "eps must be positive"),
     "check_lsc": (lambda f, nbhd, v: check_lsc(f, scale_field(f, 0.5), 0.5, v),
                   "eps must be positive"),
+    "descent_to_critical": (lambda f, nbhd, v: descent_to_critical(
+        f, scale_field(f, 0.5), nbhd, "a", eps0=v), "eps0 must be positive"),
     "ekeland_point": (lambda f, nbhd, v: ekeland_point(f, "c", v),
                       "lambda must be positive"),
     "ball_neighborhoods": (lambda f, nbhd, v: ball_neighborhoods(f.space, v),
@@ -443,6 +445,20 @@ def test_level_refusals(f013, e3_path_nbhd, entry, level):
         call(f013, e3_path_nbhd, level)
     assert type(info.value) is ParameterError
     assert str(info.value) == f"{rule}, got {level}"
+
+
+@pytest.mark.parametrize("start", ["a", "b", "c"])
+def test_eps0_refused_from_every_start(f013, e3_path_nbhd, start):
+    # from a, 0-critical at once, a trace came back; from c the refusal
+    # named eps0 / 2 as eps
+    g = scale_field(f013, 0.5)
+    with pytest.raises(ParameterError,
+                       match=r"^eps0 must be positive, got -1\.0$"):
+        descent_to_critical(f013, g, e3_path_nbhd, start, eps0=-1.0)
+    # eps0 only sets the default schedule
+    trace = descent_to_critical(f013, g, e3_path_nbhd, start,
+                                eps_schedule=[0.5], eps0=-1.0)
+    assert trace.points[-1] == "a"
 
 
 def test_outside_dom_f_has_one_message(e3, e3_path_nbhd):
