@@ -5,7 +5,9 @@ kind up to n = 100.
 Each case is reduced to the SHA-256 of its canonical JSON (floats written
 with ``repr``), so any change in any bit of any output fails the test.
 The digests in ``golden_digests.json`` were recorded with the scalar-loop
-slope code; regenerate them only for a change meant to alter outputs:
+slope code; the ``TOL_CASES`` digests were added later, with the tolerance
+comparisons as they were spelled before they moved to ``config``.
+Regenerate them only for a change meant to alter outputs:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -45,6 +47,14 @@ SUITES = {
         "instances": 30, "mutation": "asymmetric_neighborhood",
         "checks": ["neighborhood_symmetry"]},
 }
+
+
+# The cases above run at the default tolerance, 1e-9.  These pin the
+# tolerance boundary: the suite at an explicit tol of 0 and 1e-3, and one
+# instance of each kind under SLOPEKIT_TOL=1e-3.
+TOL_SUITES = {"suite-tol-0": 0.0, "suite-tol-1e-3": 1e-3}
+TOL_INSTANCES = [f"tol-1e-3-{kind}-40-0.1" for kind in ("graph", "matrix", "grid")]
+TOL_CASES = list(TOL_SUITES) + TOL_INSTANCES
 
 
 def _instance(kind, n, p_inf):
@@ -111,11 +121,29 @@ def _digest(obj):
 def _compute(case, tmp):
     if case in SUITES:
         return run_suite(SUITES[case])
+    if case in TOL_SUITES:
+        return run_suite({"instances": 60}, tol=TOL_SUITES[case])
+    if case in TOL_INSTANCES:
+        with _env_tol("1e-3"):
+            return _compute(case[len("tol-1e-3-"):], tmp)
     kind, n, p_inf = case.split("-")
     return _instance_outputs(kind, int(n), float(p_inf), tmp)
 
 
-CASES = [f"{k}-{n}-{p}" for k, n, p in INSTANCES] + list(SUITES)
+@contextlib.contextmanager
+def _env_tol(value):
+    old = os.environ.get("SLOPEKIT_TOL")
+    os.environ["SLOPEKIT_TOL"] = value
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["SLOPEKIT_TOL"]
+        else:
+            os.environ["SLOPEKIT_TOL"] = old
+
+
+CASES = [f"{k}-{n}-{p}" for k, n, p in INSTANCES] + list(SUITES) + TOL_CASES
 
 
 @pytest.mark.parametrize("case", CASES)
