@@ -223,7 +223,7 @@ def main(argv=None) -> int:
         if exc.witness is not None:
             _write_json(exc.witness, sys.stderr)
         return EXIT_FATAL
-    except (SlopekitError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (SlopekitError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,8 +1,10 @@
-"""Global numeric tolerance.
+"""Global numeric tolerance, and the comparisons decided under it.
 
-All approximate comparisons in the package go through a single absolute
-tolerance.  The default is 1e-9 and can be overridden with the
-SLOPEKIT_TOL environment variable.
+The tolerance is absolute, 1e-9 unless SLOPEKIT_TOL or a ``tol`` argument
+sets it, and is added on the threshold side b: each comparison under it
+is ``_exceeds`` (a > b + tol), ``_within``, ``_below`` or ``_at_least``,
+below.  Two keep their own: the relative re-check of eps-Crit in
+``slope_core._crit_rows``, and ``metric_space._certifies``, exact.
 """
 
 import math
@@ -47,3 +49,11 @@ def _require_level(value, what="eps", strict=True):
     if not (value > 0 if strict else value >= 0):
         sign = "positive" if strict else "nonnegative"
         raise ParameterError(f"{what} must be {sign}, got {value}")
+
+
+# a bare x > tol is _exceeds(x, 0.0, tol), exactly, as 0.0 + tol == tol and
+# 0.0 - tol == -tol; a - b > tol is another test (a = fl(1 + 1e-9), b = 1)
+def _exceeds(a, b, tol): return a > b + tol
+def _within(a, b, tol): return a <= b + tol
+def _below(a, b, tol): return a < b - tol
+def _at_least(a, b, tol): return a >= b - tol

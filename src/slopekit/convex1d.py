@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import resolve_tol
+from .config import _exceeds, _within, resolve_tol
 from .errors import ParameterError
-from .instances import _expect, _parsed
+from .instances import _expect, _key, _parsed
 from .metric_space import MetricSpace
 from .slope_core import ScalarField, _field
 
@@ -82,7 +82,7 @@ class PLConvex:
         tol = resolve_tol(tol)
         knots, slopes = [], [self.slopes[0]]
         for i, t in enumerate(self.knots):
-            if self.slopes[i + 1] - slopes[-1] > tol:
+            if _exceeds(self.slopes[i + 1] - slopes[-1], 0.0, tol):
                 knots.append(t)
                 slopes.append(self.slopes[i + 1])
         if not knots:
@@ -101,9 +101,11 @@ def pl_from_dict(obj: dict) -> PLConvex:
     """A malformed object raises ``ShapeError`` or ``ParameterError``."""
     obj = _expect(obj, dict, "a PL function")
     knots, slopes = (tuple(_parsed(float, v, f"{key} entry")
-                           for v in _expect(obj[key], list, key))
+                           for v in _expect(_key(obj, key, "a PL function"),
+                                            list, key))
                      for key in ("knots", "slopes"))
-    return PLConvex(knots, slopes, _parsed(float, obj["anchor"], "anchor"))
+    return PLConvex(knots, slopes, _parsed(
+        float, _key(obj, "anchor", "a PL function"), "anchor"))
 
 
 @dataclass
@@ -137,8 +139,8 @@ def mr_check(f: PLConvex, g: PLConvex, tol=None) -> MRResult:
     fn = f.normalized(tol)
     gn = g.normalized(tol)
     same = (len(fn.knots) == len(gn.knots)
-            and all(abs(a - b) <= tol for a, b in zip(fn.knots, gn.knots))
-            and all(abs(a - b) <= tol for a, b in zip(fn.slopes, gn.slopes)))
+            and all(_within(abs(a - b), 0.0, tol)
+                    for a, b in zip(fn.knots + fn.slopes, gn.knots + gn.slopes)))
     if same:
         t1 = fn.knots[0]
         return MRResult(constant=f.value(t1) - g.value(t1))
@@ -152,7 +154,7 @@ def mr_check(f: PLConvex, g: PLConvex, tol=None) -> MRResult:
     for x in probes:
         df = f.subdifferential(x)
         dg = g.subdifferential(x)
-        if abs(df[0] - dg[0]) > tol or abs(df[1] - dg[1]) > tol:
+        if any(_exceeds(abs(p - q), 0.0, tol) for p, q in zip(df, dg)):
             return MRResult(mismatch_at=x, subdiff_f=df, subdiff_g=dg)
     # normalization said the maps differ, so a probe point must exist
     raise AssertionError("normalized forms differ but no probe mismatch found")

@@ -94,6 +94,15 @@ def _expect(value, kind, what):
     return value
 
 
+def _key(obj, key, what):
+    """``obj[key]``, a missing key refused with a ``ShapeError`` that names
+    it and ``what``, the object that should hold it."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ShapeError(f"missing key {key!r} in {what}") from None
+
+
 def _parsed(convert, value, what):
     """``convert(value)``, a malformed value reported as ``ParameterError``."""
     try:
@@ -131,9 +140,9 @@ def _space_from_spec(points, spec):
     """The space of a metric entry and, for a grid, its neighborhoods."""
     kind = _expect(spec, dict, "metric").get("kind")
     if kind == "matrix":
-        return MetricSpace(tuple(points), spec["dist"]), None
+        return MetricSpace(tuple(points), _key(spec, "dist", "the metric")), None
     if kind == "graph":
-        edges = _expect(spec["edges"], list, "graph edges")
+        edges = _expect(_key(spec, "edges", "the metric"), list, "graph edges")
         try:   # numbers with indices for ends as one array; _edge reads any other
             arr = np.array(edges)
         except ValueError:
@@ -150,9 +159,11 @@ def _space_from_spec(points, spec):
         p = math.inf if p == "inf" else _parsed(float, p, "grid exponent p")
         bounds = [_parsed(lambda b: _pair(b, float), b,
                           "grid bound (want [lo, hi])")
-                  for b in _expect(spec["bounds"], list, "grid bounds")]
+                  for b in _expect(_key(spec, "bounds", "the metric"), list,
+                                   "grid bounds")]
         resolution = [_parsed(_index, r, "grid resolution") for r in
-                      _expect(spec["resolution"], list, "grid resolution")]
+                      _expect(_key(spec, "resolution", "the metric"), list,
+                              "grid resolution")]
         space, nbhd = grid_space(bounds, resolution, p)
         if list(space.points) != list(points):
             raise ParameterError("grid points do not match the points list")
@@ -164,9 +175,11 @@ def _nbhd_from_spec(space: MetricSpace, spec, grid_nbhd) -> NeighborhoodSystem:
     kind = _expect(spec, dict, "neighborhoods").get("kind")
     if kind == "ball":
         return ball_neighborhoods(
-            space, _parsed(float, spec["r"], "ball radius r"))
+            space, _parsed(float, _key(spec, "r", "the neighborhoods"),
+                           "ball radius r"))
     if kind == "explicit":
-        adj = _expect(spec["adj"], list, "neighbor pairs")
+        adj = _expect(_key(spec, "adj", "the neighborhoods"), list,
+                      "neighbor pairs")
         try:   # plain ints as one array; _pair reads or names any other
             ends = np.array(adj)
         except ValueError:
@@ -190,13 +203,15 @@ def _nbhd_from_spec(space: MetricSpace, spec, grid_nbhd) -> NeighborhoodSystem:
 
 
 def instance_from_dict(obj: dict) -> Instance:
-    """The instance of a parsed JSON object; malformed input raises a
-    ``SlopekitError`` (``ShapeError`` or ``ParameterError`` for a bad
-    type or value), a missing key ``KeyError``."""
+    """The instance of a parsed JSON object; malformed input raises
+    ``ShapeError`` for a bad type or a missing key, ``ParameterError``
+    for a bad value."""
     _expect(obj, dict, "an instance")
-    points = [str(p) for p in _expect(obj["points"], list, "points")]
-    space, grid_nbhd = _space_from_spec(points, obj["metric"])
-    nbhd = _nbhd_from_spec(space, obj["neighborhoods"], grid_nbhd)
+    points, metric, nbhd_spec = (_key(obj, key, "the instance") for key in
+                                 ("points", "metric", "neighborhoods"))
+    points = [str(p) for p in _expect(points, list, "points")]
+    space, grid_nbhd = _space_from_spec(points, metric)
+    nbhd = _nbhd_from_spec(space, nbhd_spec, grid_nbhd)
     fields = {
         name: ScalarField(space, tuple(
             _parsed(float, v, f"value of field {name!r}")
@@ -207,8 +222,7 @@ def instance_from_dict(obj: dict) -> Instance:
     return Instance(space, nbhd, fields,
                     seed=_parsed(_seed_repr, obj.get("seed", 0), "seed"),
                     provenance=obj.get("provenance", {}),
-                    metric_spec=obj["metric"],
-                    nbhd_spec=obj["neighborhoods"])
+                    metric_spec=metric, nbhd_spec=nbhd_spec)
 
 
 def _read_json(path):

@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .config import _require_level, resolve_tol
+from .config import _exceeds, _require_level, _within, resolve_tol
 from .errors import DomainError, MetricError, ParameterError, ShapeError
 
 
@@ -120,7 +120,8 @@ def _triangle_ok(arr, tol) -> bool:
                        lhs[:mids, :hi - lo], rhs[:mids, :, lo:])
             np.minimum.reduce(sums, axis=0, out=least)
             np.minimum(shortest, least, out=shortest)
-        if np.subtract(arr[lo:hi, lo:], shortest, out=shortest).max() > tol:
+        if _exceeds(np.subtract(arr[lo:hi, lo:], shortest, out=shortest).max(),
+                    0.0, tol):
             return False
     return True
 
@@ -210,12 +211,12 @@ def validate_metric(dist, tol=None) -> ValidationReport:
     n = arr.shape[0]
     violations = [
         Violation("diagonal", (i,), f"dist[{i}][{i}] = {arr[i, i]} != 0")
-        for i in (np.abs(arr.diagonal()) > tol).nonzero()[0].tolist()]
+        for i in _exceeds(np.abs(arr.diagonal()), 0.0, tol).nonzero()[0].tolist()]
     symmetric = (arr == arr.T).all()   # the entries are finite
-    negative = arr <= tol
+    negative = _within(arr, 0.0, tol)
     negative.flat[::n + 1] = False   # the diagonal is checked above
     # tol >= 0: a symmetric matrix, and any diagonal, has no asymmetry
-    asymmetric = negative & False if symmetric else arr - arr.T > tol
+    asymmetric = negative & False if symmetric else _exceeds(arr - arr.T, 0.0, tol)
     flagged = negative | asymmetric   # nonzero costs more than the rest
     for i, j in (zip(*(ix.tolist() for ix in flagged.nonzero()))
                  if flagged.any() else ()):
@@ -238,9 +239,10 @@ def validate_metric(dist, tol=None) -> ValidationReport:
     for k in range(n):
         _outer_sum(arr[:, k], arr[k], excess, lhs, rhs)
         np.subtract(arr, excess, out=excess)
-        if excess.max() <= tol:
+        if _within(excess.max(), 0.0, tol):
             continue
-        for i, j in zip(*(ix.tolist() for ix in (excess > tol).nonzero())):
+        for i, j in zip(*(ix.tolist()
+                           for ix in _exceeds(excess, 0.0, tol).nonzero())):
             if i != k and j != k and i != j:
                 violations.append(Violation(
                     "triangle", (i, j, k),
@@ -451,7 +453,7 @@ def ball_neighborhoods(space: MetricSpace, r: float, tol=None) -> NeighborhoodSy
     """Neighbors of x are all points within distance r of x."""
     tol = resolve_tol(tol)
     _require_level(r, "ball radius")
-    within = space.dist <= r + tol
+    within = _within(space.dist, r, tol)
     within &= within.T   # both ways, as dist is symmetric only up to tol
     np.fill_diagonal(within, False)
     return _masked(space.points, within)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _require_level, resolve_tol
+from .config import _exceeds, _require_level, _within, resolve_tol
 from .errors import (DomainError, FatalFinding, ImproperFieldError,
                      ParameterError, UndefinedArithmeticError)
 from .metric_space import MetricSpace, NeighborhoodSystem, _aligned
@@ -203,7 +203,7 @@ def domination_witnesses(f: ScalarField, g: ScalarField, tol=None) -> list:
     tol = resolve_tol(tol)
     _same_space(f, g)
     return list(_points_where(
-        f, (slopes(g) > slopes(f) + tol) | ~g._in_dom))
+        f, _exceeds(slopes(g), slopes(f), tol) | ~g._in_dom))
 
 
 def strict_comparison_witnesses(f: ScalarField, g: ScalarField,
@@ -220,7 +220,7 @@ def strict_comparison_witnesses(f: ScalarField, g: ScalarField,
     _same_space(f, g)
     fs, gs = slopes(f, nbhd), slopes(g, nbhd)
     return list(_points_where(
-        f, ((fs > tol) & ~(fs > gs)) | ~g._in_dom))
+        f, (_exceeds(fs, 0.0, tol) & ~(fs > gs)) | ~g._in_dom))
 
 
 @dataclass
@@ -242,14 +242,14 @@ def eps_argmin(f: ScalarField, eps: float, tol=None) -> tuple:
     _require_level(eps, strict=False)
     pts, lo = f.space.points, f.min_finite()   # eps = inf takes all points
     return tuple(map(pts.__getitem__,
-                     (f.array <= lo + eps + tol).nonzero()[0].tolist()))
+                     _within(f.array, lo + eps, tol).nonzero()[0].tolist()))
 
 
 def eps_crit(f: ScalarField, nbhd: NeighborhoodSystem, eps: float, tol=None) -> tuple:
     """Sub-level set of the local slope at level eps."""
     tol = resolve_tol(tol)
     _require_level(eps, strict=False)
-    return _points_where(f, slopes(f, nbhd) <= eps + tol)
+    return _points_where(f, _within(slopes(f, nbhd), eps, tol))
 
 
 def eps_Crit(f: ScalarField, eps: float, tol=None) -> tuple:
@@ -269,7 +269,7 @@ def _crit_rows(f: ScalarField, eps, tol) -> tuple:
     key = (float(eps), tol)
     if key not in f._crit:
         v, pts, d = f.array, f.space.points, f.space.dist
-        rows = ((slopes(f) <= eps + tol) & f._in_dom).nonzero()[0]
+        rows = (_within(slopes(f), eps, tol) & f._in_dom).nonzero()[0]
         d = d[rows] if len(rows) < len(v) else d
         # in place: eps = inf or an overflow gives -inf or nan, no v_j below it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -343,7 +343,7 @@ def _sublevel_mask(f: ScalarField, g: ScalarField, lam, tol) -> np.ndarray:
         raise ImproperFieldError("f is identically +inf")
     lam = float(lam)
     with np.errstate(invalid="ignore"):   # inf - inf, off dom f
-        diff_ok = f.array - g.array <= lam + tol
+        diff_ok = _within(f.array - g.array, lam, tol)
     return ~g._in_dom | diff_ok
 
 

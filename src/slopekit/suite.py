@@ -10,7 +10,7 @@ actually detects breakage.
 
 import numpy as np
 
-from .config import resolve_tol
+from .config import _below, _exceeds, _within, resolve_tol
 from .errors import FatalFinding, HypothesisViolation, ParameterError
 from .instances import (_expect, _index, _p_inf, _parsed, gen_dominated_pair,
                         instance_stream)
@@ -123,7 +123,7 @@ def check_subadditivity(inst, rng, ops, tol):
     idx = h._dom   # dom f ∩ dom g
     sf, sg, sh = (_slopes_at(inst, q, idx) for q in (f, g, h))
     return [_fail(f"{kind} slope of f+g at {x} exceeds the sum of slopes", x=x)
-            for _, x, kind in _flagged(inst, idx, sh > sf + sg + tol)]
+            for _, x, kind in _flagged(inst, idx, _exceeds(sh, sf + sg, tol))]
 
 
 def check_difference_bound(inst, rng, ops, tol):
@@ -133,7 +133,7 @@ def check_difference_bound(inst, rng, ops, tol):
     sf, sg, sd = (_slopes_at(inst, q, idx)
                   for q in (f, g_fin, sub_fields(f, g_fin)))
     return [_fail(f"{kind} slope of f-g at {x} below |slope f| - |slope g|", x=x)
-            for _, x, kind in _flagged(inst, idx, sd < sf - sg - tol)]
+            for _, x, kind in _flagged(inst, idx, _below(sd, sf - sg, tol))]
 
 
 def check_global_ge_local(inst, rng, ops, tol):
@@ -142,7 +142,7 @@ def check_global_ge_local(inst, rng, ops, tol):
     local, global_ = _slopes_at(inst, f, idx)
     return [_fail(f"global slope below local slope at {inst.space.points[i]}",
                   x=inst.space.points[i])
-            for i in idx[global_ < local - tol]]
+            for i in idx[_below(global_, local, tol)]]
 
 
 def check_log_bound(inst, rng, ops, tol):
@@ -153,7 +153,7 @@ def check_log_bound(inst, rng, ops, tol):
         phi = log_distance_field(inst.space, a)
         idx = phi._dom   # every point but a
         bound = 1.0 / inst.space.dist[idx, a_index]
-        for i in idx[slopes(phi)[idx] > bound + tol]:
+        for i in idx[_exceeds(slopes(phi)[idx], bound, tol)]:
             x = inst.space.points[i]
             failures.append(_fail(
                 f"log-distance slope bound fails at {x} (center {a})",
@@ -169,7 +169,7 @@ def check_truncation(inst, rng, ops, tol):
     failures = []
     for lam in (lo, (lo + hi) / 2.0, float(rng.uniform(lo - 1.0, hi + 1.0))):
         got = _slopes_at(inst, ops["truncate"](g, lam), idx)
-        for _, x, kind in _flagged(inst, idx, got > base + tol):
+        for _, x, kind in _flagged(inst, idx, _exceeds(got, base, tol)):
             failures.append(_fail(
                 f"truncation increased the {kind} slope at {x}",
                 lam=lam, x=x))
@@ -182,8 +182,8 @@ def check_crit_lipschitz(inst, rng, ops, tol):
     for eps in _EPS_VALUES:
         idx, crit = _crit_rows(f, eps, tol)   # eps_Crit(f, eps, tol)
         v = f.array[idx]
-        bad = (np.abs(v[:, None] - v[None, :])
-               > eps * inst.space.dist.take(idx, 0).take(idx, 1) + tol)
+        bad = _exceeds(np.abs(v[:, None] - v[None, :]),
+                       eps * inst.space.dist.take(idx, 0).take(idx, 1), tol)
         for a, b in zip(*bad.nonzero()):
             x, y = crit[a], crit[b]
             failures.append(_fail(
@@ -199,7 +199,7 @@ def check_ph_coincidence(inst, rng, ops, tol):
         reg = pasch_hausdorff(f, eps)
         coincide = {x for x, fin, fv, rv in
                     zip(inst.space.points, f._in_dom.tolist(), f.values,
-                        reg.values) if fin and abs(fv - rv) <= tol}
+                        reg.values) if fin and _within(abs(fv - rv), 0.0, tol)}
         crit = set(eps_Crit(f, eps, tol))
         if coincide != crit:
             failures.append(_fail(
@@ -207,7 +207,7 @@ def check_ph_coincidence(inst, rng, ops, tol):
                 eps=eps, coincide=sorted(coincide), crit=sorted(crit)))
         # the regularization itself must be eps-Lipschitz
         v = reg.array
-        bad = np.abs(v[:, None] - v[None, :]) > eps * inst.space.dist + tol
+        bad = _exceeds(np.abs(v[:, None] - v[None, :]), eps * inst.space.dist, tol)
         failures += [_fail("regularization is not eps-Lipschitz", eps=eps,
                            x=inst.space.points[i], y=inst.space.points[j])
                      for i, j in zip(*bad.nonzero()) if i > j]
@@ -227,17 +227,17 @@ def check_restriction_invariance(inst, rng, ops, tol):
     # slopes of g are +inf off dom g, so a point there never qualifies
     sf, sg = _slopes_at(inst, f, idx), _slopes_at(inst, g, idx)
     s1 = np.array((slopes(f1, inst.nbhd.restrict(m1)), slopes(f1)))
-    bad = (sf > sg) & (np.abs(s1 - sf) > tol)
+    bad = (sf > sg) & _exceeds(np.abs(s1 - sf), 0.0, tol)
     failures = [_fail(f"{kind} slope changed under restriction at {x}", x=x,
                       lam=lam)
                 for _, x, kind in _flagged(inst, idx, bad)]
     # restriction to the sub-level set intersected with an s-critical set
     s = global_slope(f, x0)
-    keep = sf[1] <= s + tol
+    keep = _within(sf[1], s, tol)
     if keep.any():
         m2 = [x for x, k in zip(m1, keep) if k]
         gf, gg = sf[1][keep], sg[1][keep]
-        bad2 = (gf > gg) & (np.abs(slopes(restrict(f, m2)) - gf) > tol)
+        bad2 = (gf > gg) & _exceeds(np.abs(slopes(restrict(f, m2)) - gf), 0.0, tol)
         failures += [_fail(
             f"global slope changed under critical restriction at {x}",
             x=x, lam=lam, s=s) for x, b in zip(m2, bad2) if b]
@@ -259,14 +259,14 @@ def check_evp(inst, rng, ops, tol):
     for lam in (0.3, 1.0, float(rng.uniform(0.05, 5.0))):
         x = ops["ekeland_point"](f, x0, lam)
         d = inst.space.distance(x0, x)
-        if global_slope(f, x) > lam + tol:
+        if _exceeds(global_slope(f, x), lam, tol):
             failures.append(_fail(
                 f"EVP output not {lam}-critical", x0=x0, lam=lam, x=x))
-        if f.value(x) > f.value(x0) - lam * d + tol:
+        if _exceeds(f.value(x), f.value(x0) - lam * d, tol):
             failures.append(_fail(
                 "EVP output violates the descent inequality",
                 x0=x0, lam=lam, x=x))
-        if d > (f.value(x0) - f.min_finite()) / lam + tol:
+        if _exceeds(d, (f.value(x0) - f.min_finite()) / lam, tol):
             failures.append(_fail(
                 "EVP output violates the classical distance bound",
                 x0=x0, lam=lam, x=x))

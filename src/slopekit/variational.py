@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import _require_level, resolve_tol
+from .config import _at_least, _exceeds, _require_level, _within, resolve_tol
 from .errors import (FatalFinding, HypothesisViolation, ImproperFieldError,
                      ParameterError)
 from .metric_space import NeighborhoodSystem
@@ -126,7 +126,7 @@ def descent_to_critical(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem
         terminal_flag="budget-exhausted")
     checked = False
     for eps in eps_schedule:
-        if local_slope(f, nbhd, x) <= tol:
+        if _within(local_slope(f, nbhd, x), 0.0, tol):
             break
         if checked:
             # f and g are fixed, so the first step's hypothesis check holds
@@ -145,7 +145,7 @@ def descent_to_critical(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem
                     "descent trace longer than the space: escaping branch "
                     "realized on a finite space", witness=trace.to_dict())
             x = y
-    if local_slope(f, nbhd, x) <= tol:
+    if _within(local_slope(f, nbhd, x), 0.0, tol):
         trace.terminal_flag = "reached-0crit"
     return trace
 
@@ -184,18 +184,18 @@ def verify_trace(trace: DescentTrace, f: ScalarField, g: ScalarField,
             problems.append(f"step {n}: eps {eps} is not positive")
         lhs = trace.f_values[n + 1]
         rhs = trace.f_values[n] - eps * trace.step_distances[n]
-        if lhs > rhs + tol:
+        if _exceeds(lhs, rhs, tol):
             problems.append(f"step {n}: f does not decrease by eps*dist "
                             f"({lhs} > {rhs})")
-        if trace.diff_values[n + 1] > trace.diff_values[n] + tol:
+        if _exceeds(trace.diff_values[n + 1], trace.diff_values[n], tol):
             problems.append(f"step {n}: f - g increased along the trace")
     budget = sum(e * d for e, d in zip(trace.eps_schedule, trace.step_distances))
     allowance = trace.f_values[0] - f.min_finite()
-    if budget > allowance + tol:
+    if _exceeds(budget, allowance, tol):
         problems.append(f"eps-weighted length {budget} exceeds "
                         f"f(x0) - inf f = {allowance}")
     if trace.terminal_flag == "reached-0crit":
-        if local_slope(f, nbhd, trace.points[-1]) > tol:
+        if _exceeds(local_slope(f, nbhd, trace.points[-1]), 0.0, tol):
             problems.append("terminal point is not 0-critical")
     return problems
 
@@ -250,7 +250,8 @@ def _localized(name, f, diff, rows, crit, tol, names, **params):
     m_all, _ = _least(diff, rows)
     m_crit, k = _least(diff, crit)
     slack = 0.0 if m_all == m_crit else m_all - m_crit
-    return CheckReport(name, hypothesis_ok=True, conclusion_ok=slack >= -tol,
+    return CheckReport(name, hypothesis_ok=True,
+                       conclusion_ok=_at_least(slack, 0.0, tol),
                        witness=f.space.points[k], slack=slack,
                        details=dict(zip(names, (m_all, m_crit)), **params))
 
@@ -268,7 +269,7 @@ def check_tz(f: ScalarField, g: ScalarField, tol=None) -> CheckReport:
         margin = (f.array - inf_f) - (g.array - inf_g)
     slack, k = _least(margin, f._dom)
     return CheckReport(
-        "tz", hypothesis_ok=True, conclusion_ok=slack >= -tol,
+        "tz", hypothesis_ok=True, conclusion_ok=_at_least(slack, 0.0, tol),
         witness=f.space.points[k], slack=slack,
         details={"inf_f": inf_f, "inf_g": inf_g})
 
@@ -318,5 +319,5 @@ def check_compact(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
                            hypothesis_witnesses=bad)
     # 0-crit f is where the local slope is at most tol: f is finite
     return _localized("compact", f, f.array - g.array, np.arange(f.space.n),
-                      (slopes(f, nbhd) <= tol).nonzero()[0], tol,
+                      _within(slopes(f, nbhd), 0.0, tol).nonzero()[0], tol,
                       ("inf_all", "inf_crit0"))

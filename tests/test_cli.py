@@ -446,6 +446,62 @@ def test_malformed_instance_is_input_error(tmp_path, capsys, obj, command):
     assert "Traceback" not in captured.err
 
 
+def without(key, obj):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+GRID_POINTS = ["n0", "n1", "n2"]
+
+
+# (key, an instance file without that key)
+MISSING_KEYS = [
+    ("points", {}),
+    ("metric", without("metric", three_points())),
+    ("neighborhoods", without("neighborhoods", three_points())),
+    ("dist", three_points(metric={"kind": "matrix"})),
+    ("edges", three_points(metric={"kind": "graph"})),
+    ("bounds", three_points(points=GRID_POINTS,
+                            metric=without("bounds", GRID))),
+    ("resolution", three_points(points=GRID_POINTS,
+                                metric=without("resolution", GRID))),
+    ("r", three_points(neighborhoods={"kind": "ball"})),
+    ("adj", three_points(neighborhoods={"kind": "explicit"})),
+]
+
+
+@pytest.mark.parametrize("key, obj", MISSING_KEYS,
+                         ids=[key for key, _ in MISSING_KEYS])
+@pytest.mark.parametrize("command", ["validate", "slopes"])
+def test_missing_key_is_named(tmp_path, capsys, key, obj, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main([command, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"input error: missing key '{key}' in the "
+                        r"(instance|metric|neighborhoods)\n", captured.err)
+
+
+@pytest.mark.parametrize("key", ["knots", "slopes", "anchor"])
+def test_missing_pl_key_is_named(tmp_path, capsys, key):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(without(key, {"knots": [0.0], "slopes": [-1, 1],
+                                             "anchor": 0.0})))
+    assert main(["mr", str(path), str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"input error: missing key '{key}' in a PL function\n")
+
+
+def test_program_key_error_is_not_an_input_error(inst_path, monkeypatch):
+    """A KeyError from a fault of the program propagates: exit 3 would
+    blame the input."""
+    def fault(args):
+        raise KeyError("points")
+    monkeypatch.setattr(cli, "cmd_validate", fault)
+    with pytest.raises(KeyError):
+        main(["validate", inst_path])
+
+
 def test_options_declared_once():
     """-o/--output and the shared arguments are each declared in one place,
     and every subcommand has the -o that main writes to."""

@@ -170,3 +170,24 @@ def test_slope_matches_dense_sampling_oracle(seed):
     for x in probes:
         approx = definitional_global_slope(f, x, ys[np.abs(ys - x) > 0.9 * h])
         assert approx == pytest.approx(f.slope(x), abs=TOL)
+
+
+class TestToleranceBoundary:
+    """``normalized`` and ``mr_check`` compare differences of slopes with
+    tol.  At b = 1.0 and tol = 1e-9, A = fl(b + tol) has A - b > tol: the
+    float below A is within tol of b, A is not."""
+    A = 1.0 + TOL
+    BELOW = np.nextafter(A, -np.inf)
+
+    def test_normalized(self):
+        for value, knots in ((self.BELOW, (0.0,)), (self.A, (0.0, 1.0))):
+            f = PLConvex((0.0, 1.0), (0.0, 1.0, value), 0.0)
+            assert f.normalized(TOL).knots == knots
+
+    def test_mr_check(self):
+        f = PLConvex((0.0,), (0.0, 1.0), 0.0)
+        same = mr_check(f, PLConvex((0.0,), (0.0, self.BELOW), 0.0), TOL)
+        assert same.to_dict() == {"constant": 0.0}
+        differ = mr_check(f, PLConvex((0.0,), (0.0, self.A), 0.0), TOL)
+        assert differ.to_dict() == {"mismatch_at": 0.0, "subdiff_f": [0.0, 1.0],
+                                    "subdiff_g": [0.0, self.A]}

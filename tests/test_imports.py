@@ -324,3 +324,67 @@ def test_dom_f_computed_only_where_a_field_is_built():
         if sites:
             found[module] = sites
     assert found == {}
+
+
+def _has_tol(node) -> bool:
+    """``tol``, ``-tol``, or a sum or difference with ``tol`` as a term."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        return _has_tol(node.left) or _has_tol(node.right)
+    return isinstance(node, ast.Name) and node.id == "tol"
+
+
+def tolerance_comparisons(source: str) -> list:
+    """(enclosing function, line) of each comparison with an operand that
+    is ``tol``, ``-tol`` or a sum or difference with ``tol`` as a term.
+
+    Every such comparison goes through ``config._exceeds``, ``_within``,
+    ``_below`` or ``_at_least``.  Two keep their own spelling and name no
+    such operand: ``slope_core._crit_rows`` re-checks eps-Crit in place
+    against the relative slack tol * (1 + d), which through a helper would
+    take one more n x |rows| buffer, and ``metric_space._certifies``
+    compares in exact rationals, not floats.
+    """
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Compare) and any(
+                    map(_has_tol, [child.left, *child.comparators])):
+                found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_tolerance_compared_only_in_config():
+    source = (
+        "def f(a, b, tol):\n"
+        "    return a > b + tol, a <= tol, -tol <= a, a < b - c - tol\n"
+        "class C:\n"
+        "    def g(self, a, b, tol):\n"
+        "        return (tol + a < b, a > 2 * tol, a == b, _exceeds(a, b, tol),\n"
+        "                a >= -(b + tol), a > b + tol_)\n")
+    assert tolerance_comparisons(source) == [
+        ("f", 2), ("f", 2), ("f", 2), ("f", 2), ("C.g", 5), ("C.g", 6)]
+    with open(os.path.join(PACKAGE, "slope_core.py")) as fh:
+        source = fh.read()
+    # a copy of the package with one comparison spelled inline again
+    line = source[:source.index("_within(slopes(f), eps, tol)")].count("\n")
+    injected = source.replace("_within(slopes(f), eps, tol)",
+                              "(slopes(f) <= eps + tol)")
+    assert injected != source
+    assert tolerance_comparisons(injected) == [("_crit_rows", line + 1)]
+    found = {}
+    for module in MODULES + ["__init__.py"]:
+        if module != "config.py":
+            with open(os.path.join(PACKAGE, module)) as fh:
+                sites = tolerance_comparisons(fh.read())
+            if sites:
+                found[module] = sites
+    assert found == {}

@@ -698,3 +698,42 @@ def test_crit_is_eps_lipschitz(seed):
             for y in crit:
                 assert (abs(f.value(x) - f.value(y))
                         <= eps * inst.space.distance(x, y) + TOL)
+
+
+# The tolerance boundary at b = 1.0, tol = 1e-9: A = fl(b + tol) is within
+# tol of b and the next float above it is not.  As A - b > tol, a spelling
+# of the comparisons as a - b <= tol would put A out too.
+A = 1.0 + TOL
+ABOVE = math.nextafter(A, INF)
+
+
+class TestToleranceBoundary:
+    def test_a_minus_b_exceeds_tol(self):
+        assert A - 1.0 > TOL
+
+    @staticmethod
+    def field(e3, value):
+        """Both slopes at b equal ``value``; at a they are 0, at c above 1.5."""
+        return ScalarField(e3, (0.0, value, 3.0))
+
+    def test_eps_argmin(self, e3):
+        # inf f + eps = 0.0 + 1.0
+        assert eps_argmin(self.field(e3, A), 1.0, TOL) == ("a", "b")
+        assert eps_argmin(self.field(e3, ABOVE), 1.0, TOL) == ("a",)
+
+    def test_eps_crit_and_eps_Crit(self, e3, e3_path_nbhd):
+        for value, want in ((A, ("a", "b")), (ABOVE, ("a",))):
+            f = self.field(e3, value)
+            assert slopes(f, e3_path_nbhd)[1] == slopes(f)[1] == value
+            assert eps_crit(f, e3_path_nbhd, 1.0, TOL) == want
+            assert eps_Crit(f, 1.0, TOL) == want
+
+    def test_sublevel_diff(self, e3):
+        zero = ScalarField(e3, (0.0, 0.0, 0.0))
+        assert sublevel_diff(self.field(e3, A), zero, 1.0, TOL) == ("a", "b")
+        assert sublevel_diff(self.field(e3, ABOVE), zero, 1.0, TOL) == ("a",)
+
+    def test_domination_witnesses(self, e3, f013):
+        # the global slope of f013 at b is 1.0
+        assert domination_witnesses(f013, self.field(e3, A), TOL) == []
+        assert domination_witnesses(f013, self.field(e3, ABOVE), TOL) == ["b"]

@@ -476,3 +476,33 @@ def test_outside_dom_f_has_one_message(e3, e3_path_nbhd):
         ekeland_point(f, "b", -1.0)
     with pytest.raises(ParameterError):
         descent_step(f, g, e3_path_nbhd, "b", -1.0)
+
+
+# The tolerance boundary at b = 1.0, tol = 1e-9, with A = fl(b + tol) and
+# A - b > tol.
+A = 1.0 + TOL
+ABOVE = math.nextafter(A, INF)
+BELOW = math.nextafter(A, -INF)
+
+
+def test_verify_trace_tolerance_boundary(e3, e3_path_nbhd):
+    """f(y) <= f(x) - eps * dist(y, x) + tol and (f - g)(y) <= (f - g)(x)
+    + tol, both at 1.0 + tol: A passes and the next float fails both."""
+    g = ScalarField(e3, (1.0, 0.0, 0.0))
+    for value, problems in ((A, 0), (ABOVE, 2)):
+        f = ScalarField(e3, (2.0, value, -10.0))   # inf f keeps the budget
+        trace = DescentTrace(points=["a", "b"], eps_schedule=[1.0],
+                             step_distances=[1.0], f_values=[2.0, value],
+                             diff_values=[1.0, value],
+                             terminal_flag="budget-exhausted")
+        assert len(verify_trace(trace, f, g, e3_path_nbhd, TOL)) == problems
+
+
+def test_check_tz_slack_tolerance_boundary(e3, f013):
+    """The conclusion compares the slack (f - inf f) - (g - inf g), a
+    difference, with -tol.  At b, f - inf f = 1.0, so g - inf g = A, which
+    the hypothesis admits, falsifies it, and the float below A does not."""
+    for value, ok in ((BELOW, True), (A, False)):
+        report = check_tz(f013, ScalarField(e3, (0.0, value, 3.0)), TOL)
+        assert report.hypothesis_ok
+        assert (report.conclusion_ok, report.slack) == (ok, 1.0 - value)
