@@ -5,9 +5,9 @@ kind up to n = 100.
 Each case is reduced to the SHA-256 of its canonical JSON (floats written
 with ``repr``), so any change in any bit of any output fails the test.
 The digests in ``golden_digests.json`` were recorded with the scalar-loop
-slope code; the ``TOL_CASES`` digests were added later, with the tolerance
-comparisons as they were spelled before they moved to ``config``.
-Regenerate them only for a change meant to alter outputs:
+slope code, and the ``TOL_CASES`` digests with the tolerance comparisons
+still spelled inline, before ``config`` decided them; regenerate them only
+for a change meant to alter outputs:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -124,23 +125,10 @@ def _compute(case, tmp):
     if case in TOL_SUITES:
         return run_suite({"instances": 60}, tol=TOL_SUITES[case])
     if case in TOL_INSTANCES:
-        with _env_tol("1e-3"):
+        with mock.patch.dict(os.environ, {"SLOPEKIT_TOL": "1e-3"}):
             return _compute(case[len("tol-1e-3-"):], tmp)
     kind, n, p_inf = case.split("-")
     return _instance_outputs(kind, int(n), float(p_inf), tmp)
-
-
-@contextlib.contextmanager
-def _env_tol(value):
-    old = os.environ.get("SLOPEKIT_TOL")
-    os.environ["SLOPEKIT_TOL"] = value
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ["SLOPEKIT_TOL"]
-        else:
-            os.environ["SLOPEKIT_TOL"] = old
 
 
 CASES = [f"{k}-{n}-{p}" for k, n, p in INSTANCES] + list(SUITES) + TOL_CASES

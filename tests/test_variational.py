@@ -500,8 +500,8 @@ def test_verify_trace_tolerance_boundary(e3, e3_path_nbhd):
 
 def test_check_tz_slack_tolerance_boundary(e3, f013):
     """The conclusion compares the slack (f - inf f) - (g - inf g), a
-    difference, with -tol.  At b, f - inf f = 1.0, so g - inf g = A, which
-    the hypothesis admits, falsifies it, and the float below A does not."""
+    difference, with -tol.  At b, f - inf f = 1.0: g - inf g = A, which the
+    hypothesis admits, falsifies the conclusion; the float below A does not."""
     for value, ok in ((BELOW, True), (A, False)):
         report = check_tz(f013, ScalarField(e3, (0.0, value, 3.0)), TOL)
         assert report.hypothesis_ok
