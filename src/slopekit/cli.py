@@ -228,5 +228,19 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def run():
+    """The process entry (``python -m slopekit.cli``, the ``slopekit``
+    script): ``main``, a flush, then ``os._exit``, skipping the module
+    teardown.  A failed flush exits 3; what escapes ``main`` exits as usual."""
+    code = main()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):   # None: closed
+            stream.flush()
+    except OSError as exc:
+        print(f"input error: {exc}", file=sys.stderr)   # line-buffered
+        code = EXIT_INPUT
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -78,6 +78,8 @@ def _write_json(obj, out=None):
     """Write ``obj`` in that layout, and a newline, to the file at the path
     ``out``, to the open text stream ``out``, or to stdout when it is None."""
     text = _json_text(obj) + "\n"
+    if out is None and sys.stdout is None:   # fd 1 closed at start-up
+        raise OSError("standard output is closed")
     if out is None or hasattr(out, "write"):
         (out or sys.stdout).write(text)
     else:
@@ -242,11 +244,18 @@ def save_instance(instance: Instance, path):
     _write_json(instance.to_dict(), path)
 
 
+def _seed(value):
+    """``_index(value)``, refusing a negative seed before numpy does."""
+    if (seed := _index(value)) < 0:
+        raise ParameterError(f"seed must not be negative, got {seed}")
+    return seed
+
+
 def _seed_repr(seed):
     """Seeds may be ints or lists of ints (numpy seed sequences)."""
     if isinstance(seed, (list, tuple)):
-        return [_index(s) for s in seed]
-    return _index(seed)
+        return [_seed(s) for s in seed]
+    return _seed(seed)
 
 
 def _random_field_values(rng, n, p_inf=0.0, low=0.0, high=3.0):
@@ -272,6 +281,7 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
         field_spec = {"f": {}, "g": {}}
     for fs in field_spec.values():
         _p_inf(fs.get("p_inf", 0.0))
+    seed_repr = _parsed(_seed_repr, seed, "seed")
     rng = np.random.default_rng(seed)
     points = [f"p{i}" for i in range(n_points)]
     if metric_kind == "graph":
@@ -330,11 +340,11 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
     provenance = {
         "generator": "gen_random_instance",
         "algorithm": PRNG_ALGORITHM,
-        "params": {"seed": _seed_repr(seed), "n_points": int(n_points),
+        "params": {"seed": seed_repr, "n_points": int(n_points),
                    "metric_kind": metric_kind,
                    "field_spec": {k: dict(v) for k, v in field_spec.items()}},
     }
-    return Instance(space, nbhd, fields, seed=_seed_repr(seed),
+    return Instance(space, nbhd, fields, seed=seed_repr,
                     provenance=provenance,
                     metric_spec=metric_spec, nbhd_spec=nbhd_spec)
 

@@ -12,8 +12,8 @@ import numpy as np
 
 from .config import _below, _exceeds, _within, resolve_tol
 from .errors import FatalFinding, HypothesisViolation, ParameterError
-from .instances import (_expect, _index, _p_inf, _parsed, gen_dominated_pair,
-                        instance_stream)
+from .instances import (_expect, _index, _p_inf, _parsed, _seed,
+                        gen_dominated_pair, instance_stream)
 from .metric_space import NeighborhoodSystem, validate_metric
 from .slope_core import (INF, ScalarField, _crit_rows, _points_where,
                          add_fields, eps_Crit, global_slope,
@@ -369,8 +369,9 @@ def run_suite(config=None, tol=None) -> dict:
     for key in ("checks", "kinds", "p_inf"):
         if not _expect(cfg[key], list, key):
             raise ParameterError(f"{key} must be a nonempty list")
-    seed, count, max_points = (_parsed(_index, cfg[key], key)
-                               for key in ("seed", "instances", "max_points"))
+    seed = _parsed(_seed, cfg["seed"], "seed")
+    count, max_points = (_parsed(_index, cfg[key], key)
+                         for key in ("instances", "max_points"))
     if count < 0:
         raise ParameterError(f"instances must not be negative, got {count}")
     if max(map(_p_inf, cfg["p_inf"])) == 1:

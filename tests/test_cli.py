@@ -4,14 +4,17 @@ import collections
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
 from slopekit import (Instance, gen_random_instance, metric_space,
                       save_instance, scale_field)
-from slopekit import cli, suite
+from slopekit import cli, instances, suite
 from slopekit.cli import main
 
 INF = math.inf
@@ -124,6 +127,16 @@ class TestGen:
         assert main(["gen", "--n", "1"]) == 0
         assert sizes == [cli.MAX_GEN_POINTS, 1]
 
+
+    def test_negative_seed_refused_before_building(self, monkeypatch,
+                                                   capsys):
+        # numpy refused it with a ValueError and a traceback, exit 1
+        monkeypatch.setattr(instances.np.random, "default_rng", None)
+        assert main(["gen", "--seed", "-1", "--n", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: seed must not be negative, got -1\n")
 
     @pytest.mark.parametrize("p_inf", ["nan", "1.5", "-0.5", "inf"])
     def test_p_inf_outside_the_unit_interval(self, p_inf, capsys):
@@ -319,6 +332,8 @@ class TestSuite:
          "everywhere has no start point"),
         ({"instances": -4}, "instances must not be negative, got -4"),
         (None, "suite config must be a JSON object, got NoneType"),
+        ({"seed": -1}, "seed must not be negative, got -1"),
+        ({"instances": 1, "seed": -1}, "seed must not be negative, got -1"),
     ])
     def test_malformed_config_is_input_error(self, tmp_path, capsys, config,
                                              message):
@@ -423,6 +438,8 @@ GRID = {"kind": "grid", "bounds": [[0.0, 1.0]], "resolution": [3], "p": 2}
     three_points(seed="s"),
     three_points(seed=1.5),
     three_points(seed=float("inf")),
+    three_points(seed=-1),
+    three_points(seed=[3, -1]),
     [three_points()],
     three_points(metric=GRID),
     three_points(neighborhoods={"kind": "explicit", "adj": [[0, 1], [1]]}),
@@ -433,7 +450,8 @@ GRID = {"kind": "grid", "bounds": [[0.0, 1.0]], "resolution": [3], "p": 2}
         "adj-fraction", "ball-r-x", "field-q", "field-number", "grid-p-x",
         "grid-bound-x", "grid-resolution-x", "grid-resolution-fraction",
         "matrix-points-mismatch", "metric-list", "seed-string",
-        "seed-fraction", "seed-infinite", "top-level-list",
+        "seed-fraction", "seed-infinite", "seed-negative",
+        "seed-list-negative", "top-level-list",
         "grid-points-mismatch", "adj-ragged", "neighborhood-kind-unknown"])
 @pytest.mark.parametrize("command", ["validate", "slopes"])
 def test_malformed_instance_is_input_error(tmp_path, capsys, obj, command):
@@ -641,3 +659,144 @@ class TestSuiteCsvOutput:
                      "-o", str(tmp_path / "rep.json")]) == 0
         assert [json.loads(text)["ok"] for text in written] == [True]
         assert (tmp_path / "rep.csv").read_text() == "check,pass,fail\n"
+
+
+# -- the process exit: python -m slopekit.cli and the console script run
+# cli.run(), which flushes and ends the process without the interpreter's
+# teardown
+
+# stdout block-buffered, as a default interpreter has it on a pipe or file
+ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+       "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+
+
+def spawn(args, cwd, **kw):
+    """``python args`` with this checkout's slopekit: (code, stdout,
+    stderr), the outputs as bytes."""
+    kw.setdefault("capture_output", True)
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=ENV,
+                          timeout=120, **kw)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture
+def process_dir(tmp_path, monkeypatch, e3, e3_path_nbhd, f013):
+    """A directory with an instance whose h = 2f violates every checker
+    hypothesis against f, a mutated suite config and an empty object; the
+    in-process calls run in it too."""
+    save_instance(Instance(e3, e3_path_nbhd,
+                           {"f": f013, "g": scale_field(f013, 0.5),
+                            "h": scale_field(f013, 2.0)}),
+                  tmp_path / "e3.json")
+    (tmp_path / "mutated.json").write_text(json.dumps(
+        {"instances": 9, "max_points": 6, "mutation": "evp_noncritical",
+         "checks": ["evp"]}))
+    (tmp_path / "empty.json").write_text("{}")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["validate", "e3.json"], 0, ""),
+    (["check", "e3.json", "--which", "tz", "--g", "h"], 1, ""),
+    (["suite", "--config", "mutated.json"], 2, ""),
+    (["validate", "empty.json"], 3,
+     "input error: missing key 'points' in the instance\n"),
+], ids=["0-validate", "1-check-tz", "2-mutated-suite", "3-missing-key"])
+def test_process_exit_matches_main(process_dir, capsys, argv, code, err):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert (code == 3) == (captured.out == "")
+    assert spawn(["-m", "slopekit.cli", *argv], process_dir) == (
+        code, captured.out.encode(), err.encode())
+
+
+def test_process_output_file_matches_main(process_dir):
+    assert main(["gen", "--seed", "9", "--n", "6", "-o", "a.json"]) == 0
+    assert spawn(["-m", "slopekit.cli", "gen", "--seed", "9", "--n", "6",
+                  "-o", "b.json"], process_dir) == (0, b"", b"")
+    assert (process_dir / "b.json").read_bytes() == (
+        process_dir / "a.json").read_bytes()
+
+
+def test_process_suite_report_and_summary_match_main(process_dir):
+    (process_dir / "cfg.json").write_text(json.dumps({"instances": 4}))
+    (process_dir / "child").mkdir()
+    assert main(["suite", "--config", "cfg.json", "-o", "r.json"]) == 0
+    assert spawn(["-m", "slopekit.cli", "suite", "--config", "../cfg.json",
+                  "-o", "r.json"], process_dir / "child") == (0, b"", b"")
+    for name in ("r.json", "r.csv"):
+        assert (process_dir / "child" / name).read_bytes() == (
+            process_dir / name).read_bytes()
+    assert json.loads((process_dir / "r.json").read_text())["ok"]
+    assert len((process_dir / "r.csv").read_text().splitlines()) == (
+        1 + len(suite.CHECKS))
+
+
+def test_console_script_entry(process_dir, capsys):
+    """``[project.scripts]`` calls ``cli.run()`` and exits with what it
+    returns; it returns nothing, as the process has ended."""
+    assert main(["gen", "--n", "5"]) == 0
+    assert spawn(["-c", "import sys; from slopekit.cli import run; "
+                  "sys.exit(run())", "gen", "--n", "5"], process_dir) == (
+        0, capsys.readouterr().out.encode(), b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_process_failed_flush_is_input_error(process_dir):
+    # small enough to wait in stdout's buffer until run() flushes it
+    with open("/dev/full", "wb") as full:
+        assert spawn(["-m", "slopekit.cli", "gen", "--n", "3"], process_dir,
+                     capture_output=False, stdout=full,
+                     stderr=subprocess.PIPE) == (
+            3, None, b"input error: [Errno 28] No space left on device\n")
+
+
+def test_process_closed_stdout_is_input_error(process_dir):
+    # sys.stdout is None; writing to it raised AttributeError, exit 1
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
+         "slopekit.cli", "gen", "--n", "5"],
+        cwd=process_dir, env=ENV, stderr=subprocess.PIPE, timeout=120)
+    assert (proc.returncode, proc.stderr) == (
+        3, b"input error: standard output is closed\n")
+
+
+class _Exited(Exception):
+    pass
+
+
+@pytest.fixture
+def run_argv(monkeypatch):
+    """Call ``cli.run()`` in this process on ``argv``, its ``os._exit``
+    replaced by an exception that carries the code."""
+    def exit_(code):
+        raise _Exited(code)
+    monkeypatch.setattr(cli.os, "_exit", exit_)
+
+    def call(*argv):
+        monkeypatch.setattr(sys, "argv", ["slopekit", *argv])
+        with pytest.raises(_Exited) as exited:
+            cli.run()
+        return exited.value.args[0]
+    return call
+
+
+def test_run_failed_flush_is_input_error(run_argv, monkeypatch, capsys):
+    class Full:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise OSError(28, "No space left on device")
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert run_argv("gen", "--n", "3") == 3
+    assert capsys.readouterr().err == (
+        "input error: [Errno 28] No space left on device\n")
+
+
+def test_run_leaves_bad_command_line_to_system_exit(run_argv):
+    with pytest.raises(SystemExit) as exc:
+        run_argv("gen", "--n", "abc")
+    assert exc.value.code == 3

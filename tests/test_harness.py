@@ -98,6 +98,15 @@ class TestGenerators:
         b = gen_random_instance(2, 8)
         assert a.to_json() != b.to_json()
 
+    @pytest.mark.parametrize("seed,message", [
+        (-1, "seed must not be negative, got -1"),
+        ([5, -2], "seed must not be negative, got -2"),
+        ("s", "malformed seed: 's'"),
+    ])
+    def test_bad_seed_refused(self, seed, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            gen_random_instance(seed, 4)
+
     def test_neighborhoods_symmetric(self):
         for seed in range(20):
             inst = gen_random_instance(seed, 6,
