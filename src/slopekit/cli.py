@@ -10,6 +10,7 @@ included.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -17,8 +18,8 @@ import sys
 from .convex1d import mr_check, pl_from_dict
 from .errors import (FatalFinding, HypothesisViolation, MetricError,
                      ParameterError, SlopekitError)
-from .instances import (_expect, _read_json, _write_json, gen_random_instance,
-                        load_instance)
+from .instances import (_expect, _json_text, _read_json, _write_json,
+                        gen_random_instance, load_instance)
 from .metric_space import ValidationReport
 from .slope_core import INF, eps_argmin, eps_crit, eps_Crit, slope_profile
 from .suite import run_suite, summary_csv
@@ -206,6 +207,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn(*lines):
+    """Each line on stderr, then a flush; a closed or failing stderr loses
+    them, not the exit code, and never sends them to stdout."""
+    if sys.stderr is not None:   # None: fd 2 closed at start-up
+        with contextlib.suppress(OSError):
+            for line in lines:
+                print(line, file=sys.stderr)
+            sys.stderr.flush()
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)   # exits 3 on a malformed line
     try:
@@ -216,29 +227,29 @@ def main(argv=None) -> int:
                 fh.write(summary_csv(obj))
         return code
     except HypothesisViolation as exc:
-        print(f"hypothesis violated: {exc}", file=sys.stderr)
+        _warn(f"hypothesis violated: {exc}")
         return EXIT_HYPOTHESIS
     except FatalFinding as exc:
-        print(f"FATAL FINDING: {exc}", file=sys.stderr)
-        if exc.witness is not None:
-            _write_json(exc.witness, sys.stderr)
+        witness = () if exc.witness is None else (_json_text(exc.witness),)
+        _warn(f"FATAL FINDING: {exc}", *witness)
         return EXIT_FATAL
     except (SlopekitError, OSError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        _warn(f"input error: {exc}")
         return EXIT_INPUT
 
 
 def run():
     """The process entry (``python -m slopekit.cli``, the ``slopekit``
     script): ``main``, a flush, then ``os._exit``, skipping the module
-    teardown.  A failed flush exits 3; what escapes ``main`` exits as usual."""
+    teardown.  A failed stdout flush exits 3; what escapes main exits as usual."""
     code = main()
     try:
-        for stream in filter(None, (sys.stdout, sys.stderr)):   # None: closed
-            stream.flush()
+        if sys.stdout is not None:   # None: fd 1 closed at start-up
+            sys.stdout.flush()
     except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)   # line-buffered
+        _warn(f"input error: {exc}")
         code = EXIT_INPUT
+    _warn()   # flushes stderr, as far as it can be written
     os._exit(code)
 
 

@@ -20,8 +20,8 @@ from .metric_space import (MetricSpace, NeighborhoodSystem, _closure_space,
                            _graph_space, _pair_system, all_pairs_neighborhoods,
                            ball_neighborhoods, grid_space, metric_closure,
                            shortest_path_space)
-from .slope_core import (INF, ScalarField, domination_witnesses, scale_field,
-                         truncate)
+from .slope_core import (INF, ScalarField, _require_proper, domination_witnesses,
+                         scale_field, truncate)
 
 PRNG_ALGORITHM = "numpy PCG64"
 
@@ -76,15 +76,15 @@ def _json_text(obj) -> str:
 
 def _write_json(obj, out=None):
     """Write ``obj`` in that layout, and a newline, to the file at the path
-    ``out``, to the open text stream ``out``, or to stdout when it is None."""
+    ``out``, or to stdout when it is None."""
     text = _json_text(obj) + "\n"
-    if out is None and sys.stdout is None:   # fd 1 closed at start-up
-        raise OSError("standard output is closed")
-    if out is None or hasattr(out, "write"):
-        (out or sys.stdout).write(text)
-    else:
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    elif sys.stdout is None:   # fd 1 closed at start-up
+        raise OSError("standard output is closed")
+    else:
+        sys.stdout.write(text)
 
 
 def _expect(value, kind, what):
@@ -282,7 +282,7 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
     for fs in field_spec.values():
         _p_inf(fs.get("p_inf", 0.0))
     seed_repr = _parsed(_seed_repr, seed, "seed")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_repr)
     points = [f"p{i}" for i in range(n_points)]
     if metric_kind == "graph":
         edges = []
@@ -374,8 +374,7 @@ def gen_dominated_pair(seed, f: ScalarField, mode="truncate", tol=None):
     constructor's guarantee and is raised as a fatal finding.
     """
     tol = resolve_tol(tol)
-    if not f.is_proper():
-        raise ParameterError("base field must be proper")
+    _require_proper(f)
     rng = np.random.default_rng(seed)
     lo, hi = f.min_finite(), f.max_finite()
     lam = float(rng.uniform(lo, hi)) if hi > lo else lo

@@ -341,7 +341,7 @@ class NeighborhoodSystem:
     ``points``: entry [i, j] says that point j neighbours point i.
     Immutable, so that the slope arrays cached per system stay valid.
     ``NeighborhoodSystem(points, neighbors)`` reads a mapping from points
-    to neighbours; one that is not a point is kept for ``validate``."""
+    to neighbours, and refuses a neighbour that is not a point."""
     points: tuple
     mask: np.ndarray
 
@@ -352,35 +352,31 @@ class NeighborhoodSystem:
         names = list(chain.from_iterable(nbrs))
         rows = np.repeat(np.arange(len(points)), list(map(len, nbrs)))
         cols = np.fromiter(map(index.get, names, repeat(-1)), np.intp, len(names))
+        if (cols < 0).any():   # the first such point (rows ascend), its least name
+            r = rows[(cols < 0).argmax()]
+            q = min(nbrs[r].difference(index), key=str)
+            raise ParameterError(f"neighbor {q!r} of {points[r]!r} is not a point")
         mask = np.zeros((len(points), len(points)), dtype=bool)
-        mask[rows[cols >= 0], cols[cols >= 0]] = True
-        stray = {r: sorted(nbrs[r].difference(index), key=str)   # by row
-                 for r in set(rows[cols < 0].tolist())}
-        vars(self).update(vars(_masked(points, mask, stray)))
+        mask[rows, cols] = True
+        vars(self).update(vars(_masked(points, mask)))
 
     def __eq__(self, other):
         if not isinstance(other, NeighborhoodSystem):
             return NotImplemented
-        return (self.points == other.points and self._stray == other._stray
-                and (self.mask == other.mask).all())
+        return self.points == other.points and (self.mask == other.mask).all()
 
     def __reduce__(self):
-        return _masked, (self.points, self.mask, self._stray)
+        return _masked, (self.points, self.mask)
 
     def validate(self):
-        """The system, if it is symmetric, with only points as neighbours
-        and none its own.  Else the ``ParameterError`` names the first
-        faulty point p and within p a stray name (the least), else p
+        """The system, if it is symmetric and no point is its own neighbour.
+        Else the ``ParameterError`` names the first faulty point p: p
         itself, else the first point that p lists one way."""
         one_way = self.mask > self.mask.T
         faulty = one_way.any(axis=1) | self.mask.diagonal()
-        faulty[list(self._stray)] = True
         if faulty.any():
             i = int(faulty.argmax())
             p = self.points[i]
-            if i in self._stray:
-                raise ParameterError(
-                    f"neighbor {self._stray[i][0]!r} of {p!r} is not a point")
             if self.mask[i, i]:
                 raise ParameterError(f"point {p!r} listed as its own neighbor")
             raise ParameterError(
@@ -388,15 +384,10 @@ class NeighborhoodSystem:
                 f"in neighbors({p!r}) but not vice versa")
         return self
 
-    def _row(self, x) -> int:
+    def of(self, x) -> frozenset:
         if x not in self._index:
             raise DomainError(f"point {x!r} is not in the neighborhood system")
-        return self._index[x]
-
-    def of(self, x) -> frozenset:
-        i = self._row(x)
-        return frozenset(compress(self.points, self.mask[i].tolist())).union(
-            self._stray.get(i, ()))
+        return frozenset(compress(self.points, self.mask[self._index[x]].tolist()))
 
     @property
     def neighbors(self) -> MappingProxyType:
@@ -404,20 +395,10 @@ class NeighborhoodSystem:
         return MappingProxyType({p: self.of(p) for p in self.points})
 
     def adjacency(self, space: MetricSpace) -> np.ndarray:
-        """Read-only boolean matrix whose entry [i, j] says that point j of
-        ``space`` neighbours its point i: the mask itself, or its rows and
-        columns taken in the order of another point list."""
-        if space.points == self.points and not self._stray:
-            return self.mask
-        take = [self._row(p) for p in space.points]
-        rows = self.mask.take(take, 0)
-        mask = rows.take(take, 1)
-        if self._stray or mask.sum() < rows.sum():
-            for p in space.points:   # DomainError for the first outside
-                for q in sorted(self.of(p), key=str):
-                    space.index(q)
-        mask.setflags(write=False)
-        return mask
+        """The mask, for a ``space`` whose point list is this system's."""
+        if space.points != self.points:
+            raise DomainError("the neighborhood system is on another point list")
+        return self.mask
 
     def restrict(self, subset) -> "NeighborhoodSystem":
         """Induced system: neighbors intersected with the subset."""
@@ -427,11 +408,11 @@ class NeighborhoodSystem:
                        self.mask.take(keep, 0).take(keep, 1))
 
 
-def _masked(points, mask, stray=None) -> NeighborhoodSystem:
+def _masked(points, mask) -> NeighborhoodSystem:
     """The system of the boolean ``mask`` over ``points``; freezes it."""
     nbhd, points = object.__new__(NeighborhoodSystem), tuple(points)
     mask.setflags(write=False)
-    for name, value in (("points", points), ("mask", mask), ("_stray", stray or {}),
+    for name, value in (("points", points), ("mask", mask),
                         ("_index", {p: i for i, p in enumerate(points)})):
         object.__setattr__(nbhd, name, value)
     return nbhd

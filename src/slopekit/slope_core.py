@@ -59,10 +59,8 @@ class ScalarField:
         return max(self._finite_values())
 
     def _finite_values(self) -> list:
-        finite = self.array[self._dom].tolist()
-        if not finite:
-            raise ImproperFieldError("field is identically +inf")
-        return finite
+        _require_proper(self, "field")
+        return self.array[self._dom].tolist()
 
 
 def _adopt(f: ScalarField, array) -> ScalarField:
@@ -127,6 +125,11 @@ def sub_fields(f: ScalarField, g: ScalarField) -> ScalarField:
         return _field(f.space, f.array - g.array)
 
 
+def _require_proper(f: ScalarField, name="f"):
+    if not f.is_proper():
+        raise ImproperFieldError(f"{name} is identically +inf")
+
+
 def _require_in_dom(f: ScalarField, x) -> int:
     i = f.space.index(x)
     if not f._in_dom[i]:
@@ -144,8 +147,8 @@ def slopes(f: ScalarField, nbhd: NeighborhoodSystem = None) -> np.ndarray:
     operations as the pointwise definition, so the entries are exact.
 
     The array is computed once per field for the global slope and once
-    per field and system for the local slope.  Every point of the space
-    must be a point of ``nbhd`` with neighbours in the space.
+    per field and system for the local slope.  ``nbhd`` must be on the
+    point list of the space of f; another list raises ``DomainError``.
     """
     key = None if nbhd is None else id(nbhd)
     cached = f._slopes.get(key)
@@ -297,8 +300,7 @@ def pasch_hausdorff(f: ScalarField, eps: float) -> ScalarField:
     """
     if not 0 < eps < INF:   # nan too
         raise ParameterError(f"eps must be positive and finite, got {eps}")
-    if not f.is_proper():
-        raise ImproperFieldError("cannot regularize an improper field")
+    _require_proper(f)
     v, d = f.array, f.space.dist
     if len(f._dom) < len(v):
         v, d = v[f._dom], d[f._dom]
@@ -339,8 +341,7 @@ def _sublevel_mask(f: ScalarField, g: ScalarField, lam, tol) -> np.ndarray:
     """The mask of sublevel_diff, before it is cut to dom f."""
     tol = resolve_tol(tol)
     _same_space(f, g)
-    if not f.is_proper():
-        raise ImproperFieldError("f is identically +inf")
+    _require_proper(f)
     lam = float(lam)
     with np.errstate(invalid="ignore"):   # inf - inf, off dom f
         diff_ok = _within(f.array - g.array, lam, tol)

@@ -12,11 +12,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import _at_least, _exceeds, _require_level, _within, resolve_tol
-from .errors import (FatalFinding, HypothesisViolation, ImproperFieldError,
-                     ParameterError)
+from .errors import FatalFinding, HypothesisViolation, ParameterError
 from .metric_space import NeighborhoodSystem
 from .slope_core import (INF, ScalarField, _crit_rows, _require_in_dom,
-                         _same_space, _sublevel_mask,
+                         _require_proper, _same_space, _sublevel_mask,
                          domination_witnesses, local_slope, slopes,
                          strict_comparison_witnesses)
 
@@ -259,8 +258,7 @@ def _localized(name, f, diff, rows, crit, tol, names, **params):
 def check_tz(f: ScalarField, g: ScalarField, tol=None) -> CheckReport:
     """Global-slope domination forces f - inf f >= g - inf g on dom f."""
     tol = resolve_tol(tol)
-    if not f.is_proper():
-        raise ImproperFieldError("f is identically +inf")
+    _require_proper(f)
     bad = domination_witnesses(f, g, tol)
     if bad:
         return CheckReport("tz", hypothesis_ok=False, hypothesis_witnesses=bad)
@@ -295,8 +293,7 @@ def check_lsc(f: ScalarField, g: ScalarField, r: float, eps: float,
     if not 0 < r < 1:
         raise ParameterError(f"r must be in (0, 1), got {r}")
     _require_level(eps)
-    if not f.is_proper():
-        raise ImproperFieldError("f is identically +inf")
+    _require_proper(f)
     bad = domination_witnesses(f, g, tol)
     if bad:
         return CheckReport("lsc", hypothesis_ok=False, hypothesis_witnesses=bad)

@@ -763,6 +763,28 @@ def test_process_closed_stdout_is_input_error(process_dir):
         3, b"input error: standard output is closed\n")
 
 
+def test_process_closed_stderr_is_input_error(process_dir):
+    # sys.stderr is None; print(file=None) wrote the message to stdout
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m",
+         "slopekit.cli", "validate", "missing.json"],
+        cwd=process_dir, env=ENV, stdout=subprocess.PIPE, timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["descent", "e3.json", "--from", "c", "--g", "h"], 1),
+    (["validate", "missing.json"], 3),
+], ids=["1-hypothesis", "3-missing-file"])
+def test_process_unwritable_stderr_keeps_the_exit_code(process_dir, argv,
+                                                       code):
+    # fd 2 open for reading only: a write raised OSError (EBADF), exit 1
+    with open(os.devnull, "rb") as read_only:
+        assert spawn(["-m", "slopekit.cli", *argv], process_dir,
+                     capture_output=False, stdout=subprocess.PIPE,
+                     stderr=read_only) == (code, b"", None)
+
+
 class _Exited(Exception):
     pass
 
@@ -800,3 +822,30 @@ def test_run_leaves_bad_command_line_to_system_exit(run_argv):
     with pytest.raises(SystemExit) as exc:
         run_argv("gen", "--n", "abc")
     assert exc.value.code == 3
+
+
+class _Unwritable:
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+    def flush(self):
+        raise OSError(9, "Bad file descriptor")
+
+
+@pytest.mark.parametrize("stderr", [None, _Unwritable()],
+                         ids=["closed", "unwritable"])
+@pytest.mark.parametrize("argv, code", [
+    (["descent", "e3.json", "--from", "c", "--g", "h"], 1),
+    (["descent", "e3.json", "--from", "c"], 2),
+    (["validate", "missing.json"], 3),
+], ids=["1-hypothesis", "2-fatal-with-witness", "3-missing-file"])
+def test_stderr_that_cannot_be_written_keeps_the_exit_code(
+        process_dir, run_argv, monkeypatch, capsys, stderr, argv, code):
+    """``main`` and ``run`` return the branch's code, and nothing meant for
+    stderr reaches stdout."""
+    monkeypatch.setattr(cli, "verify_trace",
+                        lambda *args: ["step 0: f - g increased"])
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(argv) == code
+    assert run_argv(*argv) == code
+    assert capsys.readouterr().out == ""

@@ -107,6 +107,14 @@ class TestGenerators:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             gen_random_instance(seed, 4)
 
+    @pytest.mark.parametrize("kind", ["graph", "matrix", "grid"])
+    @pytest.mark.parametrize("seed, same", [(5.0, 5), ([2024.0, 7], [2024, 7])],
+                             ids=["float", "float-list"])
+    def test_integral_float_seed(self, seed, same, kind):
+        """The generator is seeded with the seed it records."""
+        assert gen_random_instance(seed, 5, metric_kind=kind).to_dict() == \
+            gen_random_instance(same, 5, metric_kind=kind).to_dict()
+
     def test_neighborhoods_symmetric(self):
         for seed in range(20):
             inst = gen_random_instance(seed, 6,
@@ -150,8 +158,9 @@ class TestDominatedPair:
 
     def test_improper_base_rejected(self):
         inst = gen_random_instance(0, 4, field_spec={"f": {"p_inf": 1.0}})
-        with pytest.raises(ParameterError):
+        with pytest.raises(ImproperFieldError) as info:
             gen_dominated_pair(0, inst.field("f"), "scale")
+        assert str(info.value) == "f is identically +inf"
 
     def test_unknown_mode(self):
         inst = gen_random_instance(0, 4)

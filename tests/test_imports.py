@@ -185,9 +185,11 @@ def test_metric_space_built_only_where_a_matrix_enters():
 
 
 # Rules written in one place, (module, function, rule): a level must be
-# positive (or nonnegative), and a point must lie in dom f.
+# positive (or nonnegative), a point must lie in dom f, and a field must
+# be proper (not identically +inf).
 RULE_HOMES = {("config.py", "_require_level", "level"),
-              ("slope_core.py", "_require_in_dom", "dom")}
+              ("slope_core.py", "_require_in_dom", "dom"),
+              ("slope_core.py", "_require_proper", "proper")}
 
 
 def _raises(node) -> bool:
@@ -208,10 +210,19 @@ def _is_level_test(test) -> bool:
             or (zero[0] and isinstance(cmp.ops[0], (ast.Lt, ast.LtE))))
 
 
+def _is_proper_test(test) -> bool:
+    """``not <anything>.is_proper()``."""
+    return (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)
+            and isinstance(test.operand, ast.Call)
+            and getattr(test.operand.func, "attr", None) == "is_proper")
+
+
 def rule_copies(source: str) -> list:
     """(enclosing function, line, rule) of each spelling of a one-place
-    rule: an ``if`` with a level test whose body raises ("level"), and a
-    raise whose message says "outside dom f" ("dom")."""
+    rule: an ``if`` with a level test whose body raises ("level"), a
+    raise whose message says "outside dom f" ("dom"), and an ``if not
+    ....is_proper()`` whose body raises or a raise of ``ImproperFieldError``
+    ("proper")."""
     found = []
 
     def visit(node, scope):
@@ -228,6 +239,13 @@ def rule_copies(source: str) -> list:
                     and "outside dom f" in n.value
                     for n in ast.walk(child.exc)):
                 found.append((".".join(scope), child.lineno, "dom"))
+            if (isinstance(child, ast.If) and _is_proper_test(child.test)
+                    and any(map(_raises, child.body))) or (
+                    isinstance(child, ast.Raise) and child.exc and any(
+                        "ImproperFieldError" in (getattr(n, "id", None),
+                                                 getattr(n, "attr", None))
+                        for n in ast.walk(child.exc))):
+                found.append((".".join(scope), child.lineno, "proper"))
             visit(child, scope)
     visit(ast.parse(source), ())
     return found
@@ -254,10 +272,19 @@ def test_level_and_domain_refusals_written_once():
         "        raise DomainError(f'point {x!r} is outside dom f')\n"
         "def h(problems):\n"
         "    problems.append('outside dom f')\n"
-        "    raise DomainError('start point is outside dom f')\n")
+        "    raise DomainError('start point is outside dom f')\n"
+        "def k(f, g):\n"
+        "    if not f.is_proper():\n"
+        "        raise ParameterError('base field must be proper')\n"
+        "    if not g.is_proper():\n"
+        "        return None\n"
+        "    if f.is_proper():\n"
+        "        raise ValueError(f)\n"
+        "    if not g._dom.size:\n"
+        "        raise errors.ImproperFieldError('g is identically +inf')\n")
     assert rule_copies(source) == [
         ("f", 2, "level"), ("C.g", 14, "level"), ("C.g", 17, "dom"),
-        ("h", 20, "dom")]
+        ("h", 20, "dom"), ("k", 22, "proper"), ("k", 29, "proper")]
     found = set()
     for module in MODULES + ["__init__.py"]:
         with open(os.path.join(PACKAGE, module)) as fh:

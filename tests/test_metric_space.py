@@ -756,6 +756,9 @@ class TestNeighborhoodRestrict:
         assert sub.neighbors == {"b": {"c"}, "c": {"b"}}
 
 
+# Systems with their first fault, as building and then validating them
+# reports it.  A neighbour that is not a point is refused when the system
+# is built; the other faults are found by validate().
 VALIDATE_CASES = [
     ((("a", "b", "c", "d"), {"a": {"b", "c", "d"}}),
      "asymmetric neighborhood: 'b' in neighbors('a') but not vice versa"),
@@ -765,42 +768,64 @@ VALIDATE_CASES = [
      "neighbor 'zz' of 'b' is not a point"),
     ((("a", "b", "c"), {"c": {"a"}, "b": {"q", "p"}}),
      "neighbor 'p' of 'b' is not a point"),
-    ((("a", "b", "c"), {"a": {"b"}, "b": {"c", "zz", "b"}, "c": {"c"}}),
+    ((("a", "b", "c"), {"a": {"b"}, "b": {"c", "b"}, "c": {"c"}}),
      "asymmetric neighborhood: 'b' in neighbors('a') but not vice versa"),
     ((("a", "b", "c"), {"a": {"b"}, "b": {"c", "b", "a"}}),
      "point 'b' listed as its own neighbor"),
     ((("a", "b", "c"), {"a": {"c", "b"}, "b": {"a"}}),
      "asymmetric neighborhood: 'c' in neighbors('a') but not vice versa"),
+    # the stray of a later point is refused before validate() could name
+    # the one-way neighbour of an earlier one
+    ((("a", "b", "c"), {"a": {"b"}, "b": {"c", "zz", "b"}, "c": {"c"}}),
+     "neighbor 'zz' of 'b' is not a point"),
 ]
+
+
+def has_stray(system):
+    points, neighbors = system
+    return any(set(neighbors.get(p, ())) - set(points) for p in points)
 
 
 class TestNeighborhoodValidate:
     @pytest.mark.parametrize("system, message", VALIDATE_CASES)
     def test_reports_the_first_fault(self, system, message):
-        """Point order first; within a point, stray names (sorted), then the
-        point itself, then one-way neighbours in point order."""
-        with pytest.raises(ParameterError) as info:
-            NeighborhoodSystem(*system).validate()
+        """A stray is refused at build: the first point in point order with
+        one, and its least name.  Any other system is built, as local slopes
+        are defined on it, and validate() names the first faulty point, and
+        within it the point itself, then one-way neighbours in point order."""
+        if has_stray(system):
+            with pytest.raises(ParameterError) as info:
+                NeighborhoodSystem(*system)
+        else:
+            nbhd = NeighborhoodSystem(*system)
+            with pytest.raises(ParameterError) as info:
+                nbhd.validate()
         assert str(info.value) == message
 
     def test_messages_independent_of_hash_seed(self):
         code = ("import json, sys; from slopekit import NeighborhoodSystem\n"
                 "out = []\n"
                 "for system in json.loads(sys.argv[1]):\n"
-                "    try:\n"
-                "        NeighborhoodSystem(*system).validate()\n"
-                "    except Exception as exc:\n"
-                "        out.append(str(exc))\n"
+                "    for step in ('build', 'validate'):\n"
+                "        try:\n"
+                "            nbhd = NeighborhoodSystem(*system)\n"
+                "            if step == 'validate':\n"
+                "                nbhd.validate()\n"
+                "        except Exception as exc:\n"
+                "            out.append([step, str(exc)])\n"
                 "print(json.dumps(out))")
         systems = json.dumps([[pts, {p: sorted(q) for p, q in nb.items()}]
                               for (pts, nb), _ in VALIDATE_CASES])
+        want = [[step, m] for system, m in VALIDATE_CASES
+                for step in ("build", "validate")
+                if step == "validate" or has_stray(system)]
         src = os.path.dirname(os.path.dirname(metric_space.__file__))
         for seed in (0, 2):   # seeds under which sets iterate differently
             out = subprocess.run(
                 [sys.executable, "-c", code, systems], capture_output=True,
                 text=True, check=True, env={**os.environ, "PYTHONPATH": src,
                                             "PYTHONHASHSEED": str(seed)}).stdout
-            assert json.loads(out) == [m for _, m in VALIDATE_CASES]
+            assert json.loads(out) == want
 
     def test_valid_systems_pass(self, e3):
         for nbhd in (ball_neighborhoods(e3, 1.0), all_pairs_neighborhoods(e3),
@@ -822,18 +847,19 @@ class TestMaskStorage:
         with pytest.raises(DomainError, match="'zz' is not in the neighborhood"):
             nbhd.of("zz")
 
-    def test_stray_names_are_kept(self, e3):
-        stray = NeighborhoodSystem(e3.points, {"a": {"b", "q"}, "b": {"a"}})
-        assert stray.of("a") == {"b", "q"}
-        assert stray != NeighborhoodSystem(e3.points, {"a": {"b"}, "b": {"a"}})
-        with pytest.raises(ParameterError, match="'q' of 'a' is not a point"):
-            stray.validate()
-        assert stray.restrict(e3.points).of("a") == {"b"}
+    def test_stray_names_are_refused(self, e3):
+        """A system is its mask: a neighbour that is not a point has no
+        column, and is refused when the system is built."""
+        with pytest.raises(ParameterError) as info:
+            NeighborhoodSystem(e3.points, {"a": {"b", "q"}, "b": {"a"}})
+        assert str(info.value) == "neighbor 'q' of 'a' is not a point"
+        nbhd = NeighborhoodSystem(e3.points, {"a": {"b"}, "b": {"a"}})
+        assert set(vars(nbhd)) == {"points", "mask", "_index"}
 
     def test_copies_are_equal_and_frozen(self, e3):
-        nbhd = NeighborhoodSystem(e3.points, {"a": {"b", "zz"}, "b": {"a"}})
+        nbhd = NeighborhoodSystem(e3.points, {"a": {"b", "c"}, "b": {"a"}})
         for dup in (pickle.loads(pickle.dumps(nbhd)), copy.deepcopy(nbhd)):
-            assert dup == nbhd and dup.of("a") == {"b", "zz"}
+            assert dup == nbhd and dup.of("a") == {"b", "c"}
             assert not dup.mask.flags.writeable
 
     @pytest.mark.parametrize("adj", [
@@ -884,6 +910,29 @@ class TestMaskStorage:
             assert nbhd.restrict(space.points).mask.tobytes() == mask.tobytes()
 
 
+def loaded_system(adj):
+    return instance_from_dict({
+        "points": ["a", "b", "c"],
+        "metric": {"kind": "matrix", "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+        "neighborhoods": {"kind": "explicit", "adj": adj}}).nbhd
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda e3: NeighborhoodSystem(e3.points, {"a": {"b"}, "b": {"a", "q"}}),
+     ParameterError, "neighbor 'q' of 'b' is not a point"),
+    (lambda e3: explicit_neighborhoods(e3, [("a", "b"), ("b", "q")]),
+     DomainError, "pair ('b', 'q') uses unknown points"),
+    (lambda e3: loaded_system([[0, 1], [1, 3]]),
+     ParameterError, "neighbor pair [1, 3] is not a pair of indices below 3"),
+], ids=["mapping", "explicit", "loader"])
+def test_unknown_neighbour_refused_at_build(e3, build, error, message):
+    """Every route into a system refuses a neighbour that is not a point
+    when it builds the system, so none carries one."""
+    with pytest.raises(error) as info:
+        build(e3)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def per_pair_adjacency(nbhd, space):
     """Oracle: the adjacency mask filled one neighbour pair at a time."""
     mask = np.zeros((space.n, space.n), dtype=bool)
@@ -928,18 +977,21 @@ class TestAdjacency:
         assert mask.tobytes() == want.tobytes()
         assert not mask.flags.writeable
         monkeypatch.undo()
-        # another point list, the same points reversed, is built as before
+        # another point list, the same points reversed, is refused
         other = MetricSpace(space.points[::-1], space.dist)
-        assert nbhd.adjacency(other).tobytes() == \
-            per_pair_adjacency(nbhd, other).tobytes()
+        if n == 1:   # the same list
+            assert nbhd.adjacency(other) is nbhd.mask
+        else:
+            with pytest.raises(DomainError, match="another point list"):
+                nbhd.adjacency(other)
 
     def test_points_outside_the_space(self, e3):
-        stray = NeighborhoodSystem(("a", "b", "c"),
-                                   {"a": {"b"}, "b": {"a", "zz"}})
-        with pytest.raises(DomainError, match="'zz'"):
-            stray.adjacency(e3)
+        """A stray neighbour never reaches adjacency: the system is refused
+        when it is built.  A system on fewer points is refused by it."""
+        with pytest.raises(ParameterError, match="'zz' of 'b' is not a point"):
+            NeighborhoodSystem(("a", "b", "c"), {"a": {"b"}, "b": {"a", "zz"}})
         partial = NeighborhoodSystem(("a", "b"), {"a": {"b"}, "b": {"a"}})
-        with pytest.raises(DomainError, match="'c'"):
+        with pytest.raises(DomainError, match="another point list"):
             partial.adjacency(e3)
 
 

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from slopekit import (DomainError, FatalFinding, ImproperFieldError,
                       MetricSpace, NeighborhoodSystem, ParameterError,
                       ScalarField, UndefinedArithmeticError, add_fields,
-                      check_lsc, domination_witnesses, eps_argmin, eps_crit,
-                      eps_Crit, explicit_neighborhoods, gen_random_instance,
+                      check_lsc, check_tz, domination_witnesses, eps_argmin,
+                      eps_crit, eps_Crit, explicit_neighborhoods,
+                      gen_dominated_pair, gen_random_instance,
                       global_slope, local_slope,
                       log_distance_field, pasch_hausdorff, pos_part, restrict,
                       scale_field, slope_profile, slopes,
@@ -228,6 +229,19 @@ class TestSlopeKernel:
         with pytest.raises(DomainError):
             local_slope(f013, partial, "a")
 
+    @pytest.mark.parametrize("points", [
+        ("c", "b", "a"), ("a", "b"), ("a", "b", "c", "d")],
+        ids=["reordered", "smaller", "larger"])
+    def test_system_on_another_point_list(self, f013, points):
+        """Only a system on the space's own point list gives local slopes;
+        no reordering is attempted, and nothing is cached."""
+        nbhd = NeighborhoodSystem(points, {p: set(points) - {p} for p in points})
+        with pytest.raises(DomainError, match="another point list"):
+            local_slope(f013, nbhd, "a")
+        with pytest.raises(DomainError, match="another point list"):
+            slopes(f013, nbhd)
+        assert id(nbhd) not in f013._slopes
+
     def test_profile_skips_points_off_dom(self, e3, e3_path_nbhd):
         f = ScalarField(e3, (0.0, INF, 3.0))
         prof = slope_profile(f, e3_path_nbhd)
@@ -432,6 +446,24 @@ class TestPaschHausdorff:
     def test_improper_rejected(self, e3):
         with pytest.raises(ImproperFieldError):
             pasch_hausdorff(ScalarField(e3, (INF, INF, INF)), 1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda f, g: pasch_hausdorff(f, 1.0), "f is identically +inf"),
+    (lambda f, g: sublevel_diff(f, g, 0.0), "f is identically +inf"),
+    (lambda f, g: check_tz(f, g), "f is identically +inf"),
+    (lambda f, g: check_lsc(f, g, 0.5, 0.5), "f is identically +inf"),
+    (lambda f, g: gen_dominated_pair(0, f), "f is identically +inf"),
+    (lambda f, g: f.min_finite(), "field is identically +inf"),
+    (lambda f, g: eps_argmin(f, 1.0), "field is identically +inf"),
+], ids=["pasch_hausdorff", "sublevel_diff", "check_tz", "check_lsc",
+        "gen_dominated_pair", "min_finite", "eps_argmin"])
+def test_improper_field_refused_in_one_wording(e3, f013, call, message):
+    """Each refusal of a field that is identically +inf is
+    ``_require_proper``'s."""
+    with pytest.raises(ImproperFieldError) as info:
+        call(ScalarField(e3, (INF, INF, INF)), f013)
+    assert str(info.value) == message
 
 
 class TestTruncate:
