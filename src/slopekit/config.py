@@ -1,4 +1,4 @@
-"""Global numeric tolerance, and the comparisons decided under it.
+"""Global numeric tolerance, the comparisons under it, and the float policy.
 
 The tolerance is absolute, 1e-9 unless SLOPEKIT_TOL or a ``tol`` argument
 sets it, and is added on the threshold side b: each comparison under it
@@ -9,6 +9,8 @@ below.  Two keep their own: the relative re-check of eps-Crit in
 
 import math
 import os
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -41,6 +43,12 @@ def resolve_tol(tol=None) -> float:
         raise ParameterError(
             f"tolerance must be finite and not negative, got {tol}")
     return tol
+
+
+def _quiet():
+    """numpy's error state for arithmetic on arrays: IEEE results (an overflow
+    is +-inf, inf - inf is nan), unwarned whatever ``np.seterr`` says."""
+    return np.errstate(all="ignore")
 
 
 def _require_level(value, what="eps", strict=True):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _exceeds, _within, resolve_tol
+from .config import _exceeds, _quiet, _within, resolve_tol
 from .errors import ParameterError
 from .instances import _expect, _key, _parsed
 from .metric_space import MetricSpace
@@ -59,7 +59,8 @@ class PLConvex:
         i = np.searchsorted(t, xs, side="right")
         base_t = t[np.maximum(i - 1, 0)]
         base_v = np.where(i == 0, self.anchor, kv[np.maximum(i - 1, 0)])
-        return base_v + s[i] * (xs - base_t)
+        with _quiet():   # a value past the float range is ±inf
+            return base_v + s[i] * (xs - base_t)
 
     def subdifferential(self, x: float) -> tuple:
         """Closed interval [lo, hi]: [s_{i-1}, s_i] at knot t_i, degenerate
@@ -171,6 +172,6 @@ def definitional_global_slope(f: PLConvex, x: float, ys) -> float:
     """Independent oracle: sup over sampled y != x of [f(x)-f(y)]+/|x-y|."""
     ys = np.asarray(ys, dtype=float)
     ys = ys[ys != x]
-    fx = f.value(x)
-    quot = (fx - f.values(ys)) / np.abs(x - ys)
+    with _quiet():
+        quot = (f.value(x) - f.values(ys)) / np.abs(x - ys)
     return float(max(quot.max(initial=0.0), 0.0))

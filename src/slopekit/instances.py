@@ -258,6 +258,11 @@ def _seed_repr(seed):
     return _seed(seed)
 
 
+def _rng(seed):
+    """numpy's PCG64 generator of ``seed``, as ``_seed_repr`` reads it."""
+    return np.random.default_rng(_parsed(_seed_repr, seed, "seed"))
+
+
 def _random_field_values(rng, n, p_inf=0.0, low=0.0, high=3.0):
     vals = rng.uniform(low, high, size=n)
     out = [INF if rng.random() < p_inf else float(v) for v in vals]
@@ -282,7 +287,7 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
     for fs in field_spec.values():
         _p_inf(fs.get("p_inf", 0.0))
     seed_repr = _parsed(_seed_repr, seed, "seed")
-    rng = np.random.default_rng(seed_repr)
+    rng = _rng(seed_repr)
     points = [f"p{i}" for i in range(n_points)]
     if metric_kind == "graph":
         edges = []
@@ -355,7 +360,7 @@ def instance_stream(count, seed, max_points=12,
     the acceptance batches; n is drawn from rng, as are the checks' inputs."""
     for i in range(count):
         inst_seed = [seed, i]
-        rng = np.random.default_rng(inst_seed)
+        rng = _rng(inst_seed)
         kind = kinds[i % len(kinds)]
         p = p_inf[(i // len(kinds)) % len(p_inf)]
         n = int(rng.integers(2 if kind == "grid" else 1, max_points + 1))
@@ -375,8 +380,11 @@ def gen_dominated_pair(seed, f: ScalarField, mode="truncate", tol=None):
     """
     tol = resolve_tol(tol)
     _require_proper(f)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     lo, hi = f.min_finite(), f.max_finite()
+    if not hi - lo < INF:   # numpy draws lam from [lo, hi) through hi - lo
+        raise ParameterError(f"the finite values of f span {lo} to {hi}, "
+                             "more than the largest float")
     lam = float(rng.uniform(lo, hi)) if hi > lo else lo
     r = float(rng.uniform(0.0, 1.0))
     if mode == "truncate":
@@ -401,7 +409,7 @@ def gen_dominated_pair(seed, f: ScalarField, mode="truncate", tol=None):
 def gen_random_pl(seed, max_knots=6, span=5.0, min_gap=0.05):
     """Random piecewise-linear convex function with well-separated knots."""
     from .convex1d import PLConvex
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     k = int(rng.integers(1, max_knots + 1))
     knots = np.sort(rng.uniform(-span, span, size=k))
     while k > 1 and np.min(np.diff(knots)) < min_gap:

@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .config import _exceeds, _require_level, _within, resolve_tol
+from .config import _exceeds, _quiet, _require_level, _within, resolve_tol
 from .errors import DomainError, MetricError, ParameterError, ShapeError
 
 
@@ -207,48 +207,49 @@ def validate_metric(dist, tol=None) -> ValidationReport:
     """
     tol = resolve_tol(tol)
     bound = dist.bound if type(dist) is _Bounded else None
-    arr = _as_square_matrix(dist)
-    n = arr.shape[0]
-    violations = [
-        Violation("diagonal", (i,), f"dist[{i}][{i}] = {arr[i, i]} != 0")
-        for i in _exceeds(np.abs(arr.diagonal()), 0.0, tol).nonzero()[0].tolist()]
-    symmetric = (arr == arr.T).all()   # the entries are finite
-    negative = _within(arr, 0.0, tol)
-    negative.flat[::n + 1] = False   # the diagonal is checked above
-    # tol >= 0: a symmetric matrix, and any diagonal, has no asymmetry
-    asymmetric = negative & False if symmetric else _exceeds(arr - arr.T, 0.0, tol)
-    flagged = negative | asymmetric   # nonzero costs more than the rest
-    for i, j in (zip(*(ix.tolist() for ix in flagged.nonzero()))
-                 if flagged.any() else ()):
-        if negative[i, j]:
-            violations.append(Violation(
-                "negative", (i, j),
-                f"dist[{i}][{j}] = {arr[i, j]} is not positive"))
-        if asymmetric[i, j]:
-            violations.append(Violation(
-                "asymmetry", (i, j),
-                f"dist[{i}][{j}] = {arr[i, j]} != dist[{j}][{i}] = {arr[j, i]}"))
-    # triangle inequality: with n < 3 no triple of distinct points exists
-    if (n < 3 or (bound is not None and _certifies(bound, arr.max(), tol))
-            or (symmetric and _triangle_ok(arr, tol))):
-        return ValidationReport(violations)
-    # every ordered triple through an intermediate k, in one reused buffer:
-    # a fresh n x n array per k costs more than the sums
-    excess = np.empty_like(arr)
-    lhs, rhs = np.ones((n, 2)), np.ones((2, n))
-    for k in range(n):
-        _outer_sum(arr[:, k], arr[k], excess, lhs, rhs)
-        np.subtract(arr, excess, out=excess)
-        if _within(excess.max(), 0.0, tol):
-            continue
-        for i, j in zip(*(ix.tolist()
-                           for ix in _exceeds(excess, 0.0, tol).nonzero())):
-            if i != k and j != k and i != j:
+    with _quiet():   # an overflowed sum or difference reads as inf
+        arr = _as_square_matrix(dist)
+        n = arr.shape[0]
+        violations = [
+            Violation("diagonal", (i,), f"dist[{i}][{i}] = {arr[i, i]} != 0")
+            for i in _exceeds(np.abs(arr.diagonal()), 0.0, tol).nonzero()[0].tolist()]
+        symmetric = (arr == arr.T).all()   # the entries are finite
+        negative = _within(arr, 0.0, tol)
+        negative.flat[::n + 1] = False   # the diagonal is checked above
+        # tol >= 0: a symmetric matrix, and any diagonal, has no asymmetry
+        asymmetric = negative & False if symmetric else _exceeds(arr - arr.T, 0.0, tol)
+        flagged = negative | asymmetric   # nonzero costs more than the rest
+        for i, j in (zip(*(ix.tolist() for ix in flagged.nonzero()))
+                     if flagged.any() else ()):
+            if negative[i, j]:
                 violations.append(Violation(
-                    "triangle", (i, j, k),
-                    f"dist[{i}][{j}] = {arr[i, j]} > "
-                    f"dist[{i}][{k}] + dist[{k}][{j}] = {arr[i, k] + arr[k, j]}"))
-    return ValidationReport(violations)
+                    "negative", (i, j),
+                    f"dist[{i}][{j}] = {arr[i, j]} is not positive"))
+            if asymmetric[i, j]:
+                violations.append(Violation(
+                    "asymmetry", (i, j),
+                    f"dist[{i}][{j}] = {arr[i, j]} != dist[{j}][{i}] = {arr[j, i]}"))
+        # triangle inequality: with n < 3 no triple of distinct points exists
+        if (n < 3 or (bound is not None and _certifies(bound, arr.max(), tol))
+                or (symmetric and _triangle_ok(arr, tol))):
+            return ValidationReport(violations)
+        # every ordered triple through an intermediate k, in one reused buffer:
+        # a fresh n x n array per k costs more than the sums
+        excess = np.empty_like(arr)
+        lhs, rhs = np.ones((n, 2)), np.ones((2, n))
+        for k in range(n):
+            _outer_sum(arr[:, k], arr[k], excess, lhs, rhs)
+            np.subtract(arr, excess, out=excess)
+            if _within(excess.max(), 0.0, tol):
+                continue
+            for i, j in zip(*(ix.tolist()
+                               for ix in _exceeds(excess, 0.0, tol).nonzero())):
+                if i != k and j != k and i != j:
+                    violations.append(Violation(
+                        "triangle", (i, j, k),
+                        f"dist[{i}][{j}] = {arr[i, j]} > "
+                        f"dist[{i}][{k}] + dist[{k}][{j}] = {arr[i, k] + arr[k, j]}"))
+        return ValidationReport(violations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,12 +542,16 @@ def _graph_space(vertices, ends, w, refs) -> MetricSpace:
         raise ParameterError(
             f"edge ({vertices[i]!r}, {vertices[j]!r}) has "
             f"{'nonpositive' if wk <= 0 else 'non-finite'} weight {wk}")
-    d = np.full((len(vertices),) * 2, np.inf)
-    np.minimum.at(d, (ends.ravel(), ends[::-1].ravel()), np.tile(w, 2))
-    np.fill_diagonal(d, 0.0)
-    d = floyd_warshall(d)
+    arcs = np.full((len(vertices),) * 2, np.inf)
+    np.minimum.at(arcs, (ends.ravel(), ends[::-1].ravel()), np.tile(w, 2))
+    np.fill_diagonal(arcs, 0.0)
+    d = floyd_warshall(arcs)
     if np.isinf(d).any():
         i, j = next(zip(*np.isinf(d).nonzero()))   # the first in row order
+        # j is reachable from i when every arc weighs 0: the length overflowed
+        if floyd_warshall(np.where(arcs < np.inf, 0.0, np.inf))[i, j] == 0:
+            raise ParameterError(f"the distance from {vertices[i]!r} to "
+                                 f"{vertices[j]!r} exceeds the largest float")
         raise ParameterError(
             f"graph is disconnected: no path from {vertices[i]!r} to {vertices[j]!r}")
     return _closure_space(vertices, d)
@@ -568,7 +573,7 @@ def floyd_warshall(d: np.ndarray) -> np.ndarray:
     d[...] = src
     paths = _aligned(src.size).reshape(src.shape)   # the paths through each k
     lhs, rhs = np.ones((len(d), 2)), np.ones((2, len(d)))
-    with np.errstate(invalid="ignore"):   # see _outer_sum
+    with _quiet():   # see _outer_sum
         for k in range(len(d)):
             _outer_sum(d[:, k], d[k], paths, lhs, rhs)
             np.minimum(paths, d, out=d)   # a tie of zeros keeps d's sign
@@ -582,7 +587,8 @@ def metric_closure(weights: np.ndarray) -> np.ndarray:
     random-matrix instance generator.
     """
     w = _as_square_matrix(weights)
-    w = (w + w.T) / 2.0
+    with _quiet():   # a sum past the float range is inf
+        w = (w + w.T) / 2.0
     np.fill_diagonal(w, 0.0)
     if (w[~np.eye(w.shape[0], dtype=bool)] <= 0).any():
         raise ParameterError("off-diagonal weights must be positive")
@@ -643,13 +649,13 @@ def grid_space(bounds, resolution, p=2.0):
     if not (p == math.inf or p >= 1):
         raise ParameterError(f"metric exponent must be >= 1 or inf, got {p}")
 
-    axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(bounds, resolution)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=1)
-    n, dim = coords.shape
-    points = tuple(f"n{i}" for i in range(n))
-
-    d = _lp_distances(coords, p)
+    with _quiet():   # an inf or nan from a span past the float range is refused
+        axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(bounds, resolution)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        coords = np.stack([m.ravel() for m in mesh], axis=1)
+        n, dim = coords.shape
+        points = tuple(f"n{i}" for i in range(n))
+        d = _lp_distances(coords, p)
     if p in (1, 2, math.inf):   # the bound derived above
         d = _bounded(d, 5 * (dim + 3) * 2.0 ** -53, dim * 2.0 ** -535)
     space = MetricSpace(points, d, coords=coords)

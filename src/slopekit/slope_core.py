@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _exceeds, _require_level, _within, resolve_tol
+from .config import _exceeds, _quiet, _require_level, _within, resolve_tol
 from .errors import (DomainError, FatalFinding, ImproperFieldError,
                      ParameterError, UndefinedArithmeticError)
 from .metric_space import MetricSpace, NeighborhoodSystem, _aligned
@@ -98,7 +98,8 @@ def scale_field(f: ScalarField, r: float) -> ScalarField:
         raise ParameterError(f"scale factor must be nonnegative, got {r}")
     if r == 0:
         return _field(f.space, np.zeros(f.space.n))
-    return _field(f.space, float(r) * f.array)
+    with _quiet():   # r·f may round to ±inf
+        return _field(f.space, float(r) * f.array)
 
 
 def _same_space(f: ScalarField, g: ScalarField):
@@ -109,7 +110,7 @@ def _same_space(f: ScalarField, g: ScalarField):
 
 def add_fields(f: ScalarField, g: ScalarField) -> ScalarField:
     _same_space(f, g)
-    with np.errstate(over="ignore"):   # a sum may round to ±inf
+    with _quiet():   # a sum may round to ±inf
         return _field(f.space, f.array + g.array)
 
 
@@ -121,7 +122,7 @@ def sub_fields(f: ScalarField, g: ScalarField) -> ScalarField:
         if not f._in_dom[g_inf.argmax()]:
             raise UndefinedArithmeticError("inf - inf is undefined")
         raise ParameterError("f - g would take the value -inf")
-    with np.errstate(over="ignore"):   # a difference may round to ±inf
+    with _quiet():   # a difference may round to ±inf
         return _field(f.space, f.array - g.array)
 
 
@@ -156,7 +157,7 @@ def slopes(f: ScalarField, nbhd: NeighborhoodSystem = None) -> np.ndarray:
         return cached[1]
     v, n = f.array, len(f.array)
     quot = _aligned(n * n).reshape(n, n)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with _quiet():
         np.subtract.outer(v, v, out=quot)
         np.divide(quot, f.space.dist, out=quot)
         if nbhd is not None:   # a non-neighbour gives ±0 or nan (inf * 0)
@@ -205,8 +206,9 @@ def domination_witnesses(f: ScalarField, g: ScalarField, tol=None) -> list:
     """
     tol = resolve_tol(tol)
     _same_space(f, g)
-    return list(_points_where(
-        f, _exceeds(slopes(g), slopes(f), tol) | ~g._in_dom))
+    with _quiet():   # a slope + tol may round to inf
+        return list(_points_where(
+            f, _exceeds(slopes(g), slopes(f), tol) | ~g._in_dom))
 
 
 def strict_comparison_witnesses(f: ScalarField, g: ScalarField,
@@ -275,7 +277,7 @@ def _crit_rows(f: ScalarField, eps, tol) -> tuple:
         rows = (_within(slopes(f), eps, tol) & f._in_dom).nonzero()[0]
         d = d[rows] if len(rows) < len(v) else d
         # in place: eps = inf or an overflow gives -inf or nan, no v_j below it
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _quiet():
             low, slack = np.multiply(eps, d), np.add(1, d)
             np.subtract(v[rows, None], low, out=low)
             np.subtract(low, np.multiply(tol, slack, out=slack), out=low)
@@ -304,7 +306,7 @@ def pasch_hausdorff(f: ScalarField, eps: float) -> ScalarField:
     v, d = f.array, f.space.dist
     if len(f._dom) < len(v):
         v, d = v[f._dom], d[f._dom]
-    with np.errstate(over="ignore"):   # f(y) + eps d(y, x) may round to inf
+    with _quiet():   # f(y) + eps d(y, x) may round to inf
         paths = np.multiply(eps, d)
         np.add(v[:, None], paths, out=paths)
     return _field(f.space, paths.min(axis=0))
@@ -343,9 +345,8 @@ def _sublevel_mask(f: ScalarField, g: ScalarField, lam, tol) -> np.ndarray:
     _same_space(f, g)
     _require_proper(f)
     lam = float(lam)
-    with np.errstate(invalid="ignore"):   # inf - inf, off dom f
-        diff_ok = _within(f.array - g.array, lam, tol)
-    return ~g._in_dom | diff_ok
+    with _quiet():   # inf - inf off dom f is nan; an overflow is ±inf
+        return ~g._in_dom | _within(f.array - g.array, lam, tol)
 
 
 def restrict(f: ScalarField, subset) -> ScalarField:

@@ -11,7 +11,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import _at_least, _exceeds, _require_level, _within, resolve_tol
+from .config import (_at_least, _exceeds, _quiet, _require_level, _within,
+                     resolve_tol)
 from .errors import FatalFinding, HypothesisViolation, ParameterError
 from .metric_space import NeighborhoodSystem
 from .slope_core import (INF, ScalarField, _crit_rows, _require_in_dom,
@@ -35,12 +36,13 @@ def ekeland_point(f: ScalarField, x0, lam: float):
 def _ekeland_index(v, dist, i, lam):
     """Ekeland's iteration on the values ``v`` from index i: the first argmin
     of v over S(x_i) until that is i."""
-    while lam < INF:   # lam = inf admits no j, not even i
-        cand = (v <= v[i] - lam * dist[i]).nonzero()[0]
-        best = cand[v[cand].argmin()] if len(cand) else i
-        if best == i:
-            break
-        i = best
+    with _quiet():   # lam d may round to inf: no j that far is in S(x_i)
+        while lam < INF:   # lam = inf admits no j, not even i
+            cand = (v <= v[i] - lam * dist[i]).nonzero()[0]
+            best = cand[v[cand].argmin()] if len(cand) else i
+            if best == i:
+                break
+            i = best
     return i
 
 
@@ -263,9 +265,8 @@ def check_tz(f: ScalarField, g: ScalarField, tol=None) -> CheckReport:
     if bad:
         return CheckReport("tz", hypothesis_ok=False, hypothesis_witnesses=bad)
     inf_f, inf_g = f.min_finite(), g.min_finite()
-    with np.errstate(over="ignore", invalid="ignore"):   # as Python floats do
-        margin = (f.array - inf_f) - (g.array - inf_g)
-    slack, k = _least(margin, f._dom)
+    with _quiet():   # as Python floats do
+        slack, k = _least((f.array - inf_f) - (g.array - inf_g), f._dom)
     return CheckReport(
         "tz", hypothesis_ok=True, conclusion_ok=_at_least(slack, 0.0, tol),
         witness=f.space.points[k], slack=slack,
@@ -281,9 +282,10 @@ def check_lips(f: ScalarField, g: ScalarField, eps: float, tol=None) -> CheckRep
     bad = domination_witnesses(f, g, tol)
     if bad:
         return CheckReport("lips", hypothesis_ok=False, hypothesis_witnesses=bad)
-    return _localized("lips", f, f.array - g.array, np.arange(f.space.n),
-                      _crit_rows(f, eps, tol)[0], tol,
-                      ("inf_all", "inf_crit"), eps=eps)
+    with _quiet():   # f - g may round to ±inf
+        return _localized("lips", f, f.array - g.array, np.arange(f.space.n),
+                          _crit_rows(f, eps, tol)[0], tol,
+                          ("inf_all", "inf_crit"), eps=eps)
 
 
 def check_lsc(f: ScalarField, g: ScalarField, r: float, eps: float,
@@ -298,10 +300,10 @@ def check_lsc(f: ScalarField, g: ScalarField, r: float, eps: float,
     if bad:
         return CheckReport("lsc", hypothesis_ok=False, hypothesis_witnesses=bad)
     # f finite and g = +inf give f - r g = -inf: the domain convention
-    with np.errstate(over="ignore", invalid="ignore"):   # inf - inf off dom f
-        diff = f.array - r * g.array
-    return _localized("lsc", f, diff, f._dom, _crit_rows(f, eps, tol)[0],
-                      tol, ("inf_dom", "inf_crit"), r=r, eps=eps)
+    with _quiet():   # inf - inf off dom f
+        return _localized("lsc", f, f.array - r * g.array, f._dom,
+                          _crit_rows(f, eps, tol)[0], tol,
+                          ("inf_dom", "inf_crit"), r=r, eps=eps)
 
 
 def check_compact(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
@@ -315,6 +317,7 @@ def check_compact(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
         return CheckReport("compact", hypothesis_ok=False,
                            hypothesis_witnesses=bad)
     # 0-crit f is where the local slope is at most tol: f is finite
-    return _localized("compact", f, f.array - g.array, np.arange(f.space.n),
-                      _within(slopes(f, nbhd), 0.0, tol).nonzero()[0], tol,
-                      ("inf_all", "inf_crit0"))
+    with _quiet():   # f - g may round to ±inf
+        return _localized("compact", f, f.array - g.array, np.arange(f.space.n),
+                          _within(slopes(f, nbhd), 0.0, tol).nonzero()[0], tol,
+                          ("inf_all", "inf_crit0"))

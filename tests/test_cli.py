@@ -712,6 +712,47 @@ def test_process_exit_matches_main(process_dir, capsys, argv, code, err):
         code, captured.out.encode(), err.encode())
 
 
+# f = (1e308, 1e308) and g = -f on two points: f - g overflows to +inf, and
+# each child wrote numpy's "overflow encountered in subtract" to stderr
+BIG_PAIR = {"points": ["a", "b"],
+            "metric": {"kind": "matrix", "dist": [[0, 1], [1, 0]]},
+            "neighborhoods": {"kind": "all"},
+            "fields": {"f": [1e308, 1e308], "g": [-1e308, -1e308]}}
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["check", "big.json", "--which", "lips"],
+     {"check": "lips", "conclusion": "verified", "hypothesis": "satisfied",
+      "hypothesis_witnesses": [], "slack": 0.0, "witness": "a",
+      "details": {"eps": 0.5, "inf_all": INF, "inf_crit": INF}}),
+    (["check", "big.json", "--which", "compact"],
+     {"check": "compact", "conclusion": "verified", "hypothesis": "satisfied",
+      "hypothesis_witnesses": [], "slack": 0.0, "witness": "a",
+      "details": {"inf_all": INF, "inf_crit0": INF}}),
+    (["descent", "big.json", "--mode", "global", "--from", "a"],
+     {"f_value": 1e308, "x": "a"}),
+], ids=["check-lips", "check-compact", "descent-global"])
+def test_process_overflow_is_quiet(process_dir, capsys, argv, report):
+    (process_dir / "big.json").write_text(json.dumps(BIG_PAIR))
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == report
+    assert spawn(["-m", "slopekit.cli", *argv], process_dir) == (
+        0, out.encode(), b"")
+
+
+def test_process_overflowed_graph_is_not_disconnected(process_dir):
+    # it said "graph is disconnected: no path from 'a' to 'c'"
+    (process_dir / "path.json").write_text(json.dumps(
+        {"points": ["a", "b", "c"], "neighborhoods": {"kind": "all"},
+         "metric": {"kind": "graph",
+                    "edges": [[0, 1, 1e308], [1, 2, 1e308]]}}))
+    assert spawn(["-m", "slopekit.cli", "validate", "path.json"],
+                 process_dir) == (
+        3, b"", b"input error: the distance from 'a' to 'c' exceeds the "
+                b"largest float\n")
+
+
 def test_process_output_file_matches_main(process_dir):
     assert main(["gen", "--seed", "9", "--n", "6", "-o", "a.json"]) == 0
     assert spawn(["-m", "slopekit.cli", "gen", "--seed", "9", "--n", "6",

@@ -18,6 +18,7 @@ from slopekit import (CheckReport, HypothesisViolation, ImproperFieldError,
                       save_instance, summary_csv)
 from slopekit import metric_space, suite
 from slopekit.config import resolve_tol
+from slopekit.instances import instance_stream
 
 INF = math.inf
 TOL = 1e-9
@@ -106,6 +107,44 @@ class TestGenerators:
     def test_bad_seed_refused(self, seed, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             gen_random_instance(seed, 4)
+
+    # every seeded generator reads its seed through instances._rng; these
+    # raised numpy's TypeError or ValueError
+    @pytest.mark.parametrize("call,message", [
+        (lambda f: gen_dominated_pair(-1, f), "seed must not be negative, got -1"),
+        (lambda f: gen_dominated_pair(5.5, f), "malformed seed: 5.5"),
+        (lambda f: gen_random_pl(-2), "seed must not be negative, got -2"),
+        (lambda f: gen_random_pl("s"), "malformed seed: 's'"),
+        (lambda f: next(instance_stream(2, -1)),
+         "seed must not be negative, got -1"),
+    ], ids=["dominated-negative", "dominated-fraction", "pl-negative",
+            "pl-string", "stream-negative"])
+    def test_bad_seed_refused_by_every_generator(self, call, message):
+        f = gen_random_instance(3, 5).field("f")
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            call(f)
+
+    @pytest.mark.parametrize("seed, same", [(5.0, 5), ([2024.0, 7], [2024, 7])],
+                             ids=["float", "float-list"])
+    def test_integral_float_seed_every_generator(self, seed, same):
+        f = gen_random_instance(3, 5).field("f")
+        assert gen_dominated_pair(seed, f, "compose")[1] == \
+            gen_dominated_pair(same, f, "compose")[1]
+        assert gen_random_pl(seed) == gen_random_pl(same)
+
+    @pytest.mark.parametrize("seed", [5, [2024, 7], (3, 1), np.int64(9)],
+                             ids=["int", "list", "tuple", "numpy-int"])
+    def test_seeds_keep_their_streams(self, seed):
+        """A seed numpy took before _rng still draws the same numbers."""
+        f = gen_random_instance(3, 5).field("f")
+        rng = np.random.default_rng(seed)
+        lam = float(rng.uniform(f.min_finite(), f.max_finite()))
+        r = float(rng.uniform(0.0, 1.0))
+        assert gen_dominated_pair(seed, f, "compose")[1] == {
+            "mode": "compose", "lam": lam, "r": r}
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 7))
+        assert len(gen_random_pl(seed).knots) == k
 
     @pytest.mark.parametrize("kind", ["graph", "matrix", "grid"])
     @pytest.mark.parametrize("seed, same", [(5.0, 5), ([2024.0, 7], [2024, 7])],

@@ -415,3 +415,69 @@ def test_tolerance_compared_only_in_config():
             if sites:
                 found[module] = sites
     assert found == {}
+
+
+# Calls with one home each, (module, function): numpy's error state is set
+# only by config._quiet, the one floating-point policy, and a seeded
+# generator is built only by instances._rng, which reads the seed first.
+CALL_HOMES = {"errstate": {("config.py", "_quiet")},
+              "default_rng": {("instances.py", "_rng")}}
+
+
+def calls_of(name: str, source: str) -> list:
+    """(enclosing function, line) of each call of ``name``, bare or as an
+    attribute such as ``np.errstate`` or ``np.random.default_rng``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_call_with_one_home_is_found():
+    source = (
+        "def f():\n"
+        "    with np.errstate(over='ignore'):\n"
+        "        return np.errstate\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return errstate(all='ignore'), np.random.default_rng(0)\n"
+        "rng = default_rng(1)\n")
+    assert calls_of("errstate", source) == [("f", 2), ("C.g", 6)]
+    assert calls_of("default_rng", source) == [("C.g", 6), ("", 7)]
+    # copies of the package with one site that picks its own flags, and
+    # one generator built from an unread seed
+    for name, module, scope, site, copy in [
+            ("errstate", "slope_core.py", "add_fields",
+             "with _quiet():   # a sum may round to ±inf",
+             'with np.errstate(over="ignore"):'),
+            ("default_rng", "instances.py", "gen_random_pl",
+             "rng = _rng(seed)\n    k = int(",
+             "rng = np.random.default_rng(seed)\n    k = int(")]:
+        with open(os.path.join(PACKAGE, module)) as fh:
+            source = fh.read()
+        line = source[:source.index(site)].count("\n") + 1
+        injected = source.replace(site, copy)
+        assert injected != source
+        assert (set(calls_of(name, injected)) - set(calls_of(name, source))
+                == {(scope, line)})
+
+
+@pytest.mark.parametrize("name", CALL_HOMES)
+def test_call_made_only_at_its_home(name):
+    found = set()
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE, module)) as fh:
+            found.update((module, scope)
+                         for scope, _ in calls_of(name, fh.read()))
+    assert found == CALL_HOMES[name]
