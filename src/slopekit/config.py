@@ -1,4 +1,5 @@
-"""Global numeric tolerance, the comparisons under it, and the float policy.
+"""Global numeric tolerance, the comparisons under it, the float policy, and
+the one conversion of caller numbers (``_parsed``, ``_index``).
 
 The tolerance is absolute, 1e-9 unless SLOPEKIT_TOL or a ``tol`` argument
 sets it, and is added on the threshold side b: each comparison under it
@@ -38,7 +39,7 @@ def resolve_tol(tol=None) -> float:
     """
     if tol is None:
         return get_tol()
-    tol = float(tol)
+    tol = _parsed(float, tol, "tolerance")
     if not (math.isfinite(tol) and tol >= 0):
         raise ParameterError(
             f"tolerance must be finite and not negative, got {tol}")
@@ -51,12 +52,35 @@ def _quiet():
     return np.errstate(all="ignore")
 
 
-def _require_level(value, what="eps", strict=True):
-    """Refuse a level that is not > 0 (with ``strict=False``, not >= 0);
-    nan is neither."""
+def _parsed(convert, value, what):
+    """``convert(value)``, a malformed value reported as ``ParameterError``.
+    As ``_parsed(float, ...)`` it is where a caller's number becomes a float."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"malformed {what}: {value!r}") from None
+
+
+def _index(value):
+    """``int(value)``, refusing a fraction, which int() would truncate."""
+    if isinstance(value, (float, np.floating)) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
+def _pair(pair, convert=_index):
+    a, b = pair
+    return convert(a), convert(b)
+
+
+def _require_level(value, what="eps", strict=True) -> float:
+    """``value`` as a float, refused unless > 0 (with ``strict=False``,
+    >= 0); nan is neither."""
+    value = _parsed(float, value, what)
     if not (value > 0 if strict else value >= 0):
         sign = "positive" if strict else "nonnegative"
         raise ParameterError(f"{what} must be {sign}, got {value}")
+    return value
 
 
 # a bare x > tol is _exceeds(x, 0.0, tol), exactly, as 0.0 + tol == tol and

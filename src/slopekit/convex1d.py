@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _exceeds, _quiet, _within, resolve_tol
+from .config import _exceeds, _parsed, _quiet, _within, resolve_tol
 from .errors import ParameterError
-from .instances import _expect, _key, _parsed
+from .instances import _expect, _key
 from .metric_space import MetricSpace
 from .slope_core import ScalarField, _field
 

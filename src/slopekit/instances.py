@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import resolve_tol
+from .config import _index, _pair, _parsed, resolve_tol
 from .errors import FatalFinding, ParameterError, ShapeError
 from .metric_space import (MetricSpace, NeighborhoodSystem, _closure_space,
                            _graph_space, _pair_system, all_pairs_neighborhoods,
@@ -105,14 +105,6 @@ def _key(obj, key, what):
         raise ShapeError(f"missing key {key!r} in {what}") from None
 
 
-def _parsed(convert, value, what):
-    """``convert(value)``, a malformed value reported as ``ParameterError``."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"malformed {what}: {value!r}") from None
-
-
 def _p_inf(value) -> float:
     """A field's chance of +inf values, refused outside [0, 1]."""
     p_inf = _parsed(float, value, "p_inf")
@@ -121,21 +113,9 @@ def _p_inf(value) -> float:
     return p_inf
 
 
-def _index(value):
-    """``int(value)``, refusing a fraction, which int() would truncate."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(value)
-    return int(value)
-
-
 def _edge(edge):
     u, v, w = edge
     return _index(u), _index(v), float(w)
-
-
-def _pair(pair, convert=_index):
-    a, b = pair
-    return convert(a), convert(b)
 
 
 def _space_from_spec(points, spec):
@@ -156,17 +136,11 @@ def _space_from_spec(points, spec):
             return _graph_space(points, ends, arr[:, 2].astype(float), ends), None
         return shortest_path_space(points, [
             _parsed(_edge, e, "graph edge (want [u, v, w])") for e in edges]), None
-    if kind == "grid":
-        p = spec.get("p", 2)
-        p = math.inf if p == "inf" else _parsed(float, p, "grid exponent p")
-        bounds = [_parsed(lambda b: _pair(b, float), b,
-                          "grid bound (want [lo, hi])")
-                  for b in _expect(_key(spec, "bounds", "the metric"), list,
-                                   "grid bounds")]
-        resolution = [_parsed(_index, r, "grid resolution") for r in
-                      _expect(_key(spec, "resolution", "the metric"), list,
-                              "grid resolution")]
-        space, nbhd = grid_space(bounds, resolution, p)
+    if kind == "grid":   # grid_space reads each number
+        space, nbhd = grid_space(
+            _expect(_key(spec, "bounds", "the metric"), list, "grid bounds"),
+            _expect(_key(spec, "resolution", "the metric"), list,
+                    "grid resolution"), spec.get("p", 2))
         if list(space.points) != list(points):
             raise ParameterError("grid points do not match the points list")
         return space, nbhd
@@ -176,9 +150,7 @@ def _space_from_spec(points, spec):
 def _nbhd_from_spec(space: MetricSpace, spec, grid_nbhd) -> NeighborhoodSystem:
     kind = _expect(spec, dict, "neighborhoods").get("kind")
     if kind == "ball":
-        return ball_neighborhoods(
-            space, _parsed(float, _key(spec, "r", "the neighborhoods"),
-                           "ball radius r"))
+        return ball_neighborhoods(space, _key(spec, "r", "the neighborhoods"))
     if kind == "explicit":
         adj = _expect(_key(spec, "adj", "the neighborhoods"), list,
                       "neighbor pairs")
@@ -280,6 +252,7 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
     or "grid" (1D/2D box grid with a random p-metric).
     field_spec maps field names to {"p_inf": ..., "low": ..., "high": ...}.
     """
+    n_points = _parsed(_index, n_points, "n_points")
     if n_points < 1:
         raise ParameterError(f"need at least one point, got {n_points}")
     if field_spec is None:
@@ -345,7 +318,7 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
     provenance = {
         "generator": "gen_random_instance",
         "algorithm": PRNG_ALGORITHM,
-        "params": {"seed": seed_repr, "n_points": int(n_points),
+        "params": {"seed": seed_repr, "n_points": n_points,
                    "metric_kind": metric_kind,
                    "field_spec": {k: dict(v) for k, v in field_spec.items()}},
     }

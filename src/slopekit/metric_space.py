@@ -16,7 +16,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .config import _exceeds, _quiet, _require_level, _within, resolve_tol
+from .config import (_exceeds, _index, _pair, _parsed, _quiet, _require_level,
+                     _within, resolve_tol)
 from .errors import DomainError, MetricError, ParameterError, ShapeError
 
 
@@ -56,6 +57,8 @@ def _as_square_matrix(dist, copy=False) -> np.ndarray:
     except (TypeError, ValueError):
         raise ShapeError("distance matrix entries must be numbers, in rows "
                          "of equal length") from None
+    except OverflowError:   # an int past the float range
+        raise ShapeError("distance matrix entries must be finite") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"distance matrix must be square, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -133,6 +136,8 @@ def _as_coords(coords, n) -> tuple:
     except (TypeError, ValueError):
         raise ShapeError("coordinates must be numbers, one common dimension "
                          "per point") from None
+    except OverflowError:   # an int past the float range
+        raise ShapeError("coordinates must be finite") from None
     if arr.ndim != 2 or arr.shape[0] != n or arr.shape[1] < 1:
         raise ShapeError(f"coordinates must form an array of shape ({n}, dim) "
                          f"with dim >= 1, got shape {arr.shape}")
@@ -434,7 +439,7 @@ def _pair_system(points, ends) -> NeighborhoodSystem:
 def ball_neighborhoods(space: MetricSpace, r: float, tol=None) -> NeighborhoodSystem:
     """Neighbors of x are all points within distance r of x."""
     tol = resolve_tol(tol)
-    _require_level(r, "ball radius")
+    r = _require_level(r, "ball radius")
     within = _within(space.dist, r, tol)
     within &= within.T   # both ways, as dist is symmetric only up to tol
     np.fill_diagonal(within, False)
@@ -522,7 +527,8 @@ def shortest_path_space(vertices, edges) -> MetricSpace:
         return i if 0 <= i < n else -1
     ends = np.fromiter(map(vertex, chain(refs[0], refs[1])), np.intp,
                        2 * len(edges)).reshape(2, -1)
-    w = np.fromiter(map(float, refs[2]), float, len(edges))
+    w = np.fromiter([_parsed(float, x, "edge weight") for x in refs[2]], float,
+                    len(edges))
     return _graph_space(vertices, ends, w, refs)
 
 
@@ -586,9 +592,11 @@ def metric_closure(weights: np.ndarray) -> np.ndarray:
     Repairs an arbitrary dissimilarity into a true metric; used by the
     random-matrix instance generator.
     """
-    w = _as_square_matrix(weights)
-    with _quiet():   # a sum past the float range is inf
-        w = (w + w.T) / 2.0
+    v = _as_square_matrix(weights)
+    with _quiet():   # where the sum passes the float range, halve first:
+        w = (v + v.T) / 2.0   # exact at that size, but not for subnormals
+        over = np.isinf(w)
+        w[over] = v[over] / 2.0 + v.T[over] / 2.0
     np.fill_diagonal(w, 0.0)
     if (w[~np.eye(w.shape[0], dtype=bool)] <= 0).any():
         raise ParameterError("off-diagonal weights must be positive")
@@ -634,8 +642,10 @@ def grid_space(bounds, resolution, p=2.0):
     axis-adjacent nodes.  p may be any real >= 1 or math.inf; for p = 1, 2
     or inf the distances carry the rounding bound derived above.
     """
-    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-    resolution = [int(r) for r in resolution]
+    bounds = [_parsed(lambda b: _pair(b, float), b, "grid bound (want [lo, hi])")
+              for b in bounds]
+    resolution = [_parsed(_index, r, "grid resolution") for r in resolution]
+    p = _parsed(float, p, "metric exponent p")
     if len(bounds) != len(resolution):
         raise ParameterError("bounds and resolution must have equal length")
     if not bounds:
@@ -646,7 +656,7 @@ def grid_space(bounds, resolution, p=2.0):
     for r in resolution:
         if r < 2:
             raise ParameterError(f"resolution must be >= 2 per axis, got {r}")
-    if not (p == math.inf or p >= 1):
+    if not p >= 1:   # inf too, not nan
         raise ParameterError(f"metric exponent must be >= 1 or inf, got {p}")
 
     with _quiet():   # an inf or nan from a span past the float range is refused

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _exceeds, _quiet, _require_level, _within, resolve_tol
+from .config import (_exceeds, _parsed, _quiet, _require_level, _within,
+                     resolve_tol)
 from .errors import (DomainError, FatalFinding, ImproperFieldError,
                      ParameterError, UndefinedArithmeticError)
 from .metric_space import MetricSpace, NeighborhoodSystem, _aligned
@@ -32,8 +33,11 @@ class ScalarField:
     values: tuple   # one float per point; +inf allowed, -inf and nan are not
 
     def __post_init__(self):
-        # each value goes through float(), whose conversions and errors stay
-        array = np.fromiter(map(float, self.values), dtype=float)
+        # each value goes through float(), whose conversions and errors stay,
+        try:   # but for an int past the float range
+            array = np.fromiter(map(float, self.values), dtype=float)
+        except OverflowError as exc:
+            raise ParameterError(f"field value out of range: {exc}") from None
         if len(array) != self.space.n:
             raise ParameterError(
                 f"{len(array)} values for {self.space.n} points")
@@ -94,12 +98,13 @@ def _field(space: MetricSpace, array) -> ScalarField:
 def scale_field(f: ScalarField, r: float) -> ScalarField:
     """r·f for r >= 0.  r = 0 gives the zero field everywhere (so that the
     result is a real-valued constant even off dom f)."""
-    if r < 0:
+    r = _parsed(float, r, "scale factor")
+    if r < 0:   # nan gives a nan field, refused as such
         raise ParameterError(f"scale factor must be nonnegative, got {r}")
     if r == 0:
         return _field(f.space, np.zeros(f.space.n))
     with _quiet():   # r·f may round to ±inf
-        return _field(f.space, float(r) * f.array)
+        return _field(f.space, r * f.array)
 
 
 def _same_space(f: ScalarField, g: ScalarField):
@@ -244,7 +249,7 @@ def slope_profile(f: ScalarField, nbhd: NeighborhoodSystem) -> SlopeProfile:
 def eps_argmin(f: ScalarField, eps: float, tol=None) -> tuple:
     """{x : f(x) <= inf f + eps}."""
     tol = resolve_tol(tol)
-    _require_level(eps, strict=False)
+    eps = _require_level(eps, strict=False)
     pts, lo = f.space.points, f.min_finite()   # eps = inf takes all points
     return tuple(map(pts.__getitem__,
                      _within(f.array, lo + eps, tol).nonzero()[0].tolist()))
@@ -253,7 +258,7 @@ def eps_argmin(f: ScalarField, eps: float, tol=None) -> tuple:
 def eps_crit(f: ScalarField, nbhd: NeighborhoodSystem, eps: float, tol=None) -> tuple:
     """Sub-level set of the local slope at level eps."""
     tol = resolve_tol(tol)
-    _require_level(eps, strict=False)
+    eps = _require_level(eps, strict=False)
     return _points_where(f, _within(slopes(f, nbhd), eps, tol))
 
 
@@ -270,8 +275,8 @@ def eps_Crit(f: ScalarField, eps: float, tol=None) -> tuple:
 def _crit_rows(f: ScalarField, eps, tol) -> tuple:
     """The indices of eps_Crit(f, eps, tol), as an array, and its points."""
     tol = resolve_tol(tol)
-    _require_level(eps, strict=False)
-    key = (float(eps), tol)
+    eps = _require_level(eps, strict=False)
+    key = (eps, tol)
     if key not in f._crit:
         v, pts, d = f.array, f.space.points, f.space.dist
         rows = (_within(slopes(f), eps, tol) & f._in_dom).nonzero()[0]
@@ -300,6 +305,7 @@ def pasch_hausdorff(f: ScalarField, eps: float) -> ScalarField:
     when every such sum overflows, e.g. f = (0, +inf) on two points 4
     apart with eps = 1e308 gives g = (0.0, inf).
     """
+    eps = _parsed(float, eps, "eps")
     if not 0 < eps < INF:   # nan too
         raise ParameterError(f"eps must be positive and finite, got {eps}")
     _require_proper(f)
@@ -314,8 +320,8 @@ def pasch_hausdorff(f: ScalarField, eps: float) -> ScalarField:
 
 def truncate(g: ScalarField, lam: float) -> ScalarField:
     """Pointwise min(g, lam).  Never increases either slope."""
-    lam, v = float(lam), g.array   # min(v, lam) is v unless lam < v
-    return _field(g.space, np.where(lam < v, lam, v))
+    lam, v = _parsed(float, lam, "lambda"), g.array
+    return _field(g.space, np.where(lam < v, lam, v))   # v unless lam < v
 
 
 def log_distance_field(space: MetricSpace, a) -> ScalarField:
@@ -344,7 +350,7 @@ def _sublevel_mask(f: ScalarField, g: ScalarField, lam, tol) -> np.ndarray:
     tol = resolve_tol(tol)
     _same_space(f, g)
     _require_proper(f)
-    lam = float(lam)
+    lam = _parsed(float, lam, "lambda")
     with _quiet():   # inf - inf off dom f is nan; an overflow is ±inf
         return ~g._in_dom | _within(f.array - g.array, lam, tol)
 

@@ -10,10 +10,10 @@ actually detects breakage.
 
 import numpy as np
 
-from .config import _below, _exceeds, _within, resolve_tol
+from .config import _below, _exceeds, _index, _parsed, _within, resolve_tol
 from .errors import FatalFinding, HypothesisViolation, ParameterError
-from .instances import (_expect, _index, _p_inf, _parsed, _seed,
-                        gen_dominated_pair, instance_stream)
+from .instances import (_expect, _p_inf, _seed, gen_dominated_pair,
+                        instance_stream)
 from .metric_space import NeighborhoodSystem, validate_metric
 from .slope_core import (INF, ScalarField, _crit_rows, _points_where,
                          add_fields, eps_Crit, global_slope,
@@ -46,7 +46,7 @@ def _broken_truncate(g: ScalarField, lam: float) -> ScalarField:
     # applies the cutoff at a single point only
     vals = list(g.values)
     i = max(g._dom.tolist(), key=lambda j: vals[j])
-    vals[i] = min(vals[i], float(lam))
+    vals[i] = min(vals[i], _parsed(float, lam, "lambda"))
     return ScalarField(g.space, tuple(vals))
 
 

@@ -11,8 +11,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import (_at_least, _exceeds, _quiet, _require_level, _within,
-                     resolve_tol)
+from .config import (_at_least, _exceeds, _parsed, _quiet, _require_level,
+                     _within, resolve_tol)
 from .errors import FatalFinding, HypothesisViolation, ParameterError
 from .metric_space import NeighborhoodSystem
 from .slope_core import (INF, ScalarField, _crit_rows, _require_in_dom,
@@ -28,7 +28,7 @@ def ekeland_point(f: ScalarField, x0, lam: float):
     S(x) = {y : f(y) <= f(x) - lam*dist(y, x)} (ties broken by point
     order) until S(x) = {x}.
     """
-    _require_level(lam, "lambda")
+    lam = _require_level(lam, "lambda")
     i = _require_in_dom(f, x0)
     return f.space.points[_ekeland_index(f.array, f.space.dist, i, lam)]
 
@@ -59,7 +59,7 @@ def descent_step(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
     tol = resolve_tol(tol)
     if mode not in ("local", "global"):
         raise ParameterError(f"mode must be 'local' or 'global', got {mode!r}")
-    _require_level(eps)
+    eps = _require_level(eps)
     _require_in_dom(f, x0)
     bad = strict_comparison_witnesses(
         f, g, nbhd if mode == "local" else None, tol)
@@ -111,12 +111,9 @@ def descent_to_critical(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem
     tol = resolve_tol(tol)
     _same_space(f, g)   # also when x0 is already 0-critical
     if eps_schedule is None:
-        _require_level(eps0, "eps0")
-        eps_schedule = default_eps_schedule(eps0)
+        eps_schedule = default_eps_schedule(_require_level(eps0, "eps0"))
     else:
-        eps_schedule = [float(e) for e in eps_schedule]
-        if any(not e > 0 for e in eps_schedule):   # nan too
-            raise ParameterError("eps schedule must be positive")
+        eps_schedule = [_require_level(e, "eps schedule") for e in eps_schedule]
         if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
             raise ParameterError("eps schedule must be strictly decreasing")
 
@@ -276,7 +273,7 @@ def check_tz(f: ScalarField, g: ScalarField, tol=None) -> CheckReport:
 def check_lips(f: ScalarField, g: ScalarField, eps: float, tol=None) -> CheckReport:
     """For finite-valued dominated pairs, inf(f-g) is attained on eps-Crit f."""
     tol = resolve_tol(tol)
-    _require_level(eps)
+    eps = _require_level(eps)
     _require_finite_everywhere(f, "f")
     _require_finite_everywhere(g, "g")
     bad = domination_witnesses(f, g, tol)
@@ -292,9 +289,10 @@ def check_lsc(f: ScalarField, g: ScalarField, r: float, eps: float,
               tol=None) -> CheckReport:
     """inf over dom f of (f - r g) equals its inf over eps-Crit f, r in (0,1)."""
     tol = resolve_tol(tol)
+    r = _parsed(float, r, "r")
     if not 0 < r < 1:
         raise ParameterError(f"r must be in (0, 1), got {r}")
-    _require_level(eps)
+    eps = _require_level(eps)
     _require_proper(f)
     bad = domination_witnesses(f, g, tol)
     if bad:

@@ -55,6 +55,23 @@ class TestValidate:
         report = json.loads(capsys.readouterr().out)
         assert not report["ok"] and report["violations"]
 
+    @pytest.mark.parametrize("entry", ["dist", "field"])
+    def test_integer_past_the_float_range(self, tmp_path, capsys, entry):
+        # json reads 10**400 as a Python int, which float() refuses
+        big = {"dist": [[0, 10 ** 400], [10 ** 400, 0]],
+               "field": [[0, 1], [1, 0]]}[entry]
+        obj = {"points": ["a", "b"], "metric": {"kind": "matrix", "dist": big},
+               "neighborhoods": {"kind": "all"},
+               "fields": {"f": [10 ** 400 if entry == "field" else 0, 1]}}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(obj))
+        assert main(["validate", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == {
+            "dist": "input error: distance matrix entries must be finite\n",
+            "field": f"input error: malformed value of field 'f': {10 ** 400}\n",
+        }[entry]
+
     @pytest.mark.parametrize("metric", [
         {"kind": "graph", "edges": [[0, 1, 1e-10], [1, 2, 1.0]]},
         {"kind": "grid", "bounds": [[0.0, 2e-10]], "resolution": [3]}])

@@ -2,7 +2,12 @@
 ``config._quiet``, so an overflow is +-inf, inf - inf or inf * 0 is nan, and
 no public function warns, or reads the caller's ``np.seterr`` state, on
 legal finite input.  Each row below pins what a call on values near the
-float limit returns or raises."""
+float limit returns or raises.
+
+One numeric entry: every number a caller passes (a level, tolerance,
+radius, factor or exponent) becomes a Python float by float()'s rules in
+``config``, or a ``ParameterError``; a numpy scalar gives what the equal
+Python float gives."""
 
 import math
 import warnings
@@ -13,20 +18,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopekit import (MetricError, MetricSpace, ParameterError, PLConvex,
-                      ScalarField, ShapeError, SlopekitError,
-                      add_fields, all_pairs_neighborhoods, ball_neighborhoods,
-                      check_compact, check_lips, check_lsc, check_tz,
-                      definitional_global_slope, descent_step,
-                      descent_to_critical, domination_witnesses,
-                      ekeland_point, eps_argmin, eps_crit, eps_Crit,
-                      gen_dominated_pair, global_slope, grid_space,
-                      local_slope, log_distance_field, mr_check,
+from slopekit import (MetricError, MetricSpace, NeighborhoodSystem,
+                      ParameterError, PLConvex, ScalarField, ShapeError,
+                      SlopekitError, add_fields, all_pairs_neighborhoods,
+                      ball_neighborhoods, check_compact, check_lips,
+                      check_lsc, check_tz, definitional_global_slope,
+                      descent_step, descent_to_critical,
+                      domination_witnesses, ekeland_point, eps_argmin,
+                      eps_crit, eps_Crit, explicit_neighborhoods,
+                      gen_dominated_pair, gen_random_instance, global_slope,
+                      grid_space, local_slope, log_distance_field, mr_check,
                       pasch_hausdorff, restrict, sample_to_field,
                       scale_field, shortest_path_space, slope_profile,
                       slopes, strict_comparison_witnesses, sub_fields,
                       sublevel_diff, truncate, validate_metric,
                       verify_trace)
+from slopekit.config import resolve_tol
 from slopekit.metric_space import metric_closure
 
 INF = math.inf
@@ -69,6 +76,8 @@ SKEW_REPORT = (
     "dist[2][0] = 1.0 > dist[2][1] + dist[1][0] = -1e+308; "
     "dist[0][1] = 1e+308 > dist[0][2] + dist[2][1] = 2.0")
 NOT_FINITE = (ShapeError, "distance matrix entries must be finite")
+BIG_INT = 10 ** 400   # an int past the float range
+PL = PLConvex((0.0,), (-1.0, 1.0), 0.0)
 
 REPRODUCERS = {
     "check_lips": (
@@ -124,6 +133,74 @@ REPRODUCERS = {
         lambda: gen_dominated_pair(3, F3, "compose"),
         (ParameterError, "the finite values of f span -1e+308 to 1e+308, "
                          "more than the largest float")),
+    # a numpy scalar is a Python float before any sum with tol
+    "eps_argmin, numpy eps": (
+        lambda: eps_argmin(F2, np.float64(BIG)), ("a", "b")),
+    "eps_crit, numpy eps and tol": (
+        lambda: eps_crit(F2, ALL2, np.float64(1.7e308), tol=np.float64(BIG)),
+        ("a", "b")),
+    "ball_neighborhoods, numpy radius": (
+        lambda: ball_neighborhoods(TWO, np.float64(1.7e308),
+                                   tol=BIG).mask.tolist(),
+        [[False, True], [True, False]]),
+    # a number float() refuses is a ParameterError
+    "resolve_tol, string": (
+        lambda: resolve_tol("abc"),
+        (ParameterError, "malformed tolerance: 'abc'")),
+    "resolve_tol, big int": (
+        lambda: resolve_tol(BIG_INT),
+        (ParameterError, f"malformed tolerance: {BIG_INT}")),
+    "sublevel_diff, string": (
+        lambda: sublevel_diff(F2, F2, "x"),
+        (ParameterError, "malformed lambda: 'x'")),
+    "mr_check, string tol": (
+        lambda: mr_check(PL, PL, tol="x"),
+        (ParameterError, "malformed tolerance: 'x'")),
+    "descent_to_critical, big int schedule": (
+        lambda: descent_to_critical(F2, G2, ALL2, "a", eps_schedule=[BIG_INT]),
+        (ParameterError, f"malformed eps schedule: {BIG_INT}")),
+    # an int past the float range in data is an input error
+    "MetricSpace, big int": (
+        lambda: MetricSpace(("a", "b"), [[0, BIG_INT], [BIG_INT, 0]]),
+        NOT_FINITE),
+    "MetricSpace, big int coordinate": (
+        lambda: MetricSpace(("a", "b"), [[0, 1], [1, 0]],
+                            coords=[[0], [BIG_INT]]),
+        (ShapeError, "coordinates must be finite")),
+    "ScalarField, big int": (
+        lambda: ScalarField(TWO, (BIG_INT, 0)),
+        (ParameterError,
+         "field value out of range: int too large to convert to float")),
+    "grid_space, big int bound": (
+        lambda: grid_space([(0, BIG_INT)], [3]),
+        (ParameterError,
+         f"malformed grid bound (want [lo, hi]): (0, {BIG_INT})")),
+    "shortest_path_space, string weight": (
+        lambda: shortest_path_space(["a", "b"], [("a", "b", "x")]),
+        (ParameterError, "malformed edge weight: 'x'")),
+    # a count is an int or a float with an integer value
+    "grid_space, fractional resolution": (
+        lambda: grid_space([(0, 1)], [2.7]),
+        (ParameterError, "malformed grid resolution: 2.7")),
+    "grid_space, infinite resolution": (
+        lambda: grid_space([(0, 1)], [INF]),
+        (ParameterError, "malformed grid resolution: inf")),
+    "grid_space, numpy fractional resolution": (
+        lambda: grid_space([(0, 1)], [np.float32(2.5)]),
+        (ParameterError, "malformed grid resolution: np.float32(2.5)")),
+    "gen_random_instance, fractional size": (
+        lambda: gen_random_instance(0, 2.5),
+        (ParameterError, "malformed n_points: 2.5")),
+    # the symmetrised weight of a connected pair overflowed: halved first
+    "metric_closure, overflow": (
+        lambda: metric_closure([[0, BIG], [BIG, 0]]).tolist(),
+        [[0.0, BIG], [BIG, 0.0]]),
+    # only the overflowed entry is halved first: 5e-324 / 2 rounds to 0,
+    # which would be refused as a nonpositive weight
+    "metric_closure, overflow beside a subnormal": (
+        lambda: metric_closure([[0, BIG, 5e-324], [BIG, 0, 1.7e308],
+                                [5e-324, 1.7e308, 0]]).tolist(),
+        [[0.0, BIG, 5e-324], [BIG, 0.0, BIG], [5e-324, BIG, 0.0]]),
 }
 
 
@@ -142,18 +219,112 @@ def test_disconnected_graph_with_overflow_keeps_its_message():
         shortest_path_space(["a", "b", "c"], [("a", "b", BIG)])
 
 
+# --- every public scalar parameter, as each kind of caller number ----------
+
+# f = (0, 1, 3) on three points of a line, g = f / 2, neighbours along it
+E3 = MetricSpace(("a", "b", "c"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+F013 = ScalarField(E3, (0.0, 1.0, 3.0))
+G013 = scale_field(F013, 0.5)
+LINE = explicit_neighborhoods(E3, [("a", "b"), ("b", "c")])
+
+# parameter -> (a call of it, a value for the float64 row, one for the
+# float32 row).  The values put a level's sum with the tolerance past the
+# float range, or past float32's, where a numpy scalar used to warn; a
+# report that holds the parameter shows its type.
+SCALARS = {
+    "eps_argmin.eps": (lambda v: eps_argmin(F2, v), BIG, 1.0),
+    "eps_crit.eps": (lambda v: eps_crit(F2, ALL2, v, tol=BIG), 1.7e308, 1.0),
+    "eps_Crit.eps": (lambda v: eps_Crit(F2, v, tol=BIG), 1.7e308, 1.0),
+    "pasch_hausdorff.eps": (lambda v: pasch_hausdorff(F3, v), BIG, 1.0),
+    "descent_step.eps": (
+        lambda v: descent_step(F013, G013, LINE, "c", v), 0.5, 0.5),
+    "check_lips.eps": (lambda v: check_lips(F2, G2, v), 0.5, 0.5),
+    "check_lsc.eps": (lambda v: check_lsc(F2, G2, 0.5, v), 0.5, 0.5),
+    "check_lsc.r": (lambda v: check_lsc(F2, G2, v, 0.5), 0.5, 0.5),
+    "ekeland_point.lam": (lambda v: ekeland_point(F3, "a", v), BIG, 1.0),
+    "descent_to_critical.eps0": (
+        lambda v: descent_to_critical(F013, G013, LINE, "c", eps0=v),
+        1.0, 1.0),
+    "descent_to_critical.eps_schedule": (
+        lambda v: descent_to_critical(F013, G013, LINE, "c",
+                                      eps_schedule=[v]), 0.5, 0.5),
+    "ball_neighborhoods.r": (
+        lambda v: ball_neighborhoods(TWO, v, tol=BIG), 1.7e308, 1.0),
+    "scale_field.r": (lambda v: scale_field(F3, v), 0.5, 0.5),
+    "truncate.lam": (lambda v: truncate(F3, v), BIG, 1.0),
+    "sublevel_diff.lam": (lambda v: sublevel_diff(F2, G2, v), BIG, 1.0),
+    "grid_space.p": (lambda v: grid_space([(0, 1)], [3], v), 3.0, 3.0),
+    # None is no caller number here: tol=None means the global tolerance
+    "resolve_tol.tol": (resolve_tol, BIG, 1e-9),
+    "eps_argmin.tol": (lambda v: eps_argmin(F2, 1.0, tol=v), BIG, 1.0),
+    "eps_crit.tol": (lambda v: eps_crit(F2, ALL2, 1.7e308, tol=v), BIG, 1.0),
+    "ball_neighborhoods.tol": (
+        lambda v: ball_neighborhoods(TWO, 1.7e308, tol=v), BIG, 1.0),
+    "domination_witnesses.tol": (
+        lambda v: domination_witnesses(F3, F3, tol=v), BIG, 1.0),
+    "check_tz.tol": (lambda v: check_tz(F2, G2, tol=v), BIG, 1.0),
+    "validate_metric.tol": (lambda v: validate_metric(HUGE, tol=v), BIG, 1.0),
+    "mr_check.tol": (lambda v: mr_check(PL, PL, tol=v), 1e-9, 1e-9),
+}
+NUMBERS = ("float64", "float32", "numeric string", "big int", "string",
+           "None", "nan")
+
+
+def plain(obj):
+    """``obj`` as tuples, lists, dicts and scalars, every number as it is: a
+    field as its values, a space as its points, rows and coordinates, a
+    neighbourhood system as its mask, a report or a trace as its dict."""
+    if isinstance(obj, ScalarField):
+        return obj.values
+    if isinstance(obj, MetricSpace):
+        return obj.points, obj.dist.tolist(), obj.coords
+    if isinstance(obj, NeighborhoodSystem):
+        return obj.points, obj.mask.tolist()
+    if hasattr(obj, "to_dict"):
+        obj = obj.to_dict()
+    if isinstance(obj, dict):
+        return {key: plain(value) for key, value in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return type(obj)(map(plain, obj))
+    return obj
+
+
+@pytest.mark.parametrize("name, number", [
+    (name, number) for name in SCALARS for number in NUMBERS
+    if not (number == "None" and name.endswith(".tol"))])
+def test_caller_number_is_a_python_float_or_refused(name, number):
+    call, at64, at32 = SCALARS[name]
+    value, same = {
+        "float64": (np.float64(at64), at64),
+        "float32": (np.float32(at32), float(np.float32(at32))),
+        "numeric string": (str(at64), at64),
+        "big int": (BIG_INT, None), "string": ("x", None),
+        "None": (None, None), "nan": (math.nan, math.nan)}[number]
+    with caller_state("warnings-error"):
+        got = outcome(lambda: repr(plain(call(value))))
+        if same is None:   # float() refuses it
+            assert got[0] is ParameterError, got
+            assert got[1].startswith("malformed "), got
+        else:   # the result of the equal Python float, to the type: the
+            # repr of a numpy float is np.float64(...)
+            assert got == outcome(lambda: repr(plain(call(same))))
+            assert "np." not in str(got)
+
+
 # --- every public array function on extreme finite values ----------------
 
 EXTREMES = (BIG, -BIG, 1e-308, -1e-308, 0.0)
 LENGTHS = st.sampled_from((1e-308, 1.0, 4.0, BIG))   # distances, levels
 values = st.sampled_from(EXTREMES + (INF,))
+LEVELS = st.one_of(LENGTHS, LENGTHS.map(np.float64), st.just(BIG_INT))
 
 
 @st.composite
 def cases(draw):
     """(kind, n, a symmetric matrix or path weights, f values, g values,
     levels, a tolerance, PL knots and slopes), all drawn from extreme
-    values."""
+    values; the levels and the tolerance may be numpy scalars or an int
+    past the float range."""
     n = draw(st.integers(2, 4))
     kind = draw(st.sampled_from(("matrix", "closure", "path", "grid")))
     upper = draw(st.lists(LENGTHS, min_size=n * n, max_size=n * n))
@@ -161,8 +332,8 @@ def cases(draw):
     gv = draw(st.one_of(   # -f makes f - g = 2f overflow
         st.lists(values, min_size=n, max_size=n),
         st.just([v if v == INF else -v for v in fv])))
-    levels = draw(st.lists(LENGTHS, min_size=3, max_size=3))
-    tol = draw(st.sampled_from((0.0, 1e-9, BIG)))
+    levels = draw(st.lists(LEVELS, min_size=3, max_size=3))
+    tol = draw(st.sampled_from((0.0, 1e-9, BIG, np.float64(BIG), BIG_INT)))
     knots = draw(st.lists(st.sampled_from(EXTREMES), min_size=1, max_size=3,
                           unique=True))
     pl_slopes = draw(st.lists(st.sampled_from(EXTREMES),

@@ -481,3 +481,72 @@ def test_call_made_only_at_its_home(name):
             found.update((module, scope)
                          for scope, _ in calls_of(name, fh.read()))
     assert found == CALL_HOMES[name]
+
+
+def parameter_casts(source: str) -> list:
+    """(enclosing function, line) of each ``float(name)`` call whose ``name``
+    is a parameter of a function (or lambda) that encloses the call."""
+    found = []
+
+    def visit(node, scope, params):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                a = child.args
+                names = {arg.arg for arg in (*a.posonlyargs, *a.args,
+                                             *a.kwonlyargs, a.vararg, a.kwarg)
+                         if arg is not None}
+                visit(child, scope + (getattr(child, "name", "<lambda>"),),
+                      params | names)
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + (child.name,), params)
+                continue
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", None) == "float"
+                    and len(child.args) == 1
+                    and isinstance(child.args[0], ast.Name)
+                    and child.args[0].id in params):
+                found.append((".".join(scope), child.lineno))
+            visit(child, scope, params)
+    visit(ast.parse(source), (), frozenset())
+    return found
+
+
+def test_parameter_cast_is_found():
+    source = (
+        "def f(eps, *rest, lam=1, **kw):\n"
+        "    return float(eps), float(lam), float(rest), float(kw)\n"
+        "def g(r):\n"
+        "    x = r\n"
+        "    return float(x), float(r.real), [float(e) for e in r], float(3)\n"
+        "class C:\n"
+        "    def h(self, tol):\n"
+        "        def inner(y):\n"
+        "            return float(tol), float(y), float(self)\n"
+        "        return inner, (lambda t: float(t)), _parsed(float, tol, 'x')\n"
+        "value = float(eps)\n")
+    assert parameter_casts(source) == [
+        ("f", 2), ("f", 2), ("f", 2), ("f", 2), ("C.h.inner", 9),
+        ("C.h.inner", 9), ("C.h.inner", 9), ("C.h.<lambda>", 10)]
+
+
+def test_caller_numbers_converted_only_in_config():
+    """A caller's number becomes a float through ``config._parsed`` (or
+    ``_require_level``, ``resolve_tol``), not by a cast of its own."""
+    with open(os.path.join(PACKAGE, "slope_core.py")) as fh:
+        source = fh.read()
+    # a copy of the package with truncate's conversion spelled inline again
+    site = 'lam, v = _parsed(float, lam, "lambda"), g.array'
+    line = source[:source.index(site)].count("\n") + 1
+    injected = source.replace(site, "lam, v = float(lam), g.array")
+    assert injected != source
+    assert parameter_casts(injected) == [("truncate", line)]
+    found = {}
+    for module in MODULES + ["__init__.py"]:
+        if module != "config.py":
+            with open(os.path.join(PACKAGE, module)) as fh:
+                sites = parameter_casts(fh.read())
+            if sites:
+                found[module] = sites
+    assert found == {}

@@ -66,7 +66,8 @@ class TestScalarField:
         assert f.array.tolist() == list(want)
 
     @pytest.mark.parametrize("values, error, message", [
-        ((10 ** 400, 1, 2), OverflowError, "int too large to convert to float"),
+        ((10 ** 400, 1, 2), ParameterError,
+         "field value out of range: int too large to convert to float"),
         ((1.0, math.nan, 2.0), ParameterError,
          "field value nan is not in R ∪ {+inf}"),
         (("nan", 1, 2), ParameterError, "field value nan is not in R ∪ {+inf}"),

@@ -203,7 +203,7 @@ class TestDescentToCritical:
 
     def test_nan_in_schedule(self, f013, e3_path_nbhd):
         g = scale_field(f013, 0.5)
-        with pytest.raises(ParameterError, match="^eps schedule must be positive$"):
+        with pytest.raises(ParameterError, match="^eps schedule must be positive, got nan$"):
             descent_to_critical(f013, g, e3_path_nbhd, "c",
                                 eps_schedule=[1.0, math.nan, 0.25])
 
