@@ -17,7 +17,7 @@ from .metric_space import (MetricSpace, NeighborhoodSystem,
 from .slope_core import (ScalarField, SlopeProfile, add_fields,
                          domination_witnesses, eps_argmin, eps_crit, eps_Crit,
                          global_slope, local_slope, log_distance_field,
-                         pasch_hausdorff, pos_part, restrict, scale_field,
+                         pasch_hausdorff, restrict, scale_field,
                          slope_profile, slopes, strict_comparison_witnesses,
                          sub_fields, sublevel_diff, truncate)
 from .suite import run_suite, summary_csv

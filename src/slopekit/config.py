@@ -58,7 +58,15 @@ def _parsed(convert, value, what):
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):
-        raise ParameterError(f"malformed {what}: {value!r}") from None
+        raise ParameterError(f"malformed {what}: {_shown(value)}") from None
+
+
+def _shown(value) -> str:
+    """repr(value); its type if repr refuses (an int past 4,300 digits)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
 
 
 def _index(value):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _exceeds, _parsed, _quiet, _within, resolve_tol
+from .config import _exceeds, _parsed, _quiet, resolve_tol
 from .errors import ParameterError
 from .instances import _expect, _key
 from .metric_space import MetricSpace
@@ -27,9 +27,11 @@ class PLConvex:
     anchor: float    # value at t_1
 
     def __post_init__(self):
-        object.__setattr__(self, "knots", tuple(float(t) for t in self.knots))
-        object.__setattr__(self, "slopes", tuple(float(s) for s in self.slopes))
-        object.__setattr__(self, "anchor", float(self.anchor))
+        for key in ("knots", "slopes"):
+            object.__setattr__(self, key, tuple(
+                _parsed(float, v, f"{key} entry")
+                for v in _parsed(tuple, getattr(self, key), key)))
+        object.__setattr__(self, "anchor", _parsed(float, self.anchor, "anchor"))
         if not self.knots:
             raise ParameterError("need at least one knot")
         if len(self.slopes) != len(self.knots) + 1:
@@ -52,7 +54,7 @@ class PLConvex:
         return float(self.values(x))
 
     def values(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
+        xs = _parsed(lambda v: np.asarray(v, dtype=float), xs, "x")
         t = np.asarray(self.knots)
         s = np.asarray(self.slopes)
         kv = np.asarray(self._knot_values)
@@ -101,12 +103,9 @@ class PLConvex:
 def pl_from_dict(obj: dict) -> PLConvex:
     """A malformed object raises ``ShapeError`` or ``ParameterError``."""
     obj = _expect(obj, dict, "a PL function")
-    knots, slopes = (tuple(_parsed(float, v, f"{key} entry")
-                           for v in _expect(_key(obj, key, "a PL function"),
-                                            list, key))
+    knots, slopes = (_expect(_key(obj, key, "a PL function"), list, key)
                      for key in ("knots", "slopes"))
-    return PLConvex(knots, slopes, _parsed(
-        float, _key(obj, "anchor", "a PL function"), "anchor"))
+    return PLConvex(knots, slopes, _key(obj, "anchor", "a PL function"))
 
 
 @dataclass
@@ -129,36 +128,24 @@ class MRResult:
 
 
 def mr_check(f: PLConvex, g: PLConvex, tol=None) -> MRResult:
-    """Identical subdifferential maps force f = g + constant.
-
-    Both functions are normalized first; identical knots and slopes (the
-    1D structural form of equal subdifferential maps) yield the constant
-    f(t_1) - g(t_1).  Otherwise the first point with differing
-    subdifferentials is reported.
-    """
+    """Identical subdifferential maps force f = g + constant.  The maps are
+    compared at probes: the knots of both normalized forms, the midpoints
+    between them and one point beyond each end.  The first probe where they
+    differ by more than tol is reported; if none does, the constant is
+    f(t_1) - g(t_1) at t_1, the first normalized knot of f."""
     tol = resolve_tol(tol)
     fn = f.normalized(tol)
-    gn = g.normalized(tol)
-    same = (len(fn.knots) == len(gn.knots)
-            and all(_within(abs(a - b), 0.0, tol)
-                    for a, b in zip(fn.knots + fn.slopes, gn.knots + gn.slopes)))
-    if same:
-        t1 = fn.knots[0]
-        return MRResult(constant=f.value(t1) - g.value(t1))
-    # scan candidate points in order: knots of both plus interval midpoints
-    cand = sorted(set(fn.knots) | set(gn.knots))
+    cand = sorted(set(fn.knots) | set(g.normalized(tol).knots))
     probes = [cand[0] - 1.0]
     for a, b in zip(cand, cand[1:]):
-        probes.append(a)
-        probes.append((a + b) / 2.0)
-    probes.extend([cand[-1], cand[-1] + 1.0])
+        probes += [a, (a + b) / 2.0]
+    probes += [cand[-1], cand[-1] + 1.0]
     for x in probes:
-        df = f.subdifferential(x)
-        dg = g.subdifferential(x)
+        df, dg = f.subdifferential(x), g.subdifferential(x)
         if any(_exceeds(abs(p - q), 0.0, tol) for p, q in zip(df, dg)):
             return MRResult(mismatch_at=x, subdiff_f=df, subdiff_g=dg)
-    # normalization said the maps differ, so a probe point must exist
-    raise AssertionError("normalized forms differ but no probe mismatch found")
+    t1 = fn.knots[0]
+    return MRResult(constant=f.value(t1) - g.value(t1))
 
 
 def sample_to_field(f: PLConvex, grid: MetricSpace) -> ScalarField:

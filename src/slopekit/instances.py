@@ -10,11 +10,12 @@ the provenance.
 import json
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import _index, _pair, _parsed, resolve_tol
+from .config import _index, _pair, _parsed, _shown, resolve_tol
 from .errors import FatalFinding, ParameterError, ShapeError
 from .metric_space import (MetricSpace, NeighborhoodSystem, _closure_space,
                            _graph_space, _pair_system, all_pairs_neighborhoods,
@@ -113,6 +114,17 @@ def _p_inf(value) -> float:
     return p_inf
 
 
+def _p_infs(field_spec) -> dict:
+    """{name: p_inf} of a ``field_spec``, {name: {"p_inf": p}}, p 0 if left
+    out; any other shape or key is refused."""
+    if not isinstance(field_spec, Mapping) or not all(
+            isinstance(fs, Mapping) and fs.keys() <= {"p_inf"}
+            for fs in field_spec.values()):
+        raise ParameterError("field_spec must map field names to {} or "
+                             f"{{'p_inf': p}}, got {_shown(field_spec)}")
+    return {name: _p_inf(fs.get("p_inf", 0.0)) for name, fs in field_spec.items()}
+
+
 def _edge(edge):
     u, v, w = edge
     return _index(u), _index(v), float(w)
@@ -206,6 +218,10 @@ def _read_json(path):
             return json.load(fh)
         except UnicodeDecodeError as exc:
             raise ShapeError(f"{path} is not UTF-8 text: {exc}") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:   # an integer literal past int()'s digit limit
+            raise ShapeError(f"{path}: {exc}") from None
 
 
 def load_instance(path) -> Instance:
@@ -235,11 +251,11 @@ def _rng(seed):
     return np.random.default_rng(_parsed(_seed_repr, seed, "seed"))
 
 
-def _random_field_values(rng, n, p_inf=0.0, low=0.0, high=3.0):
-    vals = rng.uniform(low, high, size=n)
+def _random_field_values(rng, n, p_inf):
+    vals = rng.uniform(0.0, 3.0, size=n)
     out = [INF if rng.random() < p_inf else float(v) for v in vals]
     if p_inf < 1.0 and all(v == INF for v in out):
-        out[int(rng.integers(0, n))] = float(rng.uniform(low, high))
+        out[int(rng.integers(0, n))] = float(rng.uniform(0.0, 3.0))
     return tuple(out)
 
 
@@ -250,15 +266,14 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
     metric_kind: "graph" (random connected weighted graph),
     "matrix" (random symmetric weights repaired by shortest-path closure),
     or "grid" (1D/2D box grid with a random p-metric).
-    field_spec maps field names to {"p_inf": ..., "low": ..., "high": ...}.
+    field_spec maps field names to {"p_inf": p}; values are drawn from [0, 3).
     """
     n_points = _parsed(_index, n_points, "n_points")
     if n_points < 1:
         raise ParameterError(f"need at least one point, got {n_points}")
     if field_spec is None:
         field_spec = {"f": {}, "g": {}}
-    for fs in field_spec.values():
-        _p_inf(fs.get("p_inf", 0.0))
+    p_infs = _p_infs(field_spec)
     seed_repr = _parsed(_seed_repr, seed, "seed")
     rng = _rng(seed_repr)
     points = [f"p{i}" for i in range(n_points)]
@@ -309,11 +324,8 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
                      "r": float(np.quantile(pos, rng.uniform(0.3, 0.9)))}
     nbhd = _nbhd_from_spec(space, nbhd_spec, grid_nbhd)
 
-    fields = {}
-    for name, fs in field_spec.items():
-        fields[name] = ScalarField(space, _random_field_values(
-            rng, space.n, p_inf=float(fs.get("p_inf", 0.0)),
-            low=fs.get("low", 0.0), high=fs.get("high", 3.0)))
+    fields = {name: ScalarField(space, _random_field_values(rng, space.n, p))
+              for name, p in p_infs.items()}
 
     provenance = {
         "generator": "gen_random_instance",
@@ -379,16 +391,14 @@ def gen_dominated_pair(seed, f: ScalarField, mode="truncate", tol=None):
     return g, params
 
 
-def gen_random_pl(seed, max_knots=6, span=5.0, min_gap=0.05):
-    """Random piecewise-linear convex function with well-separated knots."""
+def gen_random_pl(seed):
+    """Random PL convex function: 1 to 6 knots in [-5, 5), 0.05 or more apart."""
     from .convex1d import PLConvex
     rng = _rng(seed)
-    k = int(rng.integers(1, max_knots + 1))
-    knots = np.sort(rng.uniform(-span, span, size=k))
-    while k > 1 and np.min(np.diff(knots)) < min_gap:
-        knots = np.sort(rng.uniform(-span, span, size=k))
+    k = int(rng.integers(1, 7))
+    knots = np.sort(rng.uniform(-5.0, 5.0, size=k))
+    while k > 1 and np.min(np.diff(knots)) < 0.05:
+        knots = np.sort(rng.uniform(-5.0, 5.0, size=k))
     steps = rng.uniform(0.1, 2.0, size=k)
-    s0 = float(rng.uniform(-3.0, 1.0))
-    slopes = s0 + np.concatenate([[0.0], np.cumsum(steps)])
-    anchor = float(rng.uniform(-2.0, 2.0))
-    return PLConvex(tuple(map(float, knots)), tuple(map(float, slopes)), anchor)
+    slopes = rng.uniform(-3.0, 1.0) + np.concatenate([[0.0], np.cumsum(steps)])
+    return PLConvex(knots, slopes, rng.uniform(-2.0, 2.0))

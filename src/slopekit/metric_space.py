@@ -539,7 +539,7 @@ def _graph_space(vertices, ends, w, refs) -> MetricSpace:
     bad = unknown | (ends[0] == ends[1]) | (w <= 0) | ~(w < math.inf)
     if bad.any():
         k = int(bad.argmax())
-        (i, j), wk = ends[:, k].tolist(), float(w[k])
+        (i, j), wk = ends[:, k].tolist(), w[k].item()
         if unknown[k]:
             u, v = refs[:2, k].tolist()
             raise DomainError(f"edge ({u!r}, {v!r}) uses unknown vertices")

@@ -20,11 +20,6 @@ from .metric_space import MetricSpace, NeighborhoodSystem, _aligned
 INF = math.inf
 
 
-def pos_part(t: float) -> float:
-    """[t]+ = max{0, t}; defined for finite t and +inf."""
-    return t if t > 0 else 0.0
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """A field on a metric space.  Immutable, so that the slope arrays and

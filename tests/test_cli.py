@@ -272,6 +272,16 @@ class TestMr:
         assert main(["mr", f, g]) == 0
         assert "mismatch_at" in json.loads(capsys.readouterr().out)
 
+    def test_tolerance_boundary_pair_matches(self, tmp_path, capsys):
+        """A pair whose normalized forms differ with no probe telling their
+        subdifferentials apart; it exited 1 with an AssertionError."""
+        f = self._write(tmp_path, "f.json", {"knots": [0, 1],
+                                             "slopes": [0, 1.5e-9, 1], "anchor": 0})
+        g = self._write(tmp_path, "g.json", {"knots": [0, 1],
+                                             "slopes": [0, 0.5e-9, 1], "anchor": 0})
+        assert main(["mr", f, g]) == 0
+        assert json.loads(capsys.readouterr().out) == {"constant": 0.0}
+
     def test_invalid_pl(self, tmp_path):
         f = self._write(tmp_path, "f.json",
                         {"knots": [0.0], "slopes": [1, -1], "anchor": 0.0})
@@ -629,6 +639,23 @@ def test_non_utf8_file_is_input_error(tmp_path, capsys, argv):
     assert captured.err == (
         f"input error: {bad} is not UTF-8 text: 'utf-8' codec can't decode "
         "byte 0xff in position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{bad}"], ["mr", "{bad}", "{bad}"], ["suite", "--config", "{bad}"],
+], ids=["validate", "mr", "suite"])
+def test_integer_literal_past_the_digit_limit_is_input_error(tmp_path, capsys,
+                                                             argv):
+    """json.load raises ValueError, not JSONDecodeError, for an integer
+    literal of more than 4,300 digits; it exited 1 with a traceback."""
+    bad = tmp_path / "long.json"
+    bad.write_text('{"points": ["a", "b"], "metric": {"kind": "matrix", '
+                   f'"dist": [[0, {"1" * 5001}], [1, 0]]}}}}')
+    assert main([a.format(bad=bad) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {bad}: Exceeds the limit "
+                                   "(4300 digits) for integer string conversion")
 
 
 def test_utf8_file_read_as_utf8(tmp_path, capsys):

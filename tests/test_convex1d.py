@@ -40,6 +40,29 @@ class TestPLConvex:
         f = PLConvex((0.0, 1.0), (-1.0, 0.0, 2.0), 0.5)
         assert pl_from_dict(f.to_dict()) == f
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: PLConvex((0,), (0, 1), 10 ** 400),
+         f"malformed anchor: {10 ** 400}"),
+        (lambda: PLConvex(("a",), (0, 1), 0), "malformed knots entry: 'a'"),
+        (lambda: PLConvex((0,), (0, None), 0), "malformed slopes entry: None"),
+        (lambda: PLConvex(5, (0, 1), 0), "malformed knots: 5"),
+        (lambda: ABS.value(10 ** 400), f"malformed x: {10 ** 400}"),
+        (lambda: ABS.value("x"), "malformed x: 'x'"),
+        (lambda: ABS.values([0.0, "x"]), "malformed x: [0.0, 'x']"),
+    ], ids=["anchor", "knot", "slope", "knots", "value-big", "value-string",
+            "values"])
+    def test_malformed_value_refused(self, call, message):
+        """Knots, slopes, anchor and x are read as the loader reads them."""
+        with pytest.raises(ParameterError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_numbers_become_python_floats(self):
+        f = PLConvex([np.float32(0.5), 1], np.array([-1, 0, 1]), np.int64(2))
+        assert f == PLConvex((0.5, 1.0), (-1.0, 0.0, 1.0), 2.0)
+        assert {type(v) for v in (*f.knots, *f.slopes, f.anchor)} == {float}
+        assert type(f.value(np.float32(0.5))) is float
+
 
 class TestSubdifferential:
     def test_abs(self):
@@ -183,6 +206,21 @@ class TestToleranceBoundary:
         for value, knots in ((self.BELOW, (0.0,)), (self.A, (0.0, 1.0))):
             f = PLConvex((0.0, 1.0), (0.0, 1.0, value), 0.0)
             assert f.normalized(TOL).knots == knots
+
+    @pytest.mark.parametrize("f, g, result", [
+        # these two raised AssertionError: their normalized forms differ
+        # (f keeps its knot at 0, g drops it), yet no probe tells them apart
+        (PLConvex((0, 1), (0, 1.5e-9, 1), 0), PLConvex((0, 1), (0, 0.5e-9, 1), 0),
+         {"constant": 0.0}),
+        (PLConvex((0, 1), (0, 1.5e-9, 1), 2), PLConvex((0, 1), (0, 0.5e-9, 1), 0.5),
+         {"constant": 1.5}),
+        # this one read "matched": the normalized forms agree within tol,
+        # but the subdifferentials at 0 differ by 1.5e-9
+        (PLConvex((0, 1), (0, 1.5e-9, 1.7e-9), 0), PLConvex((0, 1), (0, 0, 6e-10), 0),
+         {"mismatch_at": 0.0, "subdiff_f": [0.0, 1.5e-9], "subdiff_g": [0.0, 0.0]}),
+    ], ids=["raised", "raised-shifted", "matched"])
+    def test_mr_check_decided_by_the_probes(self, f, g, result):
+        assert mr_check(f, g, TOL).to_dict() == result
 
     def test_mr_check(self):
         f = PLConvex((0.0,), (0.0, 1.0), 0.0)

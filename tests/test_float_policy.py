@@ -311,6 +311,17 @@ def test_caller_number_is_a_python_float_or_refused(name, number):
             assert "np." not in str(got)
 
 
+def test_int_too_long_to_print_is_refused_with_a_message():
+    """repr refuses an int of more than 4,300 digits; the refusal of one
+    still names what was refused."""
+    huge = 10 ** 5000
+    for call, message in [
+            (lambda: eps_argmin(F2, huge), "malformed eps: <int too long to show>"),
+            (lambda: mr_check(PL, PL, tol=[huge]),
+             "malformed tolerance: <list too long to show>")]:
+        assert outcome(call) == (ParameterError, message)
+
+
 # --- every public array function on extreme finite values ----------------
 
 EXTREMES = (BIG, -BIG, 1e-308, -1e-308, 0.0)

@@ -223,6 +223,37 @@ def test_p_inf_refused_before_the_metric_is_built(monkeypatch, p_inf, message):
     assert str(info.value) == message
 
 
+# each was ignored or raised a raw error when field_spec had the keys
+# "low" and "high" and no shape check
+@pytest.mark.parametrize("field_spec", [
+    {"f": {"p_infinity": 0.9}}, {"f": {"low": "a"}}, {"f": {"high": INF}},
+    {"f": {}, "g": {"p_inf": 0.1, "x": 1}}, [1], "f", {"f": 1}, {"f": None},
+], ids=["misspelt", "low", "high", "extra", "list", "string", "entry-number",
+        "entry-none"])
+def test_field_spec_refused(monkeypatch, field_spec):
+    from slopekit import instances
+    monkeypatch.setattr(instances, "metric_closure", None)
+    with pytest.raises(ParameterError) as info:
+        gen_random_instance(0, 4, metric_kind="matrix", field_spec=field_spec)
+    assert str(info.value) == ("field_spec must map field names to {} or "
+                               f"{{'p_inf': p}}, got {field_spec!r}")
+
+
+def test_field_spec_recorded_as_given():
+    spec = {"f": {}, "g": {"p_inf": 0}}
+    inst = gen_random_instance(0, 4, field_spec=spec)
+    assert inst.provenance["params"]["field_spec"] == spec
+    assert inst.provenance["params"]["field_spec"] is not spec
+
+
+def test_random_pl_takes_only_a_seed():
+    import inspect
+    assert list(inspect.signature(gen_random_pl).parameters) == ["seed"]
+    knots = gen_random_pl(0).knots
+    assert 1 <= len(knots) <= 6 and all(-5 <= t < 5 for t in knots)
+    assert all(b - a >= 0.05 for a, b in zip(knots, knots[1:]))
+
+
 @pytest.mark.parametrize("n, kind, message", [
     (0, "graph", "need at least one point, got 0"),
     (1, "grid", "grid instances need at least two points"),

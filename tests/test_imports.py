@@ -483,12 +483,50 @@ def test_call_made_only_at_its_home(name):
     assert found == CALL_HOMES[name]
 
 
+# mapping reads that ``parameter_casts`` follows, as it follows x.a and x[k]
+MAPPING_READS = ("get", "items", "values")
+
+
+def _read_from(node):
+    """(name, read): the name ``node`` is, or reads from through attributes,
+    subscripts and the ``MAPPING_READS`` calls, and whether it reads."""
+    read = False
+    while isinstance(node, (ast.Attribute, ast.Subscript)) or (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MAPPING_READS):
+        node, read = (node.func if isinstance(node, ast.Call) else node).value, True
+    return getattr(node, "id", None), read
+
+
 def parameter_casts(source: str) -> list:
-    """(enclosing function, line) of each ``float(name)`` call whose ``name``
-    is a parameter of a function (or lambda) that encloses the call."""
+    """(enclosing function, line) of each ``float(x)`` call where x is a
+    caller value: a parameter of a function (or lambda) that encloses the
+    call, a read from one (``float(p.a)``, ``float(p[k])``,
+    ``float(p.get(k))``), or a loop variable over one (``for t in p.a``,
+    also in a comprehension).  In a method other than ``__init__`` and
+    ``__post_init__``, ``self``'s attributes are the object's own, read
+    already; ``float(self)`` is still a cast."""
     found = []
 
+    def caller_value(node, scope, params):
+        name, read = _read_from(node)
+        return name in params and not (
+            read and name == "self"
+            and scope[-1:] not in (("__init__",), ("__post_init__",)))
+
+    def loop_names(loops, scope, params):
+        for loop in loops:   # a later loop may run over an earlier one's names
+            if caller_value(loop.iter, scope, params):
+                params = params | {n.id for n in ast.walk(loop.target)
+                                   if isinstance(n, ast.Name)}
+        return params
+
     def visit(node, scope, params):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                             ast.GeneratorExp)):
+            params = loop_names(node.generators, scope, params)
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            params = loop_names([node], scope, params)
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.Lambda)):
@@ -505,8 +543,7 @@ def parameter_casts(source: str) -> list:
             if (isinstance(child, ast.Call)
                     and getattr(child.func, "id", None) == "float"
                     and len(child.args) == 1
-                    and isinstance(child.args[0], ast.Name)
-                    and child.args[0].id in params):
+                    and caller_value(child.args[0], scope, params)):
                 found.append((".".join(scope), child.lineno))
             visit(child, scope, params)
     visit(ast.parse(source), (), frozenset())
@@ -525,23 +562,55 @@ def test_parameter_cast_is_found():
         "        def inner(y):\n"
         "            return float(tol), float(y), float(self)\n"
         "        return inner, (lambda t: float(t)), _parsed(float, tol, 'x')\n"
-        "value = float(eps)\n")
+        "value = float(eps)\n"
+        "class P:\n"
+        "    def __post_init__(self):\n"
+        "        knots = tuple(float(t) for t in self.knots)\n"
+        "        return knots, float(self.anchor), float(self.a[0])\n"
+        "    def value(self, x):\n"
+        "        return float(self.values(x)), float(self.anchor), float(self)\n"
+        "def gen(spec, rng):\n"
+        "    for name, fs in spec.items():\n"
+        "        p = float(fs.get('p_inf', 0.0)), float(rng.uniform(0, 1))\n"
+        "    return [float(v) for s in spec.values() for v in s], float(spec[0])\n")
     assert parameter_casts(source) == [
-        ("f", 2), ("f", 2), ("f", 2), ("f", 2), ("C.h.inner", 9),
-        ("C.h.inner", 9), ("C.h.inner", 9), ("C.h.<lambda>", 10)]
+        ("f", 2), ("f", 2), ("f", 2), ("f", 2), ("g", 5), ("g", 5),
+        ("C.h.inner", 9), ("C.h.inner", 9), ("C.h.inner", 9),
+        ("C.h.<lambda>", 10), ("P.__post_init__", 14),
+        ("P.__post_init__", 15), ("P.__post_init__", 15), ("P.value", 17),
+        ("gen", 20), ("gen", 21), ("gen", 21)]
+
+
+@pytest.mark.parametrize("module, scope, site, copy", [
+    ("slope_core.py", "truncate",
+     'lam, v = _parsed(float, lam, "lambda"), g.array',
+     "lam, v = float(lam), g.array"),
+    ("convex1d.py", "PLConvex.__post_init__",
+     '_parsed(float, self.anchor, "anchor")', "float(self.anchor)"),
+    ("convex1d.py", "PLConvex.__post_init__",
+     'for key in ("knots", "slopes"):\n            object.__setattr__(self, key, tuple(\n'
+     '                _parsed(float, v, f"{key} entry")\n'
+     '                for v in _parsed(tuple, getattr(self, key), key)))',
+     'object.__setattr__(self, "knots", tuple(float(t) for t in self.knots))'),
+    ("instances.py", "gen_random_instance",
+     "_random_field_values(rng, space.n, p))\n              for name, p in p_infs.items()}",
+     "_random_field_values(rng, space.n, float(fs.get('p_inf', 0.0))))\n"
+     "              for name, fs in field_spec.items()}"),
+], ids=["parameter", "attribute", "loop-variable", "mapping-read"])
+def test_caller_number_cast_is_found_in_the_package(module, scope, site, copy):
+    """A copy of the package with one conversion spelled as a cast again."""
+    with open(os.path.join(PACKAGE, module)) as fh:
+        source = fh.read()
+    line = source[:source.index(site)].count("\n") + 1
+    injected = source.replace(site, copy)
+    assert injected != source
+    assert parameter_casts(source) == []
+    assert parameter_casts(injected) == [(scope, line)]
 
 
 def test_caller_numbers_converted_only_in_config():
     """A caller's number becomes a float through ``config._parsed`` (or
     ``_require_level``, ``resolve_tol``), not by a cast of its own."""
-    with open(os.path.join(PACKAGE, "slope_core.py")) as fh:
-        source = fh.read()
-    # a copy of the package with truncate's conversion spelled inline again
-    site = 'lam, v = _parsed(float, lam, "lambda"), g.array'
-    line = source[:source.index(site)].count("\n") + 1
-    injected = source.replace(site, "lam, v = float(lam), g.array")
-    assert injected != source
-    assert parameter_casts(injected) == [("truncate", line)]
     found = {}
     for module in MODULES + ["__init__.py"]:
         if module != "config.py":

@@ -17,7 +17,7 @@ from slopekit import (DomainError, FatalFinding, ImproperFieldError,
                       eps_crit, eps_Crit, explicit_neighborhoods,
                       gen_dominated_pair, gen_random_instance,
                       global_slope, local_slope,
-                      log_distance_field, pasch_hausdorff, pos_part, restrict,
+                      log_distance_field, pasch_hausdorff, restrict,
                       scale_field, slope_profile, slopes,
                       strict_comparison_witnesses, sub_fields, sublevel_diff,
                       truncate)
@@ -120,11 +120,6 @@ class TestScalarField:
         assert f != ScalarField(MetricSpace(e3.points, 2 * e3.dist), f.values)
         assert (f == f.values) is False and (f != f.values) is True
 
-    def test_pos_part(self):
-        assert pos_part(-2.0) == 0.0
-        assert pos_part(3.0) == 3.0
-        assert pos_part(INF) == INF
-
 
 def loop_slope(f, x, others):
     """Reference: the pointwise definition, one pair at a time."""
@@ -134,7 +129,8 @@ def loop_slope(f, x, others):
         j = f.space.index(y)
         if f.values[j] == INF:
             continue
-        q = pos_part(f.values[i] - f.values[j]) / f.space.dist[i, j]
+        t = f.values[i] - f.values[j]
+        q = (t if t > 0 else 0.0) / f.space.dist[i, j]
         if q > best:
             best = q
     return best
