@@ -3,13 +3,13 @@ finite metric spaces, plus exact 1D piecewise-linear convex subdifferentials."""
 
 from .config import DEFAULT_TOL, get_tol
 from .convex1d import (MRResult, PLConvex, definitional_global_slope,
-                       mr_check, pl_from_dict, sample_to_field)
+                       mr_check, sample_to_field)
 from .errors import (DomainError, FatalFinding, HypothesisViolation,
                      ImproperFieldError, MetricError, ParameterError,
                      ShapeError, SlopekitError, UndefinedArithmeticError)
 from .instances import (Instance, gen_dominated_pair, gen_random_instance,
                         gen_random_pl, instance_from_dict, load_instance,
-                        save_instance)
+                        pl_from_dict, save_instance)
 from .metric_space import (MetricSpace, NeighborhoodSystem,
                            all_pairs_neighborhoods, ball_neighborhoods,
                            explicit_neighborhoods, grid_space,

@@ -15,11 +15,11 @@ import json
 import os
 import sys
 
-from .convex1d import mr_check, pl_from_dict
+from .convex1d import mr_check
 from .errors import (FatalFinding, HypothesisViolation, MetricError,
                      ParameterError, SlopekitError)
 from .instances import (_expect, _json_text, _read_json, _write_json,
-                        gen_random_instance, load_instance)
+                        gen_random_instance, load_instance, pl_from_dict)
 from .metric_space import ValidationReport
 from .slope_core import INF, eps_argmin, eps_crit, eps_Crit, slope_profile
 from .suite import run_suite, summary_csv
@@ -32,12 +32,6 @@ EXIT_HYPOTHESIS = 1
 EXIT_FATAL = 2
 EXIT_INPUT = 3
 
-# Largest `gen --n`.  An instance holds dense n x n arrays (n x n x dim for a
-# grid) and its load runs O(n^3) closure and validation: at n = 1000 a matrix
-# instance takes 5-7 s, 230 MB and a 27 MB file, against 1.1 s and 94 MB at
-# n = 500 (`gen` on 2 vCPUs of a shared Intel Xeon host).
-MAX_GEN_POINTS = 1000
-
 
 def cmd_validate(args):
     report = ValidationReport([])
@@ -48,10 +42,7 @@ def cmd_validate(args):
     return report.to_dict(), EXIT_OK if report.ok else EXIT_INPUT
 
 
-def cmd_gen(args):
-    if not 1 <= args.n <= MAX_GEN_POINTS:
-        raise ParameterError(
-            f"--n must be between 1 and {MAX_GEN_POINTS}, got {args.n}")
+def cmd_gen(args):   # gen_random_instance refuses n outside [1, MAX_POINTS]
     inst = gen_random_instance(
         args.seed, args.n, metric_kind=args.kind,
         field_spec={"f": {"p_inf": args.p_inf}, "g": {"p_inf": args.p_inf}})
@@ -87,8 +78,7 @@ def cmd_evp(args):
 
 def cmd_descent(args):
     inst = load_instance(args.instance)
-    f = inst.field(args.f)
-    g = inst.field(args.g)
+    f, g = inst.field(args.f), inst.field(args.g)
     if args.mode == "global":
         x = descent_step(f, g, inst.nbhd, getattr(args, "from"), args.eps0,
                          mode="global")
@@ -103,8 +93,7 @@ def cmd_descent(args):
 
 def cmd_check(args):
     inst = load_instance(args.instance)
-    f = inst.field(args.f)
-    g = inst.field(args.g)
+    f, g = inst.field(args.f), inst.field(args.g)
     if args.which == "tz":
         report = check_tz(f, g)
     elif args.which == "lips":

@@ -15,9 +15,15 @@ import numpy as np
 
 from .config import _exceeds, _parsed, _quiet, resolve_tol
 from .errors import ParameterError
-from .instances import _expect, _key
 from .metric_space import MetricSpace
 from .slope_core import ScalarField, _field
+
+
+def _float_array(xs) -> np.ndarray:
+    """float() reads each object entry and refuses None, which astype makes nan."""
+    xs = np.asarray(xs)
+    return (np.vectorize(float, otypes=[float])(xs) if xs.dtype == object
+            else xs.astype(float, copy=False))   # a float array is not copied
 
 
 @dataclass(frozen=True)
@@ -54,7 +60,7 @@ class PLConvex:
         return float(self.values(x))
 
     def values(self, xs) -> np.ndarray:
-        xs = _parsed(lambda v: np.asarray(v, dtype=float), xs, "x")
+        xs = _parsed(_float_array, xs, "x")
         t = np.asarray(self.knots)
         s = np.asarray(self.slopes)
         kv = np.asarray(self._knot_values)
@@ -98,14 +104,6 @@ class PLConvex:
     def to_dict(self) -> dict:
         return {"knots": list(self.knots), "slopes": list(self.slopes),
                 "anchor": self.anchor}
-
-
-def pl_from_dict(obj: dict) -> PLConvex:
-    """A malformed object raises ``ShapeError`` or ``ParameterError``."""
-    obj = _expect(obj, dict, "a PL function")
-    knots, slopes = (_expect(_key(obj, key, "a PL function"), list, key)
-                     for key in ("knots", "slopes"))
-    return PLConvex(knots, slopes, _key(obj, "anchor", "a PL function"))
 
 
 @dataclass

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import _index, _pair, _parsed, _shown, resolve_tol
+from .convex1d import PLConvex
 from .errors import FatalFinding, ParameterError, ShapeError
 from .metric_space import (MetricSpace, NeighborhoodSystem, _closure_space,
                            _graph_space, _pair_system, all_pairs_neighborhoods,
@@ -25,6 +26,12 @@ from .slope_core import (INF, ScalarField, _require_proper, domination_witnesses
                          scale_field, truncate)
 
 PRNG_ALGORITHM = "numpy PCG64"
+
+# The most points of an instance, generated or loaded: it holds dense n x n
+# arrays (n x n x dim for a grid) and its load runs O(n^3) closure and
+# validation.  At n = 1000 a matrix instance takes 5-7 s, 230 MB and a 27 MB
+# file, against 1.1 s and 94 MB at n = 500 (`gen`, 2 vCPUs, shared Intel Xeon).
+MAX_POINTS = 1000
 
 
 @dataclass
@@ -106,6 +113,16 @@ def _key(obj, key, what):
         raise ShapeError(f"missing key {key!r} in {what}") from None
 
 
+def _size(value, what, least=-math.inf) -> int:
+    """``value`` as an int from ``least`` to ``MAX_POINTS``, refused before
+    anything of that size is built."""
+    n = _parsed(_index, value, what)
+    if not least <= n <= MAX_POINTS:
+        bound = f"least {least}" if n < least else f"most {MAX_POINTS}"
+        raise ParameterError(f"{what} must be at {bound}, got {_shown(n)}")
+    return n
+
+
 def _p_inf(value) -> float:
     """A field's chance of +inf values, refused outside [0, 1]."""
     p_inf = _parsed(float, value, "p_inf")
@@ -148,14 +165,17 @@ def _space_from_spec(points, spec):
             return _graph_space(points, ends, arr[:, 2].astype(float), ends), None
         return shortest_path_space(points, [
             _parsed(_edge, e, "graph edge (want [u, v, w])") for e in edges]), None
-    if kind == "grid":   # grid_space reads each number
-        space, nbhd = grid_space(
-            _expect(_key(spec, "bounds", "the metric"), list, "grid bounds"),
-            _expect(_key(spec, "resolution", "the metric"), list,
-                    "grid resolution"), spec.get("p", 2))
-        if list(space.points) != list(points):
+    if kind == "grid":   # grid_space reads each number, and names n0, n1, ...
+        bounds, resolution = (_expect(_key(spec, key, "the metric"), list,
+                                      f"grid {key}")
+                              for key in ("bounds", "resolution"))
+        count = 1   # of nodes, capped so that a long resolution stays cheap
+        for r in resolution:   # abs keeps it growing; grid_space refuses r < 2
+            count = min(count * abs(_parsed(_index, r, "grid resolution")),
+                        len(points) + 1)
+        if count != len(points) or points != [f"n{i}" for i in range(count)]:
             raise ParameterError("grid points do not match the points list")
-        return space, nbhd
+        return grid_space(bounds, resolution, spec.get("p", 2))
     raise ParameterError(f"unknown metric kind {kind!r}")
 
 
@@ -175,9 +195,9 @@ def _nbhd_from_spec(space: MetricSpace, spec, grid_nbhd) -> NeighborhoodSystem:
                              for e in adj], dtype=object).reshape(-1, 2)
         outside = ((ends < 0) | (ends >= space.n)).any(axis=1)
         if outside.any():
-            i, j = ends[outside.argmax()].tolist()
-            raise ParameterError(f"neighbor pair [{i}, {j}] is not a pair "
-                                 f"of indices below {space.n}")
+            raise ParameterError(
+                f"neighbor pair {_shown(ends[outside.argmax()].tolist())} "
+                f"is not a pair of indices below {space.n}")
         return _pair_system(space.points, ends.astype(np.intp))
     if kind == "all":
         return all_pairs_neighborhoods(space)
@@ -195,7 +215,8 @@ def instance_from_dict(obj: dict) -> Instance:
     _expect(obj, dict, "an instance")
     points, metric, nbhd_spec = (_key(obj, key, "the instance") for key in
                                  ("points", "metric", "neighborhoods"))
-    points = [str(p) for p in _expect(points, list, "points")]
+    _size(len(_expect(points, list, "points")), "the number of points")
+    points = [str(p) for p in points]
     space, grid_nbhd = _space_from_spec(points, metric)
     nbhd = _nbhd_from_spec(space, nbhd_spec, grid_nbhd)
     fields = {
@@ -209,6 +230,14 @@ def instance_from_dict(obj: dict) -> Instance:
                     seed=_parsed(_seed_repr, obj.get("seed", 0), "seed"),
                     provenance=obj.get("provenance", {}),
                     metric_spec=metric, nbhd_spec=nbhd_spec)
+
+
+def pl_from_dict(obj: dict) -> PLConvex:
+    """A malformed object raises ``ShapeError`` or ``ParameterError``."""
+    obj = _expect(obj, dict, "a PL function")
+    knots, slopes = (_expect(_key(obj, key, "a PL function"), list, key)
+                     for key in ("knots", "slopes"))
+    return PLConvex(knots, slopes, _key(obj, "anchor", "a PL function"))
 
 
 def _read_json(path):
@@ -268,9 +297,9 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
     or "grid" (1D/2D box grid with a random p-metric).
     field_spec maps field names to {"p_inf": p}; values are drawn from [0, 3).
     """
-    n_points = _parsed(_index, n_points, "n_points")
+    n_points = _size(n_points, "n_points")
     if n_points < 1:
-        raise ParameterError(f"need at least one point, got {n_points}")
+        raise ParameterError(f"need at least one point, got {_shown(n_points)}")
     if field_spec is None:
         field_spec = {"f": {}, "g": {}}
     p_infs = _p_infs(field_spec)
@@ -297,11 +326,9 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
         if n_points < 2:
             raise ParameterError("grid instances need at least two points")
         if n_points >= 4 and rng.random() < 0.5:
-            resolution = [2, max(2, n_points // 2)]
-            bounds = [[0.0, 1.0], [0.0, 1.0]]
+            resolution, bounds = [2, n_points // 2], [[0.0, 1.0], [0.0, 1.0]]
         else:
-            resolution = [n_points]
-            bounds = [[0.0, 1.0]]
+            resolution, bounds = [n_points], [[0.0, 1.0]]
         p = [1.0, 2.0, math.inf][int(rng.integers(0, 3))]
         metric_spec = {"kind": "grid", "bounds": bounds,
                        "resolution": resolution,
@@ -342,17 +369,21 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
 def instance_stream(count, seed, max_points=12,
                     kinds=("graph", "matrix", "grid"), p_inf=(0.0, 0.2)):
     """(instance, rng) for the seeds [seed, i], i < count, of the suite and
-    the acceptance batches; n is drawn from rng, as are the checks' inputs."""
+    the acceptance batches; n is drawn from rng, as are the checks' inputs.
+    Bad ``kinds``, ``p_inf`` and ``max_points`` are refused at the first draw."""
+    if not (kinds and p_inf):   # either would divide by zero below
+        raise ParameterError("kinds and p_inf must be nonempty")
+    # grids have two points or more
+    max_points = _size(max_points, "max_points", 2 if "grid" in kinds else 1)
     for i in range(count):
         inst_seed = [seed, i]
         rng = _rng(inst_seed)
         kind = kinds[i % len(kinds)]
         p = p_inf[(i // len(kinds)) % len(p_inf)]
         n = int(rng.integers(2 if kind == "grid" else 1, max_points + 1))
-        inst = gen_random_instance(
+        yield gen_random_instance(
             inst_seed, n, metric_kind=kind,
-            field_spec={"f": {"p_inf": p}, "g": {"p_inf": p}})
-        yield inst, rng
+            field_spec={"f": {"p_inf": p}, "g": {"p_inf": p}}), rng
 
 
 def gen_dominated_pair(seed, f: ScalarField, mode="truncate", tol=None):
@@ -393,7 +424,6 @@ def gen_dominated_pair(seed, f: ScalarField, mode="truncate", tol=None):
 
 def gen_random_pl(seed):
     """Random PL convex function: 1 to 6 knots in [-5, 5), 0.05 or more apart."""
-    from .convex1d import PLConvex
     rng = _rng(seed)
     k = int(rng.integers(1, 7))
     knots = np.sort(rng.uniform(-5.0, 5.0, size=k))

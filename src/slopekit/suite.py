@@ -370,17 +370,12 @@ def run_suite(config=None, tol=None) -> dict:
         if not _expect(cfg[key], list, key):
             raise ParameterError(f"{key} must be a nonempty list")
     seed = _parsed(_seed, cfg["seed"], "seed")
-    count, max_points = (_parsed(_index, cfg[key], key)
-                         for key in ("instances", "max_points"))
+    count = _parsed(_index, cfg["instances"], "instances")
     if count < 0:
         raise ParameterError(f"instances must not be negative, got {count}")
     if max(map(_p_inf, cfg["p_inf"])) == 1:
         raise ParameterError("p_inf must be below 1 in the suite: a field "
                              "that is +inf everywhere has no start point")
-    least = 2 if "grid" in cfg["kinds"] else 1   # grids have two points or more
-    if max_points < least:
-        raise ParameterError(
-            f"max_points must be at least {least}, got {max_points}")
     unknown = set(map(str, cfg["checks"])) - CHECKS.keys()
     if unknown:
         raise ParameterError(f"unknown checks: {sorted(unknown)}")
@@ -392,8 +387,9 @@ def run_suite(config=None, tol=None) -> dict:
 
     summary = {name: {"pass": 0, "fail": 0} for name in cfg["checks"]}
     counterexamples = []
-    for inst, rng in instance_stream(count, seed, max_points, cfg["kinds"],
-                                     cfg["p_inf"]):
+    # the stream refuses a max_points outside its kinds' sizes at its first draw
+    for inst, rng in instance_stream(count, seed, cfg["max_points"],
+                                     cfg["kinds"], cfg["p_inf"]):
         # mutated neighborhoods flow into every check of this instance
         inst.nbhd = ops["nbhd_transform"](inst.nbhd)
         for name in cfg["checks"]:

@@ -91,47 +91,33 @@ class DescentTrace:
         return asdict(self)
 
 
-def default_eps_schedule(eps0: float = 1.0):
-    """eps_n = eps0 / 2^n, n = 1..200."""
-    return [eps0 / 2.0 ** n for n in range(1, 201)]
-
-
 def descent_to_critical(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
-                        x0, eps_schedule=None, eps0: float = 1.0,
-                        tol=None) -> DescentTrace:
-    """Iterate constrained descent steps until a 0-critical point of f.
+                        x0, eps0: float = 1.0, tol=None) -> DescentTrace:
+    """Iterate constrained descent steps, at the levels eps0 / 2^n for
+    n = 1..200, until a 0-critical point of f.
 
     The constraint level is updated to (f-g)(x_n) at every step.  Steps
     that do not move (x already eps_n-critical but not 0-critical) only
-    consume schedule entries; recorded steps strictly decrease f, so on a
-    finite space the trace has fewer points than the space.  A longer
-    trace would realize the impossible escaping branch of the dichotomy
-    and is raised as a fatal finding.
+    consume levels; recorded steps strictly decrease f, so on a finite
+    space the trace has fewer points than the space.  A longer trace would
+    realize the impossible escaping branch of the dichotomy and is raised
+    as a fatal finding.
     """
     tol = resolve_tol(tol)
     _same_space(f, g)   # also when x0 is already 0-critical
-    if eps_schedule is None:
-        eps_schedule = default_eps_schedule(_require_level(eps0, "eps0"))
-    else:
-        eps_schedule = [_require_level(e, "eps schedule") for e in eps_schedule]
-        if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
-            raise ParameterError("eps schedule must be strictly decreasing")
-
+    eps0 = _require_level(eps0, "eps0")
     x = x0
     trace = DescentTrace(
         points=[x0], eps_schedule=[], step_distances=[],
         f_values=[f.value(x0)], diff_values=[f.value(x0) - g.value(x0)],
         terminal_flag="budget-exhausted")
-    checked = False
-    for eps in eps_schedule:
+    for n in range(1, 201):
+        eps = eps0 / 2.0 ** n
         if _within(local_slope(f, nbhd, x), 0.0, tol):
             break
-        if checked:
-            # f and g are fixed, so the first step's hypothesis check holds
-            y = _sublevel_ekeland(f, g, x, eps, tol)
-        else:
-            y = descent_step(f, g, nbhd, x, eps, mode="local", tol=tol)
-            checked = True
+        # f and g are fixed: the hypothesis that step 1 checks holds for all
+        y = (descent_step(f, g, nbhd, x, eps, mode="local", tol=tol) if n == 1
+             else _sublevel_ekeland(f, g, x, eps, tol))
         if y != x:
             trace.points.append(y)
             trace.eps_schedule.append(eps)

@@ -101,6 +101,27 @@ class TestValidate:
                                                        "violations": []}
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"points": [], "metric": {"kind": "grid", "bounds": [[0, 1], [0, 1]],
+                                   "resolution": [1000, 1000]},
+          "neighborhoods": {"kind": "grid"}},
+         "grid points do not match the points list"),
+        ({"points": [f"p{i}" for i in range(20000)],
+          "metric": {"kind": "graph",
+                     "edges": [[i, i + 1, 1.0] for i in range(19999)]},
+          "neighborhoods": {"kind": "all"}},
+         "the number of points must be at most 1000, got 20000"),
+    ], ids=["grid-of-a-million-nodes", "graph-of-20000-points"])
+    def test_oversized_instance_is_input_error(self, tmp_path, capsys, obj,
+                                               message):
+        # these exited 1 with numpy's _ArrayMemoryError
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(obj))
+        assert main(["validate", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 3
 
@@ -123,9 +144,10 @@ class TestGen:
         main(["gen", "--seed", "9", "--n", "6", "-o", b])
         assert open(a).read() == open(b).read()
 
-    @pytest.mark.parametrize("n", [10**7, cli.MAX_GEN_POINTS + 1, 0, -3])
+    @pytest.mark.parametrize("n", [10**7, instances.MAX_POINTS + 1, 0, -3])
     def test_size_refused_before_allocating(self, n, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "gen_random_instance", None)
+        # gen_random_instance refuses the size before it draws anything
+        monkeypatch.setattr(instances, "_rng", None)
         tracemalloc.start()
         try:
             assert main(["gen", "--n", str(n), "--kind", "grid"]) == 3
@@ -133,16 +155,17 @@ class TestGen:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        err = capsys.readouterr().err
-        assert "--n" in err and str(cli.MAX_GEN_POINTS) in err
+        want = (f"n_points must be at most {instances.MAX_POINTS}, got {n}"
+                if n > 0 else f"need at least one point, got {n}")
+        assert capsys.readouterr().err == f"input error: {want}\n"
 
     def test_size_limit_inclusive(self, monkeypatch, capsys):
         sizes = []
         monkeypatch.setattr(cli, "gen_random_instance", lambda seed, n, **kw:
                             sizes.append(n) or gen_random_instance(seed, 3))
-        assert main(["gen", "--n", str(cli.MAX_GEN_POINTS)]) == 0
+        assert main(["gen", "--n", str(instances.MAX_POINTS)]) == 0
         assert main(["gen", "--n", "1"]) == 0
-        assert sizes == [cli.MAX_GEN_POINTS, 1]
+        assert sizes == [instances.MAX_POINTS, 1]
 
 
     def test_negative_seed_refused_before_building(self, monkeypatch,
@@ -361,6 +384,9 @@ class TestSuite:
         (None, "suite config must be a JSON object, got NoneType"),
         ({"seed": -1}, "seed must not be negative, got -1"),
         ({"instances": 1, "seed": -1}, "seed must not be negative, got -1"),
+        ({"max_points": 1001}, "max_points must be at most 1000, got 1001"),
+        ({"instances": 0, "max_points": 10**6},
+         "max_points must be at most 1000, got 1000000"),
     ])
     def test_malformed_config_is_input_error(self, tmp_path, capsys, config,
                                              message):

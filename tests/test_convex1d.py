@@ -49,8 +49,10 @@ class TestPLConvex:
         (lambda: ABS.value(10 ** 400), f"malformed x: {10 ** 400}"),
         (lambda: ABS.value("x"), "malformed x: 'x'"),
         (lambda: ABS.values([0.0, "x"]), "malformed x: [0.0, 'x']"),
+        (lambda: ABS.value(None), "malformed x: None"),
+        (lambda: ABS.values([None, 1.0]), "malformed x: [None, 1.0]"),
     ], ids=["anchor", "knot", "slope", "knots", "value-big", "value-string",
-            "values"])
+            "values", "value-none", "values-none"])
     def test_malformed_value_refused(self, call, message):
         """Knots, slopes, anchor and x are read as the loader reads them."""
         with pytest.raises(ParameterError) as info:

@@ -156,9 +156,6 @@ REPRODUCERS = {
     "mr_check, string tol": (
         lambda: mr_check(PL, PL, tol="x"),
         (ParameterError, "malformed tolerance: 'x'")),
-    "descent_to_critical, big int schedule": (
-        lambda: descent_to_critical(F2, G2, ALL2, "a", eps_schedule=[BIG_INT]),
-        (ParameterError, f"malformed eps schedule: {BIG_INT}")),
     # an int past the float range in data is an input error
     "MetricSpace, big int": (
         lambda: MetricSpace(("a", "b"), [[0, BIG_INT], [BIG_INT, 0]]),
@@ -245,9 +242,6 @@ SCALARS = {
     "descent_to_critical.eps0": (
         lambda v: descent_to_critical(F013, G013, LINE, "c", eps0=v),
         1.0, 1.0),
-    "descent_to_critical.eps_schedule": (
-        lambda v: descent_to_critical(F013, G013, LINE, "c",
-                                      eps_schedule=[v]), 0.5, 0.5),
     "ball_neighborhoods.r": (
         lambda v: ball_neighborhoods(TWO, v, tol=BIG), 1.7e308, 1.0),
     "scale_field.r": (lambda v: scale_field(F3, v), 0.5, 0.5),

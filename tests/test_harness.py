@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from slopekit import (CheckReport, HypothesisViolation, ImproperFieldError,
                       gen_random_instance, gen_random_pl, global_slope,
                       instance_from_dict, load_instance, run_suite,
                       save_instance, summary_csv)
-from slopekit import metric_space, suite
+from slopekit import instances, metric_space, suite
 from slopekit.config import resolve_tol
 from slopekit.instances import instance_stream
 
@@ -262,6 +263,71 @@ def test_too_few_points_refused(n, kind, message):
     with pytest.raises(ParameterError) as info:
         gen_random_instance(0, n, metric_kind=kind)
     assert str(info.value) == message
+
+
+def grid_file():
+    """An instance file of 133 bytes whose grid has a million nodes."""
+    return {"points": [], "metric": {"kind": "grid", "bounds": [[0, 1], [0, 1]],
+                                     "resolution": [1000, 1000]},
+            "neighborhoods": {"kind": "grid"}}
+
+
+def path_file(n):
+    """A graph instance of n points on a path."""
+    return {"points": [f"p{i}" for i in range(n)],
+            "metric": {"kind": "graph",
+                       "edges": [[i, i + 1, 1.0] for i in range(n - 1)]},
+            "neighborhoods": {"kind": "all"}}
+
+
+def first_draw(*args):
+    return next(instance_stream(*args))
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (gen_random_instance, lambda: (0, 1001),
+     "n_points must be at most 1000, got 1001"),
+    (gen_random_instance, lambda: (0, 10**5000),
+     "n_points must be at most 1000, got <int too long to show>"),
+    (instance_from_dict, lambda: (grid_file(),),
+     "grid points do not match the points list"),
+    (instance_from_dict, lambda: (path_file(20000),),
+     "the number of points must be at most 1000, got 20000"),
+    (first_draw, lambda: (3, 0, 12, []), "kinds and p_inf must be nonempty"),
+    (first_draw, lambda: (3, 0, 12, ["graph"], []),
+     "kinds and p_inf must be nonempty"),
+    (first_draw, lambda: (3, 0, 0), "max_points must be at least 2, got 0"),
+    (first_draw, lambda: (0, 0, 1001),
+     "max_points must be at most 1000, got 1001"),
+    (run_suite, lambda: ({"instances": 0, "max_points": 10**6},),
+     "max_points must be at most 1000, got 1000000"),
+], ids=["gen", "gen-huge", "grid-file", "graph-file", "stream-kinds",
+        "stream-p_inf", "stream-least", "stream-most", "suite"])
+def test_point_limit_refused_before_building(call, args, message,
+                                             monkeypatch):
+    """Every route to an instance refuses more than ``MAX_POINTS`` points
+    before it draws or builds anything of that size."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the refusal")
+
+    args = args()
+    for name in ("_rng", "grid_space", "_graph_space", "shortest_path_space"):
+        monkeypatch.setattr(instances, name, refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError) as info:
+            call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message
+    assert peak < 2**20
+
+
+def test_point_limit_inclusive():
+    assert gen_random_instance(0, 1000, metric_kind="grid").space.n == 1000
+    inst = instance_from_dict(path_file(1000))
+    assert inst.space.n == 1000 and inst.space.distance("p0", "p999") == 999
 
 
 class TestSuite:

@@ -1,6 +1,8 @@
 """Every name a library module imports is used in that module.
 
 ``__init__.py`` is exempt: its imports are the package's public names.
+Modules import at module level only, and no two import each other in a
+cycle.
 Library modules also call no numpy helper that only wraps a C entry point
 in Python code (see ``NUMPY_HELPERS``).
 """
@@ -41,6 +43,112 @@ def test_unused_import_is_found():
     source = ("import os\nimport numpy as np\nfrom math import inf, nan\n"
               "print(np.zeros(1), inf)\n")
     assert unused_imports(source) == [(1, "os"), (3, "nan")]
+
+
+def read_sources() -> dict:
+    """File name -> source of every module of the package."""
+    sources = {}
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE, module)) as fh:
+            sources[module] = fh.read()
+    return sources
+
+
+def function_imports(source: str) -> list:
+    """(enclosing function, line) of each import inside a function body;
+    module and class bodies may import."""
+    found = []
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,),
+                      in_function or not isinstance(child, ast.ClassDef))
+                continue
+            if in_function and isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.append((".".join(scope), child.lineno))
+            visit(child, scope, in_function)
+    visit(ast.parse(source), (), False)
+    return found
+
+
+def package_imports(source: str, modules) -> set:
+    """The files of ``modules`` that ``source`` imports from, by relative or
+    absolute import; a name that is no module comes from ``__init__.py``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            parent = (["slopekit"] if node.level else []) + (
+                node.module.split(".") if node.module else [])
+            paths = [parent + [alias.name] for alias in node.names]
+        else:
+            continue
+        for path in paths:
+            if path[0] == "slopekit":
+                name = f"{path[1]}.py" if len(path) > 1 else None
+                found.add(name if name in modules else "__init__.py")
+    return found
+
+
+def import_cycles(sources: dict) -> list:
+    """The sets of modules of ``sources`` (file name -> source) that import
+    one another in a cycle, each as a sorted tuple."""
+    graph = {m: package_imports(src, sources) for m, src in sources.items()}
+    reach = {}
+    for m in graph:
+        seen, todo = set(), list(graph[m])
+        while todo:
+            k = todo.pop()
+            if k not in seen:
+                seen.add(k)
+                todo.extend(graph.get(k, ()))
+        reach[m] = seen
+    return sorted({tuple(sorted(k for k in reach[m] if m in reach.get(k, ())))
+                   for m in graph if m in reach[m]})
+
+
+def test_imports_at_module_level_without_cycles():
+    sources = read_sources()
+    assert {m: function_imports(src) for m, src in sources.items()
+            if function_imports(src)} == {}
+    assert import_cycles(sources) == []
+    # the PL file format lives in instances, which builds on convex1d
+    assert "convex1d.py" in package_imports(sources["instances.py"], sources)
+    assert package_imports(sources["convex1d.py"], sources) == {
+        "config.py", "errors.py", "metric_space.py", "slope_core.py"}
+
+
+def test_function_import_and_cycle_are_found():
+    source = ("import os\n"
+              "def f():\n    import json\n    return json\n"
+              "class C:\n    from math import inf\n"
+              "    def g(self):\n        def h():\n"
+              "            from .config import _index\n")
+    assert function_imports(source) == [("f", 3), ("C.g.h", 9)]
+    sources = {"a.py": "from .b import x\n", "b.py": "from . import c\n",
+               "c.py": "import slopekit.a\nimport numpy\n",
+               "d.py": "from slopekit import a, run\n",
+               "e.py": "from .e import y\n",
+               "__init__.py": "from .a import x\nfrom .d import z\n"}
+    assert package_imports(sources["d.py"], sources) == {"a.py", "__init__.py"}
+    # d takes run from the package, whose __init__ imports d
+    assert import_cycles(sources) == [
+        ("__init__.py", "d.py"), ("a.py", "b.py", "c.py"), ("e.py",)]
+    # copies of the package with the function-level import and the cycle
+    # that the PL reader once needed
+    sources = read_sources()
+    pl = sources["instances.py"]
+    site = "rng = _rng(seed)\n    k = int("
+    line = pl[:pl.index(site)].count("\n") + 1
+    injected = pl.replace(site, "from .convex1d import PLConvex\n    " + site)
+    assert function_imports(injected) == [("gen_random_pl", line)]
+    sources["convex1d.py"] = sources["convex1d.py"].replace(
+        "from .errors import", "from .instances import _expect, _key\n"
+        "from .errors import")
+    assert import_cycles(sources) == [("convex1d.py", "instances.py")]
 
 
 def unreferenced_private_names(sources: dict) -> list:

@@ -159,6 +159,7 @@ class TestValidateReport:
     def test_explicit_tolerance(self, tol):
         d = broken_matrix([6, 1], 12)
         assert validate_metric(d, tol).violations == reference_violations(d, tol)
+        assert validate_metric(np.zeros((1, 1)), tol).summary() == "ok"
 
 
 def excess_ok(arr, tol):
@@ -861,6 +862,7 @@ class TestMaskStorage:
         for dup in (pickle.loads(pickle.dumps(nbhd)), copy.deepcopy(nbhd)):
             assert dup == nbhd and dup.of("a") == {"b", "c"}
             assert not dup.mask.flags.writeable
+        assert nbhd.__eq__(nbhd.points) is NotImplemented and nbhd != nbhd.points
 
     @pytest.mark.parametrize("adj", [
         [[0, 1], [2, 1]], [[0.0, 1.0], [2, 1.0]], [[True, 0], [1, 2]],
@@ -924,7 +926,9 @@ def loaded_system(adj):
      DomainError, "pair ('b', 'q') uses unknown points"),
     (lambda e3: loaded_system([[0, 1], [1, 3]]),
      ParameterError, "neighbor pair [1, 3] is not a pair of indices below 3"),
-], ids=["mapping", "explicit", "loader"])
+    (lambda e3: loaded_system([[0, 10**5000]]), ParameterError,
+     "neighbor pair <list too long to show> is not a pair of indices below 3"),
+], ids=["mapping", "explicit", "loader", "loader-huge-index"])
 def test_unknown_neighbour_refused_at_build(e3, build, error, message):
     """Every route into a system refuses a neighbour that is not a point
     when it builds the system, so none carries one."""
@@ -1703,6 +1707,9 @@ def test_spaces_are_frozen(kind):
         space.dist[0, 0] = 1.0
     assert slopes(ScalarField(space, f.values)).tobytes() == want
     assert [space.index(p) for p in space.points] == list(range(space.n))
+    with pytest.raises(DomainError, match=r"^point 'zz' is not in the space$"):
+        space.index("zz")
+    assert space.__eq__(space.dist) is NotImplemented and space != space.points
     for dup in (pickle.loads(pickle.dumps(space)), copy.deepcopy(space),
                 copy.deepcopy(f).space):
         assert dup == space

@@ -133,6 +133,10 @@ class TestDescentToCritical:
         budget = sum(e * d for e, d in
                      zip(trace.eps_schedule, trace.step_distances))
         assert budget <= f013.value("c") - f013.min_finite() + TOL
+        # the levels are eps0 / 2^n: the first step refuses one that underflows
+        with pytest.raises(ParameterError,
+                           match=r"^eps must be positive, got 0\.0$"):
+            descent_to_critical(f013, g, e3_path_nbhd, "c", eps0=5e-324)
 
     def test_trace_is_rechecked_against_the_pair(self, f013, e3_path_nbhd):
         # the trace from c for g = f / 2 passed any g and any recorded values
@@ -201,12 +205,6 @@ class TestDescentToCritical:
         assert list(got) == [f.name for f in dataclasses.fields(trace)]
         assert got["points"] is not trace.points   # a copy
 
-    def test_nan_in_schedule(self, f013, e3_path_nbhd):
-        g = scale_field(f013, 0.5)
-        with pytest.raises(ParameterError, match="^eps schedule must be positive, got nan$"):
-            descent_to_critical(f013, g, e3_path_nbhd, "c",
-                                eps_schedule=[1.0, math.nan, 0.25])
-
     def test_start_at_critical_point(self, f013, e3_path_nbhd):
         g = scale_field(f013, 0.5)
         trace = descent_to_critical(f013, g, e3_path_nbhd, "a")
@@ -256,12 +254,6 @@ class TestDescentToCritical:
                 assert got == want
                 binding += want != ekeland_point(f, x0, eps)
         assert binding > 0   # M excludes the unconstrained answer somewhere
-
-    def test_nondecreasing_schedule_rejected(self, f013, e3_path_nbhd):
-        g = scale_field(f013, 0.5)
-        with pytest.raises(ParameterError):
-            descent_to_critical(f013, g, e3_path_nbhd, "c",
-                                eps_schedule=[0.5, 0.5])
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -455,10 +447,6 @@ def test_eps0_refused_from_every_start(f013, e3_path_nbhd, start):
     with pytest.raises(ParameterError,
                        match=r"^eps0 must be positive, got -1\.0$"):
         descent_to_critical(f013, g, e3_path_nbhd, start, eps0=-1.0)
-    # eps0 only sets the default schedule
-    trace = descent_to_critical(f013, g, e3_path_nbhd, start,
-                                eps_schedule=[0.5], eps0=-1.0)
-    assert trace.points[-1] == "a"
 
 
 def test_outside_dom_f_has_one_message(e3, e3_path_nbhd):
