@@ -367,15 +367,18 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
 
 
 def instance_stream(count, seed, max_points=12,
-                    kinds=("graph", "matrix", "grid"), p_inf=(0.0, 0.2)):
+                    kinds=("graph", "matrix", "grid"), p_inf=(0.0, 0.2),
+                    start=0, step=1):
     """(instance, rng) for the seeds [seed, i], i < count, of the suite and
     the acceptance batches; n is drawn from rng, as are the checks' inputs.
+    ``start`` and ``step`` select the i in range(start, count, step), one
+    worker's share of a suite batch.
     Bad ``kinds``, ``p_inf`` and ``max_points`` are refused at the first draw."""
     if not (kinds and p_inf):   # either would divide by zero below
         raise ParameterError("kinds and p_inf must be nonempty")
     # grids have two points or more
     max_points = _size(max_points, "max_points", 2 if "grid" in kinds else 1)
-    for i in range(count):
+    for i in range(start, count, step):
         inst_seed = [seed, i]
         rng = _rng(inst_seed)
         kind = kinds[i % len(kinds)]

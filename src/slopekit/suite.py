@@ -8,9 +8,17 @@ operations can be injected through the config to confirm the suite
 actually detects breakage.
 """
 
+import os
+import pickle
+import signal
+import threading
+import warnings
+from collections import Counter
+
 import numpy as np
 
-from .config import _below, _exceeds, _index, _parsed, _within, resolve_tol
+from .config import (_below, _exceeds, _index, _parsed, _shown, _within,
+                     resolve_tol)
 from .errors import FatalFinding, HypothesisViolation, ParameterError
 from .instances import (_expect, _p_inf, _seed, gen_dominated_pair,
                         instance_stream)
@@ -352,13 +360,103 @@ DEFAULT_CONFIG = {
 }
 
 
+def _run_share(cfg, ops, tol, count, seed, start, step):
+    """Pass and fail counts by (check name, "pass" or "fail") and the
+    counterexample records of the instances i in range(start, count, step)."""
+    counts, records = Counter(), []
+    # the stream refuses a max_points outside its kinds' sizes at its first draw
+    for inst, rng in instance_stream(count, seed, cfg["max_points"],
+                                     cfg["kinds"], cfg["p_inf"], start, step):
+        # mutated neighborhoods flow into every check of this instance
+        inst.nbhd = ops["nbhd_transform"](inst.nbhd)
+        for name in cfg["checks"]:
+            try:
+                failures = CHECKS[name](inst, rng, ops, tol)
+            except FatalFinding as exc:
+                failures = [_fail(f"fatal finding: {exc}", payload=exc.witness)]
+            except HypothesisViolation as exc:
+                failures = [_fail(f"unexpected hypothesis violation: {exc}",
+                                  witnesses=exc.witnesses)]
+            counts[name, "fail" if failures else "pass"] += 1
+            records += [{
+                "seed": list(inst.seed),
+                "check": name,
+                "detail": failure["detail"],
+                "witness": failure.get("witness", {}),
+                "instance": inst.to_dict(),
+            } for failure in failures]
+    return counts, records
+
+
+def _workers(count):
+    """How many processes share a batch of ``count`` instances: one per CPU
+    of this process's affinity mask, at most one per instance; one where
+    fork or the mask is missing, or while another Python thread runs, as
+    a forked child would hold that thread's locks but not the thread."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+            or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), count)
+
+
+def _forked_shares(run_share, workers):
+    """[run_share(k, workers) for k < workers]: share 0 runs here and each
+    other share in a forked child, which sends its result back over a pipe
+    as one pickle.  None if any share raised an ``Exception`` or fork
+    failed.  Every child is reaped before this returns or raises."""
+    pids, pipes, statuses = [], [], []
+    done = False
+    try:
+        for k in range(1, workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as out, warnings.catch_warnings():
+                # Python 3.12+ warns at a fork while another OS thread runs,
+                # and numpy's OpenBLAS pool is one.  OpenBLAS shuts that pool
+                # down at each fork (pthread_atfork) and restarts it at its
+                # next call; _workers rules out every Python thread.
+                warnings.filterwarnings(
+                    "ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                    r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
+                pid = os.fork()
+                if pid == 0:
+                    # the child leaves through os._exit whatever happens, so
+                    # it never returns into the caller's program; status 1
+                    # reports an exception
+                    status = 1
+                    try:
+                        pickle.dump(run_share(k, workers), out)
+                        out.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+            pids.append(pid)
+        shares = [run_share(0, workers)]
+        payloads = [pipe.read() for pipe in pipes]
+        done = True
+    except Exception:
+        return None
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if not done:   # no child outlives the call
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    if any(statuses):
+        return None
+    return shares + [pickle.loads(payload) for payload in payloads]
+
+
 def run_suite(config=None, tol=None) -> dict:
     """Run the configured checks over generated instances.
 
     Returns a deterministic report: per-check pass/fail counts plus a
     counterexample record (serialized instance, check name, details) for
     every failure, sorted by instance seed.  A malformed config raises
-    ``ShapeError`` or ``ParameterError``.
+    ``ShapeError`` or ``ParameterError``.  The batch may be shared among
+    forked processes, one per CPU of the affinity mask (``_workers``); the
+    report does not depend on how many.
     """
     tol = resolve_tol(tol)
     cfg = dict(DEFAULT_CONFIG)
@@ -372,7 +470,8 @@ def run_suite(config=None, tol=None) -> dict:
     seed = _parsed(_seed, cfg["seed"], "seed")
     count = _parsed(_index, cfg["instances"], "instances")
     if count < 0:
-        raise ParameterError(f"instances must not be negative, got {count}")
+        raise ParameterError(
+            f"instances must not be negative, got {_shown(count)}")
     if max(map(_p_inf, cfg["p_inf"])) == 1:
         raise ParameterError("p_inf must be below 1 in the suite: a field "
                              "that is +inf everywhere has no start point")
@@ -385,33 +484,23 @@ def run_suite(config=None, tol=None) -> dict:
             raise ParameterError(f"unknown mutation {cfg['mutation']!r}")
         MUTATIONS[cfg["mutation"]](ops)
 
-    summary = {name: {"pass": 0, "fail": 0} for name in cfg["checks"]}
-    counterexamples = []
-    # the stream refuses a max_points outside its kinds' sizes at its first draw
-    for inst, rng in instance_stream(count, seed, cfg["max_points"],
-                                     cfg["kinds"], cfg["p_inf"]):
-        # mutated neighborhoods flow into every check of this instance
-        inst.nbhd = ops["nbhd_transform"](inst.nbhd)
-        for name in cfg["checks"]:
-            try:
-                failures = CHECKS[name](inst, rng, ops, tol)
-            except FatalFinding as exc:
-                failures = [_fail(f"fatal finding: {exc}", payload=exc.witness)]
-            except HypothesisViolation as exc:
-                failures = [_fail(f"unexpected hypothesis violation: {exc}",
-                                  witnesses=exc.witnesses)]
-            if failures:
-                summary[name]["fail"] += 1
-                for failure in failures:
-                    counterexamples.append({
-                        "seed": list(inst.seed),
-                        "check": name,
-                        "detail": failure["detail"],
-                        "witness": failure.get("witness", {}),
-                        "instance": inst.to_dict(),
-                    })
-            else:
-                summary[name]["pass"] += 1
+    def run_share(start, step):
+        return _run_share(cfg, ops, tol, count, seed, start, step)
+
+    shares = None
+    workers = _workers(count)
+    if workers > 1:
+        shares = _forked_shares(run_share, workers)
+    if shares is None:
+        # one process, or a worker raised: this run raises the first
+        # exception in instance order, as the batch would in one process
+        shares = [run_share(0, 1)]
+    counts, counterexamples = Counter(), []
+    for share_counts, records in shares:
+        counts.update(share_counts)
+        counterexamples += records
+    summary = {name: {"pass": counts[name, "pass"], "fail": counts[name, "fail"]}
+               for name in cfg["checks"]}
     counterexamples.sort(key=lambda c: (c["seed"], c["check"]))
     return {
         "config": cfg,

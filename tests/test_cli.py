@@ -139,10 +139,10 @@ class TestGen:
         assert main(["validate", out]) == 0
 
     def test_gen_deterministic(self, tmp_path):
-        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        main(["gen", "--seed", "9", "--n", "6", "-o", a])
-        main(["gen", "--seed", "9", "--n", "6", "-o", b])
-        assert open(a).read() == open(b).read()
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        main(["gen", "--seed", "9", "--n", "6", "-o", str(a)])
+        main(["gen", "--seed", "9", "--n", "6", "-o", str(b)])
+        assert a.read_text() == b.read_text()
 
     @pytest.mark.parametrize("n", [10**7, instances.MAX_POINTS + 1, 0, -3])
     def test_size_refused_before_allocating(self, n, monkeypatch, capsys):
@@ -339,9 +339,9 @@ class TestSuite:
         cfg.write_text(json.dumps({"instances": 9, "max_points": 6}))
         out = str(tmp_path / "report.json")
         assert main(["suite", "--config", str(cfg), "-o", out]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads((tmp_path / "report.json").read_text())
         assert report["ok"]
-        csv = open(str(tmp_path / "report.csv")).read()
+        csv = (tmp_path / "report.csv").read_text()
         assert csv.startswith("check,pass,fail")
 
     def test_mutated_suite_exit_2(self, tmp_path):
@@ -351,7 +351,7 @@ class TestSuite:
                                    "checks": ["evp"]}))
         out = str(tmp_path / "report.json")
         assert main(["suite", "--config", str(cfg), "-o", out]) == 2
-        report = json.loads(open(out).read())
+        report = json.loads((tmp_path / "report.json").read_text())
         assert report["counterexamples"]
 
 
@@ -638,7 +638,7 @@ def test_gen_writes_the_instance_layout(tmp_path, capsys):
     assert capsys.readouterr().out.encode() == saved
     assert main(argv + ["-o", out]) == 0
     assert capsys.readouterr().out == ""
-    assert open(out, "rb").read() == saved
+    assert (tmp_path / "gen.json").read_bytes() == saved
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,10 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -349,6 +352,9 @@ class TestSuite:
             run_suite({"checks": ["not_a_check"]})
         with pytest.raises(ParameterError):
             run_suite({"mutation": "not_a_mutation"})
+        with pytest.raises(ParameterError, match="^instances must not be "
+                           "negative, got <int too long to show>$"):
+            run_suite({"instances": -10**5000})
 
     @pytest.mark.parametrize("mutation,check", [
         ("broken_truncate", "truncation"),
@@ -424,6 +430,115 @@ class TestSuite:
         assert lines[0] == "check,pass,fail"
         assert lines[1] == "descent,6,0"
         assert lines[2] == "evp,6,0"
+
+
+def _cpus(monkeypatch, n):
+    """Give run_suite an affinity mask of n CPUs; record its forks."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """A batch split over forked workers reports what one process reports."""
+
+    @pytest.mark.parametrize("config,tol", [
+        ({"instances": 24, "max_points": 8}, None),
+        ({"instances": 24, "max_points": 8, "mutation": "broken_truncate"}, None),
+        ({"instances": 24, "max_points": 8, "mutation": "evp_noncritical"}, None),
+        ({"instances": 24, "max_points": 8,
+          "mutation": "asymmetric_neighborhood"}, None),
+        ({"instances": 24, "max_points": 8}, 0.0),
+    ], ids=["clean", "broken_truncate", "evp_noncritical",
+            "asymmetric_neighborhood", "tol-0"])
+    def test_report_is_the_one_process_report(self, monkeypatch, config, tol):
+        forks = _cpus(monkeypatch, 3)
+        split = json.dumps(run_suite(config, tol)).encode()
+        assert len(forks) == 2
+        _no_child_left()
+        _cpus(monkeypatch, 1)
+        assert json.dumps(run_suite(config, tol)).encode() == split
+        if "mutation" in config:
+            assert not json.loads(split)["ok"]
+
+    def test_first_exception_in_instance_order(self, monkeypatch):
+        def odd_fails(inst, rng, ops, tol):
+            # with three workers both instances fall to forked children
+            if inst.seed[1] in (1, 5):
+                raise ZeroDivisionError(f"instance {inst.seed[1]}")
+            return []
+
+        monkeypatch.setitem(suite.CHECKS, "evp", odd_fails)
+        raised = []
+        for cpus in (3, 1):
+            forks = _cpus(monkeypatch, cpus)
+            with pytest.raises(ZeroDivisionError) as exc:
+                run_suite({"instances": 9, "checks": ["evp"]})
+            assert len(forks) == cpus - 1
+            _no_child_left()
+            raised.append((type(exc.value), str(exc.value)))
+        assert raised == [(ZeroDivisionError, "instance 1")] * 2
+
+    def test_interrupt_stops_the_workers(self, monkeypatch):
+        calls = []
+
+        def interrupted(inst, rng, ops, tol):
+            calls.append(inst.seed[1])
+            if inst.seed[1] % 2:   # the child's share
+                time.sleep(30)
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(suite.CHECKS, "evp", interrupted)
+        _cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_suite({"instances": 8, "checks": ["evp"]})
+        assert time.monotonic() - start < 15
+        assert calls == [0]   # raised, not run again in one process
+        _no_child_left()
+
+    def test_no_warning(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_suite({"instances": 6, "max_points": 6})
+        assert caught == []
+
+    def test_no_fork_beside_a_thread(self, monkeypatch):
+        forks = _cpus(monkeypatch, 2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            report = run_suite({"instances": 6, "max_points": 6})
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == [] and report["ok"]
+
+    def test_failed_fork_runs_in_one_process(self, monkeypatch):
+        cfg = {"instances": 6, "max_points": 6, "mutation": "evp_noncritical"}
+        expected = json.dumps(run_suite(cfg))
+
+        def no_fork():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert json.dumps(run_suite(cfg)) == expected
 
 
 class TestTolerance:
