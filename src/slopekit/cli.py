@@ -18,7 +18,7 @@ import sys
 from .convex1d import mr_check
 from .errors import (FatalFinding, HypothesisViolation, MetricError,
                      ParameterError, SlopekitError)
-from .instances import (_expect, _json_text, _read_json, _write_json,
+from .instances import (KINDS, _expect, _json_text, _read_json, _write_json,
                         gen_random_instance, load_instance, pl_from_dict)
 from .metric_space import ValidationReport
 from .slope_core import INF, eps_argmin, eps_crit, eps_Crit, slope_profile
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("gen", cmd_gen, "generate a random instance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=6)
-    p.add_argument("--kind", choices=["graph", "matrix", "grid"], default="graph")
+    p.add_argument("--kind", choices=KINDS, default="graph")
     p.add_argument("--p-inf", type=float, default=0.0)
 
     p = command("slopes", cmd_slopes,

@@ -26,6 +26,7 @@ from .slope_core import (INF, ScalarField, _require_proper, domination_witnesses
                          scale_field, truncate)
 
 PRNG_ALGORITHM = "numpy PCG64"
+KINDS = ("graph", "matrix", "grid")   # the metric kinds that are generated
 
 # The most points of an instance, generated or loaded: it holds dense n x n
 # arrays (n x n x dim for a grid) and its load runs O(n^3) closure and
@@ -366,27 +367,34 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
                     metric_spec=metric_spec, nbhd_spec=nbhd_spec)
 
 
-def instance_stream(count, seed, max_points=12,
-                    kinds=("graph", "matrix", "grid"), p_inf=(0.0, 0.2),
-                    start=0, step=1):
+def _drawer(seed, max_points, kinds, p_inf):
+    """The function of i that draws (instance, rng) for the seed [seed, i] of
+    a stream, once its ``max_points``, ``kinds`` and ``p_inf`` are read:
+    nonempty lists, of ``KINDS`` and of chances in [0, 1)."""
+    for key, value in (("kinds", kinds), ("p_inf", p_inf)):
+        if not _expect(value, (list, tuple), key):
+            raise ParameterError(f"{key} must be a nonempty list")
+    if unknown := [kind for kind in kinds if kind not in KINDS]:
+        raise ParameterError(f"unknown metric kind {_shown(unknown[0])}")
+    if max(map(_p_inf, p_inf)) == 1:
+        raise ParameterError("p_inf must be below 1 in the suite: a field "
+                             "that is +inf everywhere has no start point")
+    max_points = _size(max_points, "max_points", 2 if "grid" in kinds else 1)
+
+    def drawn(i):
+        rng = _rng([seed, i])
+        kind, p = kinds[i % len(kinds)], p_inf[(i // len(kinds)) % len(p_inf)]
+        n = int(rng.integers(2 if kind == "grid" else 1, max_points + 1))
+        return gen_random_instance([seed, i], n, metric_kind=kind, field_spec={
+            "f": {"p_inf": p}, "g": {"p_inf": p}}), rng
+    return drawn
+
+
+def instance_stream(count, seed, max_points=12, kinds=KINDS, p_inf=(0.0, 0.2)):
     """(instance, rng) for the seeds [seed, i], i < count, of the suite and
     the acceptance batches; n is drawn from rng, as are the checks' inputs.
-    ``start`` and ``step`` select the i in range(start, count, step), one
-    worker's share of a suite batch.
-    Bad ``kinds``, ``p_inf`` and ``max_points`` are refused at the first draw."""
-    if not (kinds and p_inf):   # either would divide by zero below
-        raise ParameterError("kinds and p_inf must be nonempty")
-    # grids have two points or more
-    max_points = _size(max_points, "max_points", 2 if "grid" in kinds else 1)
-    for i in range(start, count, step):
-        inst_seed = [seed, i]
-        rng = _rng(inst_seed)
-        kind = kinds[i % len(kinds)]
-        p = p_inf[(i // len(kinds)) % len(p_inf)]
-        n = int(rng.integers(2 if kind == "grid" else 1, max_points + 1))
-        yield gen_random_instance(
-            inst_seed, n, metric_kind=kind,
-            field_spec={"f": {"p_inf": p}, "g": {"p_inf": p}}), rng
+    Bad ``kinds``, ``p_inf`` and ``max_points`` are refused by this call."""
+    return map(_drawer(seed, max_points, kinds, p_inf), range(count))
 
 
 def gen_dominated_pair(seed, f: ScalarField, mode="truncate", tol=None):

@@ -20,8 +20,7 @@ import numpy as np
 from .config import (_below, _exceeds, _index, _parsed, _shown, _within,
                      resolve_tol)
 from .errors import FatalFinding, HypothesisViolation, ParameterError
-from .instances import (_expect, _p_inf, _seed, gen_dominated_pair,
-                        instance_stream)
+from .instances import KINDS, _drawer, _expect, _seed, gen_dominated_pair
 from .metric_space import NeighborhoodSystem, validate_metric
 from .slope_core import (INF, ScalarField, _crit_rows, _points_where,
                          add_fields, eps_Crit, global_slope,
@@ -353,20 +352,18 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "instances": 100,
     "max_points": 12,
-    "kinds": ["graph", "matrix", "grid"],
+    "kinds": list(KINDS),
     "p_inf": [0.0, 0.2],
     "checks": sorted(CHECKS),
     "mutation": None,
 }
 
 
-def _run_share(cfg, ops, tol, count, seed, start, step):
+def _run_share(cfg, ops, tol, stream):
     """Pass and fail counts by (check name, "pass" or "fail") and the
-    counterexample records of the instances i in range(start, count, step)."""
+    counterexample records of the (instance, rng) pairs of ``stream``."""
     counts, records = Counter(), []
-    # the stream refuses a max_points outside its kinds' sizes at its first draw
-    for inst, rng in instance_stream(count, seed, cfg["max_points"],
-                                     cfg["kinds"], cfg["p_inf"], start, step):
+    for inst, rng in stream:
         # mutated neighborhoods flow into every check of this instance
         inst.nbhd = ops["nbhd_transform"](inst.nbhd)
         for name in cfg["checks"]:
@@ -454,9 +451,9 @@ def run_suite(config=None, tol=None) -> dict:
     Returns a deterministic report: per-check pass/fail counts plus a
     counterexample record (serialized instance, check name, details) for
     every failure, sorted by instance seed.  A malformed config raises
-    ``ShapeError`` or ``ParameterError``.  The batch may be shared among
-    forked processes, one per CPU of the affinity mask (``_workers``); the
-    report does not depend on how many.
+    ``ShapeError`` or ``ParameterError`` before anything is drawn or forked.
+    The batch may be shared among forked processes, one per CPU of the
+    affinity mask (``_workers``); the report does not depend on how many.
     """
     tol = resolve_tol(tol)
     cfg = dict(DEFAULT_CONFIG)
@@ -464,20 +461,19 @@ def run_suite(config=None, tol=None) -> dict:
     unknown = cfg.keys() - DEFAULT_CONFIG.keys()
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown, key=str)}")
-    for key in ("checks", "kinds", "p_inf"):
-        if not _expect(cfg[key], list, key):
-            raise ParameterError(f"{key} must be a nonempty list")
+    if not _expect(cfg["checks"], list, "checks"):
+        raise ParameterError("checks must be a nonempty list")
     seed = _parsed(_seed, cfg["seed"], "seed")
     count = _parsed(_index, cfg["instances"], "instances")
     if count < 0:
         raise ParameterError(
             f"instances must not be negative, got {_shown(count)}")
-    if max(map(_p_inf, cfg["p_inf"])) == 1:
-        raise ParameterError("p_inf must be below 1 in the suite: a field "
-                             "that is +inf everywhere has no start point")
-    unknown = set(map(str, cfg["checks"])) - CHECKS.keys()
-    if unknown:
+    draw = _drawer(seed, cfg["max_points"], cfg["kinds"], cfg["p_inf"])
+    names = Counter(map(str, cfg["checks"]))
+    if unknown := names.keys() - CHECKS.keys():
         raise ParameterError(f"unknown checks: {sorted(unknown)}")
+    if repeated := sorted(name for name, k in names.items() if k > 1):
+        raise ParameterError(f"repeated checks: {repeated}")
     ops = default_ops()
     if cfg["mutation"]:
         if str(cfg["mutation"]) not in MUTATIONS:
@@ -485,7 +481,7 @@ def run_suite(config=None, tol=None) -> dict:
         MUTATIONS[cfg["mutation"]](ops)
 
     def run_share(start, step):
-        return _run_share(cfg, ops, tol, count, seed, start, step)
+        return _run_share(cfg, ops, tol, map(draw, range(start, count, step)))
 
     shares = None
     workers = _workers(count)

@@ -387,6 +387,19 @@ class TestSuite:
         ({"max_points": 1001}, "max_points must be at most 1000, got 1001"),
         ({"instances": 0, "max_points": 10**6},
          "max_points must be at most 1000, got 1000000"),
+        ({"kinds": ["graph", "bogus"], "instances": 0},
+         "unknown metric kind 'bogus'"),
+        ({"kinds": ["graph", "bogus"], "instances": 1},
+         "unknown metric kind 'bogus'"),
+        ({"kinds": ["graph", "bogus"], "instances": 2},
+         "unknown metric kind 'bogus'"),
+        ({"kinds": [1]}, "unknown metric kind 1"),
+        ({"kinds": ["grid"], "max_points": 1},
+         "max_points must be at least 2, got 1"),
+        ({"p_inf": [1]}, "p_inf must be below 1 in the suite: a field that "
+         "is +inf everywhere has no start point"),
+        ({"instances": 4, "checks": ["evp", "evp"]},
+         "repeated checks: ['evp']"),
     ])
     def test_malformed_config_is_input_error(self, tmp_path, capsys, config,
                                              message):

@@ -283,10 +283,6 @@ def path_file(n):
             "neighborhoods": {"kind": "all"}}
 
 
-def first_draw(*args):
-    return next(instance_stream(*args))
-
-
 @pytest.mark.parametrize("call, args, message", [
     (gen_random_instance, lambda: (0, 1001),
      "n_points must be at most 1000, got 1001"),
@@ -296,20 +292,27 @@ def first_draw(*args):
      "grid points do not match the points list"),
     (instance_from_dict, lambda: (path_file(20000),),
      "the number of points must be at most 1000, got 20000"),
-    (first_draw, lambda: (3, 0, 12, []), "kinds and p_inf must be nonempty"),
-    (first_draw, lambda: (3, 0, 12, ["graph"], []),
-     "kinds and p_inf must be nonempty"),
-    (first_draw, lambda: (3, 0, 0), "max_points must be at least 2, got 0"),
-    (first_draw, lambda: (0, 0, 1001),
+    (instance_stream, lambda: (3, 0, 12, []), "kinds must be a nonempty list"),
+    (instance_stream, lambda: (3, 0, 12, ["graph"], []),
+     "p_inf must be a nonempty list"),
+    (instance_stream, lambda: (3, 0, 0), "max_points must be at least 2, got 0"),
+    (instance_stream, lambda: (0, 0, 1001),
      "max_points must be at most 1000, got 1001"),
     (run_suite, lambda: ({"instances": 0, "max_points": 10**6},),
      "max_points must be at most 1000, got 1000000"),
+    (instance_stream, lambda: (3, 0, 12, ["graph", "bogus"]),
+     "unknown metric kind 'bogus'"),
+    (instance_stream, lambda: (3, 0, 12, ["graph"], [0.0, 1.0]),
+     "p_inf must be below 1 in the suite: a field that is +inf everywhere "
+     "has no start point"),
 ], ids=["gen", "gen-huge", "grid-file", "graph-file", "stream-kinds",
-        "stream-p_inf", "stream-least", "stream-most", "suite"])
+        "stream-p_inf", "stream-least", "stream-most", "suite", "stream-kind",
+        "stream-p_inf-one"])
 def test_point_limit_refused_before_building(call, args, message,
                                              monkeypatch):
     """Every route to an instance refuses more than ``MAX_POINTS`` points
-    before it draws or builds anything of that size."""
+    before it draws or builds anything of that size; ``instance_stream``
+    refuses its parameters when it is called."""
     def refuse(*args, **kwargs):
         raise AssertionError("built before the refusal")
 
@@ -528,6 +531,35 @@ class TestWorkers:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert forks == [] and report["ok"]
+
+    @pytest.mark.parametrize("config, message", [
+        ({"kinds": ["graph", "bogus"], "instances": 0},
+         "unknown metric kind 'bogus'"),
+        ({"kinds": ["graph", "bogus"], "instances": 1},
+         "unknown metric kind 'bogus'"),
+        ({"kinds": ["graph", "bogus"], "instances": 2},
+         "unknown metric kind 'bogus'"),
+        ({"kinds": [1]}, "unknown metric kind 1"),
+        ({"max_points": 1001}, "max_points must be at most 1000, got 1001"),
+        ({"kinds": ["grid"], "max_points": 1},
+         "max_points must be at least 2, got 1"),
+        ({"p_inf": [1]}, "p_inf must be below 1 in the suite: a field that "
+         "is +inf everywhere has no start point"),
+        ({"instances": 4, "checks": ["evp", "evp"]},
+         "repeated checks: ['evp']"),
+    ], ids=["bogus-kind-0", "bogus-kind-1", "bogus-kind-2", "kind-number",
+            "max_points-1001", "grid-max_points-1", "p_inf-1", "repeated-check"])
+    def test_refused_before_any_fork_or_draw(self, monkeypatch, config,
+                                             message):
+        forks = _cpus(monkeypatch, 3)
+        draws, rng = [], instances._rng
+        monkeypatch.setattr(instances, "_rng",
+                            lambda seed: draws.append(seed) or rng(seed))
+        with pytest.raises(ParameterError) as info:
+            run_suite(config)
+        assert str(info.value) == message
+        assert forks == [] and draws == []
+        _no_child_left()
 
     def test_failed_fork_runs_in_one_process(self, monkeypatch):
         cfg = {"instances": 6, "max_points": 6, "mutation": "evp_noncritical"}
