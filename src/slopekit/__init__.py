@@ -2,8 +2,7 @@
 finite metric spaces, plus exact 1D piecewise-linear convex subdifferentials."""
 
 from .config import DEFAULT_TOL, get_tol
-from .convex1d import (MRResult, PLConvex, definitional_global_slope,
-                       mr_check, sample_to_field)
+from .convex1d import MRResult, PLConvex, mr_check
 from .errors import (DomainError, FatalFinding, HypothesisViolation,
                      ImproperFieldError, MetricError, ParameterError,
                      ShapeError, SlopekitError, UndefinedArithmeticError)

@@ -15,8 +15,6 @@ import numpy as np
 
 from .config import _exceeds, _parsed, _quiet, resolve_tol
 from .errors import ParameterError
-from .metric_space import MetricSpace
-from .slope_core import ScalarField, _field
 
 
 def _float_array(xs) -> np.ndarray:
@@ -144,19 +142,3 @@ def mr_check(f: PLConvex, g: PLConvex, tol=None) -> MRResult:
             return MRResult(mismatch_at=x, subdiff_f=df, subdiff_g=dg)
     t1 = fn.knots[0]
     return MRResult(constant=f.value(t1) - g.value(t1))
-
-
-def sample_to_field(f: PLConvex, grid: MetricSpace) -> ScalarField:
-    """Tabulate f on the nodes of a one-dimensional grid space."""
-    if grid.coords is None or any(len(c) != 1 for c in grid.coords):
-        raise ParameterError("grid must be one-dimensional with coordinates")
-    return _field(grid, f.values([c[0] for c in grid.coords]))
-
-
-def definitional_global_slope(f: PLConvex, x: float, ys) -> float:
-    """Independent oracle: sup over sampled y != x of [f(x)-f(y)]+/|x-y|."""
-    ys = np.asarray(ys, dtype=float)
-    ys = ys[ys != x]
-    with _quiet():
-        quot = (f.value(x) - f.values(ys)) / np.abs(x - ys)
-    return float(max(quot.max(initial=0.0), 0.0))

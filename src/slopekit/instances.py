@@ -58,7 +58,7 @@ class Instance:
         try:
             return self.fields[name]
         except KeyError:
-            raise ParameterError(f"instance has no field {name!r}; "
+            raise ParameterError(f"instance has no field {_shown(name)}; "
                                  f"available: {sorted(self.fields)}")
 
     def to_dict(self) -> dict:
@@ -177,7 +177,7 @@ def _space_from_spec(points, spec):
         if count != len(points) or points != [f"n{i}" for i in range(count)]:
             raise ParameterError("grid points do not match the points list")
         return grid_space(bounds, resolution, spec.get("p", 2))
-    raise ParameterError(f"unknown metric kind {kind!r}")
+    raise ParameterError(f"unknown metric kind {_shown(kind)}")
 
 
 def _nbhd_from_spec(space: MetricSpace, spec, grid_nbhd) -> NeighborhoodSystem:
@@ -206,7 +206,7 @@ def _nbhd_from_spec(space: MetricSpace, spec, grid_nbhd) -> NeighborhoodSystem:
         if grid_nbhd is None:
             raise ParameterError("grid neighborhoods need a grid metric")
         return grid_nbhd
-    raise ParameterError(f"unknown neighborhood kind {kind!r}")
+    raise ParameterError(f"unknown neighborhood kind {_shown(kind)}")
 
 
 def instance_from_dict(obj: dict) -> Instance:
@@ -220,13 +220,12 @@ def instance_from_dict(obj: dict) -> Instance:
     points = [str(p) for p in points]
     space, grid_nbhd = _space_from_spec(points, metric)
     nbhd = _nbhd_from_spec(space, nbhd_spec, grid_nbhd)
-    fields = {
-        name: ScalarField(space, tuple(
-            _parsed(float, v, f"value of field {name!r}")
-            for v in _expect(vals, list, f"field {name!r}")))
-        for name, vals in _expect(obj.get("fields", {}), dict,
-                                  "fields").items()
-    }
+    fields = {}
+    for name, vals in _expect(obj.get("fields", {}), dict, "fields").items():
+        what = f"field {_shown(name)}"
+        fields[name] = ScalarField(space, tuple(
+            _parsed(float, v, f"value of {what}")
+            for v in _expect(vals, list, what)))
     return Instance(space, nbhd, fields,
                     seed=_parsed(_seed_repr, obj.get("seed", 0), "seed"),
                     provenance=obj.get("provenance", {}),
@@ -336,7 +335,7 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
                        "p": "inf" if p == math.inf else p}
         points = [f"n{i}" for i in range(math.prod(resolution))]
     else:
-        raise ParameterError(f"unknown metric kind {metric_kind!r}")
+        raise ParameterError(f"unknown metric kind {_shown(metric_kind)}")
     # a closure just computed carries its bound; loading the file re-checks it
     space, grid_nbhd = ((_closure_space(points, d), None)
                         if metric_kind == "matrix"
@@ -424,7 +423,7 @@ def gen_dominated_pair(seed, f: ScalarField, mode="truncate", tol=None):
         g = scale_field(truncate(f, lam), r)
         params = {"mode": mode, "lam": lam, "r": r}
     else:
-        raise ParameterError(f"unknown domination mode {mode!r}")
+        raise ParameterError(f"unknown domination mode {_shown(mode)}")
     bad = domination_witnesses(f, g, tol)
     if bad:
         raise FatalFinding(

@@ -17,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .config import (_exceeds, _index, _pair, _parsed, _quiet, _require_level,
-                     _within, resolve_tol)
+                     _shown, _within, resolve_tol)
 from .errors import DomainError, MetricError, ParameterError, ShapeError
 
 
@@ -291,7 +291,7 @@ class MetricSpace:
         try:
             return self._index[point]
         except KeyError:
-            raise DomainError(f"point {point!r} is not in the space")
+            raise DomainError(f"point {_shown(point)} is not in the space")
 
     def distance(self, x, y) -> float:
         return float(self.dist[self.index(x), self.index(y)])
@@ -392,7 +392,8 @@ class NeighborhoodSystem:
 
     def of(self, x) -> frozenset:
         if x not in self._index:
-            raise DomainError(f"point {x!r} is not in the neighborhood system")
+            raise DomainError(
+                f"point {_shown(x)} is not in the neighborhood system")
         return frozenset(compress(self.points, self.mask[self._index[x]].tolist()))
 
     @property
@@ -459,7 +460,8 @@ def explicit_neighborhoods(space: MetricSpace, pairs) -> NeighborhoodSystem:
     unknown = (ends < 0).any(axis=1)
     if unknown.any() and unknown[(unknown | (ends[:, 0] == ends[:, 1])).argmax()]:
         a, b = pairs[unknown.argmax()]   # no self-pair comes before it
-        raise DomainError(f"pair ({a!r}, {b!r}) uses unknown points")
+        raise DomainError(
+            f"pair ({_shown(a)}, {_shown(b)}) uses unknown points")
     return _pair_system(space.points, ends)
 
 
@@ -542,7 +544,8 @@ def _graph_space(vertices, ends, w, refs) -> MetricSpace:
         (i, j), wk = ends[:, k].tolist(), w[k].item()
         if unknown[k]:
             u, v = refs[:2, k].tolist()
-            raise DomainError(f"edge ({u!r}, {v!r}) uses unknown vertices")
+            raise DomainError(
+                f"edge ({_shown(u)}, {_shown(v)}) uses unknown vertices")
         if i == j:
             raise ParameterError(f"self-loop at {vertices[i]!r} not allowed")
         raise ParameterError(

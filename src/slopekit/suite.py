@@ -475,10 +475,10 @@ def run_suite(config=None, tol=None) -> dict:
     if repeated := sorted(name for name, k in names.items() if k > 1):
         raise ParameterError(f"repeated checks: {repeated}")
     ops = default_ops()
-    if cfg["mutation"]:
-        if str(cfg["mutation"]) not in MUTATIONS:
-            raise ParameterError(f"unknown mutation {cfg['mutation']!r}")
-        MUTATIONS[cfg["mutation"]](ops)
+    if mutation := cfg["mutation"]:
+        if not (isinstance(mutation, str) and mutation in MUTATIONS):
+            raise ParameterError(f"unknown mutation {_shown(mutation)}")
+        MUTATIONS[mutation](ops)
 
     def run_share(start, step):
         return _run_share(cfg, ops, tol, map(draw, range(start, count, step)))

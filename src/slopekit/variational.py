@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import (_at_least, _exceeds, _parsed, _quiet, _require_level,
-                     _within, resolve_tol)
+                     _shown, _within, resolve_tol)
 from .errors import FatalFinding, HypothesisViolation, ParameterError
 from .metric_space import NeighborhoodSystem
 from .slope_core import (INF, ScalarField, _crit_rows, _require_in_dom,
@@ -58,7 +58,8 @@ def descent_step(f: ScalarField, g: ScalarField, nbhd: NeighborhoodSystem,
     """
     tol = resolve_tol(tol)
     if mode not in ("local", "global"):
-        raise ParameterError(f"mode must be 'local' or 'global', got {mode!r}")
+        raise ParameterError(
+            f"mode must be 'local' or 'global', got {_shown(mode)}")
     eps = _require_level(eps)
     _require_in_dom(f, x0)
     bad = strict_comparison_witnesses(

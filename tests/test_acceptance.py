@@ -11,8 +11,7 @@ import time
 import numpy as np
 
 from slopekit import (check_lips, check_lsc, check_tz, gen_dominated_pair,
-                      gen_random_pl, scale_field, definitional_global_slope,
-                      mr_check, PLConvex)
+                      gen_random_pl, scale_field, mr_check, PLConvex)
 from slopekit.instances import instance_stream
 from slopekit.suite import (check_crit_lipschitz, check_descent,
                             check_difference_bound, check_evp,
@@ -20,6 +19,8 @@ from slopekit.suite import (check_crit_lipschitz, check_descent,
                             check_ph_coincidence, check_restriction_invariance,
                             check_slope_scaling, check_subadditivity,
                             check_truncation, default_ops, run_suite)
+
+from pl_oracle import definitional_global_slope
 
 TOL = 1e-9
 

@@ -16,11 +16,13 @@ from slopekit import (ImproperFieldError, MetricSpace, ParameterError,
                       all_pairs_neighborhoods, check_compact, check_lips,
                       check_lsc, check_tz, descent_step, descent_to_critical,
                       domination_witnesses, gen_random_instance, grid_space,
-                      log_distance_field, restrict, sample_to_field,
-                      scale_field, strict_comparison_witnesses, sub_fields,
+                      log_distance_field, restrict, scale_field,
+                      strict_comparison_witnesses, sub_fields,
                       sublevel_diff, verify_trace)
 from slopekit import suite
 from slopekit.metric_space import metric_closure
+
+from pl_oracle import sample_to_field
 
 INF = math.inf
 SAME = "fields live on different spaces"

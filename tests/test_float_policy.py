@@ -18,21 +18,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopekit import (MetricError, MetricSpace, NeighborhoodSystem,
-                      ParameterError, PLConvex, ScalarField, ShapeError,
-                      SlopekitError, add_fields, all_pairs_neighborhoods,
-                      ball_neighborhoods, check_compact, check_lips,
-                      check_lsc, check_tz, definitional_global_slope,
-                      descent_step, descent_to_critical,
-                      domination_witnesses, ekeland_point, eps_argmin,
-                      eps_crit, eps_Crit, explicit_neighborhoods,
-                      gen_dominated_pair, gen_random_instance, global_slope,
-                      grid_space, local_slope, log_distance_field, mr_check,
-                      pasch_hausdorff, restrict, sample_to_field,
-                      scale_field, shortest_path_space, slope_profile,
-                      slopes, strict_comparison_witnesses, sub_fields,
-                      sublevel_diff, truncate, validate_metric,
-                      verify_trace)
+from slopekit import (DomainError, MetricError, MetricSpace,
+                      NeighborhoodSystem, ParameterError, PLConvex,
+                      ScalarField, ShapeError, SlopekitError, add_fields,
+                      all_pairs_neighborhoods, ball_neighborhoods,
+                      check_compact, check_lips, check_lsc, check_tz,
+                      descent_step, descent_to_critical, domination_witnesses,
+                      ekeland_point, eps_argmin, eps_crit, eps_Crit,
+                      explicit_neighborhoods, gen_dominated_pair,
+                      gen_random_instance, global_slope, grid_space,
+                      instance_from_dict, local_slope, log_distance_field,
+                      mr_check, pasch_hausdorff, restrict, run_suite,
+                      scale_field, shortest_path_space, slope_profile, slopes,
+                      strict_comparison_witnesses, sub_fields, sublevel_diff,
+                      truncate, validate_metric, verify_trace)
 from slopekit.config import resolve_tol
 from slopekit.metric_space import metric_closure
 
@@ -316,6 +315,49 @@ def test_int_too_long_to_print_is_refused_with_a_message():
         assert outcome(call) == (ParameterError, message)
 
 
+LONG_INT = 10 ** 5000
+TWO_FILE = {"points": ["a", "b"], "metric": {"kind": "matrix",
+                                             "dist": [[0, 1], [1, 0]]},
+            "neighborhoods": {"kind": "all"}, "fields": {"f": [0.0, 1.0]}}
+LONG = "<int too long to show>"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: gen_random_instance(0, 3, metric_kind=LONG_INT), ParameterError,
+     f"unknown metric kind {LONG}"),
+    (lambda: instance_from_dict({**TWO_FILE, "metric": {"kind": LONG_INT}}),
+     ParameterError, f"unknown metric kind {LONG}"),
+    (lambda: instance_from_dict({**TWO_FILE,
+                                 "neighborhoods": {"kind": LONG_INT}}),
+     ParameterError, f"unknown neighborhood kind {LONG}"),
+    (lambda: gen_dominated_pair(0, F2, mode=LONG_INT), ParameterError,
+     f"unknown domination mode {LONG}"),
+    (lambda: descent_step(F2, F2, ALL2, "a", 1.0, mode=LONG_INT),
+     ParameterError, f"mode must be 'local' or 'global', got {LONG}"),
+    (lambda: instance_from_dict({**TWO_FILE,
+                                 "fields": {LONG_INT: [0.0, "x"]}}),
+     ParameterError, f"malformed value of field {LONG}: 'x'"),
+    (lambda: instance_from_dict(TWO_FILE).field(LONG_INT), ParameterError,
+     f"instance has no field {LONG}; available: ['f']"),
+    (lambda: run_suite({"mutation": LONG_INT}), ParameterError,
+     f"unknown mutation {LONG}"),
+    (lambda: TWO.index(LONG_INT), DomainError,
+     f"point {LONG} is not in the space"),
+    (lambda: ALL2.of(LONG_INT), DomainError,
+     f"point {LONG} is not in the neighborhood system"),
+    (lambda: explicit_neighborhoods(TWO, [("a", LONG_INT)]), DomainError,
+     f"pair ('a', {LONG}) uses unknown points"),
+    (lambda: shortest_path_space(["a", "b"], [("a", LONG_INT, 1.0)]),
+     DomainError, f"edge ('a', {LONG}) uses unknown vertices"),
+], ids=["gen-kind", "file-metric-kind", "file-nbhd-kind", "dominated-mode",
+        "descent-mode", "file-field-name", "field-name", "suite-mutation",
+        "point", "nbhd-point", "nbhd-pair", "graph-edge"])
+def test_int_too_long_to_print_is_named_in_a_refusal(call, error, message):
+    """A refusal that names the caller's value shows an int past 4,300
+    digits as its type, where repr would raise ``ValueError``."""
+    assert outcome(call) == (error, message)
+
+
 # --- every public array function on extreme finite values ----------------
 
 EXTREMES = (BIG, -BIG, 1e-308, -1e-308, 0.0)
@@ -386,13 +428,10 @@ def test_no_public_array_function_warns(case):
             attempt(pl.values, ys)
             attempt(pl.normalized)
             attempt(mr_check, pl, PLConvex((0.0,), (-1.0, 1.0), 0.0))
-            attempt(definitional_global_slope, pl, knots[0], ys)
         built = attempt(build, kind, n, upper)
         if built is None:
             return
         space, nbhd = built
-        if pl is not None and kind == "grid":
-            attempt(sample_to_field, pl, space)
         f = attempt(ScalarField, space, fv)
         g = attempt(ScalarField, space, gv)
         x = space.points[0]

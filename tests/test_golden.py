@@ -6,10 +6,18 @@ Each case is reduced to the SHA-256 of its canonical JSON (floats written
 with ``repr``), so any change in any bit of any output fails the test.
 The digests in ``golden_digests.json`` were recorded with the scalar-loop
 slope code, and the ``TOL_CASES`` digests with the tolerance comparisons
-still spelled inline, before ``config`` decided them; regenerate them only
-for a change meant to alter outputs:
+still spelled inline, before ``config`` decided them.  Record a digest
+again only for a change meant to alter outputs, and only where the old
+output is shown to be a floating-point artefact, not a result:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Each suite case names its checks in a literal list, as a suite report
+holds its config and runs its checks in that order.  So a check added to
+``suite.CHECKS`` moves no digest here; it comes with a golden case of its
+own (``test_every_check_runs_in_a_golden_case``).  A new check draws
+nothing from the instance rng, which every check after it in a list
+shares, and seeds its own generator through ``instances._rng``.
 """
 
 import contextlib
@@ -35,15 +43,30 @@ INSTANCES = [(kind, n, p_inf)
              for kind in ("graph", "matrix", "grid")
              for n, p_inf in ((7, 0.0), (12, 0.25), (40, 0.0), (100, 0.1))]
 
+# sorted(suite.CHECKS) when each suite case came to name its own checks
+RECORDED_CHECKS = [
+    "crit_lipschitz", "descent", "determination", "difference_bound",
+    "domination_constructors", "evp", "global_ge_local", "log_bound",
+    "metric_axioms", "neighborhood_symmetry", "ph_coincidence",
+    "restriction_invariance", "slope_scaling", "subadditivity",
+    "trivial_inf_dom", "truncation"]
+
 SUITES = {
-    "suite-default": {"instances": 60},
-    "suite-broken_truncate": {"instances": 30, "mutation": "broken_truncate"},
-    "suite-evp_noncritical": {"instances": 30, "mutation": "evp_noncritical"},
+    "suite-default": {"instances": 60, "checks": RECORDED_CHECKS},
+    "suite-broken_truncate": {"instances": 30, "mutation": "broken_truncate",
+                              "checks": RECORDED_CHECKS},
+    "suite-evp_noncritical": {"instances": 30, "mutation": "evp_noncritical",
+                              "checks": RECORDED_CHECKS},
     # neighborhood_symmetry is pinned in a case of its own, so that this
     # digest, recorded without it, stays as it was
     "suite-asymmetric_neighborhood": {
         "instances": 30, "mutation": "asymmetric_neighborhood",
-        "checks": sorted(set(CHECKS) - {"neighborhood_symmetry"})},
+        "checks": ["crit_lipschitz", "descent", "determination",
+                   "difference_bound", "domination_constructors", "evp",
+                   "global_ge_local", "log_bound", "metric_axioms",
+                   "ph_coincidence", "restriction_invariance",
+                   "slope_scaling", "subadditivity", "trivial_inf_dom",
+                   "truncation"]},
     "suite-asymmetric_neighborhood-symmetry": {
         "instances": 30, "mutation": "asymmetric_neighborhood",
         "checks": ["neighborhood_symmetry"]},
@@ -54,6 +77,7 @@ SUITES = {
 # tolerance boundary: the suite at an explicit tol of 0 and 1e-3, and one
 # instance of each kind under SLOPEKIT_TOL=1e-3.
 TOL_SUITES = {"suite-tol-0": 0.0, "suite-tol-1e-3": 1e-3}
+TOL_SUITE_CONFIG = {"instances": 60, "checks": RECORDED_CHECKS}
 TOL_INSTANCES = [f"tol-1e-3-{kind}-40-0.1" for kind in ("graph", "matrix", "grid")]
 TOL_CASES = list(TOL_SUITES) + TOL_INSTANCES
 
@@ -123,7 +147,7 @@ def _compute(case, tmp):
     if case in SUITES:
         return run_suite(SUITES[case])
     if case in TOL_SUITES:
-        return run_suite({"instances": 60}, tol=TOL_SUITES[case])
+        return run_suite(TOL_SUITE_CONFIG, tol=TOL_SUITES[case])
     if case in TOL_INSTANCES:
         with mock.patch.dict(os.environ, {"SLOPEKIT_TOL": "1e-3"}):
             return _compute(case[len("tol-1e-3-"):], tmp)
@@ -139,6 +163,12 @@ def test_golden(case, tmp_path):
     with open(DIGESTS) as fh:
         want = json.load(fh)[case]
     assert _digest(_compute(case, tmp_path)) == want
+
+
+def test_every_check_runs_in_a_golden_case():
+    configs = [*SUITES.values(), TOL_SUITE_CONFIG]
+    ran = {name for config in configs for name in config["checks"]}
+    assert sorted(CHECKS.keys() - ran) == []
 
 
 if __name__ == "__main__":

@@ -4,11 +4,13 @@
 Modules import at module level only, and no two import each other in a
 cycle.
 Library modules also call no numpy helper that only wraps a C entry point
-in Python code (see ``NUMPY_HELPERS``).
+in Python code (see ``NUMPY_HELPERS``).  The package's public names are
+pinned (``PUBLIC_NAMES``).
 """
 
 import ast
 import os
+import types
 
 import pytest
 
@@ -37,6 +39,32 @@ def unused_imports(source: str) -> list:
 def test_no_unused_imports(module):
     with open(os.path.join(PACKAGE, module)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+# the names ``slopekit`` exports, submodules aside
+PUBLIC_NAMES = [
+    "CheckReport", "DEFAULT_TOL", "DescentTrace", "DomainError",
+    "FatalFinding", "HypothesisViolation", "ImproperFieldError", "Instance",
+    "MRResult", "MetricError", "MetricSpace", "NeighborhoodSystem",
+    "PLConvex", "ParameterError", "ScalarField", "ShapeError",
+    "SlopeProfile", "SlopekitError", "UndefinedArithmeticError",
+    "add_fields", "all_pairs_neighborhoods", "ball_neighborhoods",
+    "check_compact", "check_lips", "check_lsc", "check_tz", "descent_step",
+    "descent_to_critical", "domination_witnesses", "ekeland_point",
+    "eps_Crit", "eps_argmin", "eps_crit", "explicit_neighborhoods",
+    "gen_dominated_pair", "gen_random_instance", "gen_random_pl", "get_tol",
+    "global_slope", "grid_space", "instance_from_dict", "load_instance",
+    "local_slope", "log_distance_field", "mr_check", "pasch_hausdorff",
+    "pl_from_dict", "restrict", "run_suite", "save_instance", "scale_field",
+    "shortest_path_space", "slope_profile", "slopes",
+    "strict_comparison_witnesses", "sub_fields", "sublevel_diff",
+    "summary_csv", "truncate", "validate_metric", "verify_trace"]
+
+
+def test_public_names_are_pinned():
+    assert sorted(name for name, value in vars(slopekit).items()
+                  if not name.startswith("_")
+                  and not isinstance(value, types.ModuleType)) == PUBLIC_NAMES
 
 
 def test_unused_import_is_found():
@@ -117,8 +145,9 @@ def test_imports_at_module_level_without_cycles():
     assert import_cycles(sources) == []
     # the PL file format lives in instances, which builds on convex1d
     assert "convex1d.py" in package_imports(sources["instances.py"], sources)
+    # and convex1d builds on no module of spaces or fields
     assert package_imports(sources["convex1d.py"], sources) == {
-        "config.py", "errors.py", "metric_space.py", "slope_core.py"}
+        "config.py", "errors.py"}
 
 
 def test_function_import_and_cycle_are_found():
