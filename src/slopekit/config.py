@@ -69,6 +69,14 @@ def _shown(value) -> str:
         return f"<{type(value).__name__} too long to show>"
 
 
+def _named(value) -> str:
+    """str(value); as ``_shown`` if str refuses (an int past 4,300 digits)."""
+    try:
+        return str(value)
+    except ValueError:
+        return _shown(value)
+
+
 def _index(value):
     """``int(value)``, refusing a fraction, which int() would truncate."""
     if isinstance(value, (float, np.floating)) and not value.is_integer():

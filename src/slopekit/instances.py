@@ -217,7 +217,7 @@ def instance_from_dict(obj: dict) -> Instance:
     points, metric, nbhd_spec = (_key(obj, key, "the instance") for key in
                                  ("points", "metric", "neighborhoods"))
     _size(len(_expect(points, list, "points")), "the number of points")
-    points = [str(p) for p in points]
+    points = [_parsed(str, p, "point name") for p in points]
     space, grid_nbhd = _space_from_spec(points, metric)
     nbhd = _nbhd_from_spec(space, nbhd_spec, grid_nbhd)
     fields = {}

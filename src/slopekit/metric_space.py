@@ -16,8 +16,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .config import (_exceeds, _index, _pair, _parsed, _quiet, _require_level,
-                     _shown, _within, resolve_tol)
+from .config import (_exceeds, _index, _named, _pair, _parsed, _quiet,
+                     _require_level, _shown, _within, resolve_tol)
 from .errors import DomainError, MetricError, ParameterError, ShapeError
 
 
@@ -265,7 +265,7 @@ class MetricSpace:
     coords: tuple = None   # optional per-point coordinates, one row per point
 
     def __post_init__(self):
-        points = tuple(str(p) for p in self.points)
+        points = tuple(_parsed(str, p, "point name") for p in self.points)
         if len(set(points)) != len(points):
             raise ParameterError("point identifiers must be unique")
         given = self.dist   # a builder's matrix carries its proved bound
@@ -360,8 +360,9 @@ class NeighborhoodSystem:
         cols = np.fromiter(map(index.get, names, repeat(-1)), np.intp, len(names))
         if (cols < 0).any():   # the first such point (rows ascend), its least name
             r = rows[(cols < 0).argmax()]
-            q = min(nbrs[r].difference(index), key=str)
-            raise ParameterError(f"neighbor {q!r} of {points[r]!r} is not a point")
+            q = min(nbrs[r].difference(index), key=_named)
+            raise ParameterError(f"neighbor {_shown(q)} of {_shown(points[r])} "
+                                 "is not a point")
         mask = np.zeros((len(points), len(points)), dtype=bool)
         mask[rows, cols] = True
         vars(self).update(vars(_masked(points, mask)))
@@ -513,7 +514,7 @@ def shortest_path_space(vertices, edges) -> MetricSpace:
     ``floyd_warshall`` derived above, which certifies their triangle
     inequality when it is at most the tolerance.
     """
-    vertices = [str(v) for v in vertices]
+    vertices = [_parsed(str, v, "vertex name") for v in vertices]
     n = len(vertices)
     if n == 0:
         raise ParameterError("need at least one vertex")

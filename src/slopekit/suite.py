@@ -17,8 +17,8 @@ from collections import Counter
 
 import numpy as np
 
-from .config import (_below, _exceeds, _index, _parsed, _shown, _within,
-                     resolve_tol)
+from .config import (_below, _exceeds, _index, _named, _parsed, _shown,
+                     _within, resolve_tol)
 from .errors import FatalFinding, HypothesisViolation, ParameterError
 from .instances import KINDS, _drawer, _expect, _seed, gen_dominated_pair
 from .metric_space import NeighborhoodSystem, validate_metric
@@ -460,7 +460,8 @@ def run_suite(config=None, tol=None) -> dict:
     cfg.update(_expect({} if config is None else config, dict, "suite config"))
     unknown = cfg.keys() - DEFAULT_CONFIG.keys()
     if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown, key=str)}")
+        shown = ", ".join(map(_shown, sorted(unknown, key=_named)))
+        raise ParameterError(f"unknown config keys: [{shown}]")
     if not _expect(cfg["checks"], list, "checks"):
         raise ParameterError("checks must be a nonempty list")
     seed = _parsed(_seed, cfg["seed"], "seed")
@@ -469,7 +470,7 @@ def run_suite(config=None, tol=None) -> dict:
         raise ParameterError(
             f"instances must not be negative, got {_shown(count)}")
     draw = _drawer(seed, cfg["max_points"], cfg["kinds"], cfg["p_inf"])
-    names = Counter(map(str, cfg["checks"]))
+    names = Counter(map(_named, cfg["checks"]))
     if unknown := names.keys() - CHECKS.keys():
         raise ParameterError(f"unknown checks: {sorted(unknown)}")
     if repeated := sorted(name for name, k in names.items() if k > 1):

@@ -358,6 +358,38 @@ def test_int_too_long_to_print_is_named_in_a_refusal(call, error, message):
     assert outcome(call) == (error, message)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_suite({"checks": [LONG_INT]}), f"unknown checks: ['{LONG}']"),
+    (lambda: run_suite({LONG_INT: 1}), f"unknown config keys: [{LONG}]"),
+    (lambda: NeighborhoodSystem(("a", "b"), {"a": {LONG_INT}}),
+     f"neighbor {LONG} of 'a' is not a point"),
+    (lambda: MetricSpace((LONG_INT, "b"), [[0, 1], [1, 0]]),
+     f"malformed point name: {LONG}"),
+    (lambda: instance_from_dict({**TWO_FILE, "points": [LONG_INT, "b"]}),
+     f"malformed point name: {LONG}"),
+    (lambda: shortest_path_space([LONG_INT, "b"], [(0, 1, 1.0)]),
+     f"malformed vertex name: {LONG}"),
+], ids=["suite-check", "suite-config-key", "nbhd-neighbor", "space-point",
+        "file-point", "graph-vertex"])
+def test_int_too_long_to_print_as_a_name_is_refused(call, message):
+    """A check, config key, neighbour, point or vertex name that str cannot
+    print (an int past 4,300 digits) is a ``ParameterError``."""
+    assert outcome(call) == (ParameterError, message)
+
+
+def test_printable_names_keep_their_messages():
+    """The names above, printable, are shown by str and repr as before."""
+    for call, message in [
+            (lambda: run_suite({"checks": [5, "evp"]}), "unknown checks: ['5']"),
+            (lambda: run_suite({"zz": 1, 3: 2, ("a",): 1}),
+             "unknown config keys: [('a',), 3, 'zz']"),
+            (lambda: NeighborhoodSystem(("a", 2), {"a": {"c", 3}}),
+             "neighbor 3 of 'a' is not a point")]:
+        assert outcome(call) == (ParameterError, message)
+    assert MetricSpace((7, "b"), [[0, 1], [1, 0]]).points == ("7", "b")
+    assert shortest_path_space([7, "b"], [(0, 1, 1.0)]).points == ("7", "b")
+
+
 # --- every public array function on extreme finite values ----------------
 
 EXTREMES = (BIG, -BIG, 1e-308, -1e-308, 0.0)

@@ -1,15 +1,19 @@
 """Every name a library module imports is used in that module.
 
-``__init__.py`` is exempt: its imports are the package's public names.
-Modules import at module level only, and no two import each other in a
-cycle.
+``__init__.py`` is exempt: it imports a public name's module on the name's
+first access, from its table ``_HOME``.  Modules import at module level
+only, and no two import each other in a cycle.
 Library modules also call no numpy helper that only wraps a C entry point
 in Python code (see ``NUMPY_HELPERS``).  The package's public names are
-pinned (``PUBLIC_NAMES``).
+pinned (``PUBLIC_NAMES``), and what a fresh interpreter loads to reach them.
 """
 
 import ast
+import importlib
+import json
 import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -62,9 +66,53 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert sorted(name for name, value in vars(slopekit).items()
-                  if not name.startswith("_")
-                  and not isinstance(value, types.ModuleType)) == PUBLIC_NAMES
+    assert sorted(slopekit.__all__) == PUBLIC_NAMES
+    assert sorted(name for name in dir(slopekit) if not name.startswith("_")
+                  and not isinstance(getattr(slopekit, name),
+                                     types.ModuleType)) == PUBLIC_NAMES
+    # each is the object its defining module binds
+    for name in PUBLIC_NAMES:
+        module = importlib.import_module(f"slopekit.{slopekit._HOME[name]}")
+        assert getattr(slopekit, name) is getattr(module, name)
+
+
+def fresh_interpreter(code: str):
+    """What a new interpreter that runs ``code`` prints as JSON, then the
+    sorted names of the loaded ``slopekit`` modules, and numpy if loaded."""
+    path = os.pathsep.join(filter(None, [os.path.dirname(PACKAGE),
+                                         os.environ.get("PYTHONPATH")]))
+    script = (f"{code}\nimport json, sys\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m in "
+              "('numpy', 'slopekit') or m.startswith('slopekit.'))))")
+    done = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def test_bare_import_loads_no_module():
+    """A bare import loads neither numpy nor any submodule; an unknown name
+    is an ``AttributeError`` that loads none either."""
+    code = ("import slopekit\n"
+            "try:\n    slopekit.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(__import__('json').dumps(str(exc)))")
+    assert fresh_interpreter(code) == [
+        "module 'slopekit' has no attribute 'no_such_name'", ["slopekit"]]
+
+
+def test_cli_import_loads_every_module():
+    """``slopekit.cli`` imports every layer at module level, which the
+    benchmark tracer requires of the layers it wraps."""
+    assert fresh_interpreter("import slopekit.cli") == [
+        ["numpy", "slopekit"] + [f"slopekit.{m[:-3]}" for m in MODULES]]
+
+
+def test_star_import_binds_the_public_names():
+    code = ("_before = set(globals())\nfrom slopekit import *\n"
+            "print(__import__('json').dumps(sorted(globals().keys() - _before"
+            " - {'_before'})))")
+    assert fresh_interpreter(code)[0] == PUBLIC_NAMES
 
 
 def test_unused_import_is_found():
@@ -148,6 +196,26 @@ def test_imports_at_module_level_without_cycles():
     # and convex1d builds on no module of spaces or fields
     assert package_imports(sources["convex1d.py"], sources) == {
         "config.py", "errors.py"}
+    # each name of the package's table is bound at module level in its home
+    for name, home in slopekit._HOME.items():
+        assert f"{home}.py" in sources
+        assert name == home or name in module_bindings(sources[f"{home}.py"])
+
+
+def module_bindings(source: str) -> set:
+    """The names a module defines at module level: by def, class or
+    assignment, not by import."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
 
 
 def test_function_import_and_cycle_are_found():
