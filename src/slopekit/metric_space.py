@@ -86,47 +86,44 @@ def _outer_sum(col, row, out, lhs, rhs):
     np.matmul(lhs, rhs, out=out)
 
 
-_ROWS = 16        # rows i per slab of the triangle fast path
+_ROWS = 16        # rows i per slab of the triangle pass
 _SUMS = 2 ** 17   # floats of stacked sums per slab (1 MiB), at every n
 
 
 def _slab_depth(n) -> int:
-    """Intermediates k per slab of the triangle fast path at size n."""
+    """Intermediates k per slab of the triangle pass at size n."""
     return max(1, min(n, _SUMS // (_ROWS * n)))
 
 
-def _triangle_ok(arr, tol) -> bool:
-    """Whether d_ij - (d_ki + d_kj) <= tol for every i, every j >= i and every
-    k, degenerate triples included, for an exactly symmetric matrix.
-
-    Symmetry makes the excess of (i, j) bit-identical to that of (j, i), so
-    the upper triangle suffices; fl(a - s) is monotone in s, so the largest
-    excess over k is exactly d_ij - min_k (d_ki + d_kj).  True therefore
-    means that the per-triple loop of ``validate_metric`` reports nothing.
-    """
+def _triangle_breaks(arr, tol, symmetric) -> np.ndarray:
+    """The mask of the pairs (i, j) with d_ij - (d_ik + d_kj) > tol for some k,
+    degenerate triples included.  fl(a - s) is monotone in s, so the largest
+    excess over k is exactly d_ij - min_k (d_ik + d_kj).  An exactly symmetric
+    matrix gives (i, j) and (j, i) bit-identical excesses: its upper triangle
+    is computed and mirrored.  Any other matrix has every pair computed."""
     n = arr.shape[0]
     depth = _slab_depth(n)
+    broken = np.zeros((n, n), dtype=bool)
     # one set of buffers for every slab; a partial slab uses a prefix
     sums_buf = _aligned(depth * _ROWS * n)
     least_buf, shortest_buf = _aligned(_ROWS * n), _aligned(_ROWS * n)
     lhs, rhs = np.ones((depth, _ROWS, 2)), np.ones((depth, 2, n))
     for lo in range(0, n, _ROWS):
-        hi = min(lo + _ROWS, n)
-        shape = (hi - lo, n - lo)
-        shortest = shortest_buf[:(hi - lo) * (n - lo)].reshape(shape)
+        hi, start = min(lo + _ROWS, n), lo if symmetric else 0
+        shape = (hi - lo, n - start)
+        shortest = shortest_buf[:(hi - lo) * (n - start)].reshape(shape)
         least = least_buf[:shortest.size].reshape(shape)
         shortest.fill(np.inf)
         for k in range(0, n, depth):
             mids = min(depth, n - k)
             sums = sums_buf[:mids * shortest.size].reshape(mids, *shape)
-            _outer_sum(arr[k:k + mids, lo:hi], arr[k:k + mids, lo:], sums,
-                       lhs[:mids, :hi - lo], rhs[:mids, :, lo:])
+            _outer_sum(arr.T[k:k + mids, lo:hi], arr[k:k + mids, start:], sums,
+                       lhs[:mids, :hi - lo], rhs[:mids, :, start:])
             np.minimum.reduce(sums, axis=0, out=least)
             np.minimum(shortest, least, out=shortest)
-        if _exceeds(np.subtract(arr[lo:hi, lo:], shortest, out=shortest).max(),
-                    0.0, tol):
-            return False
-    return True
+        broken[lo:hi, start:] = _exceeds(
+            np.subtract(arr[lo:hi, start:], shortest, out=shortest), 0.0, tol)
+    return broken | broken.T if symmetric else broken
 
 
 def _as_coords(coords, n) -> tuple:
@@ -204,11 +201,10 @@ def _certifies(bound, top, tol) -> bool:
 def validate_metric(dist, tol=None) -> ValidationReport:
     """Check all metric axioms, reporting every violated instance.
 
-    An exactly symmetric matrix has its triangle inequality checked once
-    per unordered pair; the per-triple report is built only when that
-    fails.  A matrix that a builder marked with a proved rounding bound
-    skips that pass when the bound is at most ``tol``, with the same
-    report; a matrix a caller passes is never marked.
+    One pass marks the pairs (i, j) whose triangle inequality breaks, and
+    the report names each intermediate k that breaks a marked pair.  A
+    matrix that a builder marked with a proved rounding bound skips that
+    pass when the bound is at most ``tol``; a caller's is never marked.
     """
     tol = resolve_tol(tol)
     bound = dist.bound if type(dist) is _Bounded else None
@@ -235,25 +231,29 @@ def validate_metric(dist, tol=None) -> ValidationReport:
                     "asymmetry", (i, j),
                     f"dist[{i}][{j}] = {arr[i, j]} != dist[{j}][{i}] = {arr[j, i]}"))
         # triangle inequality: with n < 3 no triple of distinct points exists
-        if (n < 3 or (bound is not None and _certifies(bound, arr.max(), tol))
-                or (symmetric and _triangle_ok(arr, tol))):
+        if n < 3 or (bound is not None and _certifies(bound, arr.max(), tol)):
             return ValidationReport(violations)
-        # every ordered triple through an intermediate k, in one reused buffer:
-        # a fresh n x n array per k costs more than the sums
-        excess = np.empty_like(arr)
-        lhs, rhs = np.ones((n, 2)), np.ones((2, n))
-        for k in range(n):
-            _outer_sum(arr[:, k], arr[k], excess, lhs, rhs)
-            np.subtract(arr, excess, out=excess)
-            if _within(excess.max(), 0.0, tol):
-                continue
-            for i, j in zip(*(ix.tolist()
-                               for ix in _exceeds(excess, 0.0, tol).nonzero())):
-                if i != k and j != k and i != j:
-                    violations.append(Violation(
-                        "triangle", (i, j, k),
-                        f"dist[{i}][{j}] = {arr[i, j]} > "
-                        f"dist[{i}][{k}] + dist[{k}][{j}] = {arr[i, k] + arr[k, j]}"))
+        # a triple of distinct points reads no diagonal entry; zeroed, the
+        # diagonal breaks no pair i != j, as d_ij - (0 + d_ij) = 0
+        arr = np.where(np.eye(n, dtype=bool), 0.0, arr)
+        broken = _triangle_breaks(arr, tol, symmetric)
+        broken.flat[::n + 1] = False   # a triple (i, i, k) is not reported
+        if not broken.any():
+            return ValidationReport(violations)
+        rows, cols = broken.nonzero()
+        pairs, d_ij = list(zip(rows.tolist(), cols.tolist())), arr[rows, cols]
+        # the excesses of the broken pairs through blocks of k, at most _SUMS
+        # floats each, so that k, then i, then j ascend in the report
+        step = max(1, _SUMS // len(pairs))
+        for lo in range(0, n, step):
+            hits = _exceeds(d_ij - (arr[rows, lo:lo + step].T
+                                    + arr[lo:lo + step, cols]), 0.0, tol)
+            for k, p in zip(*(ix.tolist() for ix in hits.nonzero())):
+                (i, j), k = pairs[p], lo + k
+                violations.append(Violation(
+                    "triangle", (i, j, k),
+                    f"dist[{i}][{j}] = {arr[i, j]} > "
+                    f"dist[{i}][{k}] + dist[{k}][{j}] = {arr[i, k] + arr[k, j]}"))
         return ValidationReport(violations)
 
 
@@ -365,7 +365,7 @@ class NeighborhoodSystem:
                                  "is not a point")
         mask = np.zeros((len(points), len(points)), dtype=bool)
         mask[rows, cols] = True
-        vars(self).update(vars(_masked(points, mask)))
+        _masked(points, mask, self)
 
     def __eq__(self, other):
         if not isinstance(other, NeighborhoodSystem):
@@ -412,13 +412,13 @@ class NeighborhoodSystem:
         """Induced system: neighbors intersected with the subset."""
         kset = set(subset)
         keep = [i for i, p in enumerate(self.points) if p in kset]
-        return _masked([self.points[i] for i in keep],
+        return _masked(tuple(self.points[i] for i in keep),
                        self.mask.take(keep, 0).take(keep, 1))
 
 
-def _masked(points, mask) -> NeighborhoodSystem:
-    """The system of the boolean ``mask`` over ``points``; freezes it."""
-    nbhd, points = object.__new__(NeighborhoodSystem), tuple(points)
+def _masked(points, mask, nbhd=None) -> NeighborhoodSystem:
+    """``nbhd``, else a new system, of ``mask`` (frozen) over tuple ``points``."""
+    nbhd = object.__new__(NeighborhoodSystem) if nbhd is None else nbhd
     mask.setflags(write=False)
     for name, value in (("points", points), ("mask", mask),
                         ("_index", {p: i for i, p in enumerate(points)})):

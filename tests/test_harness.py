@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopekit import (CheckReport, HypothesisViolation, ImproperFieldError,
-                      ParameterError, eps_argmin, gen_dominated_pair,
+                      MetricSpace, ParameterError, ScalarField,
+                      all_pairs_neighborhoods, eps_argmin, gen_dominated_pair,
                       gen_random_instance, gen_random_pl, global_slope,
                       instance_from_dict, load_instance, run_suite,
                       save_instance, summary_csv)
@@ -671,3 +672,25 @@ def test_failure_records(monkeypatch, case):
     assert all(c["check"] == check and set(c["witness"]) == keys
                for c in records)
     json.dumps(report)   # as the CLI writes it
+
+
+def test_evp_failure_records_in_order():
+    """check_evp in the calling process, where run_suite's forked workers
+    would leave no line trace, with an Ekeland point far from x0 and higher
+    than it: each lambda records the three broken guarantees in order."""
+    space = MetricSpace(("a", "b", "c"),
+                        [[0, 1, 100], [1, 0, 99], [100, 99, 0]])
+    f = ScalarField(space, (0.0, 0.0, 1000.0))
+    inst = instances.Instance(space, all_pairs_neighborhoods(space), {"f": f})
+    twin = np.random.default_rng(1)   # the draws of check_evp, replayed
+    x0 = f.dom()[int(twin.integers(0, 3))]
+    lams = (0.3, 1.0, float(twin.uniform(0.05, 5.0)))
+    ops = dict(suite.default_ops(), ekeland_point=lambda f, x0, lam: "c")
+    failures = suite.check_evp(inst, np.random.default_rng(1), ops, TOL)
+    assert x0 == "b"
+    assert failures == [
+        {"detail": detail, "witness": {"x0": "b", "lam": lam, "x": "c"}}
+        for lam in lams
+        for detail in (f"EVP output not {lam}-critical",
+                       "EVP output violates the descent inequality",
+                       "EVP output violates the classical distance bound")]

@@ -25,7 +25,8 @@ from slopekit.instances import gen_random_instance, instance_from_dict
 from slopekit.slope_core import ScalarField, _crit_rows, slopes
 from slopekit.metric_space import (ValidationReport, Violation, _aligned,
                                    _bounded, _certifies, _lp_distances,
-                                   _outer_sum, _triangle_ok, floyd_warshall,
+                                   _outer_sum, _triangle_breaks,
+                                   floyd_warshall,
                                    metric_closure)
 
 
@@ -162,10 +163,23 @@ class TestValidateReport:
         assert validate_metric(np.zeros((1, 1)), tol).summary() == "ok"
 
 
+def excess_mask(arr, tol):
+    """Oracle for ``_triangle_breaks``: the pairs (i, j) with
+    fl(d_ij - fl(d_ik + d_kj)) > tol for some k, degenerate triples
+    included, computed all at once."""
+    excess = arr[:, :, None] - (arr[:, None, :] + arr.T[None, :, :])
+    return excess.max(axis=2) > tol
+
+
 def excess_ok(arr, tol):
-    """Oracle for ``_triangle_ok``: fl(d_ij - fl(d_ik + d_kj)) <= tol on every
-    ordered triple, degenerate ones included, computed all at once."""
-    return (arr[:, :, None] - (arr[:, None, :] + arr[None, :, :])).max() <= tol
+    """Oracle: fl(d_ij - fl(d_ik + d_kj)) <= tol on every ordered triple."""
+    return not excess_mask(arr, tol).any()
+
+
+def triangle_ok(d, tol):
+    """Whether the triangle pass, as ``validate_metric`` calls it, finds no
+    broken pair."""
+    return not _triangle_breaks(d, tol, np.array_equal(d, d.T)).any()
 
 
 def collinear(rng, n, integer=False):
@@ -194,8 +208,9 @@ SWEEP_SIZES = (*range(1, 71), 200)
 
 
 class TestTriangleFastPath:
-    """The symmetric fast path of ``validate_metric`` must not change a
-    report: each case is compared entry by entry with the oracle loop."""
+    """The one triangle pass of ``validate_metric`` and the report it names
+    from the broken pairs: each case is compared entry by entry with the
+    oracle loop."""
 
     TOLS = (None, 0.0, 1e-9, 1e-6)
 
@@ -247,14 +262,15 @@ class TestTriangleFastPath:
         assert report.violations
 
     def test_fast_path_is_exact(self):
+        """The broken pairs, pair by pair, of every case, symmetric or not."""
         rng = np.random.default_rng(13)
         for d in self.cases():
-            if not np.array_equal(d, d.T):
-                continue
-            excess = (d[:, :, None] - (d[:, None, :] + d[None, :, :])).ravel()
+            symmetric = np.array_equal(d, d.T)
+            excess = (d[:, :, None] - (d[:, None, :] + d.T[None, :, :])).ravel()
             tols = [0.0, 1e-9, 1e-6, *rng.choice(excess, 3)]
             for tol in tols:   # realised excesses put some exactly at tol
-                assert _triangle_ok(d, tol) == excess_ok(d, tol)
+                assert np.array_equal(_triangle_breaks(d, tol, symmetric),
+                                      excess_mask(d, tol))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_sweep_is_exact(self):
@@ -264,13 +280,13 @@ class TestTriangleFastPath:
         for d in self.sweep():
             top = max_excess(d) if len(d) > 70 else \
                 (d[:, :, None] - (d[:, None, :] + d[None, :, :])).max()
-            assert _triangle_ok(d, top)
-            assert not _triangle_ok(d, math.nextafter(top, -math.inf))
+            assert triangle_ok(d, top)
+            assert not triangle_ok(d, math.nextafter(top, -math.inf))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_outer_sums_are_the_bits_of_np_add(self):
-        """The slab sums as the fast path stacks them, and the n x n sums of
-        floyd_warshall and the per-triple loop with +inf in the column, equal
+        """The slab sums as the triangle pass stacks them, and the n x n sums
+        of floyd_warshall with +inf in the column, equal
         np.add byte for byte in an output first filled with nan: a BLAS that
         reads the output at beta = 0, or flushes subnormals, fails here."""
         rows = metric_space._ROWS
@@ -299,8 +315,8 @@ class TestTriangleFastPath:
             assert out.tobytes() == np.add.outer(col, d[0]).tobytes()
 
     def test_asymmetric_sweep_matches_oracle(self):
-        """The per-triple loop on asymmetric matrices at unit and subnormal
-        scale; the sizes at each scale take every residue mod 8."""
+        """The one pass on asymmetric matrices at unit and subnormal scale;
+        the sizes at each scale take every residue mod 8."""
         rng = np.random.default_rng(20)
         for n in range(3, 71, 5):
             d = metric_closure(rng.uniform(0.3, 2.0, (n, n)))
@@ -321,7 +337,7 @@ class TestTriangleFastPath:
             np.fill_diagonal(d, 0.0)
             d[i, k] = d[k, i] = d[j, k] = d[k, j] = 1.0
             d[i, j] = d[j, i] = 2.0 + 1e-6
-            assert not _triangle_ok(d, 1e-9)
+            assert not triangle_ok(d, 1e-9)
             report = validate_metric(d)
             assert report.violations == reference_violations(d)
             assert [v.indices for v in report.violations] == [
@@ -348,47 +364,104 @@ class TestTriangleFastPath:
             d[i, k] = d[k, i] = d[j, k] = d[k, j] = 1.0
             d[i, j] = d[j, i] = 2.0 + 1e-6
             excess = d[i, j] - 2.0   # exactly, through k alone
-            assert _triangle_ok(d, excess)
-            assert not _triangle_ok(d, math.nextafter(excess, 0.0))
+            assert triangle_ok(d, excess)
+            assert not triangle_ok(d, math.nextafter(excess, 0.0))
             assert [v.indices for v in validate_metric(d).violations] == [
                 (i, j, k), (j, i, k)]
 
     @pytest.mark.parametrize("n", [3, 15, 16, 17, 33])
     def test_degenerate_triples_included(self, n):
-        """A large diagonal entry breaks only the triples (i, i, k); the fast
-        path must see it in every row, the last one included."""
+        """A large diagonal entry breaks only the triples (i, i, k); the
+        pass must see it in every row, the last one included."""
         d = metric_closure(np.random.default_rng([18, n]).uniform(0.3, 2.0, (n, n)))
         for i in (0, n // 2, n - 1):
             e = d.copy()
             e[i, i] = 5.0
-            assert not _triangle_ok(e, 1e-9) and not excess_ok(e, 1e-9)
+            assert not triangle_ok(e, 1e-9) and not excess_ok(e, 1e-9)
             assert validate_metric(e).violations == reference_violations(e)
 
     def test_boundary_cases_reach_both_outcomes(self):
         """The seeded cases hit the tolerance from both sides, and some
-        fail the fast path only through degenerate triples."""
+        fail the pass only through degenerate triples."""
         outcomes = set()
         for d in self.cases():
             if len(d) >= 3 and np.array_equal(d, d.T):
                 for tol in (1e-9, 1e-6):
-                    outcomes.add((_triangle_ok(d, tol),
+                    outcomes.add((triangle_ok(d, tol),
                                   bool(reference_violations(d, tol))))
         assert outcomes == {(True, False), (False, True), (False, False)}
 
-    def test_asymmetric_matrix_takes_the_loop(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(metric_space, "_triangle_ok",
-                            lambda *args: calls.append(args) or True)
+    def test_asymmetric_matrix_takes_the_one_pass(self, monkeypatch):
+        passes = count_calls(monkeypatch, "_triangle_breaks")
         d = metric_closure(np.random.default_rng(14).uniform(0.3, 2.0, (8, 8)))
         d[5, 2] += 1e-10
-        d[0, 1] = d[1, 0] = 5.0   # a triangle violation the loop must report
+        d[0, 1] = d[1, 0] = 5.0   # a triangle violation the pass must report
         report = validate_metric(d)
-        assert not calls
+        assert [symmetric for _, _, symmetric in passes] == [False]
         assert report.violations == reference_violations(d)
         assert {v.kind for v in report.violations} == {"triangle"}
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+    def test_report_sweep_at_slab_edges(self, tol):
+        """Asymmetric and broken symmetric matrices, some with a degenerate
+        diagonal, at sizes around the slab edges: the broken pairs and the
+        report, entry by entry."""
+        rng = np.random.default_rng([22, int(tol * 1e9)])
+        seen = set()
+        for n in (15, 16, 17, 33, 91, 150):
+            d = metric_closure(rng.uniform(0.3, 2.0, (n, n)))
+            i, j = rng.integers(0, n, (2, 4))
+            asym = d.copy()
+            asym[i, j] *= rng.uniform(1.5, 3.0, 4)
+            asym[j[0], i[0]] += 2 * tol   # a nudge at twice the tolerance
+            sym = d.copy()
+            sym[i, j] = sym[j, i] = d[i, j] * rng.uniform(1.5, 3.0, 4)
+            for e in (asym, sym):
+                for diagonal in (False, True):
+                    if diagonal:   # negative or large: degenerate triples
+                        e = e.copy()
+                        e[i[1], i[1]], e[j[2], j[2]] = -tol - 0.01, 0.5
+                    symmetric = np.array_equal(e, e.T)
+                    seen.add(symmetric)
+                    assert np.array_equal(_triangle_breaks(e, tol, symmetric),
+                                          excess_mask(e, tol))
+                    report = validate_metric(e, tol)
+                    assert report.violations == reference_violations(e, tol)
+                    assert any(v.kind == "triangle" for v in report.violations)
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("sums", [1, 64, 700])
+    def test_report_blocks_of_intermediates(self, monkeypatch, sums):
+        """With a small sum budget the pass runs one intermediate per slab
+        and the report names the broken pairs in many blocks of k, whose
+        concatenation keeps the order of k, then i, then j."""
+        monkeypatch.setattr(metric_space, "_SUMS", sums)
+        rng = np.random.default_rng([23, sums])
+        for n in (8, 17, 40):
+            d = metric_closure(rng.uniform(0.3, 2.0, (n, n)))
+            d *= rng.uniform(0.5, 1.5, (n, n))   # many broken pairs
+            for e in (d, (d + d.T) / 2):
+                report = validate_metric(e, 1e-9)
+                assert report.violations == reference_violations(e, 1e-9)
+                assert any(v.kind == "triangle" for v in report.violations)
+
+    def test_negative_diagonal_marks_no_pair(self, monkeypatch):
+        """No triple of distinct points reads the diagonal, so the pass runs
+        on a zero diagonal: a negative one marks no pair for the report to
+        search, though every triple (i, j, i) breaks."""
+        masks, kernel = [], metric_space._triangle_breaks
+        monkeypatch.setattr(metric_space, "_triangle_breaks", lambda *args:
+                            masks.append(kernel(*args)) or masks[-1])
+        d = metric_closure(np.random.default_rng(24).uniform(0.3, 2.0, (40, 40)))
+        np.fill_diagonal(d, -1.0)
+        assert not excess_ok(d, 1e-9)
+        report = validate_metric(d)
+        assert report.violations == reference_violations(d)
+        assert {v.kind for v in report.violations} == {"diagonal"}
+        assert len(masks) == 1 and not masks[0].any()
+
     def test_small_spaces_skip_the_pass(self, monkeypatch):
-        monkeypatch.setattr(metric_space, "_triangle_ok", None)
+        monkeypatch.setattr(metric_space, "_triangle_breaks", None)
         for d in ([[0.0]], [[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [2.0, 0.0]]):
             assert validate_metric(d).violations == reference_violations(d)
 
@@ -1245,7 +1318,7 @@ class TestCoordinateCertificate:
                                                          resolve_tol())
             if certified:   # grid_space's error above checks the rest
                 assert validate_metric(_bounded(ref, *bound)) == want
-                assert _triangle_ok(ref, resolve_tol())
+                assert triangle_ok(ref, resolve_tol())
                 if len(ref) <= 100:   # the oracle loop is slow beyond
                     assert not [v for v in reference_violations(ref)
                                 if v.kind == "triangle"]
@@ -1278,14 +1351,14 @@ class TestCoordinateCertificate:
         absolute term of the bound leaves them to the triangle pass."""
         rng = np.random.default_rng([33, dim])
         bound = grid_bound(dim)
-        passes = count_calls(monkeypatch, "_triangle_ok")
+        passes = count_calls(monkeypatch, "_triangle_breaks")
         broken = 0
         for _ in range(5):
             box = [(a, a + 3e-158) for a in rng.uniform(-1e-157, 1e-157, dim)]
             resolution = rng.integers(2, 5, dim).tolist()
             coords, ref = full_tensor_grid(box, resolution, 2.0)
             assert _certifies(bound, ref.max(), 1e-160)
-            assert _triangle_ok(ref, 1e-160)
+            assert triangle_ok(ref, 1e-160)
             assert reference_violations(ref, 1e-160) == []
             assert validate_metric(_bounded(ref, *bound), 1e-160).ok
             report = validate_metric(_bounded(ref, *bound), 1e-170)
@@ -1319,7 +1392,7 @@ class TestCoordinateCertificate:
     def test_caller_built_space_takes_the_pass(self, monkeypatch, p):
         space, _ = grid_space([(0, 1), (0, 2)], [4, 5], p)
         calls = count_calls(monkeypatch, "validate_metric")
-        passes = count_calls(monkeypatch, "_triangle_ok")
+        passes = count_calls(monkeypatch, "_triangle_breaks")
         same = MetricSpace(space.points, space.dist.copy(), space.coords)
         assert same == space and marks(calls) == [None] and len(passes) == 1
         # its subspace adopts the checked submatrix, as a grid's does
@@ -1341,8 +1414,9 @@ class TestCoordinateCertificate:
         validate = metric_space.validate_metric
         monkeypatch.setattr(metric_space, "validate_metric",
                             lambda *args: calls.append(args) or validate(*args))
-        monkeypatch.setattr(metric_space, "_triangle_ok",
-                            lambda *args: passes.append(args) or True)
+        monkeypatch.setattr(metric_space, "_triangle_breaks",
+                            lambda arr, *args: passes.append(args)
+                            or np.zeros(arr.shape, dtype=bool))
         inst = instance_from_dict(obj)
         assert marks(calls) == [grid_bound(len(resolution))] and passes == []
         # a subspace adopts the checked submatrix: no validation at all
@@ -1454,7 +1528,7 @@ class TestClosureCertificate:
                     assert validate_metric(_bounded(ref, *constants), t) == \
                         validate_metric(ref, t)
             assert _certifies(constants, top, bound)
-            assert _triangle_ok(ref, bound)
+            assert triangle_ok(ref, bound)
             excess = max_excess(ref)
             assert excess <= bound
             for t in (0.0, excess, math.nextafter(excess, -math.inf),
@@ -1481,7 +1555,7 @@ class TestClosureCertificate:
                  zip(pairs, graph_weights(rng, "uniform", len(pairs)))]
         ref = floyd_warshall(weight_matrix(n, edges))
         bound = closure_bound(ref)
-        passes = count_calls(monkeypatch, "_triangle_ok")
+        passes = count_calls(monkeypatch, "_triangle_breaks")
         if scale == 1.0:   # the pass succeeds below the bound
             monkeypatch.setenv("SLOPEKIT_TOL", repr(bound / 2))
             want = validate_metric(ref)
@@ -1501,7 +1575,7 @@ class TestClosureCertificate:
         graph = gen_random_instance(43, 200, metric_kind="graph")
         obj = graph.to_dict()
         calls = count_calls(monkeypatch, "validate_metric")
-        passes = count_calls(monkeypatch, "_triangle_ok")
+        passes = count_calls(monkeypatch, "_triangle_breaks")
         space = instance_from_dict(obj).space
         assert marks(calls) == [closure_constants(space.n)] and passes == []
         assert type(space.dist) is np.ndarray
@@ -1531,7 +1605,7 @@ class TestClosureCertificate:
                       lambda points, d: MetricSpace(tuple(points), d.tolist()))
             want = gen_random_instance(46, 90, metric_kind="matrix").to_json()
         calls = count_calls(monkeypatch, "validate_metric")
-        passes = count_calls(monkeypatch, "_triangle_ok")
+        passes = count_calls(monkeypatch, "_triangle_breaks")
         inst = gen_random_instance(46, 90, metric_kind="matrix")
         assert passes == []
         assert marks(calls) == [closure_constants(90)]
@@ -1591,7 +1665,7 @@ class TestCertificateGate:
         """A 3-point path of weights 1/2 has max 1, so its bound is 15 u:
         a tolerance of exactly 15 u skips the pass, the float below runs it."""
         calls = count_calls(monkeypatch, "validate_metric")
-        passes = count_calls(monkeypatch, "_triangle_ok")
+        passes = count_calls(monkeypatch, "_triangle_breaks")
         edges = [(0, 1, 0.5), (1, 2, 0.5)]
         monkeypatch.setenv("SLOPEKIT_TOL", repr(15 * U))
         space = shortest_path_space(range(3), edges)
@@ -1636,7 +1710,7 @@ class TestSubspaceAdoption:
         space = SUBSPACE_PARENTS[kind]()
         rng = np.random.default_rng([65, *kind.encode()])
         calls = [count_calls(monkeypatch, name) for name in (
-            "validate_metric", "_as_square_matrix", "_as_coords", "_triangle_ok")]
+            "validate_metric", "_as_square_matrix", "_as_coords", "_triangle_breaks")]
         keeps = [np.sort(rng.choice(space.n, int(rng.integers(1, space.n + 1)),
                                     replace=False)).tolist() for _ in range(30)]
         # each subset in a shuffled order, which the subspace does not keep
