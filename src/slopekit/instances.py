@@ -79,8 +79,23 @@ class Instance:
 
 
 def _json_text(obj) -> str:
-    """The one JSON layout of instance files and CLI outputs."""
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """The one JSON layout of instance files and CLI outputs: strict JSON
+    (RFC 8259), with a non-finite float written as the string "inf",
+    "-inf" or "nan", as instance files write +inf."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:   # a non-finite float: rare, so spelled on a retry
+        return json.dumps(_spelled(obj), indent=2, sort_keys=True)
+
+
+def _spelled(obj):
+    """``obj`` with each non-finite float in its lists and values a string."""
+    if isinstance(obj, dict):
+        return {key: _spelled(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return list(map(_spelled, obj))
+    finite = not isinstance(obj, float) or math.isfinite(obj)
+    return obj if finite else str(obj)   # "inf", "-inf" or "nan"
 
 
 def _write_json(obj, out=None):
@@ -389,7 +404,12 @@ def _drawer(seed, max_points, kinds, p_inf):
     return drawn
 
 
-def instance_stream(count, seed, max_points=12, kinds=KINDS, p_inf=(0.0, 0.2)):
+# the stream's defaults: instance_stream's, and a suite config's
+STREAM = {"max_points": 12, "kinds": KINDS, "p_inf": (0.0, 0.2)}
+
+
+def instance_stream(count, seed, max_points=STREAM["max_points"],
+                    kinds=STREAM["kinds"], p_inf=STREAM["p_inf"]):
     """(instance, rng) for the seeds [seed, i], i < count, of the suite and
     the acceptance batches; n is drawn from rng, as are the checks' inputs.
     Bad ``kinds``, ``p_inf`` and ``max_points`` are refused by this call."""

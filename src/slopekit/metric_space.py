@@ -126,23 +126,6 @@ def _triangle_breaks(arr, tol, symmetric) -> np.ndarray:
     return broken | broken.T if symmetric else broken
 
 
-def _as_coords(coords, n) -> tuple:
-    """``coords`` as n rows of dim >= 1 floats, every entry finite."""
-    try:
-        arr = np.asarray(coords, dtype=float)
-    except (TypeError, ValueError):
-        raise ShapeError("coordinates must be numbers, one common dimension "
-                         "per point") from None
-    except OverflowError:   # an int past the float range
-        raise ShapeError("coordinates must be finite") from None
-    if arr.ndim != 2 or arr.shape[0] != n or arr.shape[1] < 1:
-        raise ShapeError(f"coordinates must form an array of shape ({n}, dim) "
-                         f"with dim >= 1, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ShapeError("coordinates must be finite")
-    return tuple(map(tuple, arr.tolist()))
-
-
 def _pow(t, e):
     """``t ** e``, in place.  numpy runs ``** 1.0``, ``** 2.0`` and ``** 0.5``
     as np.positive, np.square and np.sqrt, the same values as below; they
@@ -259,10 +242,10 @@ def validate_metric(dist, tol=None) -> ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class MetricSpace:
-    """Immutable, so that the fields on it and their cached slopes stay valid."""
+    """A point list and its checked matrix, equal when both are; immutable,
+    so that the fields on it and their cached slopes stay valid."""
     points: tuple
     dist: np.ndarray
-    coords: tuple = None   # optional per-point coordinates, one row per point
 
     def __post_init__(self):
         points = tuple(_parsed(str, p, "point name") for p in self.points)
@@ -276,12 +259,10 @@ class MetricSpace:
             raise ShapeError(
                 f"{len(points)} points but distance matrix is "
                 f"{dist.shape[0]}x{dist.shape[1]}")
-        coords = (None if self.coords is None
-                  else _as_coords(self.coords, len(points)))
         report = validate_metric(given if marked else dist)
         if not report.ok:
             raise MetricError("not a metric: " + report.summary(), report)
-        _settle(points, dist, coords, self)
+        _settle(points, dist, self)
 
     @property
     def n(self) -> int:
@@ -309,33 +290,30 @@ class MetricSpace:
         subset = set(subset)
         if not subset:
             raise ParameterError("subspace needs a nonempty point set")
-        missing = subset - self._index.keys()
-        if missing:
+        if missing := subset - self._index.keys():
             by_type = sorted(missing, key=lambda p: (type(p).__name__, p))
-            raise DomainError(f"points not in space: {by_type}")
+            raise DomainError(
+                f"points not in space: [{', '.join(map(_shown, by_type))}]")
         keep = sorted(map(self._index.get, subset))
         return _settle(tuple(self.points[i] for i in keep),
-                       self.dist.take(keep, 0).take(keep, 1),
-                       tuple(self.coords[i] for i in keep) if self.coords else None)
+                       self.dist.take(keep, 0).take(keep, 1))
 
     def __eq__(self, other):
         if not isinstance(other, MetricSpace):
             return NotImplemented
-        return (self.points == other.points
-                and (self.dist == other.dist).all()
-                and self.coords == other.coords)
+        return self.points == other.points and (self.dist == other.dist).all()
 
     def __reduce__(self):
         # a pickled or deep-copied matrix is a new array: frozen again
-        return _settle, (self.points, self.dist, self.coords)
+        return _settle, (self.points, self.dist)
 
 
-def _settle(points, dist, coords, space=None) -> MetricSpace:
-    """The space (``space``, else a new one) with these points, checked
-    matrix, frozen, and coordinates."""
+def _settle(points, dist, space=None) -> MetricSpace:
+    """The space (``space``, else a new one) with these points and checked
+    matrix, frozen."""
     space = object.__new__(MetricSpace) if space is None else space
     dist.setflags(write=False)
-    for name, value in (("points", points), ("dist", dist), ("coords", coords),
+    for name, value in (("points", points), ("dist", dist),
                         ("_index", {p: i for i, p in enumerate(points)})):
         object.__setattr__(space, name, value)
     return space
@@ -383,12 +361,11 @@ class NeighborhoodSystem:
         faulty = one_way.any(axis=1) | self.mask.diagonal()
         if faulty.any():
             i = int(faulty.argmax())
-            p = self.points[i]
+            p, q = (_shown(self.points[k]) for k in (i, one_way[i].argmax()))
             if self.mask[i, i]:
-                raise ParameterError(f"point {p!r} listed as its own neighbor")
-            raise ParameterError(
-                f"asymmetric neighborhood: {self.points[one_way[i].argmax()]!r} "
-                f"in neighbors({p!r}) but not vice versa")
+                raise ParameterError(f"point {p} listed as its own neighbor")
+            raise ParameterError(f"asymmetric neighborhood: {q} in "
+                                 f"neighbors({p}) but not vice versa")
         return self
 
     def of(self, x) -> frozenset:
@@ -642,9 +619,10 @@ def metric_closure(weights: np.ndarray) -> np.ndarray:
 def grid_space(bounds, resolution, p=2.0):
     """Grid discretization of a box with the p-metric on coordinates.
 
-    Returns (MetricSpace, NeighborhoodSystem); neighbors are the
-    axis-adjacent nodes.  p may be any real >= 1 or math.inf; for p = 1, 2
-    or inf the distances carry the rounding bound derived above.
+    Returns (MetricSpace, NeighborhoodSystem); node n{i} lies at row i of
+    the "ij" mesh of the axes np.linspace(lo, hi, r), and its neighbors are
+    the axis-adjacent nodes.  p may be any real >= 1 or math.inf; for p = 1,
+    2 or inf the distances carry the rounding bound derived above.
     """
     bounds = [_parsed(lambda b: _pair(b, float), b, "grid bound (want [lo, hi])")
               for b in bounds]
@@ -672,7 +650,7 @@ def grid_space(bounds, resolution, p=2.0):
         d = _lp_distances(coords, p)
     if p in (1, 2, math.inf):   # the bound derived above
         d = _bounded(d, 5 * (dim + 3) * 2.0 ** -53, dim * 2.0 ** -535)
-    space = MetricSpace(points, d, coords=coords)
+    space = MetricSpace(points, d)
 
     # axis-adjacent pairs by multi-index
     idx = np.arange(n).reshape(resolution)

@@ -20,7 +20,7 @@ import numpy as np
 from .config import (_below, _exceeds, _index, _named, _parsed, _shown,
                      _within, resolve_tol)
 from .errors import FatalFinding, HypothesisViolation, ParameterError
-from .instances import KINDS, _drawer, _expect, _seed, gen_dominated_pair
+from .instances import STREAM, _drawer, _expect, _seed, gen_dominated_pair
 from .metric_space import NeighborhoodSystem, validate_metric
 from .slope_core import (INF, ScalarField, _crit_rows, _points_where,
                          add_fields, eps_Crit, global_slope,
@@ -351,9 +351,9 @@ CHECKS = {
 DEFAULT_CONFIG = {
     "seed": 0,
     "instances": 100,
-    "max_points": 12,
-    "kinds": list(KINDS),
-    "p_inf": [0.0, 0.2],
+    "max_points": STREAM["max_points"],
+    "kinds": list(STREAM["kinds"]),
+    "p_inf": list(STREAM["p_inf"]),
     "checks": sorted(CHECKS),
     "mutation": None,
 }

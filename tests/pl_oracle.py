@@ -4,14 +4,17 @@ definition over sampled points, an oracle independent of the closed form."""
 
 import numpy as np
 
-from slopekit import MetricSpace, ParameterError, PLConvex, ScalarField
+from slopekit import (MetricSpace, ParameterError, PLConvex, ScalarField,
+                      grid_space)
 
 
-def sample_to_field(f: PLConvex, grid: MetricSpace) -> ScalarField:
-    """Tabulate f on the nodes of a one-dimensional grid space."""
-    if grid.coords is None or any(len(c) != 1 for c in grid.coords):
-        raise ParameterError("grid must be one-dimensional with coordinates")
-    return ScalarField(grid, f.values([c[0] for c in grid.coords]))
+def sample_to_field(f: PLConvex, grid: MetricSpace, lo, hi) -> ScalarField:
+    """Tabulate f on the nodes of ``grid``, the one-dimensional grid space of
+    [lo, hi], whose node n{i} lies at np.linspace(lo, hi, grid.n)[i]."""
+    if grid != grid_space([(lo, hi)], [grid.n])[0]:
+        raise ParameterError(f"grid must be the one-dimensional grid of "
+                             f"[{lo}, {hi}]")
+    return ScalarField(grid, f.values(np.linspace(lo, hi, grid.n)))
 
 
 def definitional_global_slope(f: PLConvex, x: float, ys) -> float:

@@ -803,23 +803,54 @@ BIG_PAIR = {"points": ["a", "b"],
             "fields": {"f": [1e308, 1e308], "g": [-1e308, -1e308]}}
 
 
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_text_is_strict():
+    """Non-finite floats are written as strings, at any depth; any other
+    object keeps the bytes of the plain dump."""
+    obj = {"b": [1.5, -0.0, 1e308], "t": (INF,),
+           "a": {"x": INF, "y": -INF, "z": math.nan}}
+    assert strict_json(instances._json_text(obj)) == {
+        "a": {"x": "inf", "y": "-inf", "z": "nan"},
+        "b": [1.5, -0.0, 1e308], "t": ["inf"]}
+    finite = {"b": [1.5, -0.0, 1e308], "a": ("x", None, True)}
+    assert instances._json_text(finite) == json.dumps(finite, indent=2,
+                                                      sort_keys=True)
+
+
+# An overflowed infimum, constant or difference is +inf, written as "inf",
+# as instance files write it; these printed the token Infinity, not JSON.
 @pytest.mark.parametrize("argv, report", [
     (["check", "big.json", "--which", "lips"],
      {"check": "lips", "conclusion": "verified", "hypothesis": "satisfied",
       "hypothesis_witnesses": [], "slack": 0.0, "witness": "a",
-      "details": {"eps": 0.5, "inf_all": INF, "inf_crit": INF}}),
+      "details": {"eps": 0.5, "inf_all": "inf", "inf_crit": "inf"}}),
     (["check", "big.json", "--which", "compact"],
      {"check": "compact", "conclusion": "verified", "hypothesis": "satisfied",
       "hypothesis_witnesses": [], "slack": 0.0, "witness": "a",
-      "details": {"inf_all": INF, "inf_crit0": INF}}),
+      "details": {"inf_all": "inf", "inf_crit0": "inf"}}),
     (["descent", "big.json", "--mode", "global", "--from", "a"],
      {"f_value": 1e308, "x": "a"}),
-], ids=["check-lips", "check-compact", "descent-global"])
+    (["descent", "big.json", "--from", "a"],
+     {"diff_values": ["inf"], "eps_schedule": [], "f_values": [1e308],
+      "points": ["a"], "step_distances": [],
+      "terminal_flag": "reached-0crit"}),
+    (["mr", "top.json", "bottom.json"], {"constant": "inf"}),
+], ids=["check-lips", "check-compact", "descent-global", "descent-local",
+        "mr"])
 def test_process_overflow_is_quiet(process_dir, capsys, argv, report):
     (process_dir / "big.json").write_text(json.dumps(BIG_PAIR))
+    for name, anchor in (("top", 1e308), ("bottom", -1e308)):
+        (process_dir / f"{name}.json").write_text(json.dumps(
+            {"knots": [0.0], "slopes": [-1.0, 1.0], "anchor": anchor}))
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert json.loads(out) == report
+    assert strict_json(out) == report
     assert spawn(["-m", "slopekit.cli", *argv], process_dir) == (
         0, out.encode(), b"")
 

@@ -156,23 +156,26 @@ class TestMRCheck:
 class TestSampleToField:
     def test_abs_on_unit_grid(self):
         space, _ = grid_space([(-1, 1)], [5])
-        f = sample_to_field(ABS, space)
+        f = sample_to_field(ABS, space, -1, 1)
         assert f.values == (1.0, 0.5, 0.0, 0.5, 1.0)
 
     def test_requires_1d_grid(self):
         space, _ = grid_space([(0, 1), (0, 1)], [2, 2])
         with pytest.raises(ParameterError):
-            sample_to_field(ABS, space)
+            sample_to_field(ABS, space, 0, 1)
         plain = MetricSpace(("a", "b"), [[0, 1], [1, 0]])
         with pytest.raises(ParameterError):
-            sample_to_field(ABS, plain)
+            sample_to_field(ABS, plain, 0, 1)
+        line, _ = grid_space([(0, 1)], [4])   # a grid of other bounds
+        with pytest.raises(ParameterError):
+            sample_to_field(ABS, line, 0, 2)
 
     def test_sampled_dominated_pair(self):
         # g' between -f' and f' pointwise, so slopes of g stay dominated
         space, _ = grid_space([(-2, 2)], [9])
         g_pl = PLConvex((0.0,), (-0.5, 0.5), 0.0)
-        f = sample_to_field(ABS, space)
-        g = sample_to_field(g_pl, space)
+        f = sample_to_field(ABS, space, -2, 2)
+        g = sample_to_field(g_pl, space, -2, 2)
         report = check_tz(f, g)
         assert report.hypothesis_ok and report.conclusion_ok
 

@@ -21,6 +21,7 @@ from slopekit import (ImproperFieldError, MetricSpace, ParameterError,
                       sublevel_diff, verify_trace)
 from slopekit import suite
 from slopekit.metric_space import metric_closure
+from slopekit.slope_core import _same_space
 
 from pl_oracle import sample_to_field
 
@@ -89,6 +90,23 @@ def test_same_space_table(name, g_values):
         with pytest.raises(ParameterError) as info:
             call(f, ScalarField(other, g_values), nbhd)
         assert type(info.value) is ParameterError and str(info.value) == SAME
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf, 1.5])
+def test_grid_and_its_caller_built_copy_are_one_space(p):
+    """A space is its points and distances: a field on a grid and one on the
+    space built from the grid's points and matrix live on one space.  While
+    a grid also carried node coordinates, the pair was refused."""
+    grid, _ = grid_space([(0.0, 1.0), (-1.0, 2.0)], [3, 4], p)
+    copy = MetricSpace(grid.points, grid.dist)
+    f = ScalarField(grid, np.linspace(0.0, 3.0, grid.n) ** 2)
+    g = ScalarField(copy, np.linspace(1.0, -1.0, grid.n))
+    _same_space(f, g)
+    assert copy == grid and copy is not grid
+    assert add_fields(f, g).values == tuple(
+        a + b for a, b in zip(f.values, g.values))
+    assert check_tz(f, g).to_dict() == check_tz(
+        f, ScalarField(grid, g.values)).to_dict()
 
 
 @pytest.mark.parametrize("name", ["sublevel_diff", "check_tz", "check_lsc"])
@@ -261,8 +279,9 @@ def test_pl_value_and_sampling_keep_their_bits():
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
     space, _ = grid_space([(-2.0, 2.0)], [17])
-    got = sample_to_field(f, space)
-    want = ScalarField(space, tuple(loop_pl_value(f, c[0]) for c in space.coords))
+    got = sample_to_field(f, space, -2.0, 2.0)
+    want = ScalarField(space, tuple(loop_pl_value(f, x) for x in
+                                    np.linspace(-2.0, 2.0, 17).tolist()))
     assert got.array.tobytes() == want.array.tobytes()
     assert got.values == want.values and not got.array.flags.writeable
 

@@ -159,10 +159,6 @@ REPRODUCERS = {
     "MetricSpace, big int": (
         lambda: MetricSpace(("a", "b"), [[0, BIG_INT], [BIG_INT, 0]]),
         NOT_FINITE),
-    "MetricSpace, big int coordinate": (
-        lambda: MetricSpace(("a", "b"), [[0, 1], [1, 0]],
-                            coords=[[0], [BIG_INT]]),
-        (ShapeError, "coordinates must be finite")),
     "ScalarField, big int": (
         lambda: ScalarField(TWO, (BIG_INT, 0)),
         (ParameterError,
@@ -265,12 +261,12 @@ NUMBERS = ("float64", "float32", "numeric string", "big int", "string",
 
 def plain(obj):
     """``obj`` as tuples, lists, dicts and scalars, every number as it is: a
-    field as its values, a space as its points, rows and coordinates, a
+    field as its values, a space as its points and rows, a
     neighbourhood system as its mask, a report or a trace as its dict."""
     if isinstance(obj, ScalarField):
         return obj.values
     if isinstance(obj, MetricSpace):
-        return obj.points, obj.dist.tolist(), obj.coords
+        return obj.points, obj.dist.tolist()
     if isinstance(obj, NeighborhoodSystem):
         return obj.points, obj.mask.tolist()
     if hasattr(obj, "to_dict"):
@@ -349,9 +345,14 @@ LONG = "<int too long to show>"
      f"pair ('a', {LONG}) uses unknown points"),
     (lambda: shortest_path_space(["a", "b"], [("a", LONG_INT, 1.0)]),
      DomainError, f"edge ('a', {LONG}) uses unknown vertices"),
+    (lambda: TWO.subspace({LONG_INT, "a"}), DomainError,
+     f"points not in space: [{LONG}]"),
+    (lambda: restrict(F2, [LONG_INT]), DomainError,
+     f"points not in space: [{LONG}]"),
 ], ids=["gen-kind", "file-metric-kind", "file-nbhd-kind", "dominated-mode",
         "descent-mode", "file-field-name", "field-name", "suite-mutation",
-        "point", "nbhd-point", "nbhd-pair", "graph-edge"])
+        "point", "nbhd-point", "nbhd-pair", "graph-edge", "subspace",
+        "restrict"])
 def test_int_too_long_to_print_is_named_in_a_refusal(call, error, message):
     """A refusal that names the caller's value shows an int past 4,300
     digits as its type, where repr would raise ``ValueError``."""
@@ -369,11 +370,20 @@ def test_int_too_long_to_print_is_named_in_a_refusal(call, error, message):
      f"malformed point name: {LONG}"),
     (lambda: shortest_path_space([LONG_INT, "b"], [(0, 1, 1.0)]),
      f"malformed vertex name: {LONG}"),
+    (lambda: NeighborhoodSystem((LONG_INT, 1), {LONG_INT: [1], 1: []})
+     .validate(), f"asymmetric neighborhood: 1 in neighbors({LONG}) but not "
+                  "vice versa"),
+    (lambda: NeighborhoodSystem((1, LONG_INT), {1: [LONG_INT]}).validate(),
+     f"asymmetric neighborhood: {LONG} in neighbors(1) but not vice versa"),
+    (lambda: NeighborhoodSystem((LONG_INT,), {LONG_INT: [LONG_INT]})
+     .validate(), f"point {LONG} listed as its own neighbor"),
 ], ids=["suite-check", "suite-config-key", "nbhd-neighbor", "space-point",
-        "file-point", "graph-vertex"])
+        "file-point", "graph-vertex", "nbhd-one-way-from", "nbhd-one-way-to",
+        "nbhd-self"])
 def test_int_too_long_to_print_as_a_name_is_refused(call, message):
     """A check, config key, neighbour, point or vertex name that str cannot
-    print (an int past 4,300 digits) is a ``ParameterError``."""
+    print (an int past 4,300 digits) is a ``ParameterError``; repr raised
+    ``ValueError`` in the neighbourhood checks."""
     assert outcome(call) == (ParameterError, message)
 
 
@@ -384,8 +394,19 @@ def test_printable_names_keep_their_messages():
             (lambda: run_suite({"zz": 1, 3: 2, ("a",): 1}),
              "unknown config keys: [('a',), 3, 'zz']"),
             (lambda: NeighborhoodSystem(("a", 2), {"a": {"c", 3}}),
-             "neighbor 3 of 'a' is not a point")]:
+             "neighbor 3 of 'a' is not a point"),
+            (lambda: NeighborhoodSystem((7, 1), {7: [1], 1: []}).validate(),
+             "asymmetric neighborhood: 1 in neighbors(7) but not vice versa"),
+            (lambda: NeighborhoodSystem((1, "b"), {1: ["b"]}).validate(),
+             "asymmetric neighborhood: 'b' in neighbors(1) but not vice versa"),
+            (lambda: NeighborhoodSystem(("a",), {"a": ["a"]}).validate(),
+             "point 'a' listed as its own neighbor")]:
         assert outcome(call) == (ParameterError, message)
+    for call, message in [
+            (lambda: TWO.subspace({"z", 5, "a", 2.5, (0,)}),
+             "points not in space: [2.5, 5, 'z', (0,)]"),
+            (lambda: restrict(F2, [7, "b"]), "points not in space: [7]")]:
+        assert outcome(call) == (DomainError, message)
     assert MetricSpace((7, "b"), [[0, 1], [1, 0]]).points == ("7", "b")
     assert shortest_path_space([7, "b"], [(0, 1, 1.0)]).points == ("7", "b")
 

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopekit import (CheckReport, HypothesisViolation, ImproperFieldError,
-                      MetricSpace, ParameterError, ScalarField,
+                      MetricSpace, NeighborhoodSystem, ParameterError,
+                      ScalarField,
                       all_pairs_neighborhoods, eps_argmin, gen_dominated_pair,
                       gen_random_instance, gen_random_pl, global_slope,
                       instance_from_dict, load_instance, run_suite,
@@ -694,3 +695,55 @@ def test_evp_failure_records_in_order():
         for detail in (f"EVP output not {lam}-critical",
                        "EVP output violates the descent inequality",
                        "EVP output violates the classical distance bound")]
+
+
+def _path_instance():
+    """f = (0, 1, 3) on the path a - b - c of unit steps, g = f - 1, with the
+    path's neighbours: f's local and global slopes are both (0, 1, 2)."""
+    space = MetricSpace(("a", "b", "c"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    nbhd = NeighborhoodSystem(space.points, {"a": ["b"], "b": ["a", "c"],
+                                             "c": ["b"]})
+    f = ScalarField(space, (0.0, 1.0, 3.0))
+    return instances.Instance(space, nbhd,
+                              {"f": f, "g": ScalarField(space, (-1.0, 0.0, 2.0))})
+
+
+def test_global_ge_local_failure_records_in_order(monkeypatch):
+    """check_global_ge_local in the calling process, with every global slope
+    stubbed to 0: one record per point whose local slope is positive."""
+    real = suite.slopes
+    monkeypatch.setattr(suite, "slopes", lambda h, nbhd=None: real(h, nbhd)
+                        if nbhd is not None else np.zeros(h.space.n))
+    failures = suite.check_global_ge_local(
+        _path_instance(), np.random.default_rng(0), suite.default_ops(), TOL)
+    assert failures == [
+        {"detail": f"global slope below local slope at {x}", "witness": {"x": x}}
+        for x in ("b", "c")]
+
+
+def test_restriction_invariance_failure_records_in_order(monkeypatch):
+    """check_restriction_invariance in the calling process, with g's slopes
+    stubbed to 0, below f's, and those of every field on a subspace raised
+    by 1: f - g = 1, so the sub-level set is every point; x0 = b, whose
+    global slope 1 keeps a and b in the critical restriction.  Each point
+    with a positive slope records each changed slope, in order."""
+    inst = _path_instance()
+    g, real = inst.field("g"), suite.slopes
+
+    def stub(h, nbhd=None):
+        got = real(h, nbhd)
+        if h is g:
+            return np.zeros_like(got)
+        return got if h.space is inst.space else got + 1.0
+    monkeypatch.setattr(suite, "slopes", stub)
+    assert inst.space.points[np.random.default_rng(1).integers(0, 3)] == "b"
+    failures = suite.check_restriction_invariance(
+        inst, np.random.default_rng(1), suite.default_ops(), TOL)
+    assert failures == [
+        {"detail": f"{kind} slope changed under restriction at {x}",
+         "witness": {"x": x, "lam": 1.0}}
+        for x in ("b", "c") for kind in ("local", "global")] + [
+        {"detail": "global slope changed under critical restriction at b",
+         "witness": {"x": "b", "lam": 1.0, "s": 1.0}}]
+    assert [list(c["witness"]) for c in failures] == [["x", "lam"]] * 4 + [
+        ["x", "lam", "s"]]

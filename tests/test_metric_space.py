@@ -1155,6 +1155,9 @@ class TestMetricSpaceInvariants:
 
 
 class TestCoords:
+    """A space is its points and its checked matrix: it takes no coordinates,
+    malformed or well formed, and neither does validate_metric."""
+
     @pytest.mark.parametrize("coords", [
         [(0.0,)],                              # one row for three points
         [(0.0,), (1.0, 2.0), (2.0,)],          # ragged
@@ -1163,20 +1166,21 @@ class TestCoords:
         [(), (), ()],                          # dimension 0
         [0.0, 1.0, 2.0],                       # not one row per point
         [("a",), ("b",), ("c",)],
+        [(0.0,), (1.0,), (2.0,)],              # well formed
     ])
     def test_malformed_coords_rejected(self, coords):
-        with pytest.raises(ShapeError):
+        with pytest.raises(TypeError):
             MetricSpace(("a", "b", "c"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
                         coords=coords)
-        with pytest.raises(TypeError):   # validate_metric takes no coords
+        with pytest.raises(TypeError):
             validate_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]], None, coords)
 
-    def test_coords_become_float_tuples(self):
-        space = MetricSpace(("a", "b", "c"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
-                            coords=np.array([[0], [1], [2]]))
-        assert space.coords == ((0.0,), (1.0,), (2.0,))
-        assert all(type(c) is float for row in space.coords for c in row)
-        assert space.subspace(["c"]).coords == ((2.0,),)
+    def test_fields_are_points_and_dist(self):
+        assert [f.name for f in dataclasses.fields(MetricSpace)] == [
+            "points", "dist"]
+        assert not hasattr(metric_space, "_as_coords")
+        space, _ = grid_space([(0, 1)], [3])
+        assert not hasattr(space, "coords")
 
 
 def full_tensor_grid(bounds, resolution, p):
@@ -1376,7 +1380,7 @@ class TestCoordinateCertificate:
 
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     def test_matrix_that_is_not_the_coordinates_takes_the_full_pass(self, p):
-        """The bound would pass this matrix; a caller's coords do not mark it."""
+        """The bound would pass this matrix; a caller's matrix is not marked."""
         space, _ = grid_space([(0, 1), (0, 2)], [4, 5], p)
         d = space.dist.copy()
         d[0, 19] = d[19, 0] = 1.5 * d[0, 19]   # one symmetric pair lengthened
@@ -1385,7 +1389,7 @@ class TestCoordinateCertificate:
         assert report.violations == reference_violations(d)
         assert {v.kind for v in report.violations} == {"triangle"}
         with pytest.raises(MetricError) as exc:
-            MetricSpace(space.points, d, space.coords)
+            MetricSpace(space.points, d)
         assert exc.value.report == report
 
     @pytest.mark.parametrize("p", [1, 2, math.inf])
@@ -1393,7 +1397,7 @@ class TestCoordinateCertificate:
         space, _ = grid_space([(0, 1), (0, 2)], [4, 5], p)
         calls = count_calls(monkeypatch, "validate_metric")
         passes = count_calls(monkeypatch, "_triangle_breaks")
-        same = MetricSpace(space.points, space.dist.copy(), space.coords)
+        same = MetricSpace(space.points, space.dist.copy())
         assert same == space and marks(calls) == [None] and len(passes) == 1
         # its subspace adopts the checked submatrix, as a grid's does
         sub = same.subspace(space.points[::2])
@@ -1421,7 +1425,7 @@ class TestCoordinateCertificate:
         assert marks(calls) == [grid_bound(len(resolution))] and passes == []
         # a subspace adopts the checked submatrix: no validation at all
         sub = inst.space.subspace(inst.space.points[::3])
-        assert sub.coords == inst.space.coords[::3]
+        assert sub.points == inst.space.points[::3]
         assert sub.dist.tobytes() == inst.space.dist[::3, ::3].tobytes()
         assert len(calls) == 1 and passes == []
 
@@ -1681,7 +1685,7 @@ GRID = ([(0.0, 1.0), (-1.0, 2.0)], [3, 4])
 def caller_copy():
     """A caller-built copy of a certified grid: its matrix carries no bound."""
     space, _ = grid_space(*GRID, 2.0)
-    return MetricSpace(space.points, space.dist.copy(), space.coords)
+    return MetricSpace(space.points, space.dist.copy())
 
 
 def loaded_matrix():
@@ -1710,23 +1714,21 @@ class TestSubspaceAdoption:
         space = SUBSPACE_PARENTS[kind]()
         rng = np.random.default_rng([65, *kind.encode()])
         calls = [count_calls(monkeypatch, name) for name in (
-            "validate_metric", "_as_square_matrix", "_as_coords", "_triangle_breaks")]
+            "validate_metric", "_as_square_matrix", "_triangle_breaks")]
         keeps = [np.sort(rng.choice(space.n, int(rng.integers(1, space.n + 1)),
                                     replace=False)).tolist() for _ in range(30)]
         # each subset in a shuffled order, which the subspace does not keep
         subs = [space.subspace(rng.permutation(np.take(space.points, keep))
                                .tolist()) for keep in keeps]
-        assert calls == [[], [], [], []]
+        assert calls == [[], [], []]
         for keep, sub in zip(keeps, subs):
             assert sub.points == tuple(space.points[i] for i in keep)
             assert sub.dist.tobytes() == \
                 space.dist.take(keep, 0).take(keep, 1).tobytes()
             assert not sub.dist.flags.writeable
-            assert sub.coords == (space.coords and
-                                  tuple(space.coords[i] for i in keep))
             assert [sub.index(p) for p in sub.points] == list(range(len(keep)))
             assert validate_metric(sub.dist) == ValidationReport([])
-            assert MetricSpace(sub.points, sub.dist, sub.coords) == sub
+            assert MetricSpace(sub.points, sub.dist) == sub
 
     def test_subspace_keeps_the_verdict_of_its_build(self, monkeypatch):
         """A space passes under the tolerance of its build; a tighter
@@ -1774,7 +1776,7 @@ def test_spaces_are_frozen(kind):
     f = ScalarField(space, np.linspace(0.0, 3.0, space.n) ** 2)
     want = slopes(f).tobytes()
     for name, value in (("points", tuple(reversed(space.points))),
-                        ("dist", 10 * space.dist), ("coords", None)):
+                        ("dist", 10 * space.dist)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(space, name, value)
     with pytest.raises(ValueError):
