@@ -1,5 +1,6 @@
 """Global numeric tolerance, the comparisons under it, the float policy, and
-the one conversion of caller numbers (``_parsed``, ``_index``).
+the one conversion of caller numbers and rows (``_parsed``, ``_index``,
+``_row``).
 
 The tolerance is absolute, 1e-9 unless SLOPEKIT_TOL or a ``tol`` argument
 sets it, and is added on the threshold side b: each comparison under it
@@ -84,8 +85,16 @@ def _index(value):
     return int(value)
 
 
+def _row(value, width) -> tuple:
+    """The ``width`` entries of a list, tuple or array ``value``; a string,
+    a mapping or a number is no row."""
+    if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != width:
+        raise ValueError(value)
+    return tuple(value.tolist() if isinstance(value, np.ndarray) else value)
+
+
 def _pair(pair, convert=_index):
-    a, b = pair
+    a, b = _row(pair, 2)
     return convert(a), convert(b)
 
 

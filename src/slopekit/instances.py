@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import _index, _pair, _parsed, _shown, resolve_tol
+from .config import _index, _pair, _parsed, _row, _shown, resolve_tol
 from .convex1d import PLConvex
 from .errors import FatalFinding, ParameterError, ShapeError
 from .metric_space import (MetricSpace, NeighborhoodSystem, _closure_space,
@@ -47,10 +47,11 @@ class Instance:
 
     def __post_init__(self):
         if self.metric_spec is None:
-            self.metric_spec = {
-                "kind": "matrix", "dist": [list(row) for row in self.space.dist]}
+            self.metric_spec = {"kind": "matrix", "dist": self.space.dist.tolist()}
         if self.nbhd_spec is None:
-            adj = np.triu(self.nbhd.adjacency(self.space), 1).nonzero()
+            # written as two-way pairs, so validate refuses a system that
+            # they cannot spell: a one-way pair or a self-pair
+            adj = np.triu(self.nbhd.validate().adjacency(self.space), 1).nonzero()
             self.nbhd_spec = {"kind": "explicit",
                               "adj": np.array(adj).T.tolist()}
 
@@ -159,7 +160,7 @@ def _p_infs(field_spec) -> dict:
 
 
 def _edge(edge):
-    u, v, w = edge
+    u, v, w = _row(edge, 3)
     return _index(u), _index(v), float(w)
 
 
@@ -178,7 +179,7 @@ def _space_from_spec(points, spec):
                 (arr[:, :2] >= 0) & (arr[:, :2] < len(points))
                 & (arr[:, :2] == np.floor(arr[:, :2]))).all():
             ends = arr[:, :2].T.astype(np.intp)
-            return _graph_space(points, ends, arr[:, 2].astype(float), ends), None
+            return _graph_space(points, ends, arr[:, 2].astype(float), edges), None
         return shortest_path_space(points, [
             _parsed(_edge, e, "graph edge (want [u, v, w])") for e in edges]), None
     if kind == "grid":   # grid_space reads each number, and names n0, n1, ...

@@ -17,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .config import (_exceeds, _index, _named, _pair, _parsed, _quiet,
-                     _require_level, _shown, _within, resolve_tol)
+                     _require_level, _row, _shown, _within, resolve_tol)
 from .errors import DomainError, MetricError, ParameterError, ShapeError
 
 
@@ -430,11 +430,18 @@ def all_pairs_neighborhoods(space: MetricSpace) -> NeighborhoodSystem:
 
 
 def explicit_neighborhoods(space: MetricSpace, pairs) -> NeighborhoodSystem:
-    """Build from undirected pairs of points; symmetrized automatically."""
-    pairs = list(pairs)
-    refs = np.array(pairs, dtype=object).reshape(len(pairs), 2)
-    ends = np.fromiter(map(space._index.get, refs.ravel(), repeat(-1)),
-                       np.intp, refs.size).reshape(-1, 2)
+    """Build from undirected pairs of points; symmetrized automatically.
+    The first pair that is not two entries is refused by name."""
+    pairs = [_parsed(lambda p: _row(p, 2), p, "neighbor pair (want [x, y])")
+             for p in _parsed(list, pairs, "neighbor pairs")]
+
+    def point(ref):   # an unhashable entry names no point either
+        try:
+            return space._index.get(ref, -1)
+        except TypeError:
+            return -1
+    ends = np.fromiter(map(point, chain.from_iterable(pairs)), np.intp,
+                       2 * len(pairs)).reshape(-1, 2)
     unknown = (ends < 0).any(axis=1)
     if unknown.any() and unknown[(unknown | (ends[:, 0] == ends[:, 1])).argmax()]:
         a, b = pairs[unknown.argmax()]   # no self-pair comes before it
@@ -495,8 +502,8 @@ def shortest_path_space(vertices, edges) -> MetricSpace:
     n = len(vertices)
     if n == 0:
         raise ParameterError("need at least one vertex")
-    edges = list(edges)
-    refs = np.array(edges, dtype=object).reshape(len(edges), 3).T
+    edges = [_parsed(lambda e: _row(e, 3), e, "graph edge (want [u, v, w])")
+             for e in _parsed(list, edges, "graph edges")]
     index = {v: i for i, v in enumerate(vertices)}
 
     def vertex(ref):   # an integer is an index, anything else a name
@@ -505,23 +512,23 @@ def shortest_path_space(vertices, edges) -> MetricSpace:
         except TypeError:
             return index.get(str(ref), -1)
         return i if 0 <= i < n else -1
-    ends = np.fromiter(map(vertex, chain(refs[0], refs[1])), np.intp,
-                       2 * len(edges)).reshape(2, -1)
-    w = np.fromiter([_parsed(float, x, "edge weight") for x in refs[2]], float,
+    ends = np.fromiter((vertex(e[end]) for end in (0, 1) for e in edges),
+                       np.intp, 2 * len(edges)).reshape(2, -1)
+    w = np.fromiter([_parsed(float, e[2], "edge weight") for e in edges], float,
                     len(edges))
-    return _graph_space(vertices, ends, w, refs)
+    return _graph_space(vertices, ends, w, edges)
 
 
-def _graph_space(vertices, ends, w, refs) -> MetricSpace:
+def _graph_space(vertices, ends, w, edges) -> MetricSpace:
     """The space of the edges ends[:, k] (vertex indices, -1 if unknown, as
-    given in refs[:2, k]) of weights w; the first bad edge is named as below."""
+    given in edges[k][:2]) of weights w; the first bad edge is named as below."""
     unknown = (ends < 0).any(axis=0)
     bad = unknown | (ends[0] == ends[1]) | (w <= 0) | ~(w < math.inf)
     if bad.any():
         k = int(bad.argmax())
         (i, j), wk = ends[:, k].tolist(), w[k].item()
         if unknown[k]:
-            u, v = refs[:2, k].tolist()
+            u, v = edges[k][:2]
             raise DomainError(
                 f"edge ({_shown(u)}, {_shown(v)}) uses unknown vertices")
         if i == j:

@@ -8,6 +8,7 @@ operations can be injected through the config to confirm the suite
 actually detects breakage.
 """
 
+import copy
 import os
 import pickle
 import signal
@@ -456,8 +457,9 @@ def run_suite(config=None, tol=None) -> dict:
     affinity mask (``_workers``); the report does not depend on how many.
     """
     tol = resolve_tol(tol)
-    cfg = dict(DEFAULT_CONFIG)
-    cfg.update(_expect({} if config is None else config, dict, "suite config"))
+    # the report owns its config: no list in it is the caller's or the default's
+    cfg = copy.deepcopy({**DEFAULT_CONFIG, **_expect(
+        {} if config is None else config, dict, "suite config")})
     unknown = cfg.keys() - DEFAULT_CONFIG.keys()
     if unknown:
         shown = ", ".join(map(_shown, sorted(unknown, key=_named)))

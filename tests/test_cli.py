@@ -775,6 +775,8 @@ def process_dir(tmp_path, monkeypatch, e3, e3_path_nbhd, f013):
         {"instances": 9, "max_points": 6, "mutation": "evp_noncritical",
          "checks": ["evp"]}))
     (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "kinds.json").write_text(json.dumps(
+        {"kinds": ["graph", "bogus"], "instances": 1}))
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
@@ -785,7 +787,12 @@ def process_dir(tmp_path, monkeypatch, e3, e3_path_nbhd, f013):
     (["suite", "--config", "mutated.json"], 2, ""),
     (["validate", "empty.json"], 3,
      "input error: missing key 'points' in the instance\n"),
-], ids=["0-validate", "1-check-tz", "2-mutated-suite", "3-missing-key"])
+    (["gen", "--seed", "-1"], 3,
+     "input error: seed must not be negative, got -1\n"),
+    (["suite", "--config", "kinds.json"], 3,
+     "input error: unknown metric kind 'bogus'\n"),
+], ids=["0-validate", "1-check-tz", "2-mutated-suite", "3-missing-key",
+        "3-negative-seed", "3-unknown-kind"])
 def test_process_exit_matches_main(process_dir, capsys, argv, code, err):
     assert main(argv) == code
     captured = capsys.readouterr()

@@ -52,6 +52,39 @@ class TestRoundTrip:
         assert dataclasses.replace(inst, fields={}) != inst
         assert (inst == inst.to_dict()) is False
 
+    @pytest.mark.parametrize("neighbors, message", [
+        ({"b": ["a"], "c": ["b"]},
+         "asymmetric neighborhood: 'a' in neighbors('b') but not vice versa"),
+        ({"a": ["b"]},
+         "asymmetric neighborhood: 'b' in neighbors('a') but not vice versa"),
+        ({"a": ["a", "b"], "b": ["a"]}, "point 'a' listed as its own neighbor"),
+    ], ids=["one-way-below", "one-way-above", "self-pair"])
+    def test_system_without_a_spec_is_written_only_if_read_back(self, neighbors,
+                                                                message):
+        """Without a spec the system is written as two-way pairs above the
+        diagonal: the first system was written as "adj": [], the second
+        as two-way, the third without a's self-pair."""
+        space = MetricSpace(("a", "b", "c"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        with pytest.raises(ParameterError) as info:
+            instances.Instance(space, NeighborhoodSystem(space.points, neighbors),
+                               {})
+        assert str(info.value) == message
+
+    def test_instance_without_specs_is_written_as_its_matrix_and_pairs(self):
+        space = MetricSpace(("a", "b", "c"), [[0, 1, 2.5], [1, 0, 1.5],
+                                              [2.5, 1.5, 0]])
+        nbhd = NeighborhoodSystem(space.points, {"a": ["b"], "b": ["a", "c"],
+                                                 "c": ["b"]})
+        inst = instances.Instance(space, nbhd,
+                                  {"f": ScalarField(space, (0.0, 1.0, INF))})
+        assert inst.to_dict()["neighborhoods"] == {"kind": "explicit",
+                                                   "adj": [[0, 1], [1, 2]]}
+        dist = inst.metric_spec["dist"]
+        assert {type(d) for row in dist for d in row} == {float}
+        assert json.dumps(dist) == json.dumps([list(row) for row in space.dist])
+        back = instance_from_dict(json.loads(inst.to_json()))
+        assert back == inst and back.to_json() == inst.to_json()
+
     def test_inf_encoding(self):
         inst = gen_random_instance(3, 6, field_spec={"f": {"p_inf": 0.5}})
         obj = inst.to_dict()
@@ -351,6 +384,23 @@ class TestSuite:
         a = run_suite(cfg)
         b = run_suite(cfg)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_report_owns_its_config(self):
+        """A report's config shares no list with the defaults, the caller's
+        config or another report; appending to its default kinds made every
+        later run raise "unknown metric kind 'bogus'"."""
+        defaults = json.dumps(suite.DEFAULT_CONFIG)
+        report = run_suite({"instances": 0})
+        report["config"]["kinds"].append("bogus")
+        report["config"]["checks"].clear()
+        assert json.dumps(suite.DEFAULT_CONFIG) == defaults
+        config = {"instances": 1, "kinds": ["graph"], "p_inf": [0.0]}
+        report = run_suite(config)
+        text = json.dumps(report)
+        config["kinds"].append("bogus")
+        config["p_inf"][0] = 2.0
+        assert json.dumps(report) == text
+        assert run_suite({"instances": 1})["ok"]
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ParameterError):

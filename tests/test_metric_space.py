@@ -677,10 +677,14 @@ class TestShortestPathSpace:
         assert space.dist.tobytes() == floyd_warshall(w).tobytes()
 
     def test_edges_must_be_triples(self):
-        for edges in ([("a", "b")], [("a", "b", 1.0, 2.0)],
-                      [("a", "b", 1.0), ("b", "c")]):
-            with pytest.raises(ValueError):
+        # numpy's reshape raised a bare ValueError that named no edge
+        for edges, shown in (([("a", "b")], "('a', 'b')"),
+                             ([("a", "b", 1.0, 2.0)], "('a', 'b', 1.0, 2.0)"),
+                             ([("a", "b", 1.0), ("b", "c")], "('b', 'c')")):
+            with pytest.raises(ParameterError) as info:
                 shortest_path_space(["a", "b", "c"], edges)
+            assert str(info.value) == (
+                f"malformed graph edge (want [u, v, w]): {shown}")
 
     def test_relabel_invariance(self):
         edges = [(0, 1, 1.0), (1, 2, 0.5), (0, 2, 2.5)]
@@ -752,6 +756,8 @@ class TestLoadedEdges:
         ([[0, 1, 1.0], [2, 3, 1.0]], ParameterError,
          "graph is disconnected: no path from 'a' to 'c'"),
         ([], ParameterError, "graph is disconnected: no path from 'a' to 'b'"),
+        (["013", [1, 2, 1.0], [2, 3, 1.0]], ParameterError,   # read as (0, 1, 3)
+         "malformed graph edge (want [u, v, w]): '013'"),
     ])
     def test_malformed(self, edges, error, message):
         with pytest.raises(error) as info:
@@ -763,6 +769,71 @@ class TestLoadedEdges:
         inst = gen_random_instance(3, 200)
         monkeypatch.setattr(instances, "_edge", None)
         assert instance_from_dict(inst.to_dict()).space == inst.space
+
+
+def edge_refused(row):
+    return ParameterError, f"malformed graph edge (want [u, v, w]): {row}"
+
+
+def pair_refused(row):
+    return ParameterError, f"malformed neighbor pair (want [x, y]): {row}"
+
+
+class TestMalformedRows:
+    """A row is a list, tuple or array of its width, and every route names
+    the first that is not.  The builders raised numpy's bare "cannot
+    reshape" ValueError, a TypeError, or read a nested row flat; the
+    loader and grid_space read a string as its characters (the loader's
+    edges in ``TestLoadedEdges``)."""
+
+    @pytest.mark.parametrize("build, refusal", [
+        (lambda e3: shortest_path_space("ab", [(0, 1)]), edge_refused("(0, 1)")),
+        (lambda e3: shortest_path_space("ab", [(0, 1, 1.0, 2.0)]),
+         edge_refused("(0, 1, 1.0, 2.0)")),
+        (lambda e3: shortest_path_space("ab", [(0, 1, 1.0), (0, 1)]),
+         edge_refused("(0, 1)")),
+        (lambda e3: shortest_path_space("ab", [5]), edge_refused("5")),
+        (lambda e3: shortest_path_space("ab", ["ab1"]), edge_refused("'ab1'")),
+        (lambda e3: shortest_path_space("ab", [([0], [1], [2.0])]),
+         (ParameterError, "malformed edge weight: [2.0]")),
+        (lambda e3: shortest_path_space("ab", 5),
+         (ParameterError, "malformed graph edges: 5")),
+        (lambda e3: explicit_neighborhoods(e3, [("a",)]), pair_refused("('a',)")),
+        (lambda e3: explicit_neighborhoods(e3, [("a", "b", "c")]),
+         pair_refused("('a', 'b', 'c')")),
+        (lambda e3: explicit_neighborhoods(e3, [("a", "b"), ("b",)]),
+         pair_refused("('b',)")),
+        (lambda e3: explicit_neighborhoods(e3, [5]), pair_refused("5")),
+        (lambda e3: explicit_neighborhoods(e3, ["ab"]), pair_refused("'ab'")),
+        (lambda e3: explicit_neighborhoods(e3, [(["a"], "b")]),
+         (DomainError, "pair (['a'], 'b') uses unknown points")),
+        (lambda e3: explicit_neighborhoods(e3, 5),
+         (ParameterError, "malformed neighbor pairs: 5")),
+        (lambda e3: loaded_system(["01", [1, 2]]),
+         (ParameterError, "malformed neighbor pair (want [i, j]): '01'")),
+        (lambda e3: grid_space(["01"], [3]),
+         (ParameterError, "malformed grid bound (want [lo, hi]): '01'")),
+    ], ids=["edge-of-two", "edge-of-four", "ragged-edges", "edge-number",
+            "edge-string", "nested-edge", "edges-number", "pair-of-one",
+            "pair-of-three", "ragged-pairs", "pair-number", "pair-string",
+            "nested-pair", "pairs-number", "loaded-pair-string",
+            "grid-bound-string"])
+    def test_refused_by_name(self, e3, build, refusal):
+        error, message = refusal
+        with pytest.raises(error) as info:
+            build(e3)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_rows_of_each_type_build_one_space(self, e3):
+        rows = [(0, 1, 1.5), [1, 2, 2.0], np.array([0, 2, 4.0], dtype=object)]
+        assert shortest_path_space("abc", rows) == shortest_path_space(
+            "abc", np.array([[0, 1, 1.5], [1, 2, 2.0], [0, 2, 4.0]], dtype=object))
+        with pytest.raises(DomainError) as info:   # a float is no index
+            shortest_path_space("abc", [np.array([0.0, 2.0, 4.0])])
+        assert str(info.value) == "edge (0.0, 2.0) uses unknown vertices"
+        assert explicit_neighborhoods(e3, [("a", "b"), ["c", "b"]]) == \
+            explicit_neighborhoods(e3, np.array([["a", "b"], ["b", "c"]],
+                                                dtype=object))
 
 
 class TestBallNeighborhoods:
