@@ -18,10 +18,11 @@ import sys
 from .convex1d import mr_check
 from .errors import (FatalFinding, HypothesisViolation, MetricError,
                      ParameterError, SlopekitError)
-from .instances import (KINDS, _expect, _json_text, _read_json, _write_json,
-                        gen_random_instance, load_instance, pl_from_dict)
+from .instances import (KINDS, _expect, _json_text, _read_json, _spelled,
+                        _write_json, gen_random_instance, load_instance,
+                        pl_from_dict)
 from .metric_space import ValidationReport
-from .slope_core import INF, eps_argmin, eps_crit, eps_Crit, slope_profile
+from .slope_core import eps_argmin, eps_crit, eps_Crit, slope_profile
 from .suite import run_suite, summary_csv
 from .variational import (check_compact, check_lips, check_lsc, check_tz,
                           descent_step, descent_to_critical, ekeland_point,
@@ -54,9 +55,9 @@ def cmd_slopes(args):
     f = inst.field(args.field)
     prof = slope_profile(f, inst.nbhd)
     report = {"field": args.field, "points": {
-        x: {"value": "inf"} if v == INF else
-        {"value": v, "local_slope": prof.local[x],
-         "global_slope": prof.global_[x]}
+        x: {"value": v, "local_slope": prof.local[x],
+            "global_slope": prof.global_[x]} if x in prof.local else
+        {"value": _spelled(v)}
         for x, v in zip(f.space.points, f.values)}}
     for eps in args.eps or []:
         report.setdefault("eps_sets", {})[str(eps)] = {

@@ -68,7 +68,7 @@ class Instance:
             "metric": self.metric_spec,
             "neighborhoods": self.nbhd_spec,
             "fields": {
-                name: ["inf" if v == INF else v for v in f.values]
+                name: _spelled(f.values)
                 for name, f in sorted(self.fields.items())
             },
             "seed": self.seed,
@@ -348,7 +348,7 @@ def gen_random_instance(seed, n_points, metric_kind="graph",
         p = [1.0, 2.0, math.inf][int(rng.integers(0, 3))]
         metric_spec = {"kind": "grid", "bounds": bounds,
                        "resolution": resolution,
-                       "p": "inf" if p == math.inf else p}
+                       "p": _spelled(p)}
         points = [f"n{i}" for i in range(math.prod(resolution))]
     else:
         raise ParameterError(f"unknown metric kind {_shown(metric_kind)}")

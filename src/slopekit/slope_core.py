@@ -304,12 +304,9 @@ def pasch_hausdorff(f: ScalarField, eps: float) -> ScalarField:
     if not 0 < eps < INF:   # nan too
         raise ParameterError(f"eps must be positive and finite, got {eps}")
     _require_proper(f)
-    v, d = f.array, f.space.dist
-    if len(f._dom) < len(v):
-        v, d = v[f._dom], d[f._dom]
-    with _quiet():   # f(y) + eps d(y, x) may round to inf
-        paths = np.multiply(eps, d)
-        np.add(v[:, None], paths, out=paths)
+    with _quiet():   # a sum may round to inf; a row off dom f is inf, not nan
+        paths = np.multiply(eps, f.space.dist)
+        np.add(f.array[:, None], paths, out=paths)
     return _field(f.space, paths.min(axis=0))
 
 

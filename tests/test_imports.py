@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import types
+from functools import partial
 
 import pytest
 
@@ -23,6 +24,60 @@ import slopekit
 PACKAGE = os.path.dirname(slopekit.__file__)
 MODULES = sorted(name for name in os.listdir(PACKAGE)
                  if name.endswith(".py") and name != "__init__.py")
+
+
+def read_sources() -> dict:
+    """File name -> source of every module of the package."""
+    sources = {}
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE, module)) as fh:
+            sources[module] = fh.read()
+    return sources
+
+
+def findings(finder, exempt=()) -> dict:
+    """Module -> what ``finder`` finds in its source, for each module of the
+    package, but those ``exempt``, where it finds something."""
+    return {module: found for module, source in read_sources().items()
+            if module not in exempt and (found := finder(source))}
+
+
+def sites(finder) -> set:
+    """(module, scope, ...) of each finding of ``finder`` in the package,
+    with its line left out, to compare with a rule's table of homes."""
+    return {(module, scope, *rest) for module, found in findings(finder).items()
+            for scope, _, *rest in found}
+
+
+def changed_copy(module: str, site: str, copy: str):
+    """The source of ``module`` with ``site`` replaced by ``copy``, and the
+    line where ``site`` starts: a copy of the package with one site
+    changed."""
+    source = read_sources()[module]
+    changed = source.replace(site, copy)
+    assert changed != source
+    return changed, source[:source.index(site)].count("\n") + 1
+
+
+def scoped(source: str, skip=()):
+    """(enclosing scope, node) of each node of ``source`` that is no def or
+    class, in source order, without entering the defs named in ``skip``.
+    The scope names each enclosing def and class ("C.g" for a method),
+    and is "" at module level."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                yield ".".join(scope), child
+                yield from visit(child, scope)
+            elif child.name not in skip:
+                yield from visit(child, scope + (child.name,))
+    return visit(ast.parse(source), ())
+
+
+def _names(node) -> tuple:
+    """The name ``node`` is, or the attribute it reads: ``f`` or ``np.f``."""
+    return getattr(node, "id", None), getattr(node, "attr", None)
 
 
 def unused_imports(source: str) -> list:
@@ -41,8 +96,7 @@ def unused_imports(source: str) -> list:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
-    with open(os.path.join(PACKAGE, module)) as fh:
-        assert unused_imports(fh.read()) == []
+    assert unused_imports(read_sources()[module]) == []
 
 
 # the names ``slopekit`` exports, submodules aside
@@ -121,15 +175,6 @@ def test_unused_import_is_found():
     assert unused_imports(source) == [(1, "os"), (3, "nan")]
 
 
-def read_sources() -> dict:
-    """File name -> source of every module of the package."""
-    sources = {}
-    for module in MODULES + ["__init__.py"]:
-        with open(os.path.join(PACKAGE, module)) as fh:
-            sources[module] = fh.read()
-    return sources
-
-
 def function_imports(source: str) -> list:
     """(enclosing function, line) of each import inside a function body;
     module and class bodies may import."""
@@ -188,8 +233,7 @@ def import_cycles(sources: dict) -> list:
 
 def test_imports_at_module_level_without_cycles():
     sources = read_sources()
-    assert {m: function_imports(src) for m, src in sources.items()
-            if function_imports(src)} == {}
+    assert findings(function_imports) == {}
     assert import_cycles(sources) == []
     # the PL file format lives in instances, which builds on convex1d
     assert "convex1d.py" in package_imports(sources["instances.py"], sources)
@@ -236,15 +280,14 @@ def test_function_import_and_cycle_are_found():
         ("__init__.py", "d.py"), ("a.py", "b.py", "c.py"), ("e.py",)]
     # copies of the package with the function-level import and the cycle
     # that the PL reader once needed
-    sources = read_sources()
-    pl = sources["instances.py"]
     site = "rng = _rng(seed)\n    k = int("
-    line = pl[:pl.index(site)].count("\n") + 1
-    injected = pl.replace(site, "from .convex1d import PLConvex\n    " + site)
+    injected, line = changed_copy(
+        "instances.py", site, "from .convex1d import PLConvex\n    " + site)
     assert function_imports(injected) == [("gen_random_pl", line)]
-    sources["convex1d.py"] = sources["convex1d.py"].replace(
-        "from .errors import", "from .instances import _expect, _key\n"
-        "from .errors import")
+    sources = read_sources()
+    sources["convex1d.py"], _ = changed_copy(
+        "convex1d.py", "from .errors import",
+        "from .instances import _expect, _key\nfrom .errors import")
     assert import_cycles(sources) == [("convex1d.py", "instances.py")]
 
 
@@ -281,11 +324,7 @@ def unreferenced_private_names(sources: dict) -> list:
 
 
 def test_no_unreferenced_private_names():
-    sources = {}
-    for module in MODULES + ["__init__.py"]:
-        with open(os.path.join(PACKAGE, module)) as fh:
-            sources[module] = fh.read()
-    assert unreferenced_private_names(sources) == []
+    assert unreferenced_private_names(read_sources()) == []
 
 
 def test_unreferenced_private_name_is_found():
@@ -337,13 +376,7 @@ def test_no_numpy_python_helpers():
     assert numpy_helper_calls(source) == [
         (2, "ix_"), (3, "all"), (3, "flatnonzero"), (4, "any"),
         (4, "argwhere"), (4, "array_equal")]
-    found = {}
-    for module in MODULES + ["__init__.py"]:
-        with open(os.path.join(PACKAGE, module)) as fh:
-            calls = numpy_helper_calls(fh.read())
-        if calls:
-            found[module] = calls
-    assert found == {}
+    assert findings(numpy_helper_calls) == {}
 
 
 # Where a distance matrix enters the program, so that MetricSpace checks it:
@@ -354,39 +387,14 @@ MATRIX_ENTRIES = {("metric_space.py", "grid_space"),
                   ("instances.py", "_space_from_spec")}
 
 
-def metric_space_builds(source: str) -> list:
-    """(enclosing function, line) of each ``MetricSpace(...)`` call; a method
-    is named with its class, module level is ""."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Call) and (
-                    getattr(child.func, "id", None) == "MetricSpace"
-                    or getattr(child.func, "attr", None) == "MetricSpace"):
-                found.append((".".join(scope), child.lineno))
-            visit(child, scope)
-    visit(ast.parse(source), ())
-    return found
-
-
 def test_metric_space_built_only_where_a_matrix_enters():
     source = ("def grid_space():\n    return MetricSpace(p, d)\n"
               "class MetricSpace:\n    def subspace(self):\n"
               "        return object.__new__(MetricSpace), MetricSpace(p, d)\n"
               "space = metric_space.MetricSpace(p, d)\n")
-    assert metric_space_builds(source) == [
+    assert calls_of("MetricSpace", source) == [
         ("grid_space", 2), ("MetricSpace.subspace", 5), ("", 6)]
-    found = set()
-    for module in MODULES + ["__init__.py"]:
-        with open(os.path.join(PACKAGE, module)) as fh:
-            found.update((module, scope)
-                         for scope, _ in metric_space_builds(fh.read()))
-    assert found == MATRIX_ENTRIES
+    assert sites(partial(calls_of, "MetricSpace")) == MATRIX_ENTRIES
 
 
 # Rules written in one place, (module, function, rule): a level must be
@@ -429,30 +437,20 @@ def rule_copies(source: str) -> list:
     ....is_proper()`` whose body raises or a raise of ``ImproperFieldError``
     ("proper")."""
     found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if (isinstance(child, ast.If) and _is_level_test(child.test)
-                    and any(map(_raises, child.body))):
-                found.append((".".join(scope), child.lineno, "level"))
-            if isinstance(child, ast.Raise) and child.exc and any(
-                    isinstance(n, ast.Constant) and isinstance(n.value, str)
-                    and "outside dom f" in n.value
-                    for n in ast.walk(child.exc)):
-                found.append((".".join(scope), child.lineno, "dom"))
-            if (isinstance(child, ast.If) and _is_proper_test(child.test)
-                    and any(map(_raises, child.body))) or (
-                    isinstance(child, ast.Raise) and child.exc and any(
-                        "ImproperFieldError" in (getattr(n, "id", None),
-                                                 getattr(n, "attr", None))
-                        for n in ast.walk(child.exc))):
-                found.append((".".join(scope), child.lineno, "proper"))
-            visit(child, scope)
-    visit(ast.parse(source), ())
+    for scope, node in scoped(source):
+        if (isinstance(node, ast.If) and _is_level_test(node.test)
+                and any(map(_raises, node.body))):
+            found.append((scope, node.lineno, "level"))
+        if isinstance(node, ast.Raise) and node.exc and any(
+                isinstance(n, ast.Constant) and isinstance(n.value, str)
+                and "outside dom f" in n.value for n in ast.walk(node.exc)):
+            found.append((scope, node.lineno, "dom"))
+        if (isinstance(node, ast.If) and _is_proper_test(node.test)
+                and any(map(_raises, node.body))) or (
+                isinstance(node, ast.Raise) and node.exc and any(
+                    "ImproperFieldError" in _names(n)
+                    for n in ast.walk(node.exc))):
+            found.append((scope, node.lineno, "proper"))
     return found
 
 
@@ -490,12 +488,7 @@ def test_level_and_domain_refusals_written_once():
     assert rule_copies(source) == [
         ("f", 2, "level"), ("C.g", 14, "level"), ("C.g", 17, "dom"),
         ("h", 20, "dom"), ("k", 22, "proper"), ("k", 29, "proper")]
-    found = set()
-    for module in MODULES + ["__init__.py"]:
-        with open(os.path.join(PACKAGE, module)) as fh:
-            found.update((module, scope, rule)
-                         for scope, _, rule in rule_copies(fh.read()))
-    assert found - RULE_HOMES == set()
+    assert sites(rule_copies) - RULE_HOMES == set()
 
 
 # dom f is computed once, where every field is built (slope_core._adopt);
@@ -508,30 +501,15 @@ def dom_tests(source: str) -> list:
     ``!=``, ``in`` or ``not in`` comparison with ``INF`` outside ``_adopt``;
     ``<`` and the other orderings are allowed."""
     found = []
-
-    def is_inf(node):
-        return isinstance(node, ast.Name) and node.id == "INF"
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                if child.name != "_adopt":
-                    visit(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Call) and "isfinite" in (
-                    getattr(child.func, "id", None),
-                    getattr(child.func, "attr", None)):
-                found.append((".".join(scope), child.lineno))
-            if isinstance(child, ast.Compare):
-                operands = [child.left, *child.comparators]
-                if any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
-                       and (is_inf(a) or is_inf(b))
-                       for op, a, b in zip(child.ops, operands,
-                                           operands[1:])):
-                    found.append((".".join(scope), child.lineno))
-            visit(child, scope)
-    visit(ast.parse(source), ())
+    for scope, node in scoped(source, skip=("_adopt",)):
+        if isinstance(node, ast.Call) and "isfinite" in _names(node.func):
+            found.append((scope, node.lineno))
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                   and "INF" in (getattr(a, "id", None), getattr(b, "id", None))
+                   for op, a, b in zip(node.ops, operands, operands[1:])):
+                found.append((scope, node.lineno))
     return found
 
 
@@ -549,13 +527,8 @@ def test_dom_f_computed_only_where_a_field_is_built():
     assert dom_tests(source) == [
         ("f", 4), ("f", 4), ("f", 5), ("f", 5), ("f", 6), ("f", 6),
         ("C.g", 9)]
-    found = {}
-    for module in DOM_READERS:
-        with open(os.path.join(PACKAGE, module)) as fh:
-            sites = dom_tests(fh.read())
-        if sites:
-            found[module] = sites
-    assert found == {}
+    assert {m: found for m, found in findings(dom_tests).items()
+            if m in DOM_READERS} == {}
 
 
 def _has_tol(node) -> bool:
@@ -578,20 +551,9 @@ def tolerance_comparisons(source: str) -> list:
     take one more n x |rows| buffer, and ``metric_space._certifies``
     compares in exact rationals, not floats.
     """
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Compare) and any(
-                    map(_has_tol, [child.left, *child.comparators])):
-                found.append((".".join(scope), child.lineno))
-            visit(child, scope)
-    visit(ast.parse(source), ())
-    return found
+    return [(scope, node.lineno) for scope, node in scoped(source)
+            if isinstance(node, ast.Compare)
+            and any(map(_has_tol, [node.left, *node.comparators]))]
 
 
 def test_tolerance_compared_only_in_config():
@@ -604,22 +566,12 @@ def test_tolerance_compared_only_in_config():
         "                a >= -(b + tol), a > b + tol_)\n")
     assert tolerance_comparisons(source) == [
         ("f", 2), ("f", 2), ("f", 2), ("f", 2), ("C.g", 5), ("C.g", 6)]
-    with open(os.path.join(PACKAGE, "slope_core.py")) as fh:
-        source = fh.read()
     # a copy of the package with one comparison spelled inline again
-    line = source[:source.index("_within(slopes(f), eps, tol)")].count("\n")
-    injected = source.replace("_within(slopes(f), eps, tol)",
-                              "(slopes(f) <= eps + tol)")
-    assert injected != source
-    assert tolerance_comparisons(injected) == [("_crit_rows", line + 1)]
-    found = {}
-    for module in MODULES + ["__init__.py"]:
-        if module != "config.py":
-            with open(os.path.join(PACKAGE, module)) as fh:
-                sites = tolerance_comparisons(fh.read())
-            if sites:
-                found[module] = sites
-    assert found == {}
+    injected, line = changed_copy("slope_core.py",
+                                  "_within(slopes(f), eps, tol)",
+                                  "(slopes(f) <= eps + tol)")
+    assert tolerance_comparisons(injected) == [("_crit_rows", line)]
+    assert findings(tolerance_comparisons, exempt=("config.py",)) == {}
 
 
 # Calls with one home each, (module, function): numpy's error state is set
@@ -632,21 +584,8 @@ CALL_HOMES = {"errstate": {("config.py", "_quiet")},
 def calls_of(name: str, source: str) -> list:
     """(enclosing function, line) of each call of ``name``, bare or as an
     attribute such as ``np.errstate`` or ``np.random.default_rng``."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Call) and name in (
-                    getattr(child.func, "id", None),
-                    getattr(child.func, "attr", None)):
-                found.append((".".join(scope), child.lineno))
-            visit(child, scope)
-    visit(ast.parse(source), ())
-    return found
+    return [(scope, node.lineno) for scope, node in scoped(source)
+            if isinstance(node, ast.Call) and name in _names(node.func)]
 
 
 def test_call_with_one_home_is_found():
@@ -669,23 +608,47 @@ def test_call_with_one_home_is_found():
             ("default_rng", "instances.py", "gen_random_pl",
              "rng = _rng(seed)\n    k = int(",
              "rng = np.random.default_rng(seed)\n    k = int(")]:
-        with open(os.path.join(PACKAGE, module)) as fh:
-            source = fh.read()
-        line = source[:source.index(site)].count("\n") + 1
-        injected = source.replace(site, copy)
-        assert injected != source
+        injected, line = changed_copy(module, site, copy)
+        source = read_sources()[module]
         assert (set(calls_of(name, injected)) - set(calls_of(name, source))
                 == {(scope, line)})
 
 
 @pytest.mark.parametrize("name", CALL_HOMES)
 def test_call_made_only_at_its_home(name):
-    found = set()
-    for module in MODULES + ["__init__.py"]:
-        with open(os.path.join(PACKAGE, module)) as fh:
-            found.update((module, scope)
-                         for scope, _ in calls_of(name, fh.read()))
-    assert found == CALL_HOMES[name]
+    assert sites(partial(calls_of, name)) == CALL_HOMES[name]
+
+
+# A non-finite float is written to JSON by one function, instances._spelled,
+# as ``str`` spells it; no module spells one itself.
+NONFINITE = ("inf", "-inf", "nan")
+
+
+def nonfinite_spellings(source: str) -> list:
+    """(enclosing function, line) of each string constant "inf", "-inf"
+    or "nan"."""
+    return [(scope, node.lineno) for scope, node in scoped(source)
+            if isinstance(node, ast.Constant) and node.value in NONFINITE]
+
+
+def test_nonfinite_spelling_is_found():
+    source = (
+        "def f(v):\n"
+        "    return {'value': 'inf'} if v == INF else v, str(v), '-inf'\n"
+        "class C:\n"
+        "    p = ('nan', 'Inf', 'info', math.inf)\n"
+        "spec = {'p': 'inf'}\n")
+    assert nonfinite_spellings(source) == [
+        ("f", 2), ("f", 2), ("C", 4), ("", 5)]
+    # a copy of the package whose instance writer spells +inf itself again
+    injected, line = changed_copy(
+        "instances.py", "name: _spelled(f.values)",
+        'name: ["inf" if v == INF else v for v in f.values]')
+    assert nonfinite_spellings(injected) == [("Instance.to_dict", line)]
+
+
+def test_nonfinite_floats_spelled_in_one_place():
+    assert findings(nonfinite_spellings) == {}
 
 
 # mapping reads that ``parameter_casts`` follows, as it follows x.a and x[k]
@@ -804,23 +767,12 @@ def test_parameter_cast_is_found():
 ], ids=["parameter", "attribute", "loop-variable", "mapping-read"])
 def test_caller_number_cast_is_found_in_the_package(module, scope, site, copy):
     """A copy of the package with one conversion spelled as a cast again."""
-    with open(os.path.join(PACKAGE, module)) as fh:
-        source = fh.read()
-    line = source[:source.index(site)].count("\n") + 1
-    injected = source.replace(site, copy)
-    assert injected != source
-    assert parameter_casts(source) == []
+    injected, line = changed_copy(module, site, copy)
+    assert parameter_casts(read_sources()[module]) == []
     assert parameter_casts(injected) == [(scope, line)]
 
 
 def test_caller_numbers_converted_only_in_config():
     """A caller's number becomes a float through ``config._parsed`` (or
     ``_require_level``, ``resolve_tol``), not by a cast of its own."""
-    found = {}
-    for module in MODULES + ["__init__.py"]:
-        if module != "config.py":
-            with open(os.path.join(PACKAGE, module)) as fh:
-                sites = parameter_casts(fh.read())
-            if sites:
-                found[module] = sites
-    assert found == {}
+    assert findings(parameter_casts, exempt=("config.py",)) == {}
